@@ -6,32 +6,32 @@ links, trains the receiver's signal-authentication network from scratch,
 and mounts random, replay, and adversarially-learned (GAN) spoofing
 attacks whose success rates can be swept over antenna counts, topologies,
 and seeds.
+
+Every burst comes from one batched engine: `ScenarioConfig.draw_mixing`
+draws a batch of link matrices of shape (count, n_rx, n_tx) (fresh fading
+over the scenario's fixed phase fingerprint), and `receive_rows` turns
+them plus transmit streams (count, n_tx, n_points) into noisy received
+feature rows (count, 2 * n_rx * n_points). The defender's datasets, the
+GAN's real and synthetic pools, and all three attacks use this path.
 """
 
 __version__ = "0.1.0"
 
-from .attacks import (AttackReport, append_report_csv, run_gan_attack,
-                      run_random_attack, run_replay_attack,
-                      success_probability, train_spoofer)
+from .attacks import (AttackReport, run_gan_attack, run_random_attack,
+                      run_replay_attack, success_probability, train_spoofer)
 from .authenticator import (FROM_T, NOT_T, Authenticator, ClassifierMetrics,
                             LabeledDataset, build_dataset, classify, evaluate,
-                            load_dataset_csv, network_of, save_dataset_csv,
-                            train_classifier, tune_hyperparameters)
-from .channel import ChannelRealization, draw_channel
+                            network_of, train_classifier, tune_hyperparameters)
 from .experiments import (ConfigError, ExperimentResult, ExperimentSpec,
                           benchmark_latency, build_version, parse_config,
                           run_experiment)
-from .frontend import condition_rows, condition_rows_vjp, symbol_phasors
+from .frontend import condition_rows, condition_rows_vjp
 from .gan import (GanConfig, TrainingTrace, check_convergence,
-                  discriminator_loss, generate_spoof_burst, generator_loss,
+                  discriminator_loss, generator_loss, generator_streams,
                   train_gan)
 from .nn import (AdamState, DenseNetwork, Gradients, TrainConfig, adam_step,
                  backward, cross_entropy, cross_entropy_grad,
                  finite_diff_check, forward, init_network, load_model,
                  predict, save_model)
 from .scenario import Position, ScenarioConfig, substream
-from .waveform import (IQBurst, apply_channel, burst_from_bytes,
-                       burst_from_features, burst_to_bytes, complex_awgn,
-                       features, load_burst, qpsk_phases,
-                       random_symbol_phases, sample_intended_burst,
-                       sample_replay_burst, sample_waveform_burst, save_burst)
+from .waveform import qpsk_phases, receive_rows, receive_waveform

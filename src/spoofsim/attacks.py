@@ -11,20 +11,16 @@ defender's classifier labels as the legitimate transmitter:
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .authenticator import FROM_T, ClassifierMetrics, classify, network_of
-from .gan import generate_spoof_burst, train_gan
-from .nn import DenseNetwork
-from .scenario import ScenarioConfig
-from .waveform import (SYMBOLS_PER_BURST, IQBurst, apply_channel, features,
-                       random_symbol_phases, sample_replay_burst,
-                       sample_waveform_burst)
+from .gan import generator_streams, train_gan
+from .scenario import TWO_PI, ScenarioConfig
+from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, amplify_and_forward,
+                       qpsk_phases, receive_rows, receive_waveform,
+                       rows_to_streams)
 
 
 @dataclass
@@ -44,42 +40,6 @@ class AttackReport:
             raise ValueError("success count must lie in [0, n_trials]")
         if self.success_prob != self.n_success / self.n_trials:
             raise ValueError("success_prob must equal n_success / n_trials exactly")
-
-    def to_dict(self) -> dict:
-        out = {
-            "attack_kind": self.attack_kind,
-            "n_trials": self.n_trials,
-            "n_success": self.n_success,
-            "success_prob": self.success_prob,
-            "scenario": {
-                "t_pos": list(self.scenario.t_pos),
-                "r_pos": list(self.scenario.r_pos),
-                "at_pos": list(self.scenario.at_pos),
-                "ar_pos": list(self.scenario.ar_pos),
-                "attack_time_at_pos": (list(self.scenario.attack_time_at_pos)
-                                       if self.scenario.attack_time_at_pos else None),
-                "n_t": self.scenario.n_t,
-                "n_r": self.scenario.n_r,
-                "n_a": self.scenario.n_a,
-                "power": self.scenario.power,
-                "samples_per_symbol": self.scenario.samples_per_symbol,
-                "seed": self.scenario.seed,
-            },
-            "classifier_metrics": None,
-            "gan_trace_summary": self.gan_trace_summary,
-        }
-        if self.classifier_metrics is not None:
-            m = self.classifier_metrics
-            out["classifier_metrics"] = {"n": m.n, "n_from_t": m.n_from_t,
-                                         "n_md": m.n_md, "n_fa": m.n_fa,
-                                         "e_md": m.e_md, "e_fa": m.e_fa}
-        return out
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            Path(path).write_text(text + "\n")
-        return text
 
 
 def success_probability(decisions) -> float:
@@ -112,15 +72,9 @@ def run_random_attack(classifier, scenario, n_trials=500, rng=None,
     if rng is None:
         rng = np.random.default_rng()
     sc = scenario
-    at_phases = sc.at_device_phases()
-    x = np.empty((n_trials, sc.feature_length))
-    for i in range(n_trials):
-        phases = random_symbol_phases(SYMBOLS_PER_BURST, rng)
-        ch = sc.draw_link("at", "r", rng, at_position=sc.attack_position)
-        burst = sample_waveform_burst(phases, at_phases, ch, sc.power,
-                                      sc.samples_per_symbol, noise=True, rng=rng,
-                                      carrier_jitter=sc.carrier_jitter)
-        x[i] = features(burst)
+    phases = rng.uniform(0.0, TWO_PI, size=(n_trials, SYMBOLS_PER_BURST))
+    mixing = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
+    x = receive_waveform(mixing, phases, sc.power, sc.samples_per_symbol, rng)
     return _report("random", classifier, x, sc, classifier_metrics)
 
 
@@ -131,17 +85,15 @@ def run_replay_attack(classifier, scenario, n_trials=500, rng=None,
     if rng is None:
         rng = np.random.default_rng()
     sc = scenario
-    t_phases = sc.t_device_phases()
-    at_phases = sc.at_device_phases()
-    x = np.empty((n_trials, sc.feature_length))
-    for i in range(n_trials):
-        bits = rng.integers(0, 2, size=8)
-        ch_hop1 = sc.draw_link("t", "at", rng, at_position=sc.attack_position)
-        ch_hop2 = sc.draw_link("at", "r", rng, at_position=sc.attack_position)
-        burst = sample_replay_burst(bits, t_phases, at_phases, ch_hop1, ch_hop2,
-                                    sc.power, sc.samples_per_symbol, noise=True, rng=rng,
-                                    carrier_jitter=sc.carrier_jitter)
-        x[i] = features(burst)
+    bits = rng.integers(0, 2, size=(n_trials, BITS_PER_BURST))
+    hop1 = sc.draw_mixing("t", "at", n_trials, rng, at_position=sc.attack_position)
+    recording = receive_waveform(hop1, qpsk_phases(bits), sc.power,
+                                 sc.samples_per_symbol, rng)
+    forwarded = amplify_and_forward(rows_to_streams(recording, sc.n_a), sc.power, rng)
+    # The second hop's matrices carry A_T's carrier wander; the relay's
+    # uniform per-burst phase offset already absorbs any such phase.
+    hop2 = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
+    x = receive_rows(hop2, forwarded, rng)
     return _report("replay", classifier, x, sc, classifier_metrics)
 
 
@@ -159,17 +111,10 @@ def run_gan_attack(classifier, generator, scenario, n_trials=500, rng=None,
     if rng is None:
         rng = np.random.default_rng()
     budget = float(power_budget) if power_budget is not None else sc.power
-    noise_dim = generator.layer_sizes[0]
-    at_phases = sc.at_device_phases()
-    x = np.empty((n_trials, sc.feature_length))
-    for i in range(n_trials):
-        z = rng.standard_normal(noise_dim)
-        tx = generate_spoof_burst(generator, z, sc.n_a, budget)
-        if sc.carrier_jitter > 0.0:
-            tx = IQBurst(tx.streams * np.exp(1j * sc.carrier_jitter * rng.standard_normal()))
-        ch = sc.draw_link("at", "r", rng, at_position=sc.attack_position)
-        rx = apply_channel(tx, at_phases, ch, noise=True, rng=rng)
-        x[i] = features(rx)
+    z = rng.standard_normal((n_trials, generator.layer_sizes[0]))
+    tx = generator_streams(generator, z, sc.n_a, budget)
+    mixing = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
+    x = receive_rows(mixing, tx, rng)
     return _report("gan", classifier, x, sc, classifier_metrics, gan_trace_summary)
 
 
@@ -189,28 +134,3 @@ def train_spoofer(scenario, gan_config=None, rng=None, retries=3):
         if result[2].converged:
             break
     return result
-
-
-REPORT_CSV_COLUMNS = [
-    "attack", "n_t", "n_r", "n_a", "t_pos", "r_pos", "at_pos", "ar_pos",
-    "attack_at_pos", "power", "samples_per_symbol", "seed", "n_trials",
-    "n_success", "success_prob",
-]
-
-
-def append_report_csv(report: AttackReport, path) -> None:
-    """Append one result row; writes the header when the file is new."""
-    path = Path(path)
-    fresh = not path.exists()
-    sc = report.scenario
-    row = [report.attack_kind, sc.n_t, sc.n_r, sc.n_a,
-           f"{sc.t_pos[0]};{sc.t_pos[1]}", f"{sc.r_pos[0]};{sc.r_pos[1]}",
-           f"{sc.at_pos[0]};{sc.at_pos[1]}", f"{sc.ar_pos[0]};{sc.ar_pos[1]}",
-           f"{sc.attack_position[0]};{sc.attack_position[1]}",
-           sc.power, sc.samples_per_symbol, sc.seed,
-           report.n_trials, report.n_success, report.success_prob]
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(REPORT_CSV_COLUMNS)
-        writer.writerow(row)

@@ -10,18 +10,16 @@ foreign) and false alarm (foreign classified as legitimate) rates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .frontend import condition_rows
 from .nn import (AdamState, DenseNetwork, TrainConfig, adam_step, backward,
                  cross_entropy_grad, forward, init_network, predict)
-from .scenario import ScenarioConfig
-from .waveform import (SYMBOLS_PER_BURST, features, random_symbol_phases,
-                       sample_intended_burst, sample_waveform_burst)
+from .scenario import TWO_PI, ScenarioConfig
+from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, qpsk_phases,
+                       receive_waveform)
 
 NOT_T = 0
 FROM_T = 1
@@ -36,8 +34,8 @@ class LabeledDataset:
 
     n_antennas and samples_per_symbol describe the burst geometry behind
     the feature layout; they are filled by build_dataset and needed to
-    train a classifier (the CSV form stores only labels and features, so
-    a loader's caller must restate them).
+    train a classifier (a caller that builds a dataset by hand restates
+    them to train_classifier).
     """
 
     features: np.ndarray
@@ -107,28 +105,24 @@ def build_dataset(scenario: ScenarioConfig, n_samples, positive_fraction=0.5,
     if rng is None:
         rng = np.random.default_rng()
     sc = scenario
-    t_phases = sc.t_device_phases()
-    at_phases = sc.at_device_phases()
     labels = (rng.random(n_samples) < positive_fraction).astype(np.int64)
     if labels.sum() == 0:
         labels[0] = FROM_T
     elif labels.sum() == n_samples:
         labels[0] = NOT_T
-    x = np.empty((n_samples, sc.feature_length))
-    for i, label in enumerate(labels):
-        if label == FROM_T:
-            bits = rng.integers(0, 2, size=8)
-            ch = sc.draw_link("t", "r", rng)
-            burst = sample_intended_burst(bits, t_phases, ch, sc.power,
-                                          sc.samples_per_symbol, noise=True, rng=rng,
-                                          carrier_jitter=sc.carrier_jitter)
-        else:
-            phases = random_symbol_phases(SYMBOLS_PER_BURST, rng)
-            ch = sc.draw_link("at", "r", rng)
-            burst = sample_waveform_burst(phases, at_phases, ch, sc.power,
-                                          sc.samples_per_symbol, noise=True, rng=rng,
-                                          carrier_jitter=sc.carrier_jitter)
-        x[i] = features(burst)
+    # Both classes send one phase track from every antenna, so their link
+    # matrices (n_t and n_a wide) average over the transmit antennas into
+    # one (n_samples, n_r, 1) batch.
+    positive = labels == FROM_T
+    n_pos = int(positive.sum())
+    n_neg = n_samples - n_pos
+    weights = np.empty((n_samples, sc.n_r, 1), dtype=np.complex128)
+    weights[positive] = sc.draw_mixing("t", "r", n_pos, rng).mean(axis=-1, keepdims=True)
+    weights[~positive] = sc.draw_mixing("at", "r", n_neg, rng).mean(axis=-1, keepdims=True)
+    phases = np.empty((n_samples, SYMBOLS_PER_BURST))
+    phases[positive] = qpsk_phases(rng.integers(0, 2, size=(n_pos, BITS_PER_BURST)))
+    phases[~positive] = rng.uniform(0.0, TWO_PI, size=(n_neg, SYMBOLS_PER_BURST))
+    x = receive_waveform(weights, phases, sc.power, sc.samples_per_symbol, rng)
     return LabeledDataset(x, labels, sc.n_r, sc.samples_per_symbol)
 
 
@@ -228,26 +222,3 @@ def tune_hyperparameters(scenario: ScenarioConfig, grid, rng,
         scores.append(evaluate(net, val_set).worst_error)
     best = min(range(len(grid)), key=lambda i: (scores[i], grid[i].batch_size, i))
     return grid[best]
-
-
-_LABEL_NAMES = {FROM_T: "FROM_T", NOT_T: "NOT_T"}
-_NAME_LABELS = {v: k for k, v in _LABEL_NAMES.items()}
-
-
-def save_dataset_csv(dataset: LabeledDataset, path) -> None:
-    """One row per sample: label name, then the feature values."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for label, row in zip(dataset.labels, dataset.features):
-            writer.writerow([_LABEL_NAMES[int(label)]] + [repr(float(v)) for v in row])
-
-
-def load_dataset_csv(path) -> LabeledDataset:
-    labels, rows = [], []
-    with open(Path(path), newline="") as fh:
-        for record in csv.reader(fh):
-            if not record:
-                continue
-            labels.append(_NAME_LABELS[record[0]])
-            rows.append([float(v) for v in record[1:]])
-    return LabeledDataset(np.asarray(rows), np.asarray(labels))

@@ -9,9 +9,11 @@ Five canned table layouts mirror the headline result families:
 5. generator-attack success when the adversary moves after training.
 
 Every emitted row carries the seed, the full scenario, and the build
-version; a master seed plus a per-cell counter split keeps grid cells
-independent and order-insensitive. Failed cells are recorded and skipped,
-they do not abort the sweep.
+version (read once per sweep); a master seed plus a per-cell counter split
+keeps grid cells independent and order-insensitive. Cells that fail on bad
+values (ValueError, including ConfigError, or FloatingPointError) are
+recorded and skipped; any other exception is a programming error and
+aborts the sweep.
 """
 
 from __future__ import annotations
@@ -288,7 +290,11 @@ def _cell_rngs(master_seed, table, cell_tag):
             substream(master_seed, cid, 3))   # attack trials
 
 
-def _blank_row(spec, scenario, seed):
+# Errors a cell may raise on legitimate input; anything else propagates.
+CELL_ERRORS = (ValueError, FloatingPointError)
+
+
+def _blank_row(spec, scenario, seed, version):
     return {
         "table": spec.table, "seed": seed,
         "n_t": scenario.n_t, "n_r": scenario.n_r, "n_a": scenario.n_a,
@@ -301,7 +307,7 @@ def _blank_row(spec, scenario, seed):
         "p": scenario.power, "s": scenario.samples_per_symbol,
         "n_trials": "", "attack": "", "e_md": "", "e_fa": "",
         "success_prob": "", "gan_epochs": "", "gan_converged": "",
-        "version": build_version(),
+        "version": version,
     }
 
 
@@ -339,7 +345,7 @@ def _model_path(out_dir, spec, tag, seed, what):
     return models / f"t{spec.table}_{tag}_seed{seed}_{what}.bin"
 
 
-def _run_attack_cell(spec, scenario, tag, seed, attack, out_dir, clf=None,
+def _run_attack_cell(spec, scenario, tag, seed, attack, out_dir, version, clf=None,
                      metrics=None, generator=None, gan_summary=None):
     scen_seed, data_rng, gan_rng, attack_rng = _cell_rngs(seed, spec.table, tag)
     if clf is None:
@@ -347,7 +353,7 @@ def _run_attack_cell(spec, scenario, tag, seed, attack, out_dir, clf=None,
         clf, metrics = _train_cell_classifier(spec, scenario, data_rng, scen_seed & 0x7FFFFFFF)
         if spec.save_models:
             save_model(network_of(clf), _model_path(out_dir, spec, tag, seed, "classifier"))
-    row = _blank_row(spec, scenario, seed)
+    row = _blank_row(spec, scenario, seed, version)
     row.update(e_md=metrics.e_md, e_fa=metrics.e_fa)
     if attack == "none":
         return row, scenario, clf, metrics, generator, gan_summary
@@ -376,6 +382,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, failures = [], []
+    version = build_version()
 
     if spec.table in ("1", "2", "3", "custom"):
         attack = {"1": "none", "2": "replay", "3": "gan"}.get(spec.table, spec.attack)
@@ -388,9 +395,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                         scenario = replace(spec.base, n_t=n_t, n_r=n_r, n_a=n_a)
                         try:
                             row, *_ = _run_attack_cell(spec, scenario, tag, seed,
-                                                       attack, out_dir)
+                                                       attack, out_dir, version)
                             cell_rows.append(row)
-                        except Exception as exc:  # noqa: BLE001 - cells must not abort the sweep
+                        except CELL_ERRORS as exc:
                             failures.append({"cell": tag, "seed": seed, "error": str(exc)})
                     rows.extend(cell_rows + _mean_rows(cell_rows))
     elif spec.table == "4":
@@ -400,9 +407,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             for seed in spec.seeds:
                 scenario = replace(spec.base, at_pos=pos)
                 try:
-                    row, *_ = _run_attack_cell(spec, scenario, tag, seed, "gan", out_dir)
+                    row, *_ = _run_attack_cell(spec, scenario, tag, seed, "gan", out_dir,
+                                               version)
                     cell_rows.append(row)
-                except Exception as exc:  # noqa: BLE001
+                except CELL_ERRORS as exc:
                     failures.append({"cell": tag, "seed": seed, "error": str(exc)})
             rows.extend(cell_rows + _mean_rows(cell_rows))
     else:  # table 5: train once per seed at the base position, attack from each
@@ -412,7 +420,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             scenario = replace(spec.base)
             try:
                 trained[seed] = _run_attack_cell(spec, scenario, base_tag, seed,
-                                                 "none", out_dir)
+                                                 "none", out_dir, version)
                 scen = trained[seed][1]
                 _, _, gen_rng, _ = _cell_rngs(seed, spec.table, base_tag)
                 generator, _, trace = train_spoofer(scen, spec.gan, gen_rng,
@@ -421,7 +429,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 if spec.save_models:
                     save_model(generator, _model_path(out_dir, spec, base_tag, seed,
                                                       "generator"))
-            except Exception as exc:  # noqa: BLE001
+            except CELL_ERRORS as exc:
                 failures.append({"cell": base_tag, "seed": seed, "error": str(exc)})
                 trained[seed] = None
         for pos in spec.at_positions:
@@ -436,14 +444,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     _, _, _, attack_rng = _cell_rngs(seed, spec.table, tag)
                     report = run_gan_attack(clf, generator, moved, spec.n_trials,
                                             attack_rng, metrics, gan_summary)
-                    row = _blank_row(spec, moved, seed)
+                    row = _blank_row(spec, moved, seed, version)
                     row.update(attack="gan", n_trials=report.n_trials,
                                e_md=metrics.e_md, e_fa=metrics.e_fa,
                                success_prob=report.success_prob,
                                gan_epochs=gan_summary["epochs_run"],
                                gan_converged=gan_summary["converged"])
                     cell_rows.append(row)
-                except Exception as exc:  # noqa: BLE001
+                except CELL_ERRORS as exc:
                     failures.append({"cell": tag, "seed": seed, "error": str(exc)})
             rows.extend(cell_rows + _mean_rows(cell_rows))
 
@@ -455,7 +463,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         writer.writerows(rows)
     json_path = out_dir / f"{name}_summary.json"
     with open(json_path, "w") as fh:
-        json.dump({"table": spec.table, "version": build_version(),
+        json.dump({"table": spec.table, "version": version,
                    "seeds": list(spec.seeds), "n_trials": spec.n_trials,
                    "rows": rows, "failures": failures}, fh, indent=2)
         fh.write("\n")

@@ -50,35 +50,24 @@ def _split(rows, n_antennas, samples_per_symbol):
     return (z[..., 0] + 1j * z[..., 1]), single
 
 
-def symbol_phasors(rows, n_antennas, samples_per_symbol) -> np.ndarray:
-    """Matched-filter output: one complex phasor per (antenna, symbol)."""
-    z, single = _split(rows, n_antennas, samples_per_symbol)
-    s = samples_per_symbol
-    n_sym = z.shape[2] // s
-    u = (z.reshape(*z.shape[:2], n_sym, s) * _derotation(s)).mean(axis=-1)
-    return u[0] if single else u
-
-
-def condition_rows(rows, n_antennas, samples_per_symbol, limit=PHASOR_LIMIT,
-                   power=GRID_POWER) -> np.ndarray:
+def condition_rows(rows, n_antennas, samples_per_symbol) -> np.ndarray:
     """Condition raw feature rows for a dense classifier/discriminator.
 
-    Output has the same shape as the input: per-symbol limited phasors
-    raised to `power`, replicated across the symbol's sample slots,
-    I/Q interleaved.
+    Output has the same shape as the input: per-symbol matched-filter
+    phasors limited at PHASOR_LIMIT and raised to GRID_POWER, replicated
+    across the symbol's sample slots, I/Q interleaved.
     """
     z, single = _split(rows, n_antennas, samples_per_symbol)
     s = samples_per_symbol
     n_sym = z.shape[2] // s
     u = (z.reshape(*z.shape[:2], n_sym, s) * _derotation(s)).mean(axis=-1)
-    v = (u / np.maximum(np.abs(u), limit)) ** power
+    v = (u / np.maximum(np.abs(u), PHASOR_LIMIT)) ** GRID_POWER
     rep = np.broadcast_to(v[..., None], (*v.shape, s)).reshape(z.shape)
     out = np.stack((rep.real, rep.imag), axis=-1).reshape(z.shape[0], -1)
     return out[0] if single else out
 
 
-def condition_rows_vjp(grad_out, rows, n_antennas, samples_per_symbol,
-                       limit=PHASOR_LIMIT, power=GRID_POWER) -> np.ndarray:
+def condition_rows_vjp(grad_out, rows, n_antennas, samples_per_symbol) -> np.ndarray:
     """Backpropagate gradients w.r.t. conditioned rows onto the raw rows."""
     z, single = _split(rows, n_antennas, samples_per_symbol)
     g, g_single = _split(grad_out, n_antennas, samples_per_symbol)
@@ -91,14 +80,14 @@ def condition_rows_vjp(grad_out, rows, n_antennas, samples_per_symbol,
     # Replication adjoint: accumulate the gradient over each symbol's slots.
     g_v = g.reshape(*g.shape[:2], n_sym, s).sum(axis=-1)
     r = np.abs(u)
-    below = r < limit
-    p = u / np.maximum(r, limit)
+    below = r < PHASOR_LIMIT
+    p = u / np.maximum(r, PHASOR_LIMIT)
     # Power-law adjoint (complex-analytic step).
-    g_p = np.conj(power * p ** (power - 1)) * g_v
+    g_p = np.conj(GRID_POWER * p ** (GRID_POWER - 1)) * g_v
     # Limiter adjoint: scale below the knee, phase-only above it.
     inner = (p.real * g_p.real + p.imag * g_p.imag)
-    g_u = np.where(below, g_p / limit,
-                   (g_p - p * inner) / np.maximum(r, limit))
+    g_u = np.where(below, g_p / PHASOR_LIMIT,
+                   (g_p - p * inner) / np.maximum(r, PHASOR_LIMIT))
     g_z = (g_u[..., None] / s) * np.conj(derot)
     g_z = g_z.reshape(z.shape)
     out = np.stack((g_z.real, g_z.imag), axis=-1).reshape(z.shape[0], -1)

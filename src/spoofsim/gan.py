@@ -5,8 +5,9 @@ per-antenna transmit waveforms; its surrogate receiver holds a
 discriminator that classifies received bursts as legitimate or synthetic.
 The two are trained as alternating rounds of a minimax game with the
 wireless channel inside the synthetic-sample path: every synthetic burst
-is pushed through a fresh adversary-to-surrogate fading realization (plus
-receiver noise) before the discriminator sees it, and generator updates
+is pushed through a fresh adversary-to-surrogate link matrix (plus
+receiver noise) from the same batched engine as every other burst (see
+`waveform`) before the discriminator sees it, and generator updates
 backpropagate through the discriminator and that same linear channel.
 
 Radio protocol bookkeeping is kept alongside: the transmitter flags each
@@ -30,8 +31,8 @@ from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork,
                  TrainConfig, adam_step, backward, cross_entropy_grad, forward,
                  init_network, predict)
 from .scenario import ScenarioConfig
-from .waveform import (IQBurst, complex_awgn, feature_rows, features,
-                       rows_to_streams, sample_intended_burst)
+from .waveform import (BITS_PER_BURST, feature_rows, qpsk_phases, receive_rows,
+                       receive_waveform, rows_to_streams, stream_rms)
 
 
 @dataclass
@@ -134,17 +135,12 @@ def generator_loss(d_net: DenseNetwork, synth_batch) -> float:
     return float(_clamped_log(1.0 - from_t_probability(d_net, synth_batch)).mean())
 
 
-def _stream_rms(streams) -> np.ndarray:
-    """Per-antenna RMS amplitude; streams shaped (..., n_antennas, n_points)."""
-    return np.sqrt(np.mean(streams.real ** 2 + streams.imag ** 2, axis=-1))
-
-
 def scale_to_budget(streams, power_budget):
     """Uniformly shrink streams whose summed per-antenna RMS exceeds the budget.
 
     Returns (scaled streams, scale factors). Never scales up.
     """
-    rms = _stream_rms(streams)
+    rms = stream_rms(streams)
     total = rms.sum(axis=-1)
     scale = np.where(total > power_budget, power_budget / np.maximum(total, LOG_EPS), 1.0)
     return streams * scale[..., None, None], scale
@@ -152,7 +148,7 @@ def scale_to_budget(streams, power_budget):
 
 def _scale_backward(grad_scaled, raw, power_budget):
     """Adjoint of scale_to_budget for complex stream grads (batched)."""
-    rms = _stream_rms(raw)
+    rms = stream_rms(raw)
     total = rms.sum(axis=-1)
     active = total > power_budget
     scale = np.where(active, power_budget / np.maximum(total, LOG_EPS), 1.0)
@@ -166,12 +162,12 @@ def _scale_backward(grad_scaled, raw, power_budget):
     return grad
 
 
-def generate_spoof_burst(g_net: DenseNetwork, z, n_adv, power_budget) -> IQBurst:
-    """Run the generator on one noise vector and enforce the power budget."""
-    out = predict(g_net, z)
-    streams = rows_to_streams(out[None, :], n_adv)[0]
-    scaled, _ = scale_to_budget(streams[None, :, :], float(power_budget))
-    return IQBurst(scaled[0])
+def generator_streams(g_net: DenseNetwork, z, n_adv, power_budget) -> np.ndarray:
+    """Transmit streams (count, n_adv, n_points) the generator emits for the
+    noise rows z (count, noise_dim), with the power budget enforced."""
+    raw = rows_to_streams(np.atleast_2d(predict(g_net, z)), n_adv)
+    scaled, _ = scale_to_budget(raw, float(power_budget))
+    return scaled
 
 
 def check_convergence(loss_series, window, threshold) -> bool:
@@ -190,20 +186,6 @@ def check_convergence(loss_series, window, threshold) -> bool:
     return bool(np.max(np.abs(tail - now)) < threshold * abs(now))
 
 
-def _draw_link_batch(scenario, count, device_phases, rng):
-    """Fresh adversary-to-surrogate mixing matrices, one per burst:
-    rx = M @ tx_streams. The adversary's own carrier phase wander is
-    folded into each matrix."""
-    static = np.exp(1j * (device_phases[:, None] + scenario.link_phases("at", "ar"))).T
-    gains = rng.exponential(scenario.link_mean("at", "ar"),
-                            size=(count, scenario.n_a, scenario.n_r))
-    mats = gains.transpose(0, 2, 1) * static[None, :, :]
-    if scenario.carrier_jitter > 0.0:
-        wander = np.exp(1j * scenario.carrier_jitter * rng.standard_normal(count))
-        mats = mats * wander[:, None, None]
-    return mats
-
-
 def _train_epoch(net, state, x, targets, batch_size, cfg, rng):
     """One shuffled cross-entropy pass over (x, targets)."""
     order = rng.permutation(x.shape[0])
@@ -217,13 +199,16 @@ def _train_epoch(net, state, x, targets, batch_size, cfg, rng):
 def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=None):
     """Adversarial training loop; returns (generator, discriminator, trace).
 
+    The real pool is drawn once at the start: `real_pool` legitimate QPSK
+    bursts from T with fresh payload bits, each over its own T-to-surrogate
+    link matrix with receiver noise, synthesised as one batch.
     Per epoch: the generator emits a fresh pool of synthetic bursts, each
-    sent through its own adversary-to-surrogate fading draw with receiver
-    noise; the discriminator runs one cross-entropy epoch over the shuffled
-    real pool (legitimate bursts recorded once at start) plus the synthetic
-    pool; the generator then runs one epoch driving the discriminator's
-    verdict on its bursts toward "legitimate", with gradients flowing
-    through the discriminator, the channel draws, and the power cap.
+    sent through its own adversary-to-surrogate link matrix with receiver
+    noise, again as one batch; the discriminator runs one cross-entropy
+    epoch over the shuffled real plus synthetic pool; the generator then
+    runs one epoch driving the discriminator's verdict on its bursts toward
+    "legitimate", with gradients flowing through the discriminator, the
+    epoch's link matrices, and the power cap.
     Training stops early once both loss series pass the perturbation
     convergence test; otherwise the trace reports converged=False.
     """
@@ -232,7 +217,6 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
         rng = np.random.default_rng()
     sc = scenario
     budget = float(cfg.power_budget) if cfg.power_budget is not None else sc.power
-    n_pts = sc.n_points
 
     g_net = init_generator(sc, cfg, rng)
     d_net = init_discriminator(sc, cfg, rng)
@@ -240,21 +224,13 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
     d_state = AdamState.for_network(d_net)
     opt_cfg = TrainConfig(batch_size=cfg.batch_size)
 
-    t_phases = sc.t_device_phases()
-    at_phases = sc.at_device_phases()
-
     def cond(rows):
         return condition_rows(rows, sc.n_r, sc.samples_per_symbol)
 
-    # Legitimate pool as observed at the surrogate receiver, drawn once.
-    real_x = np.empty((cfg.real_pool, sc.feature_length))
-    for i in range(cfg.real_pool):
-        bits = rng.integers(0, 2, size=8)
-        ch = sc.draw_link("t", "ar", rng)
-        real_x[i] = features(sample_intended_burst(
-            bits, t_phases, ch, sc.power, sc.samples_per_symbol, noise=True, rng=rng,
-            carrier_jitter=sc.carrier_jitter))
-    real_xc = cond(real_x)
+    bits = rng.integers(0, 2, size=(cfg.real_pool, BITS_PER_BURST))
+    mixing = sc.draw_mixing("t", "ar", cfg.real_pool, rng)
+    real_xc = cond(receive_waveform(mixing, qpsk_phases(bits), sc.power,
+                                    sc.samples_per_symbol, rng))
 
     n_synth = cfg.synth_per_epoch
     real_targets = one_hot(np.full(cfg.real_pool, FROM_T))
@@ -265,13 +241,10 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
     for epoch in range(cfg.max_epochs):
         # (a) transmit a fresh synthetic pool through fresh channel draws
         z = rng.standard_normal((n_synth, cfg.noise_dim))
-        g_out = predict(g_net, z)
-        raw = rows_to_streams(g_out, sc.n_a)
-        tx, _ = scale_to_budget(raw, budget)
-        mats = _draw_link_batch(sc, n_synth, at_phases, rng)
-        noise = complex_awgn((n_synth, sc.n_r, n_pts), rng)
-        rx = np.einsum("bij,bjk->bik", mats, tx) + noise
-        synth_xc = cond(feature_rows(rx))
+        tx = generator_streams(g_net, z, sc.n_a, budget)
+        mixing = sc.draw_mixing("at", "ar", n_synth, rng)
+        rx_rows = receive_rows(mixing, tx, rng)
+        synth_xc = cond(rx_rows)
 
         # (b) one discriminator epoch over real + synthetic
         pool_x = np.concatenate([real_xc, synth_xc])
@@ -284,16 +257,18 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
             g_out_b, g_cache = forward(g_net, z[sl])
             raw_b = rows_to_streams(g_out_b, sc.n_a)
             tx_b, _ = scale_to_budget(raw_b, budget)
-            rx_b = np.einsum("bij,bjk->bik", mats[sl], tx_b) + noise[sl]
-            rx_rows = feature_rows(rx_b)
-            d_out, d_cache = forward(d_net, cond(rx_rows))
+            # The bursts of (a) moved by what the updated generator changes:
+            # same link matrices, same receiver noise.
+            rx_b = rows_to_streams(rx_rows[sl], sc.n_r) + mixing[sl] @ (tx_b - tx[sl])
+            rx_rows_b = feature_rows(rx_b)
+            d_out, d_cache = forward(d_net, cond(rx_rows_b))
             targets = spoof_targets[: d_out.shape[0]]
             d_grads = backward(d_net, d_cache, cross_entropy_grad(d_out, targets))
-            grad_rows = condition_rows_vjp(d_grads.d_input, rx_rows, sc.n_r,
+            grad_rows = condition_rows_vjp(d_grads.d_input, rx_rows_b, sc.n_r,
                                            sc.samples_per_symbol)
             # (d re, d im) feature grads pack into one complex grad per sample
             grad_rx = rows_to_streams(grad_rows, sc.n_r)
-            grad_tx = np.einsum("bij,bik->bjk", np.conj(mats[sl]), grad_rx)
+            grad_tx = np.einsum("bij,bik->bjk", np.conj(mixing[sl]), grad_rx)
             grad_raw = _scale_backward(grad_tx, raw_b, budget)
             g_grads = backward(g_net, g_cache, feature_rows(grad_raw))
             adam_step(g_net, g_grads, g_state, opt_cfg)

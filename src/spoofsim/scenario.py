@@ -1,14 +1,20 @@
-"""Scenario geometry, antenna counts, powers, and derived random streams.
+"""Scenario geometry, antenna counts, powers, and batched link draws.
 
 The scenario fixes the slowly-varying part of the radio environment that a
 physical-layer fingerprint is built on: per-antenna device phase shifts
 and per-antenna-pair link phase shifts are drawn once from the scenario
 seed and then held for the scenario's lifetime, while link power gains
-fade independently burst by burst (exponential, mean d**-2). The
-surrogate receiver is modelled as a faithful stand-in for the defender
-receiver: links into it reuse the defender-side phase tables, so what the
-adversary pair observes during training matches what the defender sees,
-up to the (slightly different) link distances and fresh fading.
+fade independently burst by burst (Rayleigh block fading: i.i.d.
+exponential gains with mean d**-2 for node distance d). The surrogate
+receiver is modelled as a faithful stand-in for the defender receiver:
+links into it reuse the defender-side phase tables, so what the adversary
+pair observes during training matches what the defender sees, up to the
+(slightly different) link distances and fresh fading.
+
+`ScenarioConfig.draw_mixing` is the one place a link is drawn: it returns
+one complex mixing matrix per burst, shape (count, n_rx, n_tx), so that a
+batch of transmit streams (count, n_tx, n_points) reaches the receive
+antennas as `mixing @ streams` (see `waveform.receive_rows`).
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import TWO_PI, ChannelRealization, link_mean_gain
 
 Position = tuple[float, float]
 
@@ -31,6 +35,18 @@ _LINK_IDS = {("t", "r"): 0, ("t", "at"): 1, ("at", "r"): 2}
 
 TX_ROLES = ("t", "at")
 RX_ROLES = ("r", "ar", "at")
+
+TWO_PI = 2.0 * math.pi
+
+
+def link_mean_gain(tx_pos, rx_pos) -> float:
+    """Mean power gain d**-2 of a link; rejects zero-distance geometry."""
+    dx = float(tx_pos[0]) - float(rx_pos[0])
+    dy = float(tx_pos[1]) - float(rx_pos[1])
+    d_sq = dx * dx + dy * dy
+    if d_sq == 0.0:
+        raise ValueError(f"coincident positions {tuple(tx_pos)}: link distance must be > 0")
+    return 1.0 / d_sq
 
 
 def substream(seed, *key) -> np.random.Generator:
@@ -142,17 +158,26 @@ class ScenarioConfig:
         return link_mean_gain(self._position(tx_role, at_position),
                               self._position(rx_role, at_position))
 
-    def draw_link(self, tx_role, rx_role, rng, at_position=None) -> ChannelRealization:
-        """One burst's channel: fresh per-pair exponential gains over the
-        scenario's static phase table.
+    def draw_mixing(self, tx_role, rx_role, count, rng, at_position=None) -> np.ndarray:
+        """Fresh link matrices of `count` bursts, shape (count, n_rx, n_tx).
+
+        Entry [b, j, i] is g * exp(1j * (device[i] + link[i, j])): a fresh
+        exponential gain g (mean d**-2) over the transmitter's device
+        phases and the link's static phase table. With carrier_jitter > 0
+        each burst's matrix also carries one carrier-wander phasor
+        exp(1j * carrier_jitter * N(0, 1)) of the transmit chain.
 
         `at_position` overrides where A_T currently stands (attack-time
         mobility); it moves the fading distance, not the phase fingerprint.
         """
-        phases = self.link_phases(tx_role, rx_role)
-        mean = self.link_mean(tx_role, rx_role, at_position)
-        gains = rng.exponential(mean, size=phases.shape)
-        return ChannelRealization(gains, phases)
+        device = self.t_device_phases() if tx_role == "t" else self.at_device_phases()
+        static = np.exp(1j * (device[:, None] + self.link_phases(tx_role, rx_role))).T
+        gains = rng.exponential(self.link_mean(tx_role, rx_role, at_position),
+                                size=(count, *static.shape))
+        mixing = gains * static
+        if self.carrier_jitter > 0.0:
+            mixing *= np.exp(1j * self.carrier_jitter * rng.standard_normal(count))[:, None, None]
+        return mixing
 
 
 @functools.lru_cache(maxsize=512)

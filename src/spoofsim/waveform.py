@@ -1,245 +1,143 @@
-"""QPSK burst synthesis through device-phase and fading-channel effects.
+"""Batched burst synthesis: QPSK carriers and one receive path for every link.
 
 One transmission ("burst") carries 8 bits as 4 QPSK symbols; each symbol
 is sampled `samples_per_symbol` times (S, default 100), so a burst holds
-4*S complex baseband points per receive antenna. Within a symbol the
-k-th sample advances the carrier phase by k*pi/(S/2), one full turn per
-symbol.
+4*S complex baseband points per antenna. Within a symbol the k-th sample
+advances the carrier phase by k*pi/(S/2), one full turn per symbol.
+
+Every producer of received bursts (the defender's datasets, the GAN's
+real pool and synthetic pools, and the random, replay and GAN attacks)
+works on a batch at once: it draws link matrices with
+`ScenarioConfig.draw_mixing`, shape (count, n_rx, n_tx), and passes them
+with transmit streams of shape (count, n_tx, n_points) to `receive_rows`.
+Waveforms that every transmit antenna sends alike (legitimate QPSK and
+structureless random-phase bursts) go through `receive_waveform`, which
+averages the matrices over the transmit antennas.
 
 All powers are normalised to the receiver noise floor: additive noise is
-always a unit-variance circularly-symmetric complex Gaussian per sample
-point, and transmit power enters the received amplitude literally as
+a unit-variance circularly-symmetric complex Gaussian per sample point,
+and transmit power enters the received amplitude literally as
 gain * power / n_tx.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .channel import TWO_PI, ChannelRealization
+from .scenario import TWO_PI
 
 SYMBOLS_PER_BURST = 4
 BITS_PER_BURST = 8
 
-# Gray-coded QPSK grid: 00, 01, 11, 10 -> pi/4, 3pi/4, 5pi/4, 7pi/4.
-QPSK_GRID = tuple((2 * k + 1) * math.pi / 4 for k in range(4))
-
-_BURST_MAGIC = b"IQBURST\x00"
-
-
-@dataclass
-class IQBurst:
-    """Complex baseband streams of one burst, indexed [antenna, sample point]."""
-
-    streams: np.ndarray
-
-    def __post_init__(self):
-        self.streams = np.asarray(self.streams, dtype=np.complex128)
-        if self.streams.ndim != 2 or self.streams.size == 0:
-            raise ValueError("streams must be a non-empty (n_antennas, n_points) array")
-        if not np.all(np.isfinite(self.streams)):
-            raise ValueError("burst samples must be finite")
-
-    @property
-    def n_antennas(self) -> int:
-        return self.streams.shape[0]
-
-    @property
-    def n_points(self) -> int:
-        return self.streams.shape[1]
-
 
 def qpsk_phases(bits) -> np.ndarray:
-    """Map a flat bit sequence to QPSK constellation phases, two bits per symbol."""
+    """Map bit sequences to Gray-coded QPSK phases, two bits per symbol:
+    00, 01, 11, 10 -> pi/4, 3pi/4, 5pi/4, 7pi/4.
+
+    bits has shape (..., n_bits); the result has shape (..., n_bits // 2).
+    """
     arr = np.asarray(bits, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0 or arr.size % 2 != 0:
-        raise ValueError(f"bit count must be a positive multiple of 2, got {arr.size}")
+    if arr.ndim == 0 or arr.shape[-1] == 0 or arr.shape[-1] % 2 != 0:
+        raise ValueError(f"bit count must be a positive multiple of 2, got shape {arr.shape}")
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bits must be 0 or 1")
-    pairs = arr.reshape(-1, 2)
-    grid_index = 2 * pairs[:, 0] + (pairs[:, 0] ^ pairs[:, 1])
+    pairs = arr.reshape(*arr.shape[:-1], -1, 2)
+    grid_index = 2 * pairs[..., 0] + (pairs[..., 0] ^ pairs[..., 1])
     return math.pi / 4 + grid_index * (math.pi / 2)
 
 
-def random_symbol_phases(n_symbols, rng) -> np.ndarray:
-    """Symbol phases of a structureless waveform: i.i.d. uniform on [0, 2*pi)."""
-    return rng.uniform(0.0, TWO_PI, size=n_symbols)
+def carrier_tracks(symbol_phases, samples_per_symbol) -> np.ndarray:
+    """Unit phasor tracks: symbol phase plus within-symbol rotation.
 
-
-def complex_awgn(shape, rng) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex Gaussian noise."""
-    shape = (shape,) if np.isscalar(shape) else tuple(shape)
-    pairs = rng.standard_normal(shape + (2,))
-    noise = pairs[..., 0] + 1j * pairs[..., 1]
-    noise *= math.sqrt(0.5)
-    return noise
-
-
-def _carrier(symbol_phases, samples_per_symbol) -> np.ndarray:
-    """Unit phasor track of a burst: symbol phase plus within-symbol rotation."""
+    symbol_phases has shape (count, n_symbols); the result has shape
+    (count, n_symbols * samples_per_symbol).
+    """
     s = int(samples_per_symbol)
     if s < 1:
         raise ValueError("samples_per_symbol must be >= 1")
-    rotation = np.arange(s) * (math.pi / (s / 2.0))
-    per_point = np.repeat(np.asarray(symbol_phases, dtype=np.float64), s)
-    per_point += np.tile(rotation, len(symbol_phases))
-    return np.exp(1j * per_point)
+    phases = np.asarray(symbol_phases, dtype=np.float64)
+    rotation = np.exp(1j * np.arange(s) * (math.pi / (s / 2.0)))
+    tracks = np.exp(1j * phases)[..., None] * rotation
+    return tracks.reshape(*phases.shape[:-1], -1)
 
 
-def sample_waveform_burst(symbol_phases, tx_phases, ch: ChannelRealization, power,
-                          samples_per_symbol=100, noise=True, rng=None,
-                          carrier_jitter=0.0) -> IQBurst:
-    """Received burst for arbitrary per-symbol phases sent from every tx antenna.
+def receive_rows(mixing, tx, rng) -> np.ndarray:
+    """Feature rows of bursts received through link matrices, with receiver noise.
 
-    Each receive antenna j sees, at sample k of the symbol with phase phi,
-
-        (power / n_tx) * sum_i gains[i, j] * exp(j(phi + tx_phases[i]
-                                                   + ch.phases[i, j] + k*pi/(S/2)))
-
-    plus unit complex AWGN when `noise` is on. `carrier_jitter` is the
-    std dev (radians) of the transmitter's burst-to-burst carrier phase
-    wander; like the noise it is only drawn in non-idealised mode.
+    mixing has shape (count, n_rx, n_tx) and tx (count, n_tx, n_points);
+    row b is `mixing[b] @ tx[b]` plus unit complex AWGN, I/Q interleaved
+    antenna-major, shape (count, 2 * n_rx * n_points). The noise is drawn
+    straight into the output, whose float64 layout is that of complex128
+    (count, n_rx, n_points).
     """
-    tx_phases = np.asarray(tx_phases, dtype=np.float64)
+    mixing = np.asarray(mixing)
+    tx = np.asarray(tx)
+    count, n_rx, _ = mixing.shape
+    rows = rng.standard_normal((count, 2 * n_rx * tx.shape[-1]))
+    rows *= math.sqrt(0.5)
+    streams = rows.view(np.complex128).reshape(count, n_rx, -1)
+    streams += mixing @ tx
+    return rows
+
+
+def receive_waveform(mixing, symbol_phases, power, samples_per_symbol, rng) -> np.ndarray:
+    """Feature rows of bursts whose transmit antennas all send one phase track.
+
+    mixing has shape (count, n_rx, n_tx): each of the n_tx antennas
+    radiates the carrier track of the burst's symbol phases
+    (count, n_symbols) at amplitude power / n_tx, so receive antenna j of
+    burst b sees
+
+        power * mixing[b, j, :].mean() * exp(1j * (phi + k*pi/(S/2)))
+
+    at sample k of a symbol with phase phi, plus unit complex AWGN.
+    """
     if power <= 0:
         raise ValueError("power must be positive")
-    if tx_phases.ndim != 1 or tx_phases.size != ch.n_tx:
-        raise ValueError(
-            f"device phase count {tx_phases.size} does not match channel n_tx {ch.n_tx}")
-    carrier = _carrier(symbol_phases, samples_per_symbol)
-    # One complex weight per rx antenna; the phasor sum is sample-independent.
-    weights = (ch.gains * np.exp(1j * (tx_phases[:, None] + ch.phases))).sum(axis=0)
-    streams = (float(power) / ch.n_tx) * weights[:, None] * carrier[None, :]
-    if noise:
-        if carrier_jitter > 0.0:
-            streams = streams * np.exp(1j * carrier_jitter * rng.standard_normal())
-        streams = streams + complex_awgn(streams.shape, rng)
-    return IQBurst(streams)
+    tracks = carrier_tracks(symbol_phases, samples_per_symbol)
+    weights = float(power) * np.asarray(mixing).mean(axis=-1, keepdims=True)
+    return receive_rows(weights, tracks[:, None, :], rng)
 
 
-def sample_intended_burst(bits, tx_phases, ch: ChannelRealization, power,
-                          samples_per_symbol=100, noise=True, rng=None,
-                          carrier_jitter=0.0) -> IQBurst:
-    """Received burst of one legitimate 8-bit QPSK transmission."""
-    bits = np.asarray(bits)
-    if bits.size != BITS_PER_BURST:
-        raise ValueError(f"a burst carries exactly {BITS_PER_BURST} bits, got {bits.size}")
-    return sample_waveform_burst(qpsk_phases(bits), tx_phases, ch, power,
-                                 samples_per_symbol, noise, rng, carrier_jitter)
+def stream_rms(streams) -> np.ndarray:
+    """Per-antenna RMS amplitude; streams shaped (..., n_antennas, n_points)."""
+    return np.sqrt(np.mean(streams.real ** 2 + streams.imag ** 2, axis=-1))
 
 
-def sample_replay_burst(bits, tx_phases, adv_phases, ch_t_at: ChannelRealization,
-                        ch_at_r: ChannelRealization, power, samples_per_symbol=100,
-                        noise=True, rng=None, carrier_jitter=0.0) -> IQBurst:
-    """Amplify-and-forward relay of a legitimate burst.
+def amplify_and_forward(recording, power, rng) -> np.ndarray:
+    """Relay transmit streams from recorded bursts, shape (count, n_relay, n_points).
 
-    The relay records the transmission on its own antennas, rescales the
-    recording so the summed per-antenna RMS amplitude equals `power` (it
-    cannot undo fading it does not know), and forwards it through the
-    relay -> receiver link with its own device phases.
-
-    With `noise` on, the relay path is physical: the recording carries the
-    relay's receiver noise (at the SNR set by the first hop's gains), and
-    the record/retransmit chain adds one uniform carrier phase offset per
-    burst, since the relay cannot reproduce the absolute carrier phase of
-    a signal it only ever saw at baseband. With `noise` off the relay is
-    an idealised coherent repeater.
+    The relay rescales each recording so its summed per-antenna RMS
+    amplitude equals `power` (it cannot undo fading it does not know), and
+    its record/retransmit chain adds one uniform carrier phase offset per
+    burst, since it cannot reproduce the absolute carrier phase of a
+    signal it only ever saw at baseband.
     """
-    adv_phases = np.asarray(adv_phases, dtype=np.float64)
-    if ch_t_at.n_rx != adv_phases.size or ch_at_r.n_tx != adv_phases.size:
-        raise ValueError("relay antenna counts of the two hops do not match")
-    recording = sample_intended_burst(bits, tx_phases, ch_t_at, power,
-                                      samples_per_symbol, noise, rng, carrier_jitter)
-    streams = recording.streams
-    if noise:
-        streams = streams * np.exp(1j * rng.uniform(0.0, TWO_PI))
-    rms = np.sqrt(np.mean(np.abs(streams) ** 2, axis=1))
-    total = rms.sum()
-    scale = float(power) / total if total > 0.0 else 1.0
-    forwarded = IQBurst(streams * scale)
-    return apply_channel(forwarded, adv_phases, ch_at_r, noise, rng)
-
-
-def apply_channel(tx: IQBurst, tx_phases, ch: ChannelRealization, noise=True,
-                  rng=None) -> IQBurst:
-    """Propagate an arbitrary transmit burst through one link realization.
-
-    rx_j[k] = sum_h gains[h, j] * tx_h[k] * exp(j(tx_phases[h] + ch.phases[h, j]))
-    plus optional unit AWGN. Linear in the transmit streams for a fixed
-    realization with noise off.
-    """
-    tx_phases = np.asarray(tx_phases, dtype=np.float64)
-    if tx.n_antennas != ch.n_tx or tx_phases.size != ch.n_tx:
-        raise ValueError(
-            f"transmit burst has {tx.n_antennas} antennas, channel expects {ch.n_tx}")
-    mixing = ch.gains * np.exp(1j * (tx_phases[:, None] + ch.phases))
-    streams = mixing.T @ tx.streams
-    if noise:
-        streams = streams + complex_awgn(streams.shape, rng)
-    return IQBurst(streams)
+    total = stream_rms(recording).sum(axis=-1)
+    scale = np.divide(float(power), total, out=np.ones_like(total), where=total > 0.0)
+    offset = np.exp(1j * rng.uniform(0.0, TWO_PI, recording.shape[0]))
+    return recording * (scale * offset)[:, None, None]
 
 
 def feature_rows(streams_batch) -> np.ndarray:
     """Interleave (I, Q) of a batch of stream arrays, antenna-major.
 
     streams_batch has shape (..., n_antennas, n_points); the result has
-    shape (..., 2 * n_antennas * n_points).
+    shape (..., 2 * n_antennas * n_points) and is a view of a C-contiguous
+    complex128 input.
     """
-    arr = np.asarray(streams_batch, dtype=np.complex128)
-    stacked = np.stack((arr.real, arr.imag), axis=-1)
-    return stacked.reshape(*arr.shape[:-2], -1)
+    arr = np.ascontiguousarray(streams_batch, dtype=np.complex128)
+    return arr.view(np.float64).reshape(*arr.shape[:-2], -1)
 
 
 def rows_to_streams(rows, n_antennas) -> np.ndarray:
-    """Inverse of feature_rows: rebuild complex streams from interleaved reals."""
-    rows = np.asarray(rows, dtype=np.float64)
+    """Inverse of feature_rows: complex streams (..., n_antennas, n_points)
+    from interleaved reals, a view of C-contiguous float64 rows."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
     width = rows.shape[-1]
     if n_antennas < 1 or width % (2 * n_antennas) != 0:
         raise ValueError(
             f"feature width {width} does not divide into {n_antennas} I/Q streams")
-    n_points = width // (2 * n_antennas)
-    shaped = rows.reshape(*rows.shape[:-1], n_antennas, n_points, 2)
-    return shaped[..., 0] + 1j * shaped[..., 1]
-
-
-def features(burst: IQBurst) -> np.ndarray:
-    """Flatten a burst into the real feature vector fed to the classifiers."""
-    return feature_rows(burst.streams)
-
-
-def burst_from_features(vec, n_antennas) -> IQBurst:
-    """Rebuild a burst from its feature vector; exact inverse of `features`."""
-    return IQBurst(rows_to_streams(np.asarray(vec, dtype=np.float64), n_antennas))
-
-
-def burst_to_bytes(burst: IQBurst) -> bytes:
-    """Serialize: 16-byte header (magic, n_antennas, n_points), then LE float64
-    I/Q-interleaved samples, antenna-major."""
-    header = struct.pack("<8sII", _BURST_MAGIC, burst.n_antennas, burst.n_points)
-    return header + features(burst).astype("<f8").tobytes()
-
-
-def burst_from_bytes(buf: bytes) -> IQBurst:
-    if len(buf) < 16:
-        raise ValueError("truncated burst: missing header")
-    magic, n_ant, n_pts = struct.unpack("<8sII", buf[:16])
-    if magic != _BURST_MAGIC:
-        raise ValueError("not a serialized burst (bad magic)")
-    expected = 16 + 16 * n_ant * n_pts
-    if len(buf) != expected:
-        raise ValueError(f"burst payload length {len(buf)} != expected {expected}")
-    vec = np.frombuffer(buf, dtype="<f8", offset=16).astype(np.float64)
-    return burst_from_features(vec, n_ant)
-
-
-def save_burst(burst: IQBurst, path) -> None:
-    Path(path).write_bytes(burst_to_bytes(burst))
-
-
-def load_burst(path) -> IQBurst:
-    return burst_from_bytes(Path(path).read_bytes())
+    return rows.view(np.complex128).reshape(*rows.shape[:-1], n_antennas, -1)

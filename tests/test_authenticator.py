@@ -4,8 +4,7 @@ import pytest
 
 from spoofsim import (FROM_T, NOT_T, ClassifierMetrics, LabeledDataset,
                       ScenarioConfig, TrainConfig, build_dataset, classify,
-                      evaluate, load_dataset_csv, save_dataset_csv,
-                      train_classifier, tune_hyperparameters)
+                      evaluate, train_classifier, tune_hyperparameters)
 from spoofsim.scenario import substream
 
 TINY = dict(samples_per_symbol=10)  # fast bursts for unit-level checks
@@ -179,14 +178,3 @@ class TestTuneHyperparameters:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             tune_hyperparameters(tiny_scenario(), [], substream(0, 1))
-
-
-class TestDatasetCsv:
-    def test_round_trip(self, tmp_path):
-        sc = tiny_scenario(seed=13)
-        ds = build_dataset(sc, 20, 0.5, substream(13, 1))
-        path = tmp_path / "data.csv"
-        save_dataset_csv(ds, path)
-        again = load_dataset_csv(path)
-        npt.assert_array_equal(again.labels, ds.labels)
-        npt.assert_array_equal(again.features, ds.features)

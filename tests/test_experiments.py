@@ -152,6 +152,32 @@ class TestRunExperiment:
         assert len(data["rows"]) == len(result.rows)
 
 
+class TestCellErrors:
+    @pytest.mark.parametrize("error", [ValueError, FloatingPointError])
+    def test_bad_value_is_recorded_as_cell_failure(self, tmp_path, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("bad cell")
+        monkeypatch.setattr("spoofsim.experiments.build_dataset", broken)
+        result = run_experiment(fast_spec(tmp_path))
+        assert result.failures == [{"cell": "nt1_nr1_na1", "seed": 0, "error": "bad cell"}]
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("engine bug")
+        monkeypatch.setattr("spoofsim.experiments.build_dataset", broken)
+        with pytest.raises(TypeError, match="engine bug"):
+            run_experiment(fast_spec(tmp_path))
+
+    def test_version_read_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("spoofsim.experiments.build_version",
+                            lambda: calls.append(1) or "v-test")
+        result = run_experiment(fast_spec(tmp_path, **{"seeds": "0,1", "n_r": "1,2"}))
+        assert len(calls) == 1
+        assert {row["version"] for row in result.rows} == {"v-test"}
+        assert json.loads(result.json_path.read_text())["version"] == "v-test"
+
+
 class TestBenchmarkLatency:
     def test_reports_microseconds(self):
         net = init_network([80, 16, 2], rng=np.random.default_rng(0))

@@ -2,23 +2,29 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import ChannelRealization, condition_rows, condition_rows_vjp
-from spoofsim import features, sample_intended_burst, symbol_phasors
+from spoofsim import condition_rows, condition_rows_vjp, qpsk_phases
 from spoofsim.frontend import GRID_POWER, PHASOR_LIMIT
+from spoofsim.waveform import carrier_tracks, feature_rows
+
+
+def clean_burst_rows(amplitude, bits=(0,) * 8, sps=100):
+    """Noise-free feature row of one QPSK burst received at `amplitude`."""
+    return feature_rows(amplitude * carrier_tracks(qpsk_phases([bits]), sps)[:, None, :])[0]
 
 
 def test_matched_filter_recovers_clean_symbol_phasors():
-    ch = ChannelRealization(1.0, np.zeros((1, 1)))
-    burst = sample_intended_burst([0] * 8, [0.0], ch, 1000.0, 100, noise=False)
-    u = symbol_phasors(features(burst), 1, 100)
-    npt.assert_allclose(u, np.full((1, 4), 1000 * np.exp(1j * np.pi / 4)),
-                        rtol=1e-12)
+    # below the limiter knee the conditioned symbol is the matched-filter
+    # phasor itself, raised to GRID_POWER and replicated over its slots
+    amplitude = 0.5 * PHASOR_LIMIT
+    bits = (0, 0, 0, 1, 1, 1, 1, 0)
+    out = condition_rows(clean_burst_rows(amplitude, bits), 1, 100)
+    u = amplitude * np.exp(1j * qpsk_phases(bits))
+    expected = feature_rows(np.repeat(u ** GRID_POWER, 100)[None, :])
+    npt.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_conditioning_preserves_width_and_is_phase_only_when_strong():
-    ch = ChannelRealization(1.0, np.zeros((1, 1)))
-    burst = sample_intended_burst([0] * 8, [0.0], ch, 1000.0, 100, noise=False)
-    rows = features(burst)
+    rows = clean_burst_rows(1000.0)
     out = condition_rows(rows, 1, 100)
     assert out.shape == rows.shape
     z = out.reshape(-1, 2)

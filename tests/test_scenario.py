@@ -70,29 +70,30 @@ def test_unknown_link_rejected():
 
 
 def test_draw_link_gains_fresh_but_phases_static():
-    sc = ScenarioConfig(seed=4)
-    rng = np.random.default_rng(0)
-    a = sc.draw_link("t", "r", rng)
-    b = sc.draw_link("t", "r", rng)
-    npt.assert_array_equal(a.phases, b.phases)
-    assert not np.allclose(a.gains, b.gains)
+    sc = ScenarioConfig(seed=4, n_t=2, n_r=2, carrier_jitter=0.0)
+    mixing = sc.draw_mixing("t", "r", 2, np.random.default_rng(0))
+    npt.assert_allclose(np.angle(mixing[0]), np.angle(mixing[1]), atol=1e-12)
+    assert not np.allclose(np.abs(mixing[0]), np.abs(mixing[1]))
 
 
 def test_draw_link_mean_gain_tracks_distance():
+    # the surrogate link reuses the defender's phases but its own distance
     sc = ScenarioConfig(seed=5)
     rng = np.random.default_rng(1)
-    draws = np.array([sc.draw_link("t", "r", rng).gains[0, 0] for _ in range(30_000)])
-    assert abs(draws.mean() - 0.01) / 0.01 < 0.05
+    gains = np.abs(sc.draw_mixing("t", "ar", 30_000, rng))
+    mean = 1.0 / (10.0 ** 2 + 0.1 ** 2)
+    assert abs(gains.mean() - mean) / mean < 0.05
 
 
 def test_draw_link_attack_position_changes_distance_only():
-    sc = ScenarioConfig(seed=6)
-    rng = np.random.default_rng(2)
-    home = sc.draw_link("at", "r", rng)
-    moved = sc.draw_link("at", "r", rng, at_position=(0.0, 20.0))
-    npt.assert_array_equal(home.phases, moved.phases)
-    # (0,20) -> (10,0) is farther than (0,10) -> (10,0)
-    assert sc.link_mean("at", "r", (0.0, 20.0)) < sc.link_mean("at", "r")
+    sc = ScenarioConfig(seed=6, n_a=2, n_r=2, carrier_jitter=0.0)
+    home = sc.draw_mixing("at", "r", 1, np.random.default_rng(2))
+    moved = sc.draw_mixing("at", "r", 1, np.random.default_rng(2), at_position=(0.0, 20.0))
+    npt.assert_allclose(np.angle(home), np.angle(moved), atol=1e-12)
+    # (0,20) -> (10,0) is farther than (0,10) -> (10,0): same draws, scaled means
+    ratio = sc.link_mean("at", "r", (0.0, 20.0)) / sc.link_mean("at", "r")
+    assert ratio < 1.0
+    npt.assert_allclose(np.abs(moved), ratio * np.abs(home), rtol=1e-12)
 
 
 def test_substream_deterministic_and_key_sensitive():
