@@ -21,7 +21,7 @@ from .attacks import (AttackReport, run_gan_attack, run_random_attack,
                       run_replay_attack, success_probability, train_spoofer)
 from .authenticator import (FROM_T, NOT_T, Authenticator, ClassifierMetrics,
                             LabeledDataset, build_dataset, classify, evaluate,
-                            network_of, train_classifier, tune_hyperparameters)
+                            train_classifier, tune_hyperparameters)
 from .experiments import (ConfigError, ExperimentResult, ExperimentSpec,
                           benchmark_latency, build_version, parse_config,
                           run_experiment)

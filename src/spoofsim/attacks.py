@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .authenticator import FROM_T, ClassifierMetrics, classify, network_of
+from .authenticator import FROM_T, Authenticator, ClassifierMetrics, classify
 from .gan import generator_streams, train_gan
 from .scenario import TWO_PI, ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, amplify_and_forward,
@@ -57,12 +57,12 @@ def _report(kind, classifier, x_rows, scenario, metrics, gan_summary=None) -> At
                         scenario, metrics, gan_summary)
 
 
-def _check_feature_width(classifier, scenario: ScenarioConfig):
-    width = network_of(classifier).layer_sizes[0]
-    if width != scenario.feature_length:
+def _check_feature_width(classifier: Authenticator, scenario: ScenarioConfig):
+    width = classifier.net.layer_sizes[0]
+    if width != scenario.conditioned_length:
         raise ValueError(
-            f"classifier expects {width} features, scenario "
-            f"delivers {scenario.feature_length}")
+            f"classifier expects {width} conditioned features, scenario "
+            f"delivers {scenario.conditioned_length}")
 
 
 def run_random_attack(classifier, scenario, n_trials=500, rng=None,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import condition_rows
+from .frontend import condition_rows, init_conditioned_network
 from .nn import (AdamState, DenseNetwork, TrainConfig, adam_step, backward,
-                 cross_entropy_grad, forward, init_network, predict)
+                 cross_entropy_grad, forward, predict)
 from .scenario import TWO_PI, ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, qpsk_phases,
                        receive_waveform)
@@ -134,7 +134,11 @@ def one_hot(labels) -> np.ndarray:
 
 @dataclass
 class Authenticator:
-    """A trained authentication network plus the front-end geometry it expects."""
+    """A trained authentication network plus the front-end geometry it expects.
+
+    The network reads conditioned rows (see `frontend`), so its input width
+    is 2 * SYMBOLS_PER_BURST * n_antennas whatever samples_per_symbol is.
+    """
 
     net: DenseNetwork
     n_antennas: int
@@ -144,16 +148,17 @@ class Authenticator:
         return condition_rows(rows, self.n_antennas, self.samples_per_symbol)
 
 
-def network_of(classifier) -> DenseNetwork:
-    """Underlying dense network of a classifier (wrapped or bare)."""
-    return classifier.net if isinstance(classifier, Authenticator) else classifier
-
-
 def train_classifier(train_set: LabeledDataset, config: TrainConfig | None = None,
                      n_antennas=None, samples_per_symbol=None) -> Authenticator:
     """Train the authentication network: front-end conditioning, then a net
-    of shape [features, 50, 50, 50, 2] with relu hidden layers, softmax
-    output, cross-entropy and Adam."""
+    of shape [2 * SYMBOLS_PER_BURST * n_antennas, 50, 50, 50, 2] with relu
+    hidden layers, softmax output, cross-entropy and Adam.
+
+    The net is initialised and stepped as the one raw-width net that would
+    read each conditioned phasor copied into all of its symbol's S sample
+    slots (see `frontend.init_conditioned_network`), so it makes that net's
+    decisions while holding S times fewer first-layer weights.
+    """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
     n_ant = n_antennas if n_antennas is not None else train_set.n_antennas
@@ -162,9 +167,9 @@ def train_classifier(train_set: LabeledDataset, config: TrainConfig | None = Non
         raise ValueError("burst geometry (n_antennas, samples_per_symbol) is required")
     cfg = config if config is not None else TrainConfig()
     rng = np.random.default_rng(cfg.seed)
-    net = init_network([train_set.features.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], rng=rng)
-    state = AdamState.for_network(net)
     x = condition_rows(train_set.features, n_ant, sps)
+    net = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None, sps, rng)
+    state = AdamState.for_network(net, first_weight_scale=sps)
     targets = one_hot(train_set.labels)
     n = len(train_set)
     steps = 0
@@ -181,16 +186,13 @@ def train_classifier(train_set: LabeledDataset, config: TrainConfig | None = Non
     return Authenticator(net, n_ant, sps)
 
 
-def classify(classifier, feature_rows) -> np.ndarray:
+def classify(classifier: Authenticator, feature_rows) -> np.ndarray:
     """Hard label decisions (argmax of the softmax output) for raw feature rows."""
-    if isinstance(classifier, Authenticator):
-        out = predict(classifier.net, classifier.condition(feature_rows))
-    else:
-        out = predict(classifier, feature_rows)
+    out = predict(classifier.net, classifier.condition(feature_rows))
     return np.argmax(np.atleast_2d(out), axis=1)
 
 
-def evaluate(classifier, test_set: LabeledDataset) -> ClassifierMetrics:
+def evaluate(classifier: Authenticator, test_set: LabeledDataset) -> ClassifierMetrics:
     """Count misdetections and false alarms on a two-class test set."""
     if len(test_set) == 0:
         raise ValueError("test set is empty")

@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import train_spoofer
+from .authenticator import Authenticator
 from .experiments import (ConfigError, benchmark_latency, parse_config,
                           run_experiment)
 from .gan import save_trace_csv, save_trace_summary
 from .nn import load_model, save_model
+from .waveform import SYMBOLS_PER_BURST
 
 
 def _build_parser():
@@ -34,9 +36,12 @@ def _build_parser():
     run.add_argument("--trials", type=int, help="spoofed bursts per attack evaluation")
     run.add_argument("--out", help="output directory")
 
-    bench = sub.add_parser("bench", help="CPU inference latency of a saved model")
-    bench.add_argument("--model", required=True, help="model file (binary dump)")
+    bench = sub.add_parser("bench", help="CPU latency of one raw burst through a saved "
+                                         "classifier (front end plus network)")
+    bench.add_argument("--model", required=True, help="classifier model file (binary dump)")
     bench.add_argument("--repeats", type=int, default=1000)
+    bench.add_argument("--sps", type=int, default=100,
+                       help="samples per symbol of the raw bursts (S)")
 
     tg = sub.add_parser("train-gan", help="train the adversarial generator once")
     tg.add_argument("--config", help="key=value config file")
@@ -60,10 +65,23 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    net = load_model(args.model)
-    micros = benchmark_latency(net, args.repeats)
+    if args.sps < 1:
+        raise ConfigError(f"--sps must be >= 1, got {args.sps}")
+    try:
+        net = load_model(args.model)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    # A classifier reads one I/Q pair per (antenna, symbol).
+    n_r, rest = divmod(net.layer_sizes[0], 2 * SYMBOLS_PER_BURST)
+    if rest or n_r < 1:
+        raise ConfigError(
+            f"{args.model}: input width {net.layer_sizes[0]} is not "
+            f"{2 * SYMBOLS_PER_BURST} x antennas, so not a classifier's")
+    micros = benchmark_latency(Authenticator(net, n_r, args.sps), args.repeats)
     sizes = "x".join(str(s) for s in net.layer_sizes)
-    print(f"{args.model}: {micros:.1f} us per sample ({sizes}, {args.repeats} repeats)")
+    print(f"{args.model}: {micros:.1f} us per sample (one raw burst, n_r={n_r}, "
+          f"S={args.sps}, net {sizes}, {args.repeats} repeats)")
     return 0
 
 

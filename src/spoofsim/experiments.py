@@ -31,9 +31,10 @@ import numpy as np
 from . import __version__
 from .attacks import (run_gan_attack, run_random_attack, run_replay_attack,
                       train_spoofer)
-from .authenticator import build_dataset, evaluate, network_of, train_classifier
+from .authenticator import (Authenticator, build_dataset, classify, evaluate,
+                            train_classifier)
 from .gan import GanConfig, save_trace_csv, trace_summary
-from .nn import DenseNetwork, TrainConfig, predict, save_model
+from .nn import TrainConfig, save_model
 from .scenario import ScenarioConfig, substream
 
 
@@ -352,7 +353,7 @@ def _run_attack_cell(spec, scenario, tag, seed, attack, out_dir, version, clf=No
         scenario = replace(scenario, seed=scen_seed)
         clf, metrics = _train_cell_classifier(spec, scenario, data_rng, scen_seed & 0x7FFFFFFF)
         if spec.save_models:
-            save_model(network_of(clf), _model_path(out_dir, spec, tag, seed, "classifier"))
+            save_model(clf.net, _model_path(out_dir, spec, tag, seed, "classifier"))
     row = _blank_row(spec, scenario, seed, version)
     row.update(e_md=metrics.e_md, e_fa=metrics.e_fa)
     if attack == "none":
@@ -470,23 +471,25 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(rows, failures, csv_path, json_path)
 
 
-def benchmark_latency(net: DenseNetwork, n_repeats=1000, rng=None) -> float:
-    """Mean single-sample inference wall time in microseconds.
+def benchmark_latency(classifier: Authenticator, n_repeats=1000, rng=None) -> float:
+    """Mean wall time in microseconds to authenticate one raw burst: front
+    end plus network, from a raw feature row to a decision.
 
-    Runs `n_repeats` forwards and discards the first tenth as warm-up.
+    Runs `n_repeats` decisions on one random raw row and discards the first
+    tenth as warm-up.
     """
     if n_repeats < 100:
         raise ValueError("n_repeats must be >= 100")
     if rng is None:
         rng = np.random.default_rng(0)
-    x = rng.standard_normal(net.layer_sizes[0])
+    x = rng.standard_normal(classifier.net.layer_sizes[0] * classifier.samples_per_symbol)
     warmup = n_repeats // 10
     start_timed = None
     t0 = time.perf_counter()
     for i in range(n_repeats):
         if i == warmup:
             start_timed = time.perf_counter()
-        predict(net, x)
+        classify(classifier, x)
     end = time.perf_counter()
     if start_timed is None:
         start_timed = t0

@@ -12,10 +12,18 @@ Raw burst features are conditioned before they reach a dense network:
    m-th power law that collapses a symmetric phase constellation onto a
    few canonical points and leaves structureless phases uniform.
 
-The conditioned vector keeps the raw feature width (each symbol phasor is
-replicated across its sample slots), so network shapes are unchanged.
+The conditioned row is compact: one I/Q pair per (antenna, symbol),
+antenna-major, so a raw row of width 2 * n_antennas * n_points becomes
+2 * n_antennas * n_symbols values, samples_per_symbol (S) times narrower.
 The transform is differentiable; `condition_rows_vjp` backpropagates
 through it, which the adversarial generator training relies on.
+
+A network fed by the front end starts from `init_conditioned_network`: the
+net a raw-width input of S identical copies of each phasor would get, with
+each phasor's S tied first-layer weights summed into one. Trained with its
+first-layer weight step scaled by S (`AdamState.first_weight_scale`), it
+follows that raw-width net's trajectory while holding S times fewer
+first-layer weights.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .nn import DenseNetwork, init_network
+from .waveform import feature_rows, rows_to_streams
 
 # Phasors this far above the per-symbol noise floor are phase-normalised.
 PHASOR_LIMIT = 1.0
@@ -35,7 +46,9 @@ def _derotation(samples_per_symbol) -> np.ndarray:
     return np.exp(-1j * k * (math.pi / (samples_per_symbol / 2.0)))
 
 
-def _split(rows, n_antennas, samples_per_symbol):
+def _symbol_phasors(rows, n_antennas, samples_per_symbol):
+    """Matched-filter phasors (count, n_antennas, n_symbols) of raw rows, and
+    whether the input was a single row."""
     rows = np.asarray(rows, dtype=np.float64)
     single = rows.ndim == 1
     rows2 = rows[None, :] if single else rows
@@ -43,42 +56,33 @@ def _split(rows, n_antennas, samples_per_symbol):
     if width % (2 * n_antennas) != 0:
         raise ValueError(f"feature width {width} does not split into {n_antennas} streams")
     n_points = width // (2 * n_antennas)
-    if n_points % samples_per_symbol != 0:
-        raise ValueError(
-            f"{n_points} points per stream do not split into symbols of {samples_per_symbol}")
-    z = rows2.reshape(rows2.shape[0], n_antennas, n_points, 2)
-    return (z[..., 0] + 1j * z[..., 1]), single
+    s = samples_per_symbol
+    if n_points % s != 0:
+        raise ValueError(f"{n_points} points per stream do not split into symbols of {s}")
+    z = rows_to_streams(rows2, n_antennas)
+    return (z.reshape(*z.shape[:2], n_points // s, s) * _derotation(s)).mean(axis=-1), single
 
 
 def condition_rows(rows, n_antennas, samples_per_symbol) -> np.ndarray:
     """Condition raw feature rows for a dense classifier/discriminator.
 
-    Output has the same shape as the input: per-symbol matched-filter
-    phasors limited at PHASOR_LIMIT and raised to GRID_POWER, replicated
-    across the symbol's sample slots, I/Q interleaved.
+    Returns the per-symbol matched-filter phasors limited at PHASOR_LIMIT
+    and raised to GRID_POWER, I/Q interleaved per (antenna, symbol):
+    width 2 * n_antennas * n_symbols per row.
     """
-    z, single = _split(rows, n_antennas, samples_per_symbol)
-    s = samples_per_symbol
-    n_sym = z.shape[2] // s
-    u = (z.reshape(*z.shape[:2], n_sym, s) * _derotation(s)).mean(axis=-1)
-    v = (u / np.maximum(np.abs(u), PHASOR_LIMIT)) ** GRID_POWER
-    rep = np.broadcast_to(v[..., None], (*v.shape, s)).reshape(z.shape)
-    out = np.stack((rep.real, rep.imag), axis=-1).reshape(z.shape[0], -1)
+    u, single = _symbol_phasors(rows, n_antennas, samples_per_symbol)
+    out = feature_rows((u / np.maximum(np.abs(u), PHASOR_LIMIT)) ** GRID_POWER)
     return out[0] if single else out
 
 
 def condition_rows_vjp(grad_out, rows, n_antennas, samples_per_symbol) -> np.ndarray:
-    """Backpropagate gradients w.r.t. conditioned rows onto the raw rows."""
-    z, single = _split(rows, n_antennas, samples_per_symbol)
-    g, g_single = _split(grad_out, n_antennas, samples_per_symbol)
-    if g.shape != z.shape:
-        raise ValueError("gradient shape does not match the conditioned rows")
-    s = samples_per_symbol
-    n_sym = z.shape[2] // s
-    derot = _derotation(s)
-    u = (z.reshape(*z.shape[:2], n_sym, s) * derot).mean(axis=-1)
-    # Replication adjoint: accumulate the gradient over each symbol's slots.
-    g_v = g.reshape(*g.shape[:2], n_sym, s).sum(axis=-1)
+    """Backpropagate gradients w.r.t. conditioned (compact) rows onto the raw rows."""
+    u, single = _symbol_phasors(rows, n_antennas, samples_per_symbol)
+    g = np.asarray(grad_out, dtype=np.float64)
+    g2 = g[None, :] if g.ndim == 1 else g
+    if g2.shape != (u.shape[0], 2 * u.shape[1] * u.shape[2]):
+        raise ValueError(f"gradient shape {g.shape} does not match the conditioned rows")
+    g_v = rows_to_streams(g2, n_antennas)
     r = np.abs(u)
     below = r < PHASOR_LIMIT
     p = u / np.maximum(r, PHASOR_LIMIT)
@@ -88,7 +92,25 @@ def condition_rows_vjp(grad_out, rows, n_antennas, samples_per_symbol) -> np.nda
     inner = (p.real * g_p.real + p.imag * g_p.imag)
     g_u = np.where(below, g_p / PHASOR_LIMIT,
                    (g_p - p * inner) / np.maximum(r, PHASOR_LIMIT))
-    g_z = (g_u[..., None] / s) * np.conj(derot)
-    g_z = g_z.reshape(z.shape)
-    out = np.stack((g_z.real, g_z.imag), axis=-1).reshape(z.shape[0], -1)
-    return out[0] if (single and g_single) else out
+    # Matched-filter adjoint: spread each symbol's gradient over its samples.
+    s = samples_per_symbol
+    g_z = (g_u[..., None] / s) * np.conj(_derotation(s))
+    out = feature_rows(g_z.reshape(*u.shape[:2], -1))
+    return out[0] if (single and g.ndim == 1) else out
+
+
+def init_conditioned_network(layer_sizes, activations, samples_per_symbol,
+                             rng) -> DenseNetwork:
+    """Network for conditioned rows of width layer_sizes[0].
+
+    The weights are drawn as `init_network` draws them for a raw-width
+    input of S = samples_per_symbol copies of each conditioned value (same
+    random stream use); each value's S first-layer weights are then summed
+    into one, which gives He variance 2/F for the compact fan-in F.
+    """
+    s = int(samples_per_symbol)
+    sizes = [int(n) for n in layer_sizes]
+    raw = init_network([sizes[0] * s, *sizes[1:]], activations, rng)
+    w = raw.weights[0]
+    folded = w.reshape(w.shape[0], sizes[0] // 2, s, 2).sum(axis=2).reshape(w.shape[0], -1)
+    return DenseNetwork([folded, *raw.weights[1:]], raw.biases, raw.activations)

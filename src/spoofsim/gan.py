@@ -13,8 +13,8 @@ backpropagate through the discriminator and that same linear channel.
 Radio protocol bookkeeping is kept alongside: the transmitter flags each
 synthetic transmission (one bit) and the surrogate receiver feeds back its
 classification decision for each burst it labels (one bit). Numerically
-the generator update uses co-located gradients; the bits are recorded in
-the trace, they do not carry the learning signal.
+the generator update uses co-located gradients; the trace keeps per-epoch
+counts of the bits, which do not carry the learning signal.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .authenticator import FROM_T, one_hot
-from .frontend import condition_rows, condition_rows_vjp
+from .frontend import condition_rows, condition_rows_vjp, init_conditioned_network
 from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork,
                  TrainConfig, adam_step, backward, cross_entropy_grad, forward,
                  init_network, predict)
@@ -72,12 +72,13 @@ class GanConfig:
 
 @dataclass
 class EpochProtocol:
-    """Per-epoch protocol bits: one flag per synthetic transmission, one
-    feedback bit per burst the surrogate receiver classified."""
+    """Per-epoch protocol bit counts: n_flags synthetic transmissions were
+    flagged, and the surrogate receiver fed back "legitimate" for n_fooled
+    of them."""
 
     epoch: int
-    flags: np.ndarray
-    feedback: np.ndarray
+    n_flags: int
+    n_fooled: int
 
 
 @dataclass
@@ -96,8 +97,9 @@ def generator_layer_sizes(scenario: ScenarioConfig, config: GanConfig) -> list[i
 
 
 def discriminator_layer_sizes(scenario: ScenarioConfig, config: GanConfig) -> list[int]:
-    """Received-burst features in, two-class softmax out."""
-    inp = 2 * scenario.n_points * scenario.n_r
+    """Conditioned received-burst features in (one I/Q phasor per surrogate
+    antenna and symbol, see `frontend`), two-class softmax out."""
+    inp = scenario.conditioned_length
     return [inp] + [config.hidden_width] * config.hidden_depth + [2]
 
 
@@ -107,8 +109,12 @@ def init_generator(scenario, config, rng) -> DenseNetwork:
 
 
 def init_discriminator(scenario, config, rng) -> DenseNetwork:
+    """Initialised as the raw-width net on slot-replicated features would be
+    (see `frontend.init_conditioned_network`); train it with the first-layer
+    weight step scaled by samples_per_symbol."""
     sizes = discriminator_layer_sizes(scenario, config)
-    return init_network(sizes, [RELU] * config.hidden_depth + [SOFTMAX], rng)
+    return init_conditioned_network(sizes, [RELU] * config.hidden_depth + [SOFTMAX],
+                                    scenario.samples_per_symbol, rng)
 
 
 def from_t_probability(d_net: DenseNetwork, batch) -> np.ndarray:
@@ -230,7 +236,7 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
     g_net = init_generator(sc, cfg, rng)
     d_net = init_discriminator(sc, cfg, rng)
     g_state = AdamState.for_network(g_net)
-    d_state = AdamState.for_network(d_net)
+    d_state = AdamState.for_network(d_net, first_weight_scale=sc.samples_per_symbol)
     opt_cfg = TrainConfig(batch_size=cfg.batch_size)
 
     def cond(rows):
@@ -288,9 +294,7 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
         trace.d_loss.append(float(_clamped_log(1.0 - p_synth).mean()
                                   - _clamped_log(p_real).mean()))
         trace.g_loss.append(float(_clamped_log(1.0 - p_synth).mean()))
-        feedback = (p_synth > 0.5).astype(np.uint8)
-        trace.protocol_log.append(EpochProtocol(
-            epoch, np.ones(n_synth, dtype=np.uint8), feedback))
+        trace.protocol_log.append(EpochProtocol(epoch, n_synth, int((p_synth > 0.5).sum())))
         trace.epochs_run = epoch + 1
         if check_convergence(trace.g_loss, cfg.conv_window, cfg.conv_threshold) and \
            check_convergence(trace.d_loss, cfg.conv_window, cfg.conv_threshold):

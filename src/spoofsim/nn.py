@@ -23,7 +23,10 @@ _ACTIVATIONS = (RELU, SOFTMAX, LINEAR)
 
 LOG_EPS = 1e-12
 
-_MODEL_MAGIC = b"DNETV001"
+_MODEL_MAGIC = b"DNETV002"
+# Magic of files written while the front end copied each symbol phasor into
+# all its sample slots: their classifier/discriminator inputs are S times wider.
+_REPLICATED_MAGIC = b"DNETV001"
 _ACT_CODE = {RELU: 0, SOFTMAX: 1, LINEAR: 2}
 _CODE_ACT = {v: k for k, v in _ACT_CODE.items()}
 
@@ -255,20 +258,27 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter tensor."""
+    """First/second moment accumulators, one pair per parameter tensor.
+
+    first_weight_scale multiplies the first layer's weight step (not its
+    bias step): a first-layer weight that stands for that many tied
+    raw-width weights, all with the same gradient, moves as far as their sum.
+    """
 
     m_weights: list
     v_weights: list
     m_biases: list
     v_biases: list
     step: int = 0
+    first_weight_scale: float = 1.0
 
     @classmethod
-    def for_network(cls, net: DenseNetwork) -> "AdamState":
+    def for_network(cls, net: DenseNetwork, first_weight_scale=1.0) -> "AdamState":
         return cls([np.zeros_like(w) for w in net.weights],
                    [np.zeros_like(w) for w in net.weights],
                    [np.zeros_like(b) for b in net.biases],
-                   [np.zeros_like(b) for b in net.biases])
+                   [np.zeros_like(b) for b in net.biases],
+                   first_weight_scale=float(first_weight_scale))
 
 
 def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
@@ -286,9 +296,11 @@ def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
     scale = config.learning_rate / corr1
     eps = config.adam_epsilon
     for i in range(net.n_layers):
-        for params, grad, m, v in (
-            (net.weights[i], grads.d_weights[i], state.m_weights[i], state.v_weights[i]),
-            (net.biases[i], grads.d_biases[i], state.m_biases[i], state.v_biases[i]),
+        w_scale = scale * state.first_weight_scale if i == 0 else scale
+        for params, grad, m, v, step_scale in (
+            (net.weights[i], grads.d_weights[i], state.m_weights[i], state.v_weights[i],
+             w_scale),
+            (net.biases[i], grads.d_biases[i], state.m_biases[i], state.v_biases[i], scale),
         ):
             m *= b1
             m += (1.0 - b1) * grad
@@ -298,7 +310,7 @@ def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
             denom *= inv_sqrt_corr2
             denom += eps
             step = np.divide(m, denom, out=denom)
-            step *= scale
+            step *= step_scale
             params -= step
     return state
 
@@ -358,6 +370,11 @@ def save_model(net: DenseNetwork, path) -> None:
 
 def load_model(path) -> DenseNetwork:
     buf = Path(path).read_bytes()
+    if buf[:8] == _REPLICATED_MAGIC:
+        raise ValueError(
+            f"{path}: a {_REPLICATED_MAGIC.decode()} file holds a replicated-width net "
+            f"(each symbol phasor copied into every sample slot); retrain it for the "
+            f"compact front end")
     if len(buf) < 12 or buf[:8] != _MODEL_MAGIC:
         raise ValueError(f"{path}: not a serialized dense network")
     (n_layers,) = struct.unpack("<I", buf[8:12])

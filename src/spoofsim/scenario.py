@@ -118,6 +118,12 @@ class ScenarioConfig:
         return 2 * self.n_points * self.n_r
 
     @property
+    def conditioned_length(self) -> int:
+        """Width of a burst after the receiver front end: one I/Q pair per
+        (antenna, symbol), samples_per_symbol times narrower than the raw row."""
+        return self.feature_length // self.samples_per_symbol
+
+    @property
     def attack_position(self) -> Position:
         """Where A_T transmits from at attack time (mobility override aware)."""
         return self.attack_time_at_pos if self.attack_time_at_pos is not None else self.at_pos

@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import (FROM_T, NOT_T, AttackReport, GanConfig, ScenarioConfig,
-                      TrainConfig, build_dataset, classify, qpsk_phases,
+from spoofsim import (FROM_T, NOT_T, AttackReport, Authenticator, GanConfig,
+                      ScenarioConfig, TrainConfig, build_dataset, classify,
+                      qpsk_phases,
                       receive_rows, receive_waveform, run_gan_attack,
                       run_random_attack, run_replay_attack,
                       success_probability, train_classifier, train_gan,
@@ -29,9 +30,10 @@ def tiny_classifier(seed=0):
     return sc, train_classifier(ds, TrainConfig(seed=seed, train_steps=40))
 
 
-def always_not_t(width):
-    return DenseNetwork([np.zeros((2, width))], [np.array([1.0, 0.0])],
-                        ["softmax"])
+def always_not_t(sc, width):
+    """Authenticator for `sc`'s bursts whose net reads `width` conditioned features."""
+    net = DenseNetwork([np.zeros((2, width))], [np.array([1.0, 0.0])], ["softmax"])
+    return Authenticator(net, sc.n_r, sc.samples_per_symbol)
 
 
 class TestSuccessProbability:
@@ -68,13 +70,13 @@ class TestRandomAttack:
 
     def test_always_reject_classifier_scores_zero(self):
         sc = tiny_scenario(1)
-        clf = always_not_t(sc.feature_length)
+        clf = always_not_t(sc, sc.conditioned_length)
         report = run_random_attack(clf, sc, 30, substream(1, 3))
         assert report.n_success == 0
 
     def test_feature_width_mismatch_rejected(self):
         sc = tiny_scenario(2)
-        clf = always_not_t(sc.feature_length + 2)
+        clf = always_not_t(sc, sc.conditioned_length + 2)
         with pytest.raises(ValueError):
             run_random_attack(clf, sc, 5, substream(2, 3))
 

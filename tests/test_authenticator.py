@@ -2,9 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import (FROM_T, NOT_T, ClassifierMetrics, LabeledDataset,
-                      ScenarioConfig, TrainConfig, build_dataset, classify,
-                      evaluate, train_classifier, tune_hyperparameters)
+from spoofsim import (FROM_T, NOT_T, AdamState, Authenticator, ClassifierMetrics,
+                      LabeledDataset, ScenarioConfig, TrainConfig, adam_step,
+                      backward, build_dataset, classify, condition_rows,
+                      cross_entropy_grad, evaluate, forward, init_network,
+                      predict, train_classifier, tune_hyperparameters)
+from spoofsim.authenticator import CLASSIFIER_HIDDEN, one_hot
+from spoofsim.nn import DenseNetwork
 from spoofsim.scenario import substream
 
 TINY = dict(samples_per_symbol=10)  # fast bursts for unit-level checks
@@ -102,12 +106,53 @@ class TestTrainClassifier:
         sc = tiny_scenario(seed=6)
         ds = build_dataset(sc, 30, 0.5, substream(6, 1))
         clf = train_classifier(ds, TrainConfig(train_steps=5))
-        assert clf.net.layer_sizes == [sc.feature_length, 50, 50, 50, 2]
+        assert clf.net.layer_sizes == [sc.conditioned_length, 50, 50, 50, 2]
+        assert sc.conditioned_length == 2 * 4 * sc.n_r
 
     def test_geometry_required(self):
         ds = LabeledDataset(np.zeros((4, 80)), np.array([0, 1, 0, 1]))
         with pytest.raises(ValueError):
             train_classifier(ds, TrainConfig(train_steps=1))
+
+    def test_matches_raw_width_net_on_slot_replicated_features(self):
+        # Reference: the raw-width net that reads every conditioned phasor
+        # copied into all S sample slots of its symbol, trained with plain
+        # Adam from the same seed. Its S tied first-layer weights per
+        # phasor share one gradient, so the compact net (slot-summed init,
+        # S-scaled first-layer weight step) must make the same decisions.
+        sc = tiny_scenario(seed=13, n_r=2)
+        s = sc.samples_per_symbol
+        train = build_dataset(sc, 200, 0.5, substream(13, 1))
+        test = build_dataset(sc, 300, 0.5, substream(13, 2))
+        cfg = TrainConfig(seed=4, train_steps=150, batch_size=20)
+
+        def replicated(rows):
+            cond = condition_rows(rows, sc.n_r, s)
+            return np.repeat(cond.reshape(len(cond), -1, 1, 2), s, axis=2).reshape(len(cond), -1)
+
+        rng = np.random.default_rng(cfg.seed)
+        x = replicated(train.features)
+        ref = init_network([x.shape[1], *CLASSIFIER_HIDDEN, 2], rng=rng)
+        state = AdamState.for_network(ref)
+        targets = one_hot(train.labels)
+        steps = 0
+        while steps < cfg.train_steps:
+            order = rng.permutation(len(train))
+            for start in range(0, len(train), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                out, cache = forward(ref, x[idx])
+                adam_step(ref, backward(ref, cache, cross_entropy_grad(out, targets[idx])),
+                          state, cfg)
+                steps += 1
+                if steps >= cfg.train_steps:
+                    break
+
+        clf = train_classifier(train, cfg)
+        assert clf.net.weights[0].size * s == ref.weights[0].size
+        p_ref = predict(ref, replicated(test.features))
+        p_new = predict(clf.net, clf.condition(test.features))
+        assert np.max(np.abs(p_new - p_ref)) <= 1e-9
+        npt.assert_array_equal(classify(clf, test.features), np.argmax(p_ref, axis=1))
 
 
 class TestEvaluate:
@@ -120,15 +165,19 @@ class TestEvaluate:
 
     def test_metric_formulas_from_fixed_decisions(self):
         # craft a test set and a pass-through stub hitting the exact counts:
-        # feature column 0 scores NOT_T, column 1 scores FROM_T
-        import spoofsim.nn as nn
+        # one-sample symbols, so the front end squares the first sample;
+        # the stub scores FROM_T when it lands on +1 and NOT_T on -1
         labels = np.array([FROM_T] * 504 + [NOT_T] * 496)
-        feats = np.zeros((1000, 2))
-        feats[:37, 0] = 1.0            # 37 misdetected positives
-        feats[37:504, 1] = 1.0         # accepted positives
-        feats[504:543, 1] = 1.0        # 39 false alarms
-        feats[543:, 0] = 1.0           # correctly rejected negatives
-        stub = nn.DenseNetwork([np.eye(2)], [np.zeros(2)], ["linear"])
+        accept, reject = 1.0 + 0j, 1j  # squared: +1 and -1
+        first = np.full(1000, reject)
+        first[37:504] = accept         # 37 misdetected, 467 accepted positives
+        first[504:543] = accept        # 39 false alarms, the rest rejected
+        streams = np.zeros((1000, 1, 4), dtype=complex)
+        streams[:, 0, 0] = first
+        feats = streams.view(np.float64).reshape(1000, -1)
+        w = np.zeros((2, 8))
+        w[:, 0] = [-1.0, 1.0]
+        stub = Authenticator(DenseNetwork([w], [np.zeros(2)], ["linear"]), 1, 1)
         m = evaluate(stub, LabeledDataset(feats, labels))
         assert (m.n, m.n_from_t, m.n_md, m.n_fa) == (1000, 504, 37, 39)
         assert m.e_md == 37 / 504 and m.e_fa == 39 / 496

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from spoofsim import (ConfigError, ExperimentSpec, benchmark_latency,
-                      build_version, init_network, parse_config,
-                      run_experiment, save_model)
+from spoofsim import (Authenticator, ConfigError, ExperimentSpec,
+                      benchmark_latency, build_version, init_network,
+                      parse_config, run_experiment, save_model)
 from spoofsim.cli import main
 from spoofsim.experiments import CSV_COLUMNS
 
@@ -181,13 +181,13 @@ class TestCellErrors:
 class TestBenchmarkLatency:
     def test_reports_microseconds(self):
         net = init_network([80, 16, 2], rng=np.random.default_rng(0))
-        micros = benchmark_latency(net, 200)
+        micros = benchmark_latency(Authenticator(net, 10, 5), 200)
         assert 0.0 < micros < 5000.0
 
     def test_too_few_repeats_rejected(self):
         net = init_network([8, 2], rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            benchmark_latency(net, 99)
+            benchmark_latency(Authenticator(net, 1, 5), 99)
 
 
 class TestCli:
@@ -218,6 +218,17 @@ classifier.train_steps = 20
         save_model(net, path)
         assert main(["bench", "--model", str(path), "--repeats", "150"]) == 0
         assert "us per sample" in capsys.readouterr().out
+
+    def test_bench_rejects_models_it_cannot_run(self, tmp_path, capsys):
+        # a classifier reads 8 values (4 symbols x I/Q) per antenna
+        path = tmp_path / "model.bin"
+        save_model(init_network([12, 8, 2], rng=np.random.default_rng(1)), path)
+        assert main(["bench", "--model", str(path), "--repeats", "150"]) == 1
+        assert "input width 12" in capsys.readouterr().err
+        # a file of the slot-replicated front end is refused, not run
+        path.write_bytes(b"DNETV001" + path.read_bytes()[8:])
+        assert main(["bench", "--model", str(path)]) == 1
+        assert "replicated-width net" in capsys.readouterr().err
 
     def test_missing_model_exit_one(self, tmp_path):
         assert main(["bench", "--model", str(tmp_path / "nope.bin")]) == 1

@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import condition_rows, condition_rows_vjp, qpsk_phases
-from spoofsim.frontend import GRID_POWER, PHASOR_LIMIT
+from spoofsim import condition_rows, condition_rows_vjp, init_network, qpsk_phases
+from spoofsim.frontend import GRID_POWER, PHASOR_LIMIT, init_conditioned_network
 from spoofsim.waveform import carrier_tracks, feature_rows
 
 
@@ -14,19 +14,19 @@ def clean_burst_rows(amplitude, bits=(0,) * 8, sps=100):
 
 def test_matched_filter_recovers_clean_symbol_phasors():
     # below the limiter knee the conditioned symbol is the matched-filter
-    # phasor itself, raised to GRID_POWER and replicated over its slots
+    # phasor itself, raised to GRID_POWER: one I/Q pair per symbol
     amplitude = 0.5 * PHASOR_LIMIT
     bits = (0, 0, 0, 1, 1, 1, 1, 0)
     out = condition_rows(clean_burst_rows(amplitude, bits), 1, 100)
     u = amplitude * np.exp(1j * qpsk_phases(bits))
-    expected = feature_rows(np.repeat(u ** GRID_POWER, 100)[None, :])
+    expected = feature_rows((u ** GRID_POWER)[None, :])
     npt.assert_allclose(out, expected, atol=1e-12)
 
 
-def test_conditioning_preserves_width_and_is_phase_only_when_strong():
+def test_conditioning_gives_one_phasor_per_symbol_and_is_phase_only_when_strong():
     rows = clean_burst_rows(1000.0)
     out = condition_rows(rows, 1, 100)
-    assert out.shape == rows.shape
+    assert out.shape == (rows.size // 100,)
     z = out.reshape(-1, 2)
     npt.assert_allclose(np.hypot(z[:, 0], z[:, 1]), 1.0, rtol=1e-12)
 
@@ -61,7 +61,7 @@ def test_grid_power_collapses_constellation():
 def test_vjp_matches_finite_differences():
     rng = np.random.default_rng(7)
     rows = rng.standard_normal((3, 2 * 2 * 20)) * 2.0
-    g = rng.standard_normal(rows.shape)
+    g = rng.standard_normal((3, 2 * 2 * 4))  # 2 antennas x 4 symbols of 5 samples
 
     def f(r):
         return float((condition_rows(r, 2, 5) * g).sum())
@@ -82,7 +82,26 @@ def test_single_row_round_trips_shape():
     rng = np.random.default_rng(1)
     row = rng.standard_normal(2 * 1 * 40)
     out = condition_rows(row, 1, 10)
-    assert out.shape == row.shape
+    assert out.shape == (2 * 1 * 4,)
+    assert condition_rows_vjp(out, row, 1, 10).shape == row.shape
+
+
+def test_vjp_rejects_gradient_of_the_wrong_width():
+    rows = np.zeros((2, 2 * 1 * 40))
+    with pytest.raises(ValueError):
+        condition_rows_vjp(np.zeros((2, 2 * 1 * 40)), rows, 1, 10)
+
+
+def test_conditioned_init_sums_the_raw_width_draw_over_sample_slots():
+    # same random stream as the raw-width net on slot-replicated phasors;
+    # the compact first layer holds each phasor's S raw weights summed
+    s = 5
+    compact = init_conditioned_network([8, 6, 2], None, s, np.random.default_rng(3))
+    raw = init_network([8 * s, 6, 2], rng=np.random.default_rng(3))
+    slots = raw.weights[0].reshape(6, 4, s, 2)
+    npt.assert_allclose(compact.weights[0], slots.sum(axis=2).reshape(6, 8), rtol=1e-15)
+    npt.assert_array_equal(compact.weights[1], raw.weights[1])
+    assert compact.layer_sizes == [8, 6, 2]
 
 
 def test_bad_geometry_rejected():

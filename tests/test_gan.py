@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,8 +11,8 @@ from spoofsim import (GanConfig, ScenarioConfig, check_convergence,
 from spoofsim.gan import (_scale_backward, discriminator_layer_sizes,
                           from_t_probability, generator_layer_sizes,
                           init_discriminator, init_generator, scale_to_budget)
-from spoofsim.nn import (DenseNetwork, backward, cross_entropy_grad, forward,
-                         predict)
+from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, backward,
+                         cross_entropy_grad, forward, init_network, predict)
 from spoofsim.scenario import substream
 from spoofsim.waveform import feature_rows, rows_to_streams
 
@@ -30,6 +31,41 @@ def constant_discriminator(width, p_from_t):
     w = [np.zeros((2, width))]
     b = [np.array([0.0, logit])]
     return DenseNetwork(w, b, ["softmax"])
+
+
+BUDGET = 3.0  # small enough that the power cap binds in channel_case
+
+
+def channel_case(sc):
+    """Frozen generator and discriminator, fixed channel, noise and targets."""
+    rng = np.random.default_rng(0)
+    g = init_generator(sc, TINY, rng)
+    d = init_discriminator(sc, TINY, rng)
+    z = rng.standard_normal((3, TINY.noise_dim))
+    mats = (rng.standard_normal((3, sc.n_r, sc.n_a))
+            + 1j * rng.standard_normal((3, sc.n_r, sc.n_a)))
+    noise = (rng.standard_normal((3, sc.n_r, sc.n_points))
+             + 1j * rng.standard_normal((3, sc.n_r, sc.n_points)))
+    return g, d, z, mats, noise, np.tile([0.0, 1.0], (3, 1))
+
+
+def compact_row_grad(sc, d, rx_rows, targets):
+    """Loss gradient w.r.t. raw received rows, as the generator epoch takes it."""
+    d_out, d_cache = forward(d, condition_rows(rx_rows, sc.n_r, sc.samples_per_symbol))
+    d_grads = backward(d, d_cache, cross_entropy_grad(d_out, targets))
+    return condition_rows_vjp(d_grads.d_input, rx_rows, sc.n_r, sc.samples_per_symbol)
+
+
+def generator_weight_grads(sc, g, z, mats, noise, row_grad):
+    """Generator weight gradients through the power cap and the channel,
+    given `row_grad(rx_rows)`, the loss gradient w.r.t. the received rows."""
+    out, g_cache = forward(g, z)
+    raw = rows_to_streams(out, sc.n_a)
+    tx, _ = scale_to_budget(raw, BUDGET)
+    rx_rows = feature_rows(np.einsum("bij,bjk->bik", mats, tx) + noise)
+    grad_rx = rows_to_streams(row_grad(rx_rows), sc.n_r)
+    grad_tx = np.einsum("bij,bik->bjk", np.conj(mats), grad_rx)
+    return backward(g, g_cache, feature_rows(_scale_backward(grad_tx, raw, BUDGET))).d_weights
 
 
 class TestLosses:
@@ -166,7 +202,8 @@ class TestArchitectures:
         sc = ScenarioConfig(n_r=4, n_a=2)
         cfg = GanConfig()
         assert generator_layer_sizes(sc, cfg) == [100, 128, 128, 128, 1600]
-        assert discriminator_layer_sizes(sc, cfg) == [3200, 128, 128, 128, 2]
+        # one conditioned I/Q pair per (surrogate antenna, symbol)
+        assert discriminator_layer_sizes(sc, cfg) == [32, 128, 128, 128, 2]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -188,18 +225,31 @@ class TestTrainGan:
         assert not trace.converged
         assert len(trace.g_loss) == len(trace.d_loss) == 1
 
-    def test_protocol_log_bit_counts(self):
+    def test_protocol_log_bit_counts(self, monkeypatch):
+        # every synthetic burst is flagged, and the feedback counts the
+        # bursts the epoch's discriminator scores above one half
+        probabilities = []
+
+        def spy(d_net, batch):
+            p = from_t_probability(d_net, batch)
+            probabilities.append(p)
+            return p
+
+        monkeypatch.setattr("spoofsim.gan.from_t_probability", spy)
         sc = tiny_scenario(seed=2)
         cfg = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=10,
                         synth_per_epoch=7, batch_size=5, max_epochs=3,
                         conv_window=2)
         _, _, trace = train_gan(sc, cfg, substream(2, 2))
         assert len(trace.protocol_log) == trace.epochs_run
-        for entry in trace.protocol_log:
-            assert entry.flags.shape == (7,)
-            assert entry.feedback.shape == (7,)
-            assert set(np.unique(entry.flags)) <= {0, 1}
-            assert set(np.unique(entry.feedback)) <= {0, 1}
+        # (d) scores the real pool, then the synthetic pool, once per epoch
+        p_synth = probabilities[1::2]
+        assert len(p_synth) == trace.epochs_run
+        for epoch, (entry, p) in enumerate(zip(trace.protocol_log, p_synth)):
+            assert p.shape == (7,)
+            assert entry.epoch == epoch
+            assert entry.n_flags == cfg.synth_per_epoch
+            assert entry.n_fooled == int((p > 0.5).sum())
 
     def test_fixed_seed_gives_bit_identical_trace(self):
         sc = tiny_scenario(seed=3)
@@ -216,42 +266,19 @@ class TestTrainGan:
         # the analytic gradient used by the generator epoch must match
         # central finite differences through channel + front end + D
         sc = tiny_scenario(seed=4)
-        cfg = TINY
-        rng = np.random.default_rng(0)
-        g = init_generator(sc, cfg, rng)
-        d = init_discriminator(sc, cfg, rng)
-        z = rng.standard_normal((3, cfg.noise_dim))
-        mats = (rng.standard_normal((3, sc.n_r, sc.n_a))
-                + 1j * rng.standard_normal((3, sc.n_r, sc.n_a)))
-        noise = (rng.standard_normal((3, sc.n_r, sc.n_points))
-                 + 1j * rng.standard_normal((3, sc.n_r, sc.n_points)))
-        budget = 3.0  # small enough that the cap binds
-        targets = np.tile([0.0, 1.0], (3, 1))
+        g, d, z, mats, noise, targets = channel_case(sc)
 
         def loss_value():
             out = predict(g, z)
             raw = rows_to_streams(out, sc.n_a)
-            tx, _ = scale_to_budget(raw, budget)
+            tx, _ = scale_to_budget(raw, BUDGET)
             rx = np.einsum("bij,bjk->bik", mats, tx) + noise
             cond = condition_rows(feature_rows(rx), sc.n_r, sc.samples_per_symbol)
             from spoofsim.nn import cross_entropy
             return cross_entropy(predict(d, cond), targets)
 
-        # analytic gradient, mirroring the training update path
-        out, g_cache = forward(g, z)
-        raw = rows_to_streams(out, sc.n_a)
-        tx, _ = scale_to_budget(raw, budget)
-        rx = np.einsum("bij,bjk->bik", mats, tx) + noise
-        rx_rows = feature_rows(rx)
-        d_out, d_cache = forward(d, condition_rows(rx_rows, sc.n_r,
-                                                   sc.samples_per_symbol))
-        d_grads = backward(d, d_cache, cross_entropy_grad(d_out, targets))
-        grad_rows = condition_rows_vjp(d_grads.d_input, rx_rows, sc.n_r,
-                                       sc.samples_per_symbol)
-        grad_rx = rows_to_streams(grad_rows, sc.n_r)
-        grad_tx = np.einsum("bij,bik->bjk", np.conj(mats), grad_rx)
-        grad_raw = _scale_backward(grad_tx, raw, budget)
-        g_grads = backward(g, g_cache, feature_rows(grad_raw))
+        d_weights = generator_weight_grads(
+            sc, g, z, mats, noise, lambda rows: compact_row_grad(sc, d, rows, targets))
 
         h = 1e-6
         rng_idx = np.random.default_rng(1)
@@ -266,10 +293,80 @@ class TestTrainGan:
                 down = loss_value()
                 g.weights[li].flat[f] = orig
                 numeric = (up - down) / (2 * h)
-                analytic = g_grads.d_weights[li].flat[f]
+                analytic = d_weights[li].flat[f]
                 worst = max(worst, abs(analytic - numeric)
                             / max(abs(analytic), abs(numeric), 1e-6))
         assert worst < 1e-4
+
+    def test_generator_gradient_matches_slot_replicated_discriminator(self):
+        # The compact discriminator against the raw-width one that reads
+        # each conditioned phasor copied into its symbol's S sample slots,
+        # with every compact first-layer weight spread evenly over them:
+        # both score alike, so the generator gradients must agree.
+        sc = tiny_scenario(seed=4)
+        s = sc.samples_per_symbol
+        g, d, z, mats, noise, targets = channel_case(sc)
+        h = d.weights[0].shape[0]
+        w_slots = np.repeat(d.weights[0].reshape(h, -1, 1, 2) / s, s, axis=2)
+        d_raw = DenseNetwork([w_slots.reshape(h, -1), *d.weights[1:]], d.biases,
+                             d.activations)
+
+        def replicated_row_grad(rows):
+            cond = condition_rows(rows, sc.n_r, s)
+            x = np.repeat(cond.reshape(len(cond), -1, 1, 2), s, axis=2).reshape(len(cond), -1)
+            out, cache = forward(d_raw, x)
+            g_x = backward(d_raw, cache, cross_entropy_grad(out, targets)).d_input
+            # replication adjoint: each phasor collects its slots' gradients
+            g_cond = g_x.reshape(len(cond), -1, s, 2).sum(axis=2).reshape(len(cond), -1)
+            return condition_rows_vjp(g_cond, rows, sc.n_r, s)
+
+        compact = generator_weight_grads(
+            sc, g, z, mats, noise, lambda rows: compact_row_grad(sc, d, rows, targets))
+        reference = generator_weight_grads(sc, g, z, mats, noise, replicated_row_grad)
+        for got, want in zip(compact, reference):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_matches_raw_width_discriminator_on_slot_replicated_features(self, monkeypatch):
+        # Reference run: the discriminator reads every conditioned phasor
+        # copied into its symbol's S sample slots, starts from the unfolded
+        # raw-width draw and takes plain Adam steps. The compact run must
+        # follow the same trajectory.
+        sc = tiny_scenario(seed=5)
+        s = sc.samples_per_symbol
+        cfg = replace(TINY, max_epochs=3, conv_window=4)
+        g, d, trace = train_gan(sc, cfg, substream(5, 2))
+
+        def replicate(x):
+            return np.repeat(x.reshape(len(x), -1, 1, 2), s, axis=2).reshape(len(x), -1)
+
+        def fold(x):
+            return x.reshape(len(x), -1, s, 2).sum(axis=2).reshape(len(x), -1)
+
+        class PlainAdam(AdamState):
+            @classmethod
+            def for_network(cls, net, first_weight_scale=1.0):
+                return AdamState.for_network(net)
+
+        def raw_discriminator(scenario, config, rng):
+            sizes = discriminator_layer_sizes(scenario, config)
+            return init_network([sizes[0] * s, *sizes[1:]],
+                                [RELU] * config.hidden_depth + [SOFTMAX], rng)
+
+        monkeypatch.setattr("spoofsim.gan.AdamState", PlainAdam)
+        monkeypatch.setattr("spoofsim.gan.init_discriminator", raw_discriminator)
+        monkeypatch.setattr("spoofsim.gan.condition_rows",
+                            lambda rows, n, sps: replicate(condition_rows(rows, n, sps)))
+        monkeypatch.setattr("spoofsim.gan.condition_rows_vjp",
+                            lambda grad, rows, n, sps: condition_rows_vjp(fold(grad), rows,
+                                                                          n, sps))
+        g_ref, d_ref, trace_ref = train_gan(sc, cfg, substream(5, 2))
+
+        assert d.weights[0].size * s == d_ref.weights[0].size
+        npt.assert_allclose(d.weights[0], fold(d_ref.weights[0]), rtol=1e-9, atol=1e-12)
+        for w, w_ref in zip(g.weights + d.weights[1:], g_ref.weights + d_ref.weights[1:]):
+            npt.assert_allclose(w, w_ref, rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(trace.g_loss, trace_ref.g_loss, rtol=1e-9)
+        npt.assert_allclose(trace.d_loss, trace_ref.d_loss, rtol=1e-9)
 
     def test_from_t_probability_shape(self):
         d = constant_discriminator(4, 0.7)

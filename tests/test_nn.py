@@ -280,6 +280,16 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_model(path)
 
+    def test_replicated_width_format_rejected(self, tmp_path):
+        # version-1 files hold nets fed the slot-replicated front end
+        net = init_network([3, 2], rng=np.random.default_rng(12))
+        path = tmp_path / "m.bin"
+        save_model(net, path)
+        assert path.read_bytes()[:8] == b"DNETV002"
+        path.write_bytes(b"DNETV001" + path.read_bytes()[8:])
+        with pytest.raises(ValueError, match="replicated-width net"):
+            load_model(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         net = init_network([3, 2], rng=np.random.default_rng(12))
         path = tmp_path / "m.bin"
