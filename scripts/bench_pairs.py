@@ -1,0 +1,134 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+Run from anywhere; both trees need `perfbench/run.py` and `src/spoofsim`:
+
+    python3 scripts/bench_pairs.py --parent ../base --change . \
+        --workload gan_1x1 --seed 11 --pairs 10
+
+Each pair runs `python3 perfbench/run.py --workload W --seed N --seconds S
+--trace 0` once in each tree, one after the other; even pairs start with
+the parent, odd pairs with the change, so a drift in machine speed does
+not favour either side. For every end-to-end metric that the change's
+BENCHMARK.json lists, the script prints each side's median and quartiles,
+how many pairs the change won, and whether the gain rule holds: the
+change wins at least 9 in 10 pairs and its median beats the parent's by
+more than the parent's interquartile range. A closing JSON line holds the
+same figures.
+
+Exit code: 0 when every run reported `correct: true`, 1 when any run
+reported `correct: false` or printed no result, 2 on bad arguments.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WIN_SHARE = 0.9
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout to compare against")
+    parser.add_argument("--change", required=True, type=Path, help="checkout under test")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", required=True, type=int)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="per-run budget (default: run_seconds in BENCHMARK.json)")
+    args = parser.parse_args(argv)
+    for side in ("parent", "change"):
+        tree = getattr(args, side)
+        if not (tree / "perfbench" / "run.py").is_file():
+            parser.error(f"--{side} {tree}: no perfbench/run.py")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    return args
+
+
+def run_once(tree: Path, args) -> dict | None:
+    """One benchmark run in `tree`; its closing JSON object, or None."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        return None
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def verdict(parent, change, lower_better):
+    """Per-metric summary of paired runs: medians, quartiles, wins, rule."""
+    sign = 1.0 if lower_better else -1.0
+    wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
+    p_q, c_q = quartiles(parent), quartiles(change)
+    gap = sign * (p_q[1] - c_q[1])
+    iqr = p_q[2] - p_q[0]
+    need = math.ceil(WIN_SHARE * len(parent))
+    return {"parent": {"median": p_q[1], "q1": p_q[0], "q3": p_q[2]},
+            "change": {"median": c_q[1], "q1": c_q[0], "q3": c_q[2]},
+            "wins": wins, "pairs": len(parent), "gap": gap, "parent_iqr": iqr,
+            "gain": wins >= need and gap > iqr}
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    if args.seconds is None:
+        args.seconds = float(spec.get("run_seconds", 45))
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    values = {side: {name: [] for name in metrics} for side in ("parent", "change")}
+    all_correct = True
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(getattr(args, side), args)
+            correct = bool(result and result.get("correct"))
+            all_correct &= correct
+            measured = (result or {}).get("metrics", {})
+            shown = []
+            for name in metrics:
+                value = measured.get(name, {}).get("value")
+                if value is not None:
+                    values[side][name].append(float(value))
+                    shown.append(f"{name}={value:.4g}")
+            print(f"pair {pair + 1}/{args.pairs} {side:6s} correct={correct} "
+                  + " ".join(shown), file=sys.stderr, flush=True)
+    summary = {}
+    for name, m in metrics.items():
+        parent, change = values["parent"][name], values["change"][name]
+        if not parent or len(parent) != len(change):
+            summary[name] = None
+            print(f"{name}: missing values (parent {len(parent)}, change {len(change)})")
+            continue
+        v = verdict(parent, change, m["better"] == "lower")
+        summary[name] = v
+        p, c = v["parent"], v["change"]
+        print(f"{name} [{m['unit']}, {m['better']} is better]: "
+              f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
+              f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
+              f"wins {v['wins']}/{v['pairs']}  gap {v['gap']:.4g} vs parent IQR "
+              f"{v['parent_iqr']:.4g}  gain rule {'holds' if v['gain'] else 'fails'}")
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+                      "seconds": args.seconds, "correct": all_correct, "metrics": summary,
+                      "runs": values}))
+    return 0 if all_correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

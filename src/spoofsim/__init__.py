@@ -12,7 +12,8 @@ draws a batch of link matrices of shape (count, n_rx, n_tx) (fresh fading
 over the scenario's fixed phase fingerprint), and `receive_rows` turns
 them plus transmit streams (count, n_tx, n_points) into noisy received
 feature rows (count, 2 * n_rx * n_points). The defender's datasets, the
-GAN's real and synthetic pools, and all three attacks use this path.
+GAN's real pool and all three attacks use this path; the GAN's synthetic
+pools draw the same receiver noise and stay in the symbol domain.
 """
 
 __version__ = "0.1.0"
@@ -25,7 +26,7 @@ from .authenticator import (FROM_T, NOT_T, Authenticator, ClassifierMetrics,
 from .experiments import (ConfigError, ExperimentResult, ExperimentSpec,
                           benchmark_latency, build_version, parse_config,
                           run_experiment)
-from .frontend import condition_rows, condition_rows_vjp
+from .frontend import condition_rows
 from .gan import (GanConfig, TrainingTrace, check_convergence,
                   discriminator_loss, generator_loss, generator_streams,
                   train_gan)

@@ -15,8 +15,14 @@ Raw burst features are conditioned before they reach a dense network:
 The conditioned row is compact: one I/Q pair per (antenna, symbol),
 antenna-major, so a raw row of width 2 * n_antennas * n_points becomes
 2 * n_antennas * n_symbols values, samples_per_symbol (S) times narrower.
-The transform is differentiable; `condition_rows_vjp` backpropagates
-through it, which the adversarial generator training relies on.
+
+`condition_rows` composes two parts, kept apart for differentiation:
+steps 1-2 are the real-linear `symbol_phasors`, whose adjoint is
+`spread_phasors`; steps 3-4 are the pointwise `condition_phasors`, whose
+vector-Jacobian product is `condition_phasors_vjp`. Because the matched
+filter is linear, and so are the fading channel and the generator's output
+layer, the adversarial generator training runs on phasors: only a burst
+the power cap may scale is ever built at full width (see `gan`).
 
 A network fed by the front end starts from `init_conditioned_network`: the
 net a raw-width input of S identical copies of each phasor would get, with
@@ -46,21 +52,70 @@ def _derotation(samples_per_symbol) -> np.ndarray:
     return np.exp(-1j * k * (math.pi / (samples_per_symbol / 2.0)))
 
 
-def _symbol_phasors(rows, n_antennas, samples_per_symbol):
-    """Matched-filter phasors (count, n_antennas, n_symbols) of raw rows, and
-    whether the input was a single row."""
-    rows = np.asarray(rows, dtype=np.float64)
-    single = rows.ndim == 1
-    rows2 = rows[None, :] if single else rows
-    width = rows2.shape[1]
-    if width % (2 * n_antennas) != 0:
-        raise ValueError(f"feature width {width} does not split into {n_antennas} streams")
-    n_points = width // (2 * n_antennas)
+def symbol_phasors(rows, n_antennas, samples_per_symbol) -> np.ndarray:
+    """Matched-filter phasors of raw feature rows (steps 1 and 2).
+
+    rows has shape (..., 2 * n_antennas * n_points); the result is complex,
+    shape (..., n_antennas, n_symbols). The map is real-linear in the rows;
+    `spread_phasors` is its adjoint.
+    """
+    z = rows_to_streams(rows, n_antennas)
+    n_points = z.shape[-1]
     s = samples_per_symbol
     if n_points % s != 0:
         raise ValueError(f"{n_points} points per stream do not split into symbols of {s}")
-    z = rows_to_streams(rows2, n_antennas)
-    return (z.reshape(*z.shape[:2], n_points // s, s) * _derotation(s)).mean(axis=-1), single
+    return (z.reshape(*z.shape[:-1], n_points // s, s) * _derotation(s)).mean(axis=-1)
+
+
+def matched_filter(samples_per_symbol) -> np.ndarray:
+    """`symbol_phasors` of one symbol as a real (2, 2 * S) matrix: it takes
+    the symbol's S I/Q-interleaved samples to its phasor's (I, Q)."""
+    d = _derotation(samples_per_symbol) / samples_per_symbol
+    m = np.empty((2, 2 * samples_per_symbol))
+    m[0, 0::2], m[0, 1::2] = d.real, -d.imag
+    m[1, 0::2], m[1, 1::2] = d.imag, d.real
+    return m
+
+
+def spread_phasors(grad, samples_per_symbol) -> np.ndarray:
+    """Adjoint of `symbol_phasors`: feature rows (..., 2 * n_antennas * n_points)
+    from complex phasor gradients (..., n_antennas, n_symbols), each symbol's
+    gradient spread over its samples_per_symbol samples."""
+    grad = np.asarray(grad)
+    s = samples_per_symbol
+    g_z = (grad[..., None] / s) * np.conj(_derotation(s))
+    return feature_rows(g_z.reshape(*grad.shape[:-1], -1))
+
+
+def condition_phasors(phasors) -> np.ndarray:
+    """Limit matched-filter phasors (..., n_antennas, n_symbols) at
+    PHASOR_LIMIT and raise them to GRID_POWER (steps 3 and 4); returns the
+    conditioned rows, I/Q interleaved per (antenna, symbol)."""
+    u = np.asarray(phasors)
+    return feature_rows((u / np.maximum(np.abs(u), PHASOR_LIMIT)) ** GRID_POWER)
+
+
+def condition_phasors_vjp(grad_out, phasors) -> np.ndarray:
+    """Backpropagate gradients w.r.t. conditioned rows onto the phasors.
+
+    grad_out has the conditioned rows' shape (..., 2 * n_antennas *
+    n_symbols); the result packs the (d re, d im) gradient of each phasor
+    into one complex value, shape of `phasors`.
+    """
+    u = np.asarray(phasors)
+    g = np.asarray(grad_out, dtype=np.float64)
+    if g.shape != (*u.shape[:-2], 2 * u.shape[-2] * u.shape[-1]):
+        raise ValueError(f"gradient shape {g.shape} does not match the conditioned rows")
+    g_v = rows_to_streams(g, u.shape[-2])
+    r = np.abs(u)
+    below = r < PHASOR_LIMIT
+    p = u / np.maximum(r, PHASOR_LIMIT)
+    # Power-law adjoint (complex-analytic step).
+    g_p = np.conj(GRID_POWER * p ** (GRID_POWER - 1)) * g_v
+    # Limiter adjoint: scale below the knee, phase-only above it.
+    inner = (p.real * g_p.real + p.imag * g_p.imag)
+    return np.where(below, g_p / PHASOR_LIMIT,
+                    (g_p - p * inner) / np.maximum(r, PHASOR_LIMIT))
 
 
 def condition_rows(rows, n_antennas, samples_per_symbol) -> np.ndarray:
@@ -70,33 +125,7 @@ def condition_rows(rows, n_antennas, samples_per_symbol) -> np.ndarray:
     and raised to GRID_POWER, I/Q interleaved per (antenna, symbol):
     width 2 * n_antennas * n_symbols per row.
     """
-    u, single = _symbol_phasors(rows, n_antennas, samples_per_symbol)
-    out = feature_rows((u / np.maximum(np.abs(u), PHASOR_LIMIT)) ** GRID_POWER)
-    return out[0] if single else out
-
-
-def condition_rows_vjp(grad_out, rows, n_antennas, samples_per_symbol) -> np.ndarray:
-    """Backpropagate gradients w.r.t. conditioned (compact) rows onto the raw rows."""
-    u, single = _symbol_phasors(rows, n_antennas, samples_per_symbol)
-    g = np.asarray(grad_out, dtype=np.float64)
-    g2 = g[None, :] if g.ndim == 1 else g
-    if g2.shape != (u.shape[0], 2 * u.shape[1] * u.shape[2]):
-        raise ValueError(f"gradient shape {g.shape} does not match the conditioned rows")
-    g_v = rows_to_streams(g2, n_antennas)
-    r = np.abs(u)
-    below = r < PHASOR_LIMIT
-    p = u / np.maximum(r, PHASOR_LIMIT)
-    # Power-law adjoint (complex-analytic step).
-    g_p = np.conj(GRID_POWER * p ** (GRID_POWER - 1)) * g_v
-    # Limiter adjoint: scale below the knee, phase-only above it.
-    inner = (p.real * g_p.real + p.imag * g_p.imag)
-    g_u = np.where(below, g_p / PHASOR_LIMIT,
-                   (g_p - p * inner) / np.maximum(r, PHASOR_LIMIT))
-    # Matched-filter adjoint: spread each symbol's gradient over its samples.
-    s = samples_per_symbol
-    g_z = (g_u[..., None] / s) * np.conj(_derotation(s))
-    out = feature_rows(g_z.reshape(*u.shape[:2], -1))
-    return out[0] if (single and g.ndim == 1) else out
+    return condition_phasors(symbol_phasors(rows, n_antennas, samples_per_symbol))
 
 
 def init_conditioned_network(layer_sizes, activations, samples_per_symbol,

@@ -5,10 +5,21 @@ per-antenna transmit waveforms; its surrogate receiver holds a
 discriminator that classifies received bursts as legitimate or synthetic.
 The two are trained as alternating rounds of a minimax game with the
 wireless channel inside the synthetic-sample path: every synthetic burst
-is pushed through a fresh adversary-to-surrogate link matrix (plus
-receiver noise) from the same batched engine as every other burst (see
-`waveform`) before the discriminator sees it, and generator updates
-backpropagate through the discriminator and that same linear channel.
+goes through a fresh adversary-to-surrogate link matrix plus receiver
+noise, drawn as every other burst's are (see `waveform`), before the
+discriminator sees it, and generator updates backpropagate through the
+discriminator, the front end and that same linear channel.
+
+The surrogate sees a burst only through its matched-filter phasors, one
+per antenna and symbol (see `frontend`). The matched filter, the channel
+and the generator's output layer are all linear, so the synthetic bursts
+are not built at full width: the output layer is folded into the filter,
+and the generator's bursts, their received versions and the gradients
+that flow back through them are all phasors. Only the power cap is not
+linear; it stays exact, with a full-width burst built for each row whose
+cap bound reaches the budget (see `_PhasorGenerator`). The trained
+generator is an ordinary network; `generator_streams` runs it at full
+width for the attacks.
 
 Radio protocol bookkeeping is kept alongside: the transmitter flags each
 synthetic transmission (one bit) and the surrogate receiver feeds back its
@@ -21,18 +32,25 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .authenticator import FROM_T, one_hot
-from .frontend import condition_rows, condition_rows_vjp, init_conditioned_network
+from .frontend import (condition_phasors, condition_phasors_vjp, condition_rows,
+                       init_conditioned_network, matched_filter, spread_phasors,
+                       symbol_phasors)
 from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork,
-                 TrainConfig, adam_step, backward, cross_entropy_grad, forward,
-                 init_network, predict)
+                 Gradients, TrainConfig, adam_step, backward, cross_entropy_grad,
+                 forward, init_network, predict)
 from .scenario import ScenarioConfig
-from .waveform import (BITS_PER_BURST, feature_rows, qpsk_phases, receive_rows,
-                       receive_waveform, rows_to_streams, stream_rms)
+from .waveform import (BITS_PER_BURST, feature_rows, qpsk_phases, receive_waveform,
+                       receiver_noise, rows_to_streams, stream_rms)
+
+# Relative slack on the power-cap bound, so that its rounding never clears
+# a burst whose summed per-antenna RMS reaches the budget.
+_BOUND_SLACK = 1e-9
 
 
 @dataclass
@@ -83,11 +101,15 @@ class EpochProtocol:
 
 @dataclass
 class TrainingTrace:
+    """Per-epoch record of one adversarial run. capped_bursts[e] counts the
+    synthetic bursts of epoch e's pool that the power cap scaled down."""
+
     g_loss: list = field(default_factory=list)
     d_loss: list = field(default_factory=list)
     epochs_run: int = 0
     converged: bool = False
     protocol_log: list = field(default_factory=list)
+    capped_bursts: list = field(default_factory=list)
 
 
 def generator_layer_sizes(scenario: ScenarioConfig, config: GanConfig) -> list[int]:
@@ -181,6 +203,112 @@ def generator_streams(g_net: DenseNetwork, z, n_adv, power_budget) -> np.ndarray
     return scaled
 
 
+class _TxBatch:
+    """A batch of generator bursts as the surrogate's matched filter sees them:
+    last hidden activations h (count, hidden); the output weights' phasors
+    w_rows, I/Q interleaved (hidden, 2 * n_adv * n_symbols); the transmit
+    phasors after the power cap (count, n_adv, n_symbols); the rows `exact`
+    built at full width because their cap bound reached the budget, with
+    their raw streams (len(exact), n_adv, n_points) and cap scales."""
+
+    def __init__(self, h, w_rows, phasors, exact, raw, scale):
+        self.h, self.w_rows, self.phasors = h, w_rows, phasors
+        self.exact, self.raw, self.scale = exact, raw, scale
+
+    @property
+    def n_capped(self) -> int:
+        return int(np.count_nonzero(self.scale < 1.0))
+
+
+class _PhasorGenerator:
+    """The generator's bursts in the symbol domain.
+
+    `hidden` is a network over the generator's own hidden-layer arrays, so
+    Adam steps on the generator move it too. The linear output layer (W, b)
+    is folded into the matched filter: activations h transmit the phasors
+    h @ symbol_phasors(W) + symbol_phasors(b), where the filter runs down
+    each column of W. The power cap stays exact: a row's summed per-antenna
+    RMS is at most sum_a (|W_a|_F |h| + |b_a|) / sqrt(n_points), and only
+    rows whose bound reaches the budget are built at full width and go
+    through `scale_to_budget` and `_scale_backward`; the cap leaves the
+    rest alone.
+    """
+
+    def __init__(self, g_net: DenseNetwork, n_adv, samples_per_symbol, budget):
+        self.net = g_net
+        self.hidden = DenseNetwork(g_net.weights[:-1], g_net.biases[:-1],
+                                   g_net.activations[:-1])
+        self.n_adv = n_adv
+        self.sps = samples_per_symbol
+        self.budget = budget
+        self.filter = matched_filter(samples_per_symbol)
+
+    def transmit(self, h) -> _TxBatch:
+        w, b = self.net.weights[-1], self.net.biases[-1]
+        n_adv, sps = self.n_adv, self.sps
+        # The filter runs down each column of W, one symbol's 2 * S rows at a time.
+        w_rows = (self.filter @ w.reshape(-1, 2 * sps, w.shape[1])).reshape(-1, w.shape[1]).T
+        b_rows = (b.reshape(-1, 2 * sps) @ self.filter.T).reshape(-1)
+        phasors = rows_to_streams(h @ w_rows + b_rows, n_adv)
+        n_points = w.shape[0] // (2 * n_adv)
+        w_ant, b_ant = w.reshape(n_adv, -1), b.reshape(n_adv, -1)
+        w_norm = np.sqrt(np.einsum("ij,ij->i", w_ant, w_ant)).sum()
+        b_norm = np.sqrt(np.einsum("ij,ij->i", b_ant, b_ant)).sum()
+        bound = (np.sqrt(np.einsum("ij,ij->i", h, h)) * w_norm + b_norm) / math.sqrt(n_points)
+        exact = np.flatnonzero(bound * (1.0 + _BOUND_SLACK) >= self.budget)
+        raw, scale = None, np.ones(0)
+        if exact.size:
+            raw = rows_to_streams(h[exact] @ w.T + b, n_adv)
+            tx, scale = scale_to_budget(raw, self.budget)
+            phasors[exact] = symbol_phasors(feature_rows(tx), n_adv, sps)
+        return _TxBatch(h, w_rows, phasors, exact, raw, scale)
+
+    def output_grads(self, batch: _TxBatch, q):
+        """Output-layer weight and bias gradients and the gradient at h, given
+        q, the loss gradient at the batch's transmit phasors (count, n_adv,
+        n_symbols) with each phasor's (d re, d im) packed as one complex value."""
+        q_rows = feature_rows(q)
+        exact = batch.exact
+        if exact.size:
+            q_rows = q_rows.copy()
+            q_rows[exact] = 0.0
+        w = self.net.weights[-1]
+        # The filter's transpose spreads each phasor gradient over its symbol.
+        d_w = (self.filter.T @ (q_rows.T @ batch.h).reshape(-1, 2, w.shape[1])).reshape(w.shape)
+        d_b = (q_rows.sum(axis=0).reshape(-1, 2) @ self.filter).reshape(-1)
+        d_h = q_rows @ batch.w_rows.T
+        if exact.size:
+            grad_tx = rows_to_streams(spread_phasors(q[exact], self.sps), self.n_adv)
+            d_out = feature_rows(_scale_backward(grad_tx, batch.raw, self.budget))
+            d_w += d_out.T @ batch.h[exact]
+            d_b += d_out.sum(axis=0)
+            d_h[exact] = d_out @ w
+        return d_w, d_b, d_h
+
+
+def _generator_grads(gen: _PhasorGenerator, d_net, z, mixing, rx_phasors, tx_phasors,
+                     targets) -> Gradients:
+    """Generator gradients of the discriminator's cross-entropy against
+    `targets` on bursts re-sent by the generator's current output for z.
+
+    The bursts were received as rx_phasors (count, n_rx, n_symbols) when
+    sent as tx_phasors (count, n_tx, n_symbols); the same link matrices and
+    receiver noise carry the new transmit phasors, so the received ones move
+    by mixing @ (new - old).
+    """
+    h, cache = forward(gen.hidden, z)
+    batch = gen.transmit(h)
+    rx = rx_phasors + mixing @ (batch.phasors - tx_phasors)
+    d_out, d_cache = forward(d_net, condition_phasors(rx))
+    d_grads = backward(d_net, d_cache, cross_entropy_grad(d_out, targets))
+    # The channel's adjoint carries the received-phasor gradient back to the
+    # transmit phasors.
+    q = np.conj(mixing).swapaxes(-1, -2) @ condition_phasors_vjp(d_grads.d_input, rx)
+    d_w, d_b, d_h = gen.output_grads(batch, q)
+    inner = backward(gen.hidden, cache, d_h)
+    return Gradients(inner.d_weights + [d_w], inner.d_biases + [d_b], inner.d_input)
+
+
 def check_convergence(loss_series, window, threshold) -> bool:
     """True when the last `window` values stay within `threshold` of the
     current loss, relatively; a near-zero current loss only converges if
@@ -217,15 +345,22 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
     The real pool is drawn once at the start: `real_pool` legitimate QPSK
     bursts from T with fresh payload bits, each over its own T-to-surrogate
     link matrix with receiver noise, synthesised as one batch.
-    Per epoch: the generator emits a fresh pool of synthetic bursts, each
-    sent through its own adversary-to-surrogate link matrix with receiver
-    noise, again as one batch; the discriminator runs one cross-entropy
-    epoch over the shuffled real plus synthetic pool; the generator then
-    runs one epoch driving the discriminator's verdict on its bursts toward
-    "legitimate", with gradients flowing through the discriminator, the
-    epoch's link matrices, and the power cap.
+    Per epoch:
+    (a) the generator emits a fresh pool of synthetic bursts, each sent
+        through its own adversary-to-surrogate link matrix with receiver
+        noise; only their matched-filter phasors are formed, and the trace
+        counts the bursts the power cap scaled;
+    (b) the discriminator runs one cross-entropy epoch over the shuffled
+        real plus synthetic pool;
+    (c) the generator runs one epoch driving the discriminator's verdict on
+        its bursts toward "legitimate", re-sending (a)'s bursts over the
+        same links and noise, with gradients flowing through the
+        discriminator, the front end, the link matrices and the power cap;
+    (d) losses and protocol bits are recorded.
     Training stops early once both loss series pass the perturbation
     convergence test; otherwise the trace reports converged=False.
+    The random stream is drawn as if every burst were built at full width
+    through `receive_rows`.
     """
     cfg = config if config is not None else GanConfig()
     if rng is None:
@@ -235,17 +370,16 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
 
     g_net = init_generator(sc, cfg, rng)
     d_net = init_discriminator(sc, cfg, rng)
+    gen = _PhasorGenerator(g_net, sc.n_a, sc.samples_per_symbol, budget)
     g_state = AdamState.for_network(g_net)
     d_state = AdamState.for_network(d_net, first_weight_scale=sc.samples_per_symbol)
     opt_cfg = TrainConfig(batch_size=cfg.batch_size)
 
-    def cond(rows):
-        return condition_rows(rows, sc.n_r, sc.samples_per_symbol)
-
     bits = rng.integers(0, 2, size=(cfg.real_pool, BITS_PER_BURST))
     mixing = sc.draw_mixing("t", "ar", cfg.real_pool, rng)
-    real_xc = cond(receive_waveform(mixing, qpsk_phases(bits), sc.power,
-                                    sc.samples_per_symbol, rng))
+    real_xc = condition_rows(receive_waveform(mixing, qpsk_phases(bits), sc.power,
+                                              sc.samples_per_symbol, rng),
+                             sc.n_r, sc.samples_per_symbol)
 
     n_synth = cfg.synth_per_epoch
     real_targets = one_hot(np.full(cfg.real_pool, FROM_T))
@@ -254,39 +388,34 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
 
     trace = TrainingTrace()
     for epoch in range(cfg.max_epochs):
-        # (a) transmit a fresh synthetic pool through fresh channel draws
+        # (a) transmit a fresh synthetic pool through fresh channel draws, as
+        # matched-filter phasors: the receiver noise is drawn in full, as
+        # receive_rows draws it, and filtered.
         z = rng.standard_normal((n_synth, cfg.noise_dim))
-        tx = generator_streams(g_net, z, sc.n_a, budget)
+        tx = gen.transmit(predict(gen.hidden, z))
         mixing = sc.draw_mixing("at", "ar", n_synth, rng)
-        rx_rows = receive_rows(mixing, tx, rng)
-        synth_xc = cond(rx_rows)
+        noise = receiver_noise(n_synth, sc.n_r, sc.n_points, rng)
+        rx = symbol_phasors(noise, sc.n_r, sc.samples_per_symbol) + mixing @ tx.phasors
+        synth_xc = condition_phasors(rx)
+        trace.capped_bursts.append(tx.n_capped)
 
         # (b) one discriminator epoch over real + synthetic
         pool_x = np.concatenate([real_xc, synth_xc])
         pool_targets = np.concatenate([real_targets, synth_targets])
         _train_epoch(d_net, d_state, pool_x, pool_targets, cfg.batch_size, opt_cfg, rng)
 
-        # (c) one generator epoch against the updated discriminator
+        # (c) one generator epoch against the updated discriminator, in
+        # phasors: each batch re-sends its bursts of (a) with the updated
+        # generator over the same link matrices and receiver noise, so the
+        # received phasors move by mixing @ (new - old transmit phasors), and
+        # the gradient returns through the front end's VJP, the channel's
+        # adjoint and the output layer folded into the matched filter.
         for start in range(0, n_synth, cfg.batch_size):
             sl = slice(start, start + cfg.batch_size)
-            g_out_b, g_cache = forward(g_net, z[sl])
-            raw_b = rows_to_streams(g_out_b, sc.n_a)
-            tx_b, _ = scale_to_budget(raw_b, budget)
-            # The bursts of (a) moved by what the updated generator changes:
-            # same link matrices, same receiver noise.
-            rx_b = rows_to_streams(rx_rows[sl], sc.n_r) + mixing[sl] @ (tx_b - tx[sl])
-            rx_rows_b = feature_rows(rx_b)
-            d_out, d_cache = forward(d_net, cond(rx_rows_b))
-            targets = spoof_targets[: d_out.shape[0]]
-            d_grads = backward(d_net, d_cache, cross_entropy_grad(d_out, targets))
-            grad_rows = condition_rows_vjp(d_grads.d_input, rx_rows_b, sc.n_r,
-                                           sc.samples_per_symbol)
-            # (d re, d im) feature grads pack into one complex grad per sample
-            grad_rx = rows_to_streams(grad_rows, sc.n_r)
-            grad_tx = np.einsum("bij,bik->bjk", np.conj(mixing[sl]), grad_rx)
-            grad_raw = _scale_backward(grad_tx, raw_b, budget)
-            g_grads = backward(g_net, g_cache, feature_rows(grad_raw))
-            adam_step(g_net, g_grads, g_state, opt_cfg)
+            targets = spoof_targets[: len(z[sl])]
+            grads = _generator_grads(gen, d_net, z[sl], mixing[sl], rx[sl],
+                                     tx.phasors[sl], targets)
+            adam_step(g_net, grads, g_state, opt_cfg)
 
         # (d) epoch bookkeeping: losses, protocol bits, convergence
         p_real = from_t_probability(d_net, real_xc)

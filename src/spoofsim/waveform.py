@@ -6,13 +6,16 @@ is sampled `samples_per_symbol` times (S, default 100), so a burst holds
 advances the carrier phase by k*pi/(S/2), one full turn per symbol.
 
 Every producer of received bursts (the defender's datasets, the GAN's
-real pool and synthetic pools, and the random, replay and GAN attacks)
-works on a batch at once: it draws link matrices with
-`ScenarioConfig.draw_mixing`, shape (count, n_rx, n_tx), and passes them
-with transmit streams of shape (count, n_tx, n_points) to `receive_rows`.
-Waveforms that every transmit antenna sends alike (legitimate QPSK and
-structureless random-phase bursts) go through `receive_waveform`, which
-averages the matrices over the transmit antennas.
+real pool, and the random, replay and GAN attacks) works on a batch at
+once: it draws link matrices with `ScenarioConfig.draw_mixing`, shape
+(count, n_rx, n_tx), and passes them with transmit streams of shape
+(count, n_tx, n_points) to `receive_rows`. Waveforms that every transmit
+antenna sends alike (legitimate QPSK and structureless random-phase
+bursts) go through `receive_waveform`, which averages the matrices over
+the transmit antennas. The GAN's synthetic pools, which the surrogate
+sees only through its matched filter, draw their noise with
+`receiver_noise` exactly as `receive_rows` does and add the channel's
+output in the symbol domain.
 
 All powers are normalised to the receiver noise floor: additive noise is
 a unit-variance circularly-symmetric complex Gaussian per sample point,
@@ -75,10 +78,17 @@ def receive_rows(mixing, tx, rng) -> np.ndarray:
     mixing = np.asarray(mixing)
     tx = np.asarray(tx)
     count, n_rx, _ = mixing.shape
-    rows = rng.standard_normal((count, 2 * n_rx * tx.shape[-1]))
-    rows *= math.sqrt(0.5)
+    rows = receiver_noise(count, n_rx, tx.shape[-1], rng)
     streams = rows.view(np.complex128).reshape(count, n_rx, -1)
     streams += mixing @ tx
+    return rows
+
+
+def receiver_noise(count, n_rx, n_points, rng) -> np.ndarray:
+    """Feature rows (count, 2 * n_rx * n_points) of unit complex AWGN alone:
+    the noise `receive_rows` adds, drawn from rng the same way."""
+    rows = rng.standard_normal((count, 2 * n_rx * n_points))
+    rows *= math.sqrt(0.5)
     return rows
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import condition_rows, condition_rows_vjp, init_network, qpsk_phases
-from spoofsim.frontend import GRID_POWER, PHASOR_LIMIT, init_conditioned_network
+from spoofsim import condition_rows, init_network, qpsk_phases
+from spoofsim.frontend import (GRID_POWER, PHASOR_LIMIT, condition_phasors_vjp,
+                               init_conditioned_network, matched_filter, spread_phasors,
+                               symbol_phasors)
 from spoofsim.waveform import carrier_tracks, feature_rows
 
 
@@ -58,6 +60,12 @@ def test_grid_power_collapses_constellation():
     npt.assert_allclose(a, b, atol=1e-9)
 
 
+def raw_row_vjp(grad_out, rows, n_antennas, sps):
+    """Gradient w.r.t. raw rows: the conditioning VJP, then the matched filter's adjoint."""
+    return spread_phasors(condition_phasors_vjp(grad_out, symbol_phasors(rows, n_antennas, sps)),
+                          sps)
+
+
 def test_vjp_matches_finite_differences():
     rng = np.random.default_rng(7)
     rows = rng.standard_normal((3, 2 * 2 * 20)) * 2.0
@@ -66,7 +74,7 @@ def test_vjp_matches_finite_differences():
     def f(r):
         return float((condition_rows(r, 2, 5) * g).sum())
 
-    analytic = condition_rows_vjp(g, rows, 2, 5)
+    analytic = raw_row_vjp(g, rows, 2, 5)
     h = 1e-6
     numeric = np.zeros_like(rows)
     for i in range(rows.shape[0]):
@@ -78,18 +86,36 @@ def test_vjp_matches_finite_differences():
     npt.assert_allclose(analytic, numeric, atol=1e-6 * np.abs(numeric).max())
 
 
+def test_spread_phasors_is_the_adjoint_of_symbol_phasors():
+    # <symbol_phasors(x), y> = <x, spread_phasors(y)> under the real inner
+    # product Re(sum(conj(a) * b)) on the complex side
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3, 2 * 2 * 20))
+    y = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+    lhs = np.sum(np.conj(y) * symbol_phasors(x, 2, 5)).real
+    rhs = np.sum(x * spread_phasors(y, 5))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def test_matched_filter_matrix_gives_the_symbol_phasors():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 2 * 2 * 20))
+    iq = x.reshape(3, 2 * 4, 2 * 5) @ matched_filter(5).T
+    npt.assert_allclose(iq.reshape(3, -1), feature_rows(symbol_phasors(x, 2, 5)), atol=1e-15)
+
+
 def test_single_row_round_trips_shape():
     rng = np.random.default_rng(1)
     row = rng.standard_normal(2 * 1 * 40)
     out = condition_rows(row, 1, 10)
     assert out.shape == (2 * 1 * 4,)
-    assert condition_rows_vjp(out, row, 1, 10).shape == row.shape
+    assert raw_row_vjp(out, row, 1, 10).shape == row.shape
 
 
 def test_vjp_rejects_gradient_of_the_wrong_width():
     rows = np.zeros((2, 2 * 1 * 40))
     with pytest.raises(ValueError):
-        condition_rows_vjp(np.zeros((2, 2 * 1 * 40)), rows, 1, 10)
+        condition_phasors_vjp(np.zeros((2, 2 * 1 * 40)), symbol_phasors(rows, 1, 10))
 
 
 def test_conditioned_init_sums_the_raw_width_draw_over_sample_slots():

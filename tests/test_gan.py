@@ -5,14 +5,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import spoofsim.gan
 from spoofsim import (GanConfig, ScenarioConfig, check_convergence,
-                      condition_rows, condition_rows_vjp, discriminator_loss,
-                      generator_loss, generator_streams, train_gan)
-from spoofsim.gan import (_scale_backward, discriminator_layer_sizes,
-                          from_t_probability, generator_layer_sizes,
-                          init_discriminator, init_generator, scale_to_budget)
+                      condition_rows, discriminator_loss, generator_loss,
+                      generator_streams, train_gan)
+from spoofsim.frontend import (condition_phasors, condition_phasors_vjp, spread_phasors,
+                               symbol_phasors)
+from spoofsim.gan import (_generator_grads, _PhasorGenerator, _scale_backward,
+                          discriminator_layer_sizes, from_t_probability,
+                          generator_layer_sizes, init_discriminator, init_generator,
+                          scale_to_budget)
 from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, backward,
-                         cross_entropy_grad, forward, init_network, predict)
+                         cross_entropy, cross_entropy_grad, forward, init_network,
+                         predict)
 from spoofsim.scenario import substream
 from spoofsim.waveform import feature_rows, rows_to_streams
 
@@ -33,7 +38,7 @@ def constant_discriminator(width, p_from_t):
     return DenseNetwork(w, b, ["softmax"])
 
 
-BUDGET = 3.0  # small enough that the power cap binds in channel_case
+BUDGET = 0.5  # the power cap binds on some rows of channel_case, not on all
 
 
 def channel_case(sc):
@@ -46,26 +51,46 @@ def channel_case(sc):
             + 1j * rng.standard_normal((3, sc.n_r, sc.n_a)))
     noise = (rng.standard_normal((3, sc.n_r, sc.n_points))
              + 1j * rng.standard_normal((3, sc.n_r, sc.n_points)))
+    _, scale = scale_to_budget(rows_to_streams(predict(g, z), sc.n_a), BUDGET)
+    assert np.any(scale < 1.0) and not np.all(scale < 1.0)
     return g, d, z, mats, noise, np.tile([0.0, 1.0], (3, 1))
 
 
+def raw_row_vjp(grad_out, rows, n_antennas, sps):
+    """Gradient w.r.t. raw rows: the conditioning VJP, then the matched filter's adjoint."""
+    return spread_phasors(condition_phasors_vjp(grad_out, symbol_phasors(rows, n_antennas, sps)),
+                          sps)
+
+
 def compact_row_grad(sc, d, rx_rows, targets):
-    """Loss gradient w.r.t. raw received rows, as the generator epoch takes it."""
+    """Loss gradient w.r.t. raw received rows through the compact discriminator."""
     d_out, d_cache = forward(d, condition_rows(rx_rows, sc.n_r, sc.samples_per_symbol))
     d_grads = backward(d, d_cache, cross_entropy_grad(d_out, targets))
-    return condition_rows_vjp(d_grads.d_input, rx_rows, sc.n_r, sc.samples_per_symbol)
+    return raw_row_vjp(d_grads.d_input, rx_rows, sc.n_r, sc.samples_per_symbol)
 
 
-def generator_weight_grads(sc, g, z, mats, noise, row_grad):
-    """Generator weight gradients through the power cap and the channel,
-    given `row_grad(rx_rows)`, the loss gradient w.r.t. the received rows."""
+def full_width_generator_grads(sc, g, z, mats, noise, row_grad, budget=BUDGET):
+    """Reference generator gradients, every burst at full width: through the
+    output layer, the power cap and the channel, given `row_grad(rx_rows)`,
+    the loss gradient w.r.t. the received rows."""
     out, g_cache = forward(g, z)
     raw = rows_to_streams(out, sc.n_a)
-    tx, _ = scale_to_budget(raw, BUDGET)
+    tx, _ = scale_to_budget(raw, budget)
     rx_rows = feature_rows(np.einsum("bij,bjk->bik", mats, tx) + noise)
     grad_rx = rows_to_streams(row_grad(rx_rows), sc.n_r)
     grad_tx = np.einsum("bij,bik->bjk", np.conj(mats), grad_rx)
-    return backward(g, g_cache, feature_rows(_scale_backward(grad_tx, raw, BUDGET))).d_weights
+    return backward(g, g_cache, feature_rows(_scale_backward(grad_tx, raw, budget)))
+
+
+def production_generator_grads(sc, g, d, z, mats, noise, targets, budget=BUDGET):
+    """The generator epoch's per-batch gradients on the same bursts: symbol
+    domain, exact power cap, received phasors of the noise alone moved by
+    mats @ (transmit phasors - 0)."""
+    s = sc.samples_per_symbol
+    gen = _PhasorGenerator(g, sc.n_a, s, budget)
+    rx_noise = symbol_phasors(feature_rows(noise), sc.n_r, s)
+    tx_zero = np.zeros((len(z), sc.n_a, rx_noise.shape[-1]), dtype=complex)
+    return _generator_grads(gen, d, z, mats, rx_noise, tx_zero, targets)
 
 
 class TestLosses:
@@ -263,8 +288,8 @@ class TestTrainGan:
 
     def test_generator_gradient_through_channel_matches_fd(self):
         # frozen tiny generator/discriminator, fixed channel and noise:
-        # the analytic gradient used by the generator epoch must match
-        # central finite differences through channel + front end + D
+        # the gradient the generator epoch computes must match central
+        # finite differences through power cap + channel + front end + D
         sc = tiny_scenario(seed=4)
         g, d, z, mats, noise, targets = channel_case(sc)
 
@@ -274,11 +299,9 @@ class TestTrainGan:
             tx, _ = scale_to_budget(raw, BUDGET)
             rx = np.einsum("bij,bjk->bik", mats, tx) + noise
             cond = condition_rows(feature_rows(rx), sc.n_r, sc.samples_per_symbol)
-            from spoofsim.nn import cross_entropy
             return cross_entropy(predict(d, cond), targets)
 
-        d_weights = generator_weight_grads(
-            sc, g, z, mats, noise, lambda rows: compact_row_grad(sc, d, rows, targets))
+        d_weights = production_generator_grads(sc, g, d, z, mats, noise, targets).d_weights
 
         h = 1e-6
         rng_idx = np.random.default_rng(1)
@@ -297,6 +320,95 @@ class TestTrainGan:
                 worst = max(worst, abs(analytic - numeric)
                             / max(abs(analytic), abs(numeric), 1e-6))
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("budget, exact_rows", [(BUDGET, 3), (0.9, 2), (np.inf, 0)])
+    def test_generator_step_matches_full_width_reference(self, budget, exact_rows):
+        # The generator epoch's symbol-domain step against every burst built
+        # at full width. At BUDGET all rows take the exact cap path (two are
+        # scaled, one is not); at 0.9 a free row shares the batch with two
+        # capped ones; with no budget every row stays in the symbol domain.
+        sc = tiny_scenario(seed=4)
+        g, d, z, mats, noise, targets = channel_case(sc)
+        gen = _PhasorGenerator(g, sc.n_a, sc.samples_per_symbol, budget)
+        # the hidden layers are the generator's own arrays, so Adam moves both
+        assert all(a is b for a, b in zip(gen.hidden.weights, g.weights))
+        assert all(a is b for a, b in zip(gen.hidden.biases, g.biases))
+        assert len(gen.transmit(predict(gen.hidden, z)).exact) == exact_rows
+        got = production_generator_grads(sc, g, d, z, mats, noise, targets, budget)
+        want = full_width_generator_grads(
+            sc, g, z, mats, noise, lambda rows: compact_row_grad(sc, d, rows, targets), budget)
+        for a, b in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("n_a, n_r, budget", [(1, 1, 0.9), (3, 2, 2.5)])
+    def test_training_matches_full_width_cap_on_every_burst(self, monkeypatch, n_a, n_r,
+                                                            budget):
+        # With the cap bound's slack infinite, every burst is built at full
+        # width and goes through scale_to_budget; the run with the bound must
+        # train the same nets. The budgets make the cap bind on some bursts.
+        sc = tiny_scenario(seed=6, n_a=n_a, n_r=n_r)
+        cfg = replace(TINY, real_pool=24, synth_per_epoch=24, max_epochs=4, conv_window=5,
+                      power_budget=budget)
+        g, d, trace = train_gan(sc, cfg, substream(6, 2))
+        monkeypatch.setattr("spoofsim.gan._BOUND_SLACK", np.inf)
+        g_ref, d_ref, trace_ref = train_gan(sc, cfg, substream(6, 2))
+        assert 0 < sum(trace.capped_bursts) < cfg.synth_per_epoch * cfg.max_epochs
+        assert trace.capped_bursts == trace_ref.capped_bursts
+        for w, w_ref in zip(g.weights + g.biases + d.weights + d.biases,
+                            g_ref.weights + g_ref.biases + d_ref.weights + d_ref.biases):
+            assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+        npt.assert_allclose(trace.g_loss, trace_ref.g_loss, rtol=1e-12)
+        npt.assert_allclose(trace.d_loss, trace_ref.d_loss, rtol=1e-12)
+
+    def test_capped_burst_counts(self, monkeypatch):
+        # Each epoch counts the bursts of its synthetic pool that the cap
+        # scaled: the scales below one that scale_to_budget returns in (a),
+        # between the previous epoch's losses (d) and this epoch's
+        # discriminator epoch (b).
+        events = []
+
+        def cap_spy(streams, power_budget):
+            scaled, scale = scale_to_budget(streams, power_budget)
+            events.append(int(np.count_nonzero(scale < 1.0)))
+            return scaled, scale
+
+        def epoch_spy(*args):
+            events.append("b")
+            return train_epoch(*args)
+
+        def probability_spy(*args):
+            events.append("d")
+            return from_t_probability(*args)
+
+        train_epoch = spoofsim.gan._train_epoch
+        monkeypatch.setattr("spoofsim.gan.scale_to_budget", cap_spy)
+        monkeypatch.setattr("spoofsim.gan._train_epoch", epoch_spy)
+        monkeypatch.setattr("spoofsim.gan.from_t_probability", probability_spy)
+        sc = tiny_scenario(seed=7)
+        cfg = replace(TINY, synth_per_epoch=24, max_epochs=4, conv_window=5, power_budget=0.9)
+        _, _, trace = train_gan(sc, cfg, substream(7, 2))
+        counts, phase_a = [], []
+        for event in events:
+            if event == "b":
+                counts.append(sum(phase_a))
+            elif event == "d":
+                phase_a = []
+            else:
+                phase_a.append(event)
+        assert trace.epochs_run == 4
+        assert trace.capped_bursts == counts
+        assert 0 < sum(counts) < cfg.synth_per_epoch * cfg.max_epochs
+
+    def test_no_burst_capped_at_the_default_budget(self):
+        # the default budget is the scenario's transmit power, far above
+        # what a freshly initialised generator emits
+        sc = tiny_scenario(seed=7)
+        cfg = replace(TINY, max_epochs=3, conv_window=4)
+        _, _, trace = train_gan(sc, cfg, substream(7, 2))
+        assert trace.capped_bursts == [0, 0, 0]
+        _, _, tiny_budget = train_gan(sc, replace(cfg, power_budget=1e-3), substream(7, 2))
+        assert tiny_budget.capped_bursts == [cfg.synth_per_epoch] * 3
 
     def test_generator_gradient_matches_slot_replicated_discriminator(self):
         # The compact discriminator against the raw-width one that reads
@@ -318,12 +430,12 @@ class TestTrainGan:
             g_x = backward(d_raw, cache, cross_entropy_grad(out, targets)).d_input
             # replication adjoint: each phasor collects its slots' gradients
             g_cond = g_x.reshape(len(cond), -1, s, 2).sum(axis=2).reshape(len(cond), -1)
-            return condition_rows_vjp(g_cond, rows, sc.n_r, s)
+            return raw_row_vjp(g_cond, rows, sc.n_r, s)
 
-        compact = generator_weight_grads(
+        compact = full_width_generator_grads(
             sc, g, z, mats, noise, lambda rows: compact_row_grad(sc, d, rows, targets))
-        reference = generator_weight_grads(sc, g, z, mats, noise, replicated_row_grad)
-        for got, want in zip(compact, reference):
+        reference = full_width_generator_grads(sc, g, z, mats, noise, replicated_row_grad)
+        for got, want in zip(compact.d_weights, reference.d_weights):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_matches_raw_width_discriminator_on_slot_replicated_features(self, monkeypatch):
@@ -356,9 +468,10 @@ class TestTrainGan:
         monkeypatch.setattr("spoofsim.gan.init_discriminator", raw_discriminator)
         monkeypatch.setattr("spoofsim.gan.condition_rows",
                             lambda rows, n, sps: replicate(condition_rows(rows, n, sps)))
-        monkeypatch.setattr("spoofsim.gan.condition_rows_vjp",
-                            lambda grad, rows, n, sps: condition_rows_vjp(fold(grad), rows,
-                                                                          n, sps))
+        monkeypatch.setattr("spoofsim.gan.condition_phasors",
+                            lambda u: replicate(condition_phasors(u)))
+        monkeypatch.setattr("spoofsim.gan.condition_phasors_vjp",
+                            lambda grad, u: condition_phasors_vjp(fold(grad), u))
         g_ref, d_ref, trace_ref = train_gan(sc, cfg, substream(5, 2))
 
         assert d.weights[0].size * s == d_ref.weights[0].size
