@@ -13,7 +13,13 @@ BENCHMARK.json lists, the script prints each side's median and quartiles,
 how many pairs the change won, and whether the gain rule holds: the
 change wins at least 9 in 10 pairs and its median beats the parent's by
 more than the parent's interquartile range. A closing JSON line holds the
-same figures.
+same figures, with both trees' git revisions (HEAD commit, and whether
+tracked files differ from it). `--out PATH` also stores that closing
+object in a JSON file under "workloads", keyed by workload, so runs on
+several workloads can share one file:
+
+    python3 scripts/bench_pairs.py --parent ../base --change . \
+        --workload auth_wide --seed 11 --out BENCH_<n>.json
 
 Exit code: 0 when every run reported `correct: true`, 1 when any run
 reported `correct: false` or printed no result, 2 on bad arguments.
@@ -42,6 +48,8 @@ def parse_args(argv):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None,
                         help="per-run budget (default: run_seconds in BENCHMARK.json)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="JSON file to store the closing object in, under its workload")
     args = parser.parse_args(argv)
     for side in ("parent", "change"):
         tree = getattr(args, side)
@@ -63,6 +71,25 @@ def run_once(tree: Path, args) -> dict | None:
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         return None
+
+
+def git_revision(tree: Path) -> dict | None:
+    """HEAD commit of a checkout and whether its tracked files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return None
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"commit": head.stdout.strip(), "dirty": bool(status.stdout.strip())}
+
+
+def store(path: Path, closing: dict) -> None:
+    """Put the closing object into the file at `path` under its workload."""
+    record = json.loads(path.read_text()) if path.is_file() else {}
+    record.setdefault("workloads", {})[closing["workload"]] = closing
+    path.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def quartiles(values):
@@ -124,9 +151,14 @@ def main(argv=None) -> int:
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
               f"wins {v['wins']}/{v['pairs']}  gap {v['gap']:.4g} vs parent IQR "
               f"{v['parent_iqr']:.4g}  gain rule {'holds' if v['gain'] else 'fails'}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-                      "seconds": args.seconds, "correct": all_correct, "metrics": summary,
-                      "runs": values}))
+    closing = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+               "seconds": args.seconds, "correct": all_correct, "metrics": summary,
+               "runs": values,
+               "revisions": {side: git_revision(getattr(args, side))
+                             for side in ("parent", "change")}}
+    print(json.dumps(closing))
+    if args.out is not None:
+        store(args.out, closing)
     return 0 if all_correct else 1
 
 

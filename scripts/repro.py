@@ -27,7 +27,7 @@ import math
 import sys
 from pathlib import Path
 
-from spoofsim import (GanConfig, ScenarioConfig, TrainConfig, build_dataset,
+from spoofsim import (GanConfig, ScenarioConfig, TrainConfig, build_phasor_dataset,
                       evaluate, run_gan_attack, run_random_attack,
                       run_replay_attack, train_classifier, train_gan)
 from spoofsim.scenario import substream
@@ -68,8 +68,8 @@ def run_cell(seed, geometry, args, with_gan):
     n_t, n_r, n_a = geometry
     sc = ScenarioConfig(n_t=n_t, n_r=n_r, n_a=n_a, seed=seed)
     data_rng = substream(seed, *geometry, 1)
-    train = build_dataset(sc, N_TRAIN, 0.5, data_rng)
-    test = build_dataset(sc, N_TEST, 0.5, data_rng)
+    train = build_phasor_dataset(sc, N_TRAIN, 0.5, data_rng)
+    test = build_phasor_dataset(sc, N_TEST, 0.5, data_rng)
     clf = train_classifier(train, TrainConfig(seed=seed))
     m = evaluate(clf, test)
     counts = {"e_md": (m.n_md, m.n_from_t), "e_fa": (m.n_fa, m.n - m.n_from_t)}

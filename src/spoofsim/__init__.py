@@ -7,13 +7,17 @@ and mounts random, replay, and adversarially-learned (GAN) spoofing
 attacks whose success rates can be swept over antenna counts, topologies,
 and seeds.
 
-Every burst comes from one batched engine: `ScenarioConfig.draw_mixing`
-draws a batch of link matrices of shape (count, n_rx, n_tx) (fresh fading
-over the scenario's fixed phase fingerprint), and `receive_rows` turns
-them plus transmit streams (count, n_tx, n_points) into noisy received
-feature rows (count, 2 * n_rx * n_points). The defender's datasets, the
-GAN's real pool and all three attacks use this path; the GAN's synthetic
-pools draw the same receiver noise and stay in the symbol domain.
+Every burst comes from one batched engine, in the form the receiver keeps
+it: `ScenarioConfig.draw_mixing` draws a batch of link matrices of shape
+(count, n_rx, n_tx) (fresh fading over the scenario's fixed phase
+fingerprint), and `receive_phasors` turns them plus transmit phasors
+(count, n_tx, n_symbols) into the received bursts' matched-filter phasors
+with their filtered receiver noise, (count, n_rx, n_symbols). The
+defender's datasets (`build_phasor_dataset`), the GAN's real and synthetic
+pools and all three attacks use this path. Raw rows of 4 * S samples per
+antenna remain only where a raw burst enters: `build_dataset` (the same
+draws up to the receiver, received at full width through `receive_rows`)
+and an `Authenticator` or `spoofsim bench` fed a raw row.
 """
 
 __version__ = "0.1.0"
@@ -21,18 +25,20 @@ __version__ = "0.1.0"
 from .attacks import (AttackReport, run_gan_attack, run_random_attack,
                       run_replay_attack, success_probability, train_spoofer)
 from .authenticator import (FROM_T, NOT_T, Authenticator, ClassifierMetrics,
-                            LabeledDataset, build_dataset, classify, evaluate,
-                            train_classifier, tune_hyperparameters)
+                            LabeledDataset, build_dataset, build_phasor_dataset,
+                            classify, evaluate, train_classifier,
+                            tune_hyperparameters)
 from .experiments import (ConfigError, ExperimentResult, ExperimentSpec,
                           benchmark_latency, build_version, parse_config,
                           run_experiment)
 from .frontend import condition_rows
 from .gan import (GanConfig, TrainingTrace, check_convergence,
-                  discriminator_loss, generator_loss, generator_streams,
+                  discriminator_loss, generator_loss, generator_phasors,
                   train_gan)
 from .nn import (AdamState, DenseNetwork, Gradients, TrainConfig, adam_step,
                  backward, cross_entropy, cross_entropy_grad,
                  finite_diff_check, forward, init_network, load_model,
                  predict, save_model)
 from .scenario import Position, ScenarioConfig, substream
-from .waveform import qpsk_phases, receive_rows, receive_waveform
+from .waveform import (qpsk_phases, receive_phasors, receive_rows, receive_waveform,
+                       receive_waveform_phasors, relay_phasors)

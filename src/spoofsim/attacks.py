@@ -7,6 +7,9 @@ defender's classifier labels as the legitimate transmitter:
 - replay: amplify-and-forward copies of fresh legitimate transmissions,
 - gan: bursts from a trained generator, sent through a fresh fading draw
   from the adversary's current (possibly moved) position.
+
+Every spoofed burst reaches the defender as its matched-filter phasors,
+drawn directly (see `waveform`); no attack builds a raw burst.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .authenticator import FROM_T, Authenticator, ClassifierMetrics, classify
-from .gan import generator_streams, train_gan
+from .gan import generator_phasors, train_gan
 from .scenario import TWO_PI, ScenarioConfig
-from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, amplify_and_forward,
-                       qpsk_phases, receive_rows, receive_waveform,
-                       rows_to_streams)
+from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows,
+                       qpsk_phases, receive_phasors, receive_waveform_phasors,
+                       relay_phasors)
 
 
 @dataclass
@@ -50,8 +53,9 @@ def success_probability(decisions) -> float:
     return float(np.mean(arr == FROM_T))
 
 
-def _report(kind, classifier, x_rows, scenario, metrics, gan_summary=None) -> AttackReport:
-    decisions = classify(classifier, x_rows)
+def _report(kind, classifier, rx, scenario, metrics, gan_summary=None) -> AttackReport:
+    """Score received phasors (count, n_r, n_symbols) with the classifier."""
+    decisions = classify(classifier, feature_rows(rx))
     n_success = int((decisions == FROM_T).sum())
     return AttackReport(kind, len(decisions), n_success, n_success / len(decisions),
                         scenario, metrics, gan_summary)
@@ -74,8 +78,8 @@ def run_random_attack(classifier, scenario, n_trials=500, rng=None,
     sc = scenario
     phases = rng.uniform(0.0, TWO_PI, size=(n_trials, SYMBOLS_PER_BURST))
     mixing = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
-    x = receive_waveform(mixing, phases, sc.power, sc.samples_per_symbol, rng)
-    return _report("random", classifier, x, sc, classifier_metrics)
+    rx = receive_waveform_phasors(mixing, phases, sc.power, sc.samples_per_symbol, rng)
+    return _report("random", classifier, rx, sc, classifier_metrics)
 
 
 def run_replay_attack(classifier, scenario, n_trials=500, rng=None,
@@ -87,20 +91,21 @@ def run_replay_attack(classifier, scenario, n_trials=500, rng=None,
     sc = scenario
     bits = rng.integers(0, 2, size=(n_trials, BITS_PER_BURST))
     hop1 = sc.draw_mixing("t", "at", n_trials, rng, at_position=sc.attack_position)
-    recording = receive_waveform(hop1, qpsk_phases(bits), sc.power,
-                                 sc.samples_per_symbol, rng)
-    forwarded = amplify_and_forward(rows_to_streams(recording, sc.n_a), sc.power, rng)
+    recorded = receive_waveform_phasors(hop1, qpsk_phases(bits), sc.power,
+                                        sc.samples_per_symbol, rng)
+    forwarded = relay_phasors(recorded, sc.power, sc.samples_per_symbol, rng)
     # The second hop's matrices carry A_T's carrier wander; the relay's
     # uniform per-burst phase offset already absorbs any such phase.
     hop2 = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
-    x = receive_rows(hop2, forwarded, rng)
-    return _report("replay", classifier, x, sc, classifier_metrics)
+    rx = receive_phasors(hop2, forwarded, sc.samples_per_symbol, rng)
+    return _report("replay", classifier, rx, sc, classifier_metrics)
 
 
 def run_gan_attack(classifier, generator, scenario, n_trials=500, rng=None,
                    classifier_metrics=None, gan_trace_summary=None,
                    power_budget=None) -> AttackReport:
-    """Spoof with a trained generator from the attack-time position."""
+    """Spoof with a trained generator from the attack-time position, its
+    bursts capped at `power_budget` (default: the scenario's power)."""
     _check_feature_width(classifier, scenario)
     sc = scenario
     expected_out = 2 * sc.n_points * sc.n_a
@@ -112,10 +117,10 @@ def run_gan_attack(classifier, generator, scenario, n_trials=500, rng=None,
         rng = np.random.default_rng()
     budget = float(power_budget) if power_budget is not None else sc.power
     z = rng.standard_normal((n_trials, generator.layer_sizes[0]))
-    tx = generator_streams(generator, z, sc.n_a, budget)
+    tx = generator_phasors(generator, z, sc.n_a, sc.samples_per_symbol, budget)
     mixing = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
-    x = receive_rows(mixing, tx, rng)
-    return _report("gan", classifier, x, sc, classifier_metrics, gan_trace_summary)
+    rx = receive_phasors(mixing, tx, sc.samples_per_symbol, rng)
+    return _report("gan", classifier, rx, sc, classifier_metrics, gan_trace_summary)
 
 
 def train_spoofer(scenario, gan_config=None, rng=None, retries=3):

@@ -6,6 +6,12 @@ random-phase bursts sent at the same power from the adversary position.
 Bursts pass through the receiver front end (see `frontend`) before the
 network; quality is reported as misdetection (legitimate classified as
 foreign) and false alarm (foreign classified as legitimate) rates.
+
+The experiments draw their datasets with `build_phasor_dataset`, whose
+rows are the bursts' matched-filter phasors. `build_dataset` draws the
+same bursts up to the receiver and keeps them as raw rows, for callers
+that feed raw bursts to an `Authenticator`; `train_classifier`,
+`classify` and `evaluate` take either kind of row.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from .frontend import condition_rows, init_conditioned_network
 from .nn import (AdamState, DenseNetwork, TrainConfig, adam_step, backward,
                  cross_entropy_grad, forward, predict)
 from .scenario import TWO_PI, ScenarioConfig
-from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, qpsk_phases,
-                       receive_waveform)
+from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows,
+                       qpsk_phases, receive_waveform, receive_waveform_phasors)
 
 NOT_T = 0
 FROM_T = 1
@@ -30,11 +36,14 @@ N_CLASSES = 2
 
 @dataclass
 class LabeledDataset:
-    """Raw feature matrix plus integer labels (FROM_T / NOT_T).
+    """Feature matrix plus integer labels (FROM_T / NOT_T).
 
+    Each row is one burst: its matched-filter phasors (width
+    2 * n_antennas * n_symbols, from build_phasor_dataset) or its raw
+    samples (width 2 * n_antennas * n_points, from build_dataset).
     n_antennas and samples_per_symbol describe the burst geometry behind
-    the feature layout; they are filled by build_dataset and needed to
-    train a classifier (a caller that builds a dataset by hand restates
+    the feature layout; both dataset functions fill them, and training a
+    classifier needs them (a caller that builds a dataset by hand restates
     them to train_classifier).
     """
 
@@ -88,22 +97,14 @@ class ClassifierMetrics:
         return max(self.e_md, self.e_fa)
 
 
-def build_dataset(scenario: ScenarioConfig, n_samples, positive_fraction=0.5,
-                  rng=None) -> LabeledDataset:
-    """Generate labelled sensing bursts at R with fresh fading per burst.
-
-    Each sample is positive with probability `positive_fraction`
-    (independently, then adjusted so both classes occur at least once).
-    Positives carry fresh random payload bits from T; negatives carry
-    i.i.d. uniform symbol phases transmitted at full power from the
-    adversary training position.
-    """
+def _draw_sensing_bursts(scenario: ScenarioConfig, n_samples, positive_fraction, rng):
+    """Everything a sensing dataset draws before the receiver: labels,
+    per-burst link weights (n_samples, n_r, 1) and symbol phases
+    (n_samples, SYMBOLS_PER_BURST)."""
     if n_samples < 2:
         raise ValueError("need at least two samples, one per class")
     if not (0.0 < positive_fraction < 1.0):
         raise ValueError("positive_fraction must lie strictly inside (0, 1)")
-    if rng is None:
-        rng = np.random.default_rng()
     sc = scenario
     labels = (rng.random(n_samples) < positive_fraction).astype(np.int64)
     if labels.sum() == 0:
@@ -122,8 +123,39 @@ def build_dataset(scenario: ScenarioConfig, n_samples, positive_fraction=0.5,
     phases = np.empty((n_samples, SYMBOLS_PER_BURST))
     phases[positive] = qpsk_phases(rng.integers(0, 2, size=(n_pos, BITS_PER_BURST)))
     phases[~positive] = rng.uniform(0.0, TWO_PI, size=(n_neg, SYMBOLS_PER_BURST))
+    return labels, weights, phases
+
+
+def build_dataset(scenario: ScenarioConfig, n_samples, positive_fraction=0.5,
+                  rng=None) -> LabeledDataset:
+    """Generate labelled sensing bursts at R with fresh fading per burst,
+    as raw feature rows.
+
+    Each sample is positive with probability `positive_fraction`
+    (independently, then adjusted so both classes occur at least once).
+    Positives carry fresh random payload bits from T; negatives carry
+    i.i.d. uniform symbol phases transmitted at full power from the
+    adversary training position.
+    """
+    if rng is None:
+        rng = np.random.default_rng()
+    sc = scenario
+    labels, weights, phases = _draw_sensing_bursts(sc, n_samples, positive_fraction, rng)
     x = receive_waveform(weights, phases, sc.power, sc.samples_per_symbol, rng)
     return LabeledDataset(x, labels, sc.n_r, sc.samples_per_symbol)
+
+
+def build_phasor_dataset(scenario: ScenarioConfig, n_samples, positive_fraction=0.5,
+                         rng=None) -> LabeledDataset:
+    """`build_dataset`'s bursts as their matched-filter phasors, one I/Q
+    pair per (antenna, symbol): the same draws up to the receiver, then
+    the filtered receiver noise in place of the full-width one."""
+    if rng is None:
+        rng = np.random.default_rng()
+    sc = scenario
+    labels, weights, phases = _draw_sensing_bursts(sc, n_samples, positive_fraction, rng)
+    rx = receive_waveform_phasors(weights, phases, sc.power, sc.samples_per_symbol, rng)
+    return LabeledDataset(feature_rows(rx), labels, sc.n_r, sc.samples_per_symbol)
 
 
 def one_hot(labels) -> np.ndarray:
@@ -145,6 +177,14 @@ class Authenticator:
     samples_per_symbol: int
 
     def condition(self, rows) -> np.ndarray:
+        """Conditioned network input for feature rows of either kind.
+
+        A row of width 2 * n_antennas * SYMBOLS_PER_BURST is read as
+        matched-filter phasors; any other width as a raw burst, which must
+        split into SYMBOLS_PER_BURST symbols of samples_per_symbol points
+        or a ValueError is raised. So a raw burst of only SYMBOLS_PER_BURST
+        points per antenna is read as phasors whatever samples_per_symbol is.
+        """
         return condition_rows(rows, self.n_antennas, self.samples_per_symbol)
 
 
@@ -186,9 +226,11 @@ def train_classifier(train_set: LabeledDataset, config: TrainConfig | None = Non
     return Authenticator(net, n_ant, sps)
 
 
-def classify(classifier: Authenticator, feature_rows) -> np.ndarray:
-    """Hard label decisions (argmax of the softmax output) for raw feature rows."""
-    out = predict(classifier.net, classifier.condition(feature_rows))
+def classify(classifier: Authenticator, rows) -> np.ndarray:
+    """Hard label decisions (argmax of the softmax output) for feature rows,
+    raw or matched-filter phasors, told apart by width as in
+    `Authenticator.condition`."""
+    out = predict(classifier.net, classifier.condition(rows))
     return np.argmax(np.atleast_2d(out), axis=1)
 
 
@@ -216,8 +258,8 @@ def tune_hyperparameters(scenario: ScenarioConfig, grid, rng,
     grid = list(grid)
     if not grid:
         raise ValueError("hyperparameter grid is empty")
-    train_set = build_dataset(scenario, n_train, positive_fraction, rng)
-    val_set = build_dataset(scenario, n_val, positive_fraction, rng)
+    train_set = build_phasor_dataset(scenario, n_train, positive_fraction, rng)
+    val_set = build_phasor_dataset(scenario, n_val, positive_fraction, rng)
     scores = []
     for cfg in grid:
         net = train_classifier(train_set, cfg)

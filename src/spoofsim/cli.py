@@ -14,8 +14,8 @@ import numpy as np
 
 from .attacks import train_spoofer
 from .authenticator import Authenticator
-from .experiments import (ConfigError, benchmark_latency, parse_config,
-                          run_experiment)
+from .experiments import (MIN_REPEATS, ConfigError, benchmark_latency,
+                          parse_config, run_experiment)
 from .gan import save_trace_csv, save_trace_summary
 from .nn import load_model, save_model
 from .waveform import SYMBOLS_PER_BURST
@@ -39,7 +39,8 @@ def _build_parser():
     bench = sub.add_parser("bench", help="CPU latency of one raw burst through a saved "
                                          "classifier (front end plus network)")
     bench.add_argument("--model", required=True, help="classifier model file (binary dump)")
-    bench.add_argument("--repeats", type=int, default=1000)
+    bench.add_argument("--repeats", type=int, default=1000,
+                       help=f"timed decisions, at least {MIN_REPEATS}")
     bench.add_argument("--sps", type=int, default=100,
                        help="samples per symbol of the raw bursts (S)")
 
@@ -67,6 +68,8 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     if args.sps < 1:
         raise ConfigError(f"--sps must be >= 1, got {args.sps}")
+    if args.repeats < MIN_REPEATS:
+        raise ConfigError(f"--repeats must be >= {MIN_REPEATS}, got {args.repeats}")
     try:
         net = load_model(args.model)
     except ValueError as exc:

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .attacks import (run_gan_attack, run_random_attack, run_replay_attack,
                       train_spoofer)
-from .authenticator import (Authenticator, build_dataset, classify, evaluate,
+from .authenticator import (Authenticator, build_phasor_dataset, classify, evaluate,
                             train_classifier)
 from .gan import GanConfig, save_trace_csv, trace_summary
 from .nn import TrainConfig, save_model
@@ -333,8 +333,8 @@ def _mean_rows(rows):
 
 
 def _train_cell_classifier(spec, scenario, data_rng, clf_seed):
-    train_set = build_dataset(scenario, spec.n_train, spec.positive_fraction, data_rng)
-    test_set = build_dataset(scenario, spec.n_test, spec.positive_fraction, data_rng)
+    train_set = build_phasor_dataset(scenario, spec.n_train, spec.positive_fraction, data_rng)
+    test_set = build_phasor_dataset(scenario, spec.n_test, spec.positive_fraction, data_rng)
     clf_cfg = replace(spec.classifier, seed=clf_seed)
     clf = train_classifier(train_set, clf_cfg)
     return clf, evaluate(clf, test_set)
@@ -368,7 +368,7 @@ def _run_attack_cell(spec, scenario, tag, seed, attack, out_dir, version, clf=No
     runners = {"random": run_random_attack, "replay": run_replay_attack}
     if attack == "gan":
         report = run_gan_attack(clf, generator, scenario, spec.n_trials, attack_rng,
-                                metrics, gan_summary)
+                                metrics, gan_summary, spec.gan.power_budget)
         row.update(gan_epochs=gan_summary["epochs_run"],
                    gan_converged=gan_summary["converged"])
     else:
@@ -444,7 +444,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 try:
                     _, _, _, attack_rng = _cell_rngs(seed, spec.table, tag)
                     report = run_gan_attack(clf, generator, moved, spec.n_trials,
-                                            attack_rng, metrics, gan_summary)
+                                            attack_rng, metrics, gan_summary,
+                                            spec.gan.power_budget)
                     row = _blank_row(spec, moved, seed, version)
                     row.update(attack="gan", n_trials=report.n_trials,
                                e_md=metrics.e_md, e_fa=metrics.e_fa,
@@ -471,6 +472,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(rows, failures, csv_path, json_path)
 
 
+# Fewest decisions benchmark_latency times (a tenth of them are warm-up).
+MIN_REPEATS = 100
+
+
 def benchmark_latency(classifier: Authenticator, n_repeats=1000, rng=None) -> float:
     """Mean wall time in microseconds to authenticate one raw burst: front
     end plus network, from a raw feature row to a decision.
@@ -478,8 +483,8 @@ def benchmark_latency(classifier: Authenticator, n_repeats=1000, rng=None) -> fl
     Runs `n_repeats` decisions on one random raw row and discards the first
     tenth as warm-up.
     """
-    if n_repeats < 100:
-        raise ValueError("n_repeats must be >= 100")
+    if n_repeats < MIN_REPEATS:
+        raise ValueError(f"n_repeats must be >= {MIN_REPEATS}")
     if rng is None:
         rng = np.random.default_rng(0)
     x = rng.standard_normal(classifier.net.layer_sizes[0] * classifier.samples_per_symbol)

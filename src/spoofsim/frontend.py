@@ -15,6 +15,9 @@ Raw burst features are conditioned before they reach a dense network:
 The conditioned row is compact: one I/Q pair per (antenna, symbol),
 antenna-major, so a raw row of width 2 * n_antennas * n_points becomes
 2 * n_antennas * n_symbols values, samples_per_symbol (S) times narrower.
+The program's own bursts are drawn as matched-filter phasors (see
+`waveform`); `condition_rows` takes a row of that compact width as the
+output of steps 1-2 already, which at S = 1 is the same map.
 
 `condition_rows` composes two parts, kept apart for differentiation:
 steps 1-2 are the real-linear `symbol_phasors`, whose adjoint is
@@ -39,7 +42,7 @@ import math
 import numpy as np
 
 from .nn import DenseNetwork, init_network
-from .waveform import feature_rows, rows_to_streams
+from .waveform import SYMBOLS_PER_BURST, feature_rows, rows_to_streams
 
 # Phasors this far above the per-symbol noise floor are phase-normalised.
 PHASOR_LIMIT = 1.0
@@ -119,12 +122,17 @@ def condition_phasors_vjp(grad_out, phasors) -> np.ndarray:
 
 
 def condition_rows(rows, n_antennas, samples_per_symbol) -> np.ndarray:
-    """Condition raw feature rows for a dense classifier/discriminator.
+    """Condition feature rows for a dense classifier/discriminator.
 
-    Returns the per-symbol matched-filter phasors limited at PHASOR_LIMIT
-    and raised to GRID_POWER, I/Q interleaved per (antenna, symbol):
-    width 2 * n_antennas * n_symbols per row.
+    Raw rows (width 2 * n_antennas * n_points) go through the matched
+    filter first; rows of width 2 * n_antennas * n_symbols are taken as
+    matched-filter phasors already, I/Q interleaved per (antenna, symbol).
+    Returns the phasors limited at PHASOR_LIMIT and raised to GRID_POWER,
+    in that compact layout.
     """
+    rows = np.asarray(rows)
+    if rows.shape[-1] == 2 * n_antennas * SYMBOLS_PER_BURST:
+        return condition_phasors(rows_to_streams(rows, n_antennas))
     return condition_phasors(symbol_phasors(rows, n_antennas, samples_per_symbol))
 
 

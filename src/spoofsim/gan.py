@@ -12,14 +12,15 @@ discriminator, the front end and that same linear channel.
 
 The surrogate sees a burst only through its matched-filter phasors, one
 per antenna and symbol (see `frontend`). The matched filter, the channel
-and the generator's output layer are all linear, so the synthetic bursts
-are not built at full width: the output layer is folded into the filter,
-and the generator's bursts, their received versions and the gradients
-that flow back through them are all phasors. Only the power cap is not
-linear; it stays exact, with a full-width burst built for each row whose
-cap bound reaches the budget (see `_PhasorGenerator`). The trained
-generator is an ordinary network; `generator_streams` runs it at full
-width for the attacks.
+and the generator's output layer are all linear, so no burst of the real
+pool or of the synthetic pools is built at full width: the real pool and
+the receiver noise are drawn as phasors (`waveform.receive_phasors`), the
+output layer is folded into the filter, and the generator's bursts, their
+received versions and the gradients that flow back through them are all
+phasors. Only the power cap is not linear; it stays exact, with a
+full-width burst built for each row whose cap bound reaches the budget
+(see `_PhasorGenerator`). The GAN attack draws its transmit phasors
+through the same cap (`generator_phasors`).
 
 Radio protocol bookkeeping is kept alongside: the transmitter flags each
 synthetic transmission (one bit) and the surrogate receiver feeds back its
@@ -38,15 +39,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .authenticator import FROM_T, one_hot
-from .frontend import (condition_phasors, condition_phasors_vjp, condition_rows,
+from .frontend import (condition_phasors, condition_phasors_vjp,
                        init_conditioned_network, matched_filter, spread_phasors,
                        symbol_phasors)
 from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork,
                  Gradients, TrainConfig, adam_step, backward, cross_entropy_grad,
                  forward, init_network, predict)
 from .scenario import ScenarioConfig
-from .waveform import (BITS_PER_BURST, feature_rows, qpsk_phases, receive_waveform,
-                       receiver_noise, rows_to_streams, stream_rms)
+from .waveform import (BITS_PER_BURST, feature_rows, qpsk_phases, receive_phasors,
+                       receive_waveform_phasors, rows_to_streams, stream_rms)
 
 # Relative slack on the power-cap bound, so that its rounding never clears
 # a burst whose summed per-antenna RMS reaches the budget.
@@ -195,14 +196,6 @@ def _scale_backward(grad_scaled, raw, power_budget):
     return grad
 
 
-def generator_streams(g_net: DenseNetwork, z, n_adv, power_budget) -> np.ndarray:
-    """Transmit streams (count, n_adv, n_points) the generator emits for the
-    noise rows z (count, noise_dim), with the power budget enforced."""
-    raw = rows_to_streams(np.atleast_2d(predict(g_net, z)), n_adv)
-    scaled, _ = scale_to_budget(raw, float(power_budget))
-    return scaled
-
-
 class _TxBatch:
     """A batch of generator bursts as the surrogate's matched filter sees them:
     last hidden activations h (count, hidden); the output weights' phasors
@@ -286,6 +279,15 @@ class _PhasorGenerator:
         return d_w, d_b, d_h
 
 
+def generator_phasors(g_net: DenseNetwork, z, n_adv, samples_per_symbol,
+                      power_budget) -> np.ndarray:
+    """Matched-filter phasors (count, n_adv, n_symbols) of the transmit
+    bursts the generator emits for the noise rows z (count, noise_dim), with
+    the power budget enforced exactly as in training."""
+    gen = _PhasorGenerator(g_net, n_adv, samples_per_symbol, float(power_budget))
+    return gen.transmit(np.atleast_2d(predict(gen.hidden, z))).phasors
+
+
 def _generator_grads(gen: _PhasorGenerator, d_net, z, mixing, rx_phasors, tx_phasors,
                      targets) -> Gradients:
     """Generator gradients of the discriminator's cross-entropy against
@@ -344,12 +346,13 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
 
     The real pool is drawn once at the start: `real_pool` legitimate QPSK
     bursts from T with fresh payload bits, each over its own T-to-surrogate
-    link matrix with receiver noise, synthesised as one batch.
+    link matrix with receiver noise, drawn as one batch of matched-filter
+    phasors.
     Per epoch:
     (a) the generator emits a fresh pool of synthetic bursts, each sent
         through its own adversary-to-surrogate link matrix with receiver
-        noise; only their matched-filter phasors are formed, and the trace
-        counts the bursts the power cap scaled;
+        noise, all as matched-filter phasors; the trace counts the bursts
+        the power cap scaled;
     (b) the discriminator runs one cross-entropy epoch over the shuffled
         real plus synthetic pool;
     (c) the generator runs one epoch driving the discriminator's verdict on
@@ -359,8 +362,6 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
     (d) losses and protocol bits are recorded.
     Training stops early once both loss series pass the perturbation
     convergence test; otherwise the trace reports converged=False.
-    The random stream is drawn as if every burst were built at full width
-    through `receive_rows`.
     """
     cfg = config if config is not None else GanConfig()
     if rng is None:
@@ -377,9 +378,8 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
 
     bits = rng.integers(0, 2, size=(cfg.real_pool, BITS_PER_BURST))
     mixing = sc.draw_mixing("t", "ar", cfg.real_pool, rng)
-    real_xc = condition_rows(receive_waveform(mixing, qpsk_phases(bits), sc.power,
-                                              sc.samples_per_symbol, rng),
-                             sc.n_r, sc.samples_per_symbol)
+    real_xc = condition_phasors(receive_waveform_phasors(
+        mixing, qpsk_phases(bits), sc.power, sc.samples_per_symbol, rng))
 
     n_synth = cfg.synth_per_epoch
     real_targets = one_hot(np.full(cfg.real_pool, FROM_T))
@@ -389,13 +389,11 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
     trace = TrainingTrace()
     for epoch in range(cfg.max_epochs):
         # (a) transmit a fresh synthetic pool through fresh channel draws, as
-        # matched-filter phasors: the receiver noise is drawn in full, as
-        # receive_rows draws it, and filtered.
+        # matched-filter phasors.
         z = rng.standard_normal((n_synth, cfg.noise_dim))
         tx = gen.transmit(predict(gen.hidden, z))
         mixing = sc.draw_mixing("at", "ar", n_synth, rng)
-        noise = receiver_noise(n_synth, sc.n_r, sc.n_points, rng)
-        rx = symbol_phasors(noise, sc.n_r, sc.samples_per_symbol) + mixing @ tx.phasors
+        rx = receive_phasors(mixing, tx.phasors, sc.samples_per_symbol, rng)
         synth_xc = condition_phasors(rx)
         trace.capped_bursts.append(tx.n_capped)
 

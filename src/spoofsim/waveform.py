@@ -1,21 +1,30 @@
-"""Batched burst synthesis: QPSK carriers and one receive path for every link.
+"""Batched burst synthesis: QPSK carriers and the receive path of every link.
 
 One transmission ("burst") carries 8 bits as 4 QPSK symbols; each symbol
 is sampled `samples_per_symbol` times (S, default 100), so a burst holds
 4*S complex baseband points per antenna. Within a symbol the k-th sample
 advances the carrier phase by k*pi/(S/2), one full turn per symbol.
 
-Every producer of received bursts (the defender's datasets, the GAN's
-real pool, and the random, replay and GAN attacks) works on a batch at
-once: it draws link matrices with `ScenarioConfig.draw_mixing`, shape
-(count, n_rx, n_tx), and passes them with transmit streams of shape
-(count, n_tx, n_points) to `receive_rows`. Waveforms that every transmit
-antenna sends alike (legitimate QPSK and structureless random-phase
-bursts) go through `receive_waveform`, which averages the matrices over
-the transmit antennas. The GAN's synthetic pools, which the surrogate
-sees only through its matched filter, draw their noise with
-`receiver_noise` exactly as `receive_rows` does and add the channel's
-output in the symbol domain.
+A receiver sees a burst only through its matched filter (see `frontend`):
+one phasor per antenna and symbol, the mean of the symbol's derotated
+samples. The filter is a sufficient statistic for these bursts, and the
+channel and the relay are linear, so every pipeline draws bursts as those
+phasors directly, with the distribution the filter would give:
+
+- `receive_phasors` sends transmit phasors (count, n_tx, n_symbols)
+  through link matrices (count, n_rx, n_tx) from
+  `ScenarioConfig.draw_mixing` and adds the filtered receiver noise,
+  CN(0, 1/S) per antenna and symbol;
+- `receive_waveform_phasors` does so for waveforms that every transmit
+  antenna sends alike (legitimate QPSK and structureless random-phase
+  bursts), whose phasors are the symbol phases' unit phasors;
+- `relay_phasors` is the replay relay, which rescales a recording by its
+  full-width RMS.
+
+Raw feature rows (count, 2 * n_rx * n_points) remain where a raw burst
+enters the program: `receive_rows` and `receive_waveform` build them for
+`authenticator.build_dataset`, whose draws before the receiver are the
+same as those of its phasor twin.
 
 All powers are normalised to the receiver noise floor: additive noise is
 a unit-variance circularly-symmetric complex Gaussian per sample point,
@@ -78,17 +87,10 @@ def receive_rows(mixing, tx, rng) -> np.ndarray:
     mixing = np.asarray(mixing)
     tx = np.asarray(tx)
     count, n_rx, _ = mixing.shape
-    rows = receiver_noise(count, n_rx, tx.shape[-1], rng)
+    rows = rng.standard_normal((count, 2 * n_rx * tx.shape[-1]))
+    rows *= math.sqrt(0.5)
     streams = rows.view(np.complex128).reshape(count, n_rx, -1)
     streams += mixing @ tx
-    return rows
-
-
-def receiver_noise(count, n_rx, n_points, rng) -> np.ndarray:
-    """Feature rows (count, 2 * n_rx * n_points) of unit complex AWGN alone:
-    the noise `receive_rows` adds, drawn from rng the same way."""
-    rows = rng.standard_normal((count, 2 * n_rx * n_points))
-    rows *= math.sqrt(0.5)
     return rows
 
 
@@ -111,24 +113,71 @@ def receive_waveform(mixing, symbol_phases, power, samples_per_symbol, rng) -> n
     return receive_rows(weights, tracks[:, None, :], rng)
 
 
+def receive_phasors(mixing, tx_phasors, samples_per_symbol, rng) -> np.ndarray:
+    """Matched-filter phasors of bursts received through link matrices.
+
+    mixing has shape (count, n_rx, n_tx) and tx_phasors, the transmit
+    bursts' own matched-filter phasors, (count, n_tx, n_symbols); the
+    result (count, n_rx, n_symbols) is `mixing @ tx_phasors` plus the
+    filtered receiver noise: the mean of S unit complex Gaussians, so
+    CN(0, 1/S), independent across bursts, antennas and symbols.
+    """
+    mixing = np.asarray(mixing)
+    tx_phasors = np.asarray(tx_phasors)
+    count, n_rx, _ = mixing.shape
+    s = int(samples_per_symbol)
+    if s < 1:
+        raise ValueError("samples_per_symbol must be >= 1")
+    noise = rng.standard_normal((count, n_rx, tx_phasors.shape[-1], 2))
+    noise *= math.sqrt(0.5 / s)
+    rx = noise.view(np.complex128)[..., 0]
+    rx += mixing @ tx_phasors
+    return rx
+
+
+def receive_waveform_phasors(mixing, symbol_phases, power, samples_per_symbol,
+                             rng) -> np.ndarray:
+    """`receive_waveform`'s bursts as their matched-filter phasors.
+
+    The filter undoes the carrier's within-symbol rotation, so receive
+    antenna j of burst b keeps power * mixing[b, j, :].mean() * exp(1j * phi)
+    for a symbol of phase phi, plus CN(0, 1/S) noise (see
+    `receive_phasors`); shape (count, n_rx, n_symbols).
+    """
+    if power <= 0:
+        raise ValueError("power must be positive")
+    weights = float(power) * np.asarray(mixing).mean(axis=-1, keepdims=True)
+    tx = np.exp(1j * np.asarray(symbol_phases, dtype=np.float64))[:, None, :]
+    return receive_phasors(weights, tx, samples_per_symbol, rng)
+
+
 def stream_rms(streams) -> np.ndarray:
     """Per-antenna RMS amplitude; streams shaped (..., n_antennas, n_points)."""
     return np.sqrt(np.mean(streams.real ** 2 + streams.imag ** 2, axis=-1))
 
 
-def amplify_and_forward(recording, power, rng) -> np.ndarray:
-    """Relay transmit streams from recorded bursts, shape (count, n_relay, n_points).
+def relay_phasors(recorded, power, samples_per_symbol, rng) -> np.ndarray:
+    """Transmit phasors of a replay relay, from the matched-filter phasors
+    (count, n_relay, n_symbols) of the bursts it recorded.
 
     The relay rescales each recording so its summed per-antenna RMS
-    amplitude equals `power` (it cannot undo fading it does not know), and
-    its record/retransmit chain adds one uniform carrier phase offset per
-    burst, since it cannot reproduce the absolute carrier phase of a
-    signal it only ever saw at baseband.
+    amplitude over the full burst equals `power` (it cannot undo fading it
+    does not know), and its record/retransmit chain adds one uniform
+    carrier phase offset per burst, since it cannot reproduce the absolute
+    carrier phase of a signal it only ever saw at baseband. A recorded
+    antenna's energy is S * sum |u|**2 within the filter's range, plus the
+    noise outside it: n_points - n_symbols unit complex Gaussians, whose
+    energy is drawn as Gamma(n_points - n_symbols, 1) (zero at S = 1).
     """
-    total = stream_rms(recording).sum(axis=-1)
+    recorded = np.asarray(recorded)
+    s = int(samples_per_symbol)
+    n_symbols = recorded.shape[-1]
+    energy = s * np.sum(recorded.real ** 2 + recorded.imag ** 2, axis=-1)
+    energy += rng.gamma(n_symbols * (s - 1), 1.0, size=energy.shape)
+    total = np.sqrt(energy / (n_symbols * s)).sum(axis=-1)
     scale = np.divide(float(power), total, out=np.ones_like(total), where=total > 0.0)
-    offset = np.exp(1j * rng.uniform(0.0, TWO_PI, recording.shape[0]))
-    return recording * (scale * offset)[:, None, None]
+    offset = np.exp(1j * rng.uniform(0.0, TWO_PI, recorded.shape[0]))
+    return recorded * (scale * offset)[:, None, None]
 
 
 def feature_rows(streams_batch) -> np.ndarray:

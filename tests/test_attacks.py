@@ -5,16 +5,15 @@ import numpy.testing as npt
 import pytest
 
 from spoofsim import (FROM_T, NOT_T, AttackReport, Authenticator, GanConfig,
-                      ScenarioConfig, TrainConfig, build_dataset, classify,
-                      qpsk_phases,
-                      receive_rows, receive_waveform, run_gan_attack,
-                      run_random_attack, run_replay_attack,
-                      success_probability, train_classifier, train_gan,
-                      train_spoofer)
+                      ScenarioConfig, TrainConfig, build_phasor_dataset, classify,
+                      qpsk_phases, receive_phasors, receive_waveform_phasors,
+                      relay_phasors, run_gan_attack, run_random_attack,
+                      run_replay_attack, success_probability, train_classifier,
+                      train_gan, train_spoofer)
 from spoofsim.gan import init_generator
 from spoofsim.nn import DenseNetwork
 from spoofsim.scenario import substream
-from spoofsim.waveform import amplify_and_forward, rows_to_streams
+from spoofsim.waveform import feature_rows
 
 TINY_GAN = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=8,
                      synth_per_epoch=8, batch_size=4, max_epochs=2, conv_window=2)
@@ -26,7 +25,7 @@ def tiny_scenario(seed=0, **kw):
 
 def tiny_classifier(seed=0):
     sc = tiny_scenario(seed)
-    ds = build_dataset(sc, 60, 0.5, substream(seed, 1))
+    ds = build_phasor_dataset(sc, 60, 0.5, substream(seed, 1))
     return sc, train_classifier(ds, TrainConfig(seed=seed, train_steps=40))
 
 
@@ -95,14 +94,14 @@ class TestReplayAttack:
         rng = substream(4, 3)
         n = 200
         bits = np.zeros((n, 8), dtype=np.int64)
+        s = sc.samples_per_symbol
         hop1 = sc.draw_mixing("t", "at", n, rng)
-        recording = receive_waveform(hop1, qpsk_phases(bits), sc.power,
-                                     sc.samples_per_symbol, rng)
-        forwarded = amplify_and_forward(rows_to_streams(recording, sc.n_a), sc.power, rng)
-        x_replay = receive_rows(np.zeros((n, sc.n_r, sc.n_a)), forwarded, rng)
-        x_noise = receive_rows(np.zeros((n, sc.n_r, 1)), np.zeros((n, 1, sc.n_points)), rng)
-        p_replay = np.mean(classify(clf, x_replay) == FROM_T)
-        p_noise = np.mean(classify(clf, x_noise) == FROM_T)
+        recorded = receive_waveform_phasors(hop1, qpsk_phases(bits), sc.power, s, rng)
+        forwarded = relay_phasors(recorded, sc.power, s, rng)
+        x_replay = receive_phasors(np.zeros((n, sc.n_r, sc.n_a)), forwarded, s, rng)
+        x_noise = receive_phasors(np.zeros((n, sc.n_r, 1)), np.zeros((n, 1, 4)), s, rng)
+        p_replay = np.mean(classify(clf, feature_rows(x_replay)) == FROM_T)
+        p_noise = np.mean(classify(clf, feature_rows(x_noise)) == FROM_T)
         assert abs(p_replay - p_noise) < 0.08
 
 

@@ -4,10 +4,13 @@ import pytest
 
 from spoofsim import (FROM_T, NOT_T, AdamState, Authenticator, ClassifierMetrics,
                       LabeledDataset, ScenarioConfig, TrainConfig, adam_step,
-                      backward, build_dataset, classify, condition_rows,
+                      backward, build_dataset, build_phasor_dataset, classify,
+                      condition_rows,
                       cross_entropy_grad, evaluate, forward, init_network,
                       predict, train_classifier, tune_hyperparameters)
 from spoofsim.authenticator import CLASSIFIER_HIDDEN, one_hot
+from spoofsim.frontend import symbol_phasors
+from spoofsim.waveform import feature_rows
 from spoofsim.nn import DenseNetwork
 from spoofsim.scenario import substream
 
@@ -80,6 +83,70 @@ class TestBuildDataset:
         b = build_dataset(sc, 50, 0.5, substream(3, 1))
         npt.assert_array_equal(a.features, b.features)
         npt.assert_array_equal(a.labels, b.labels)
+
+
+class TestBuildPhasorDataset:
+    def test_shape_and_geometry(self):
+        sc = tiny_scenario(n_r=3)
+        ds = build_phasor_dataset(sc, 50, 0.5, substream(0, 1))
+        assert ds.features.shape == (50, sc.conditioned_length)
+        assert ds.n_antennas == 3 and ds.samples_per_symbol == 10
+
+    def test_same_draws_as_build_dataset_up_to_the_receiver(self):
+        # same labels, and the raw rows' matched filter differs from the
+        # twin's phasors by two independent CN(0, 1/S) noise draws only
+        sc = tiny_scenario(seed=3, n_r=2)
+        raw = build_dataset(sc, 3000, 0.5, substream(3, 1))
+        twin = build_phasor_dataset(sc, 3000, 0.5, substream(3, 1))
+        npt.assert_array_equal(raw.labels, twin.labels)
+        diff = feature_rows(symbol_phasors(raw.features, 2, 10)) - twin.features
+        assert abs(diff.mean()) < 4 * np.sqrt(0.1 / diff.size)
+        npt.assert_allclose(diff.var(), 2 / 10 / 2, rtol=0.03)
+
+    def test_conditioned_class_moments_match_build_dataset(self):
+        # per class, each conditioned feature's mean and mean square agree
+        # between the raw rows and their phasor twin drawn on other streams
+        sc = tiny_scenario(seed=4, n_r=2)
+        n = 4000
+        raw = build_dataset(sc, n, 0.5, substream(4, 1))
+        twin = build_phasor_dataset(sc, n, 0.5, substream(4, 2))
+        x_raw = condition_rows(raw.features, 2, 10)
+        x_twin = condition_rows(twin.features, 2, 10)
+        for label in (FROM_T, NOT_T):
+            a, b = x_raw[raw.labels == label], x_twin[twin.labels == label]
+            for moment in (1, 2):
+                ma, mb = (a ** moment).mean(axis=0), (b ** moment).mean(axis=0)
+                se = np.sqrt((a ** moment).var(axis=0) / len(a)
+                             + (b ** moment).var(axis=0) / len(b))
+                assert np.all(np.abs(ma - mb) < 4.5 * se + 1e-12), (label, moment)
+
+    def test_classifier_trains_alike_on_phasor_rows(self):
+        # the phasor rows of a raw dataset train the very same network
+        sc = tiny_scenario(seed=5)
+        raw = build_dataset(sc, 60, 0.5, substream(5, 1))
+        rows = feature_rows(symbol_phasors(raw.features, 1, 10))
+        twin = LabeledDataset(rows, raw.labels, 1, 10)
+        cfg = TrainConfig(seed=9, train_steps=40)
+        a, b = train_classifier(raw, cfg), train_classifier(twin, cfg)
+        for wa, wb in zip(a.net.weights, b.net.weights):
+            npt.assert_array_equal(wa, wb)
+        npt.assert_array_equal(classify(a, raw.features), classify(b, rows))
+        assert evaluate(a, raw) == evaluate(b, twin)
+
+    def test_raw_row_of_wrong_width_still_rejected(self):
+        # S = 10: a raw row must hold 4 symbols of 10 points per antenna; only
+        # the phasor width (4 points per antenna) is read without the filter
+        sc = tiny_scenario(seed=6, n_r=2)
+        clf = train_classifier(build_phasor_dataset(sc, 20, 0.5, substream(6, 1)),
+                               TrainConfig(seed=1, train_steps=2))
+        rng = np.random.default_rng(0)
+        for points in (6, 38, 41):
+            row = rng.standard_normal(2 * 2 * points)
+            with pytest.raises(ValueError):
+                clf.condition(row)
+            with pytest.raises(ValueError):
+                classify(clf, row[None])
+        assert classify(clf, rng.standard_normal((3, 2 * 2 * 4))).shape == (3,)
 
 
 class TestTrainClassifier:

@@ -143,6 +143,28 @@ class TestRunExperiment:
         assert {r["attack_at_y"] for r in attack_rows} == {10.0, 20.0}
         assert all(r["at_y"] == 10.0 for r in attack_rows)
 
+    @pytest.mark.parametrize("table", ["custom", "5"])
+    def test_gan_attack_applies_the_configured_power_budget(self, tmp_path, monkeypatch,
+                                                            table):
+        # the attack caps the generator's bursts at gan.power_budget, as
+        # training did, not at the scenario's transmit power
+        import spoofsim.attacks
+
+        budgets = []
+
+        def spy(g_net, z, n_adv, samples_per_symbol, power_budget):
+            budgets.append(power_budget)
+            return generator_phasors(g_net, z, n_adv, samples_per_symbol, power_budget)
+
+        generator_phasors = spoofsim.attacks.generator_phasors
+        monkeypatch.setattr("spoofsim.attacks.generator_phasors", spy)
+        spec = fast_spec(tmp_path, **{"attack": "gan", "table": table,
+                                      "at_positions": "0,10;0,20",
+                                      "gan.power_budget": "0.25"})
+        result = run_experiment(spec)
+        assert not result.failures
+        assert budgets == [0.25] * (2 if table == "5" else 1)
+
     def test_json_summary_contents(self, tmp_path):
         spec = fast_spec(tmp_path)
         result = run_experiment(spec)
@@ -157,14 +179,14 @@ class TestCellErrors:
     def test_bad_value_is_recorded_as_cell_failure(self, tmp_path, monkeypatch, error):
         def broken(*args, **kwargs):
             raise error("bad cell")
-        monkeypatch.setattr("spoofsim.experiments.build_dataset", broken)
+        monkeypatch.setattr("spoofsim.experiments.build_phasor_dataset", broken)
         result = run_experiment(fast_spec(tmp_path))
         assert result.failures == [{"cell": "nt1_nr1_na1", "seed": 0, "error": "bad cell"}]
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("engine bug")
-        monkeypatch.setattr("spoofsim.experiments.build_dataset", broken)
+        monkeypatch.setattr("spoofsim.experiments.build_phasor_dataset", broken)
         with pytest.raises(TypeError, match="engine bug"):
             run_experiment(fast_spec(tmp_path))
 
@@ -229,6 +251,14 @@ classifier.train_steps = 20
         path.write_bytes(b"DNETV001" + path.read_bytes()[8:])
         assert main(["bench", "--model", str(path)]) == 1
         assert "replicated-width net" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("repeats", ["50", "99", "0", "-3"])
+    def test_bench_too_few_repeats_is_a_configuration_error(self, tmp_path, capsys, repeats):
+        path = tmp_path / "model.bin"
+        save_model(init_network([40, 8, 2], rng=np.random.default_rng(1)), path)
+        assert main(["bench", "--model", str(path), "--repeats", repeats]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "--repeats" in err
 
     def test_missing_model_exit_one(self, tmp_path):
         assert main(["bench", "--model", str(tmp_path / "nope.bin")]) == 1

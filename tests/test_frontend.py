@@ -104,6 +104,16 @@ def test_matched_filter_matrix_gives_the_symbol_phasors():
     npt.assert_allclose(iq.reshape(3, -1), feature_rows(symbol_phasors(x, 2, 5)), atol=1e-15)
 
 
+def test_rows_of_phasor_width_are_taken_as_matched_filter_output():
+    rng = np.random.default_rng(10)
+    raw = rng.standard_normal((5, 2 * 3 * 4 * 7))
+    phasor_rows = feature_rows(symbol_phasors(raw, 3, 7))
+    npt.assert_array_equal(condition_rows(phasor_rows, 3, 7), condition_rows(raw, 3, 7))
+    # at S = 1 a raw row is its own phasors, so the two readings agree
+    one = rng.standard_normal((5, 2 * 3 * 4))
+    npt.assert_allclose(condition_rows(one, 3, 1), condition_rows(one, 3, 7), rtol=1e-15)
+
+
 def test_single_row_round_trips_shape():
     rng = np.random.default_rng(1)
     row = rng.standard_normal(2 * 1 * 40)

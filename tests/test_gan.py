@@ -8,7 +8,7 @@ import pytest
 import spoofsim.gan
 from spoofsim import (GanConfig, ScenarioConfig, check_convergence,
                       condition_rows, discriminator_loss, generator_loss,
-                      generator_streams, train_gan)
+                      generator_phasors, train_gan)
 from spoofsim.frontend import (condition_phasors, condition_phasors_vjp, spread_phasors,
                                symbol_phasors)
 from spoofsim.gan import (_generator_grads, _PhasorGenerator, _scale_backward,
@@ -156,22 +156,34 @@ class TestCheckConvergence:
             check_convergence([1.0, 1.0], 2, 0.0)
 
 
+def capped_phasors(g, z, n_adv, sps, budget):
+    """Reference for generator_phasors: every burst built at full width,
+    capped by scale_to_budget, then matched-filtered."""
+    raw = rows_to_streams(np.atleast_2d(predict(g, z)), n_adv)
+    tx, scale = scale_to_budget(raw, budget)
+    return symbol_phasors(feature_rows(tx), n_adv, sps), tx, scale
+
+
 class TestSpoofBurst:
     def test_within_budget_unchanged(self):
         rng = np.random.default_rng(1)
-        g = init_generator(tiny_scenario(), TINY, rng)
+        sc = tiny_scenario()
+        g = init_generator(sc, TINY, rng)
         z = rng.standard_normal((3, TINY.noise_dim))
-        raw = rows_to_streams(predict(g, z), 1)
-        npt.assert_array_equal(generator_streams(g, z, 1, power_budget=1e9), raw)
+        raw = symbol_phasors(predict(g, z), 1, sc.samples_per_symbol)
+        got = generator_phasors(g, z, 1, sc.samples_per_symbol, power_budget=1e9)
+        npt.assert_allclose(got, raw, rtol=0, atol=1e-12 * np.max(np.abs(raw)))
 
     def test_over_budget_scaled_down_phase_preserved(self):
         rng = np.random.default_rng(2)
-        g = init_generator(tiny_scenario(), TINY, rng)
+        sc = tiny_scenario()
+        g = init_generator(sc, TINY, rng)
         z = rng.standard_normal(TINY.noise_dim)
         raw = rows_to_streams(predict(g, z)[None, :], 1)
         rms = float(np.sqrt(np.mean(np.abs(raw) ** 2)))
-        tx = generator_streams(g, z, 1, power_budget=rms / 2)
-        npt.assert_allclose(tx, raw / 2, rtol=1e-12)
+        got = generator_phasors(g, z, 1, sc.samples_per_symbol, power_budget=rms / 2)
+        want = symbol_phasors(feature_rows(raw), 1, sc.samples_per_symbol) / 2
+        npt.assert_allclose(got, want, rtol=1e-12)
 
     def test_budget_invariant_over_noise_draws(self):
         rng = np.random.default_rng(3)
@@ -180,9 +192,23 @@ class TestSpoofBurst:
         # crank the output weights so the raw bursts exceed the budget
         g.weights[-1] *= 50.0
         budget = 10.0
-        tx = generator_streams(g, rng.standard_normal((50, TINY.noise_dim)), 1, budget)
+        z = rng.standard_normal((50, TINY.noise_dim))
+        got = generator_phasors(g, z, 1, sc.samples_per_symbol, budget)
+        want, tx, scale = capped_phasors(g, z, 1, sc.samples_per_symbol, budget)
+        assert np.count_nonzero(scale < 1.0) > len(z) // 2
         total = np.sqrt(np.mean(np.abs(tx) ** 2, axis=-1)).sum(axis=-1)
         assert np.all(total <= budget + 1e-9)
+        npt.assert_allclose(got, want, rtol=1e-12)
+
+    def test_budget_binding_on_some_bursts_matches_full_width_cap(self):
+        rng = np.random.default_rng(5)
+        sc = tiny_scenario(n_a=2)
+        g = init_generator(sc, TINY, rng)
+        z = rng.standard_normal((40, TINY.noise_dim))
+        want, _, scale = capped_phasors(g, z, 2, sc.samples_per_symbol, 0.9)
+        assert 0 < np.count_nonzero(scale < 1.0) < len(z)
+        got = generator_phasors(g, z, 2, sc.samples_per_symbol, 0.9)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_equal_split_across_antennas(self):
         streams = np.ones((1, 4, 8), dtype=complex)
@@ -195,7 +221,7 @@ class TestSpoofBurst:
         rng = np.random.default_rng(4)
         g = init_generator(tiny_scenario(), TINY, rng)
         with pytest.raises(ValueError):
-            generator_streams(g, rng.standard_normal(TINY.noise_dim), 3, 10.0)
+            generator_phasors(g, rng.standard_normal(TINY.noise_dim), 3, 5, 10.0)
 
 
 class TestScaleBackward:
@@ -466,8 +492,6 @@ class TestTrainGan:
 
         monkeypatch.setattr("spoofsim.gan.AdamState", PlainAdam)
         monkeypatch.setattr("spoofsim.gan.init_discriminator", raw_discriminator)
-        monkeypatch.setattr("spoofsim.gan.condition_rows",
-                            lambda rows, n, sps: replicate(condition_rows(rows, n, sps)))
         monkeypatch.setattr("spoofsim.gan.condition_phasors",
                             lambda u: replicate(condition_phasors(u)))
         monkeypatch.setattr("spoofsim.gan.condition_phasors_vjp",

@@ -4,9 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import qpsk_phases, receive_rows, receive_waveform
-from spoofsim.waveform import (amplify_and_forward, carrier_tracks,
-                               feature_rows, rows_to_streams)
+from spoofsim import (qpsk_phases, receive_phasors, receive_rows, receive_waveform,
+                      receive_waveform_phasors, relay_phasors)
+from spoofsim.frontend import symbol_phasors
+from spoofsim.waveform import carrier_tracks, feature_rows, rows_to_streams, stream_rms
 
 PI = math.pi
 
@@ -120,57 +121,166 @@ class TestIntendedBurst:
             npt.assert_array_equal(carrier_tracks(row, 10), track)
 
 
-def recording(n_relay, amplitude, sps=100):
-    """Noise-free relay recording of one all-zero QPSK burst, same on every antenna."""
-    track = carrier_tracks(qpsk_phases([[0] * 8]), sps)
-    return amplitude * np.repeat(track[:, None, :], n_relay, axis=1)
+def noise_phasors(count, n_rx, sps, seed):
+    """The filtered receiver noise receive_phasors draws from a generator seeded `seed`."""
+    return receive_phasors(np.zeros((count, n_rx, 1)), np.zeros((count, 1, 4)), sps,
+                           np.random.default_rng(seed))
+
+
+def received_phasors(mixing, tx_phasors, sps=100, seed=0):
+    """Noise-free received phasors: receive_phasors minus its own noise draw."""
+    count, n_rx, _ = mixing.shape
+    rx = receive_phasors(mixing, tx_phasors, sps, np.random.default_rng(seed))
+    return rx - noise_phasors(count, n_rx, sps, seed)
+
+
+def recorded(n_relay, amplitude):
+    """Noise-free relay recording of one all-zero QPSK burst as matched-filter
+    phasors, the same on every antenna."""
+    u = amplitude * np.exp(1j * qpsk_phases([[0] * 8]))
+    return np.repeat(u[:, None, :], n_relay, axis=1)
+
+
+def relay_draws(seed, gamma_shape=0):
+    """The out-of-range noise energy and the uniform carrier phase offset
+    relay_phasors draws, in that order, from `seed` for one SISO burst."""
+    rng = np.random.default_rng(seed)
+    energy = rng.gamma(gamma_shape, 1.0, size=(1, 1))[0, 0]
+    return energy, np.exp(1j * rng.uniform(0.0, 2 * PI, 1))[0]
 
 
 def relay_offset(seed):
-    """The uniform carrier phase offset amplify_and_forward draws from `seed`."""
-    return np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2 * PI, 1))[0]
+    """The carrier phase offset relay_phasors draws from `seed` at S = 1,
+    where the Gamma term has shape 0 and draws nothing."""
+    return relay_draws(seed)[1]
 
 
 class TestReplayBurst:
+    # At S = 1 a burst is its own matched-filter phasors, so the relay's
+    # full-width RMS is exact and no noise lies outside the filter's range.
+
     def test_siso_collapses_to_direct_form(self):
-        forwarded = amplify_and_forward(recording(1, 1000.0), 1000.0,
-                                        np.random.default_rng(4))
-        streams = received(identity_mixing(), forwarded)
-        npt.assert_allclose(streams[0, 0, 0], 1000 * np.exp(1j * PI / 4) * relay_offset(4),
+        forwarded = relay_phasors(recorded(1, 1000.0), 1000.0, 1, np.random.default_rng(4))
+        rx = received_phasors(identity_mixing(), forwarded, sps=1)
+        npt.assert_allclose(rx[0, 0, 0], 1000 * np.exp(1j * PI / 4) * relay_offset(4),
                             rtol=1e-12)
 
+    def test_siso_scale_counts_the_noise_outside_the_filter(self):
+        # S = 5: 4 symbols of 5 points leave 16 unit complex Gaussians outside
+        # the filter's range, whose energy the relay draws before its offset
+        s = 5
+        forwarded = relay_phasors(recorded(1, 1000.0), 1000.0, s, np.random.default_rng(4))
+        rx = received_phasors(identity_mixing(), forwarded, sps=s)
+        extra, offset = relay_draws(4, gamma_shape=4 * (s - 1))
+        rms = math.sqrt((s * 4 * 1000.0 ** 2 + extra) / (4 * s))
+        want = 1000 * np.exp(1j * qpsk_phases([[0] * 8])[0]) * (1000.0 / rms) * offset
+        npt.assert_allclose(rx[0, 0], want, rtol=1e-12)
+        assert extra > 0.0 and not np.isclose(offset, relay_offset(4))
+
     def test_two_relay_antennas_split_power(self):
-        forwarded = amplify_and_forward(recording(2, 1000.0), 1000.0,
-                                        np.random.default_rng(0))
+        forwarded = relay_phasors(recorded(2, 1000.0), 1000.0, 1, np.random.default_rng(0))
         npt.assert_allclose(np.abs(forwarded), 500.0, rtol=1e-12)
-        streams = received(identity_mixing(n_tx=2), forwarded)
-        npt.assert_allclose(np.abs(streams[0, 0, 0]), 1000.0, rtol=1e-12)
+        rx = received_phasors(identity_mixing(n_tx=2), forwarded, sps=1)
+        npt.assert_allclose(np.abs(rx[0, 0, 0]), 1000.0, rtol=1e-12)
 
     def test_zero_second_hop_gain_gives_zero_burst(self):
-        forwarded = amplify_and_forward(recording(1, 1000.0), 1000.0,
-                                        np.random.default_rng(0))
-        rows = receive_rows(identity_mixing(gain=0.0), forwarded, np.random.default_rng(1))
-        npt.assert_array_equal(rows, noise_rows(1, 1, 400, 1))
+        forwarded = relay_phasors(recorded(1, 1000.0), 1000.0, 100, np.random.default_rng(0))
+        rx = receive_phasors(identity_mixing(gain=0.0), forwarded, 100,
+                             np.random.default_rng(1))
+        npt.assert_array_equal(rx, noise_phasors(1, 1, 100, 1))
 
     def test_forwarded_power_is_renormalised(self):
         # deep fade on the first hop must not weaken the forwarded burst
-        forwarded = amplify_and_forward(recording(1, 1000.0 * 1e-4), 1000.0,
-                                        np.random.default_rng(0))
+        forwarded = relay_phasors(recorded(1, 1000.0 * 1e-4), 1000.0, 1,
+                                  np.random.default_rng(0))
         npt.assert_allclose(np.abs(forwarded), 1000.0, rtol=1e-12)
 
     def test_summed_rms_equals_power_for_uneven_recordings(self):
         rng = np.random.default_rng(2)
-        rec = rng.standard_normal((5, 3, 40)) + 1j * rng.standard_normal((5, 3, 40))
+        rec = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
         rec *= rng.exponential(1.0, (5, 3, 1))
-        forwarded = amplify_and_forward(rec, 1000.0, rng)
-        rms = np.sqrt(np.mean(np.abs(forwarded) ** 2, axis=-1))
-        npt.assert_allclose(rms.sum(axis=-1), 1000.0, rtol=1e-12)
+        forwarded = relay_phasors(rec, 1000.0, 1, rng)
+        npt.assert_allclose(stream_rms(forwarded).sum(axis=-1), 1000.0, rtol=1e-12)
 
     def test_hop_antenna_mismatch_rejected(self):
-        forwarded = amplify_and_forward(recording(2, 1000.0), 1000.0,
-                                        np.random.default_rng(0))
+        forwarded = relay_phasors(recorded(2, 1000.0), 1000.0, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            receive_rows(identity_mixing(), forwarded, np.random.default_rng(0))
+            receive_phasors(identity_mixing(), forwarded, 100, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sps", [1, 5])
+    def test_relay_scale_matches_full_width_rms_relay(self, sps):
+        # The full-width relay rescales the recorded streams by power over
+        # their summed per-antenna RMS; the symbol-domain relay must draw
+        # that scale from the same distribution (two-sample KS test).
+        stats = pytest.importorskip("scipy.stats")
+        n, n_relay, power = 3000, 2, 1000.0
+        rng = np.random.default_rng(7)
+        hop = 0.001 * (rng.exponential(1.0, (n, n_relay, 1))
+                      * np.exp(1j * rng.uniform(0, 2 * PI, (n, n_relay, 1))))
+        phases = qpsk_phases(rng.integers(0, 2, (n, 8)))
+        raw = rows_to_streams(receive_waveform(hop, phases, power, sps, rng), n_relay)
+        full_width = power / stream_rms(raw).sum(axis=-1)
+        u = receive_waveform_phasors(hop, phases, power, sps, rng)
+        symbol_domain = np.abs(relay_phasors(u, power, sps, rng)[:, 0, 0]) / np.abs(u[:, 0, 0])
+        assert stats.ks_2samp(full_width, symbol_domain).pvalue > 0.01
+        if sps == 1:
+            # at S = 1 the recording is its phasors, so the scales agree burst by burst
+            same = relay_phasors(symbol_phasors(feature_rows(raw), n_relay, 1), power, 1, rng)
+            npt.assert_allclose(np.abs(same[:, 0, 0] / raw[:, 0, 0]), full_width, rtol=1e-12)
+
+
+class TestReceivePhasors:
+    def test_noise_is_circular_complex_gaussian_of_variance_one_over_s(self):
+        s = 8
+        noise = noise_phasors(20_000, 2, s, 3)
+        assert noise.shape == (20_000, 2, 4)
+        z = noise.reshape(len(noise), -1)
+        assert np.max(np.abs(z.mean(axis=0))) < 4 * math.sqrt(1 / s / len(z))
+        npt.assert_allclose(np.mean(np.abs(z) ** 2, axis=0), 1 / s, rtol=0.04)
+        # circular: equal I and Q variance, uncorrelated I and Q, E[n**2] = 0
+        npt.assert_allclose(z.real.var(axis=0), z.imag.var(axis=0), rtol=0.06)
+        assert np.max(np.abs(np.mean(z * z, axis=0))) < 0.03 / s
+        # independent across antennas and symbols: the 8 x 8 complex
+        # correlation matrix is the identity
+        corr = (z.conj().T @ z) / len(z) * s
+        npt.assert_allclose(corr, np.eye(8), atol=0.04)
+
+    def test_noise_matches_the_matched_filter_of_raw_noise(self):
+        s = 6
+        raw = symbol_phasors(noise_rows(20_000, 1, 4 * s, 4), 1, s)
+        drawn = noise_phasors(20_000, 1, s, 5)
+        for part in (np.real, np.imag):
+            npt.assert_allclose(part(drawn).var(), part(raw).var(), rtol=0.03)
+            npt.assert_allclose(np.mean(part(drawn) ** 4) / part(drawn).var() ** 2,
+                                np.mean(part(raw) ** 4) / part(raw).var() ** 2, rtol=0.05)
+
+    def test_channel_output_is_the_matched_filter_of_the_raw_channel_output(self):
+        rng = np.random.default_rng(8)
+        s = 7
+        mixing = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
+        tx = rng.standard_normal((3, 3, 4 * s)) + 1j * rng.standard_normal((3, 3, 4 * s))
+        want = symbol_phasors(feature_rows(received(mixing, tx)), 2, s)
+        got = received_phasors(mixing, symbol_phasors(feature_rows(tx), 3, s), sps=s)
+        npt.assert_allclose(got, want, atol=1e-12)
+
+    def test_waveform_twin_is_the_matched_filter_of_receive_waveform(self):
+        rng = np.random.default_rng(9)
+        s = 7
+        mixing = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+        phases = rng.uniform(0, 2 * PI, (4, 4))
+        rows = receive_waveform(mixing, phases, 50.0, s, np.random.default_rng(1))
+        rows -= noise_rows(4, 2, 4 * s, 1)
+        want = symbol_phasors(rows, 2, s)
+        got = receive_waveform_phasors(mixing, phases, 50.0, s, np.random.default_rng(2))
+        got -= noise_phasors(4, 2, s, 2)
+        direct = 50.0 * mixing.mean(axis=-1)[..., None] * np.exp(1j * phases)[:, None]
+        npt.assert_allclose(got, direct, rtol=1e-12)
+        npt.assert_allclose(got, want, rtol=1e-12)
+
+    def test_waveform_twin_requires_power_positive(self):
+        with pytest.raises(ValueError):
+            receive_waveform_phasors(identity_mixing(), [[0.1] * 4], 0.0, 100,
+                                     np.random.default_rng(0))
 
 
 class TestApplyChannel:
