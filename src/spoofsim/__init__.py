@@ -14,10 +14,12 @@ fingerprint), and `receive_phasors` turns them plus transmit phasors
 (count, n_tx, n_symbols) into the received bursts' matched-filter phasors
 with their filtered receiver noise, (count, n_rx, n_symbols). The
 defender's datasets (`build_phasor_dataset`), the GAN's real and synthetic
-pools and all three attacks use this path. Raw rows of 4 * S samples per
-antenna remain only where a raw burst enters: `build_dataset` (the same
-draws up to the receiver, received at full width through `receive_rows`)
-and an `Authenticator` or `spoofsim bench` fed a raw row.
+pools and all three attacks use this path, and the GAN's generator emits
+transmit phasors itself, one per (antenna, symbol), capped in that domain
+(see `gan`). Raw rows of 4 * S samples per antenna remain only where a raw
+burst enters: `build_dataset` (the same draws up to the receiver, received
+at full width through `receive_rows`) and an `Authenticator` or
+`spoofsim bench` fed a raw row.
 """
 
 __version__ = "0.1.0"

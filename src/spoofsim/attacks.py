@@ -108,16 +108,21 @@ def run_gan_attack(classifier, generator, scenario, n_trials=500, rng=None,
     bursts capped at `power_budget` (default: the scenario's power)."""
     _check_feature_width(classifier, scenario)
     sc = scenario
-    expected_out = 2 * sc.n_points * sc.n_a
-    if generator.layer_sizes[-1] != expected_out:
-        raise ValueError(
-            f"generator emits {generator.layer_sizes[-1]} values, scenario needs "
-            f"{expected_out} for {sc.n_a} transmit streams")
+    width = generator.layer_sizes[-1]
+    expected_out = 2 * SYMBOLS_PER_BURST * sc.n_a
+    if width != expected_out:
+        if width == 2 * sc.n_points * sc.n_a:
+            raise ValueError(
+                f"generator emits {width} values, one raw I/Q sample per (antenna, "
+                f"point): it predates the symbol-phasor generator, which emits "
+                f"{expected_out}, one I/Q phasor per (antenna, symbol)")
+        raise ValueError(f"generator emits {width} values, scenario needs {expected_out} "
+                         f"for {sc.n_a} transmit antennas")
     if rng is None:
         rng = np.random.default_rng()
     budget = float(power_budget) if power_budget is not None else sc.power
     z = rng.standard_normal((n_trials, generator.layer_sizes[0]))
-    tx = generator_phasors(generator, z, sc.n_a, sc.samples_per_symbol, budget)
+    tx, _ = generator_phasors(generator, z, sc.n_a, budget)
     mixing = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
     rx = receive_phasors(mixing, tx, sc.samples_per_symbol, rng)
     return _report("gan", classifier, rx, sc, classifier_metrics, gan_trace_summary)

@@ -19,13 +19,12 @@ The program's own bursts are drawn as matched-filter phasors (see
 `waveform`); `condition_rows` takes a row of that compact width as the
 output of steps 1-2 already, which at S = 1 is the same map.
 
-`condition_rows` composes two parts, kept apart for differentiation:
-steps 1-2 are the real-linear `symbol_phasors`, whose adjoint is
-`spread_phasors`; steps 3-4 are the pointwise `condition_phasors`, whose
-vector-Jacobian product is `condition_phasors_vjp`. Because the matched
-filter is linear, and so are the fading channel and the generator's output
-layer, the adversarial generator training runs on phasors: only a burst
-the power cap may scale is ever built at full width (see `gan`).
+`condition_rows` composes two parts: steps 1-2 are the real-linear
+`symbol_phasors`, steps 3-4 the pointwise `condition_phasors`, whose
+vector-Jacobian product is `condition_phasors_vjp`. Gradients only ever
+flow through steps 3-4: the adversarial generator emits one phasor per
+antenna and symbol, and the fading channel is linear, so its training
+runs on phasors and never builds a burst at full width (see `gan`).
 
 A network fed by the front end starts from `init_conditioned_network`: the
 net a raw-width input of S identical copies of each phasor would get, with
@@ -59,8 +58,7 @@ def symbol_phasors(rows, n_antennas, samples_per_symbol) -> np.ndarray:
     """Matched-filter phasors of raw feature rows (steps 1 and 2).
 
     rows has shape (..., 2 * n_antennas * n_points); the result is complex,
-    shape (..., n_antennas, n_symbols). The map is real-linear in the rows;
-    `spread_phasors` is its adjoint.
+    shape (..., n_antennas, n_symbols). The map is real-linear in the rows.
     """
     z = rows_to_streams(rows, n_antennas)
     n_points = z.shape[-1]
@@ -68,26 +66,6 @@ def symbol_phasors(rows, n_antennas, samples_per_symbol) -> np.ndarray:
     if n_points % s != 0:
         raise ValueError(f"{n_points} points per stream do not split into symbols of {s}")
     return (z.reshape(*z.shape[:-1], n_points // s, s) * _derotation(s)).mean(axis=-1)
-
-
-def matched_filter(samples_per_symbol) -> np.ndarray:
-    """`symbol_phasors` of one symbol as a real (2, 2 * S) matrix: it takes
-    the symbol's S I/Q-interleaved samples to its phasor's (I, Q)."""
-    d = _derotation(samples_per_symbol) / samples_per_symbol
-    m = np.empty((2, 2 * samples_per_symbol))
-    m[0, 0::2], m[0, 1::2] = d.real, -d.imag
-    m[1, 0::2], m[1, 1::2] = d.imag, d.real
-    return m
-
-
-def spread_phasors(grad, samples_per_symbol) -> np.ndarray:
-    """Adjoint of `symbol_phasors`: feature rows (..., 2 * n_antennas * n_points)
-    from complex phasor gradients (..., n_antennas, n_symbols), each symbol's
-    gradient spread over its samples_per_symbol samples."""
-    grad = np.asarray(grad)
-    s = samples_per_symbol
-    g_z = (grad[..., None] / s) * np.conj(_derotation(s))
-    return feature_rows(g_z.reshape(*grad.shape[:-1], -1))
 
 
 def condition_phasors(phasors) -> np.ndarray:

@@ -1,26 +1,33 @@
 """Distributed adversarial waveform learning.
 
 The adversary transmitter holds a generator that maps noise vectors to
-per-antenna transmit waveforms; its surrogate receiver holds a
-discriminator that classifies received bursts as legitimate or synthetic.
-The two are trained as alternating rounds of a minimax game with the
-wireless channel inside the synthetic-sample path: every synthetic burst
-goes through a fresh adversary-to-surrogate link matrix plus receiver
-noise, drawn as every other burst's are (see `waveform`), before the
-discriminator sees it, and generator updates backpropagate through the
-discriminator, the front end and that same linear channel.
+per-antenna transmit bursts; its surrogate receiver holds a discriminator
+that classifies received bursts as legitimate or synthetic. The two are
+trained as alternating rounds of a minimax game with the wireless channel
+inside the synthetic-sample path: every synthetic burst goes through a
+fresh adversary-to-surrogate link matrix plus receiver noise, drawn as
+every other burst's are (see `waveform`), before the discriminator sees
+it, and generator updates backpropagate through the discriminator, the
+front end, that same linear channel and the power cap.
 
-The surrogate sees a burst only through its matched-filter phasors, one
-per antenna and symbol (see `frontend`). The matched filter, the channel
-and the generator's output layer are all linear, so no burst of the real
-pool or of the synthetic pools is built at full width: the real pool and
-the receiver noise are drawn as phasors (`waveform.receive_phasors`), the
-output layer is folded into the filter, and the generator's bursts, their
-received versions and the gradients that flow back through them are all
-phasors. Only the power cap is not linear; it stays exact, with a
-full-width burst built for each row whose cap bound reaches the budget
-(see `_PhasorGenerator`). The GAN attack draws its transmit phasors
-through the same cap (`generator_phasors`).
+The generator emits one I/Q phasor per (antenna, symbol). Its transmit
+burst is that phasor on the carrier, with constant envelope within each
+symbol, so the matched filter gives the phasor back exactly and each
+antenna's RMS amplitude is the RMS of its phasors: the power cap
+(`scale_to_budget`) and its adjoint act on the phasors, exactly, and no
+burst is built at full width anywhere in training or in the GAN attack
+(`generator_phasors`).
+
+This narrows the paper's generator, which emits raw samples, but not what
+it can do to either receiver in this model. Both see a burst only through
+its matched-filter phasors (see `frontend`). The filter is a scaled
+orthogonal projection: a raw stream and the constant-envelope stream with
+the same phasors filter alike, and the latter is the former's projection
+onto the filter's range, so its per-antenna RMS is never larger. Under any
+per-antenna RMS cap the constant-envelope stream therefore meets the
+budget whenever the raw stream does, and the phasor generator can still
+produce every received phasor set the raw one could, without spending
+budget on samples no receiver sees.
 
 Radio protocol bookkeeping is kept alongside: the transmitter flags each
 synthetic transmission (one bit) and the surrogate receiver feeds back its
@@ -33,25 +40,19 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .authenticator import FROM_T, one_hot
-from .frontend import (condition_phasors, condition_phasors_vjp,
-                       init_conditioned_network, matched_filter, spread_phasors,
-                       symbol_phasors)
+from .frontend import condition_phasors, condition_phasors_vjp, init_conditioned_network
 from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork,
                  Gradients, TrainConfig, adam_step, backward, cross_entropy_grad,
                  forward, init_network, predict)
 from .scenario import ScenarioConfig
-from .waveform import (BITS_PER_BURST, feature_rows, qpsk_phases, receive_phasors,
-                       receive_waveform_phasors, rows_to_streams, stream_rms)
-
-# Relative slack on the power-cap bound, so that its rounding never clears
-# a burst whose summed per-antenna RMS reaches the budget.
-_BOUND_SLACK = 1e-9
+from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows, qpsk_phases,
+                       receive_phasors, receive_waveform_phasors, rows_to_streams,
+                       stream_rms)
 
 
 @dataclass
@@ -59,7 +60,9 @@ class GanConfig:
     """Knobs of one adversarial training run.
 
     power_budget defaults to the scenario transmit power; it caps the
-    summed per-antenna RMS amplitude of every generated transmit burst.
+    summed per-antenna RMS amplitude of every generated transmit burst,
+    which for the generator's constant-envelope bursts is the summed
+    per-antenna RMS of their phasors.
 
     conv_window and conv_threshold set the stopping rule (see
     check_convergence): training stops once the last conv_window values of
@@ -114,8 +117,9 @@ class TrainingTrace:
 
 
 def generator_layer_sizes(scenario: ScenarioConfig, config: GanConfig) -> list[int]:
-    """Noise in, one interleaved I/Q transmit stream per adversary antenna out."""
-    out = 2 * scenario.n_points * scenario.n_a
+    """Noise in, one I/Q transmit phasor per (adversary antenna, symbol) out,
+    antenna-major: 8 * n_a values whatever samples_per_symbol is."""
+    out = 2 * SYMBOLS_PER_BURST * scenario.n_a
     return [config.noise_dim] + [config.hidden_width] * config.hidden_depth + [out]
 
 
@@ -150,15 +154,23 @@ def _clamped_log(p):
     return np.log(np.maximum(p, LOG_EPS))
 
 
+def _losses(p_real, p_synth) -> tuple[float, float]:
+    """(discriminator loss, generator loss) from the discriminator's
+    probabilities p_real and p_synth that real and synthetic bursts are
+    legitimate: E_synth[log(1 - D(x))] - E_real[log D(x)], and its first
+    term alone, which does not depend on p_real."""
+    g_loss = float(_clamped_log(1.0 - p_synth).mean())
+    return g_loss - float(_clamped_log(p_real).mean()), g_loss
+
+
 def discriminator_loss(d_net: DenseNetwork, real_batch, synth_batch) -> float:
     """E_synth[log(1 - D(x))] - E_real[log D(x)] on the given batches."""
     real_batch = np.atleast_2d(np.asarray(real_batch, dtype=np.float64))
     synth_batch = np.atleast_2d(np.asarray(synth_batch, dtype=np.float64))
     if real_batch.shape[0] == 0 or synth_batch.shape[0] == 0:
         raise ValueError("both batches must be non-empty")
-    p_real = from_t_probability(d_net, real_batch)
-    p_synth = from_t_probability(d_net, synth_batch)
-    return float(_clamped_log(1.0 - p_synth).mean() - _clamped_log(p_real).mean())
+    return _losses(from_t_probability(d_net, real_batch),
+                   from_t_probability(d_net, synth_batch))[0]
 
 
 def generator_loss(d_net: DenseNetwork, synth_batch) -> float:
@@ -166,11 +178,13 @@ def generator_loss(d_net: DenseNetwork, synth_batch) -> float:
     synth_batch = np.atleast_2d(np.asarray(synth_batch, dtype=np.float64))
     if synth_batch.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    return float(_clamped_log(1.0 - from_t_probability(d_net, synth_batch)).mean())
+    # The generator loss ignores p_real; a certain real batch stands in.
+    return _losses(np.ones(1), from_t_probability(d_net, synth_batch))[1]
 
 
 def scale_to_budget(streams, power_budget):
-    """Uniformly shrink streams whose summed per-antenna RMS exceeds the budget.
+    """Uniformly shrink streams (..., n_antennas, n_points) whose summed
+    per-antenna RMS exceeds the budget; the generator's are its phasors.
 
     Returns (scaled streams, scale factors). Never scales up.
     """
@@ -196,100 +210,19 @@ def _scale_backward(grad_scaled, raw, power_budget):
     return grad
 
 
-class _TxBatch:
-    """A batch of generator bursts as the surrogate's matched filter sees them:
-    last hidden activations h (count, hidden); the output weights' phasors
-    w_rows, I/Q interleaved (hidden, 2 * n_adv * n_symbols); the transmit
-    phasors after the power cap (count, n_adv, n_symbols); the rows `exact`
-    built at full width because their cap bound reached the budget, with
-    their raw streams (len(exact), n_adv, n_points) and cap scales."""
+def generator_phasors(g_net: DenseNetwork, z, n_adv, power_budget):
+    """Transmit phasors (count, n_adv, n_symbols) the generator emits for the
+    noise rows z (count, noise_dim), capped at power_budget.
 
-    def __init__(self, h, w_rows, phasors, exact, raw, scale):
-        self.h, self.w_rows, self.phasors = h, w_rows, phasors
-        self.exact, self.raw, self.scale = exact, raw, scale
-
-    @property
-    def n_capped(self) -> int:
-        return int(np.count_nonzero(self.scale < 1.0))
-
-
-class _PhasorGenerator:
-    """The generator's bursts in the symbol domain.
-
-    `hidden` is a network over the generator's own hidden-layer arrays, so
-    Adam steps on the generator move it too. The linear output layer (W, b)
-    is folded into the matched filter: activations h transmit the phasors
-    h @ symbol_phasors(W) + symbol_phasors(b), where the filter runs down
-    each column of W. The power cap stays exact: a row's summed per-antenna
-    RMS is at most sum_a (|W_a|_F |h| + |b_a|) / sqrt(n_points), and only
-    rows whose bound reaches the budget are built at full width and go
-    through `scale_to_budget` and `_scale_backward`; the cap leaves the
-    rest alone.
+    Returns (phasors, cap scale factors), as `scale_to_budget` does; the
+    training epoch's pool and the GAN attack both draw their bursts here.
     """
-
-    def __init__(self, g_net: DenseNetwork, n_adv, samples_per_symbol, budget):
-        self.net = g_net
-        self.hidden = DenseNetwork(g_net.weights[:-1], g_net.biases[:-1],
-                                   g_net.activations[:-1])
-        self.n_adv = n_adv
-        self.sps = samples_per_symbol
-        self.budget = budget
-        self.filter = matched_filter(samples_per_symbol)
-
-    def transmit(self, h) -> _TxBatch:
-        w, b = self.net.weights[-1], self.net.biases[-1]
-        n_adv, sps = self.n_adv, self.sps
-        # The filter runs down each column of W, one symbol's 2 * S rows at a time.
-        w_rows = (self.filter @ w.reshape(-1, 2 * sps, w.shape[1])).reshape(-1, w.shape[1]).T
-        b_rows = (b.reshape(-1, 2 * sps) @ self.filter.T).reshape(-1)
-        phasors = rows_to_streams(h @ w_rows + b_rows, n_adv)
-        n_points = w.shape[0] // (2 * n_adv)
-        w_ant, b_ant = w.reshape(n_adv, -1), b.reshape(n_adv, -1)
-        w_norm = np.sqrt(np.einsum("ij,ij->i", w_ant, w_ant)).sum()
-        b_norm = np.sqrt(np.einsum("ij,ij->i", b_ant, b_ant)).sum()
-        bound = (np.sqrt(np.einsum("ij,ij->i", h, h)) * w_norm + b_norm) / math.sqrt(n_points)
-        exact = np.flatnonzero(bound * (1.0 + _BOUND_SLACK) >= self.budget)
-        raw, scale = None, np.ones(0)
-        if exact.size:
-            raw = rows_to_streams(h[exact] @ w.T + b, n_adv)
-            tx, scale = scale_to_budget(raw, self.budget)
-            phasors[exact] = symbol_phasors(feature_rows(tx), n_adv, sps)
-        return _TxBatch(h, w_rows, phasors, exact, raw, scale)
-
-    def output_grads(self, batch: _TxBatch, q):
-        """Output-layer weight and bias gradients and the gradient at h, given
-        q, the loss gradient at the batch's transmit phasors (count, n_adv,
-        n_symbols) with each phasor's (d re, d im) packed as one complex value."""
-        q_rows = feature_rows(q)
-        exact = batch.exact
-        if exact.size:
-            q_rows = q_rows.copy()
-            q_rows[exact] = 0.0
-        w = self.net.weights[-1]
-        # The filter's transpose spreads each phasor gradient over its symbol.
-        d_w = (self.filter.T @ (q_rows.T @ batch.h).reshape(-1, 2, w.shape[1])).reshape(w.shape)
-        d_b = (q_rows.sum(axis=0).reshape(-1, 2) @ self.filter).reshape(-1)
-        d_h = q_rows @ batch.w_rows.T
-        if exact.size:
-            grad_tx = rows_to_streams(spread_phasors(q[exact], self.sps), self.n_adv)
-            d_out = feature_rows(_scale_backward(grad_tx, batch.raw, self.budget))
-            d_w += d_out.T @ batch.h[exact]
-            d_b += d_out.sum(axis=0)
-            d_h[exact] = d_out @ w
-        return d_w, d_b, d_h
+    raw = rows_to_streams(np.atleast_2d(predict(g_net, z)), n_adv)
+    return scale_to_budget(raw, float(power_budget))
 
 
-def generator_phasors(g_net: DenseNetwork, z, n_adv, samples_per_symbol,
-                      power_budget) -> np.ndarray:
-    """Matched-filter phasors (count, n_adv, n_symbols) of the transmit
-    bursts the generator emits for the noise rows z (count, noise_dim), with
-    the power budget enforced exactly as in training."""
-    gen = _PhasorGenerator(g_net, n_adv, samples_per_symbol, float(power_budget))
-    return gen.transmit(np.atleast_2d(predict(gen.hidden, z))).phasors
-
-
-def _generator_grads(gen: _PhasorGenerator, d_net, z, mixing, rx_phasors, tx_phasors,
-                     targets) -> Gradients:
+def _generator_grads(g_net, d_net, z, mixing, rx_phasors, tx_phasors, targets,
+                     power_budget) -> Gradients:
     """Generator gradients of the discriminator's cross-entropy against
     `targets` on bursts re-sent by the generator's current output for z.
 
@@ -298,17 +231,16 @@ def _generator_grads(gen: _PhasorGenerator, d_net, z, mixing, rx_phasors, tx_pha
     receiver noise carry the new transmit phasors, so the received ones move
     by mixing @ (new - old).
     """
-    h, cache = forward(gen.hidden, z)
-    batch = gen.transmit(h)
-    rx = rx_phasors + mixing @ (batch.phasors - tx_phasors)
+    out, cache = forward(g_net, z)
+    raw = rows_to_streams(out, mixing.shape[-1])
+    tx, _ = scale_to_budget(raw, power_budget)
+    rx = rx_phasors + mixing @ (tx - tx_phasors)
     d_out, d_cache = forward(d_net, condition_phasors(rx))
     d_grads = backward(d_net, d_cache, cross_entropy_grad(d_out, targets))
     # The channel's adjoint carries the received-phasor gradient back to the
-    # transmit phasors.
+    # transmit phasors, and the cap's adjoint to the generator's output.
     q = np.conj(mixing).swapaxes(-1, -2) @ condition_phasors_vjp(d_grads.d_input, rx)
-    d_w, d_b, d_h = gen.output_grads(batch, q)
-    inner = backward(gen.hidden, cache, d_h)
-    return Gradients(inner.d_weights + [d_w], inner.d_biases + [d_b], inner.d_input)
+    return backward(g_net, cache, feature_rows(_scale_backward(q, raw, power_budget)))
 
 
 def check_convergence(loss_series, window, threshold) -> bool:
@@ -358,7 +290,8 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
     (c) the generator runs one epoch driving the discriminator's verdict on
         its bursts toward "legitimate", re-sending (a)'s bursts over the
         same links and noise, with gradients flowing through the
-        discriminator, the front end, the link matrices and the power cap;
+        discriminator, the front end, the link matrices and the power cap,
+        all on phasors;
     (d) losses and protocol bits are recorded.
     Training stops early once both loss series pass the perturbation
     convergence test; otherwise the trace reports converged=False.
@@ -371,7 +304,6 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
 
     g_net = init_generator(sc, cfg, rng)
     d_net = init_discriminator(sc, cfg, rng)
-    gen = _PhasorGenerator(g_net, sc.n_a, sc.samples_per_symbol, budget)
     g_state = AdamState.for_network(g_net)
     d_state = AdamState.for_network(d_net, first_weight_scale=sc.samples_per_symbol)
     opt_cfg = TrainConfig(batch_size=cfg.batch_size)
@@ -391,11 +323,11 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
         # (a) transmit a fresh synthetic pool through fresh channel draws, as
         # matched-filter phasors.
         z = rng.standard_normal((n_synth, cfg.noise_dim))
-        tx = gen.transmit(predict(gen.hidden, z))
+        tx, scale = generator_phasors(g_net, z, sc.n_a, budget)
         mixing = sc.draw_mixing("at", "ar", n_synth, rng)
-        rx = receive_phasors(mixing, tx.phasors, sc.samples_per_symbol, rng)
+        rx = receive_phasors(mixing, tx, sc.samples_per_symbol, rng)
         synth_xc = condition_phasors(rx)
-        trace.capped_bursts.append(tx.n_capped)
+        trace.capped_bursts.append(int(np.count_nonzero(scale < 1.0)))
 
         # (b) one discriminator epoch over real + synthetic
         pool_x = np.concatenate([real_xc, synth_xc])
@@ -407,20 +339,20 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
         # generator over the same link matrices and receiver noise, so the
         # received phasors move by mixing @ (new - old transmit phasors), and
         # the gradient returns through the front end's VJP, the channel's
-        # adjoint and the output layer folded into the matched filter.
+        # adjoint and the power cap's.
         for start in range(0, n_synth, cfg.batch_size):
             sl = slice(start, start + cfg.batch_size)
             targets = spoof_targets[: len(z[sl])]
-            grads = _generator_grads(gen, d_net, z[sl], mixing[sl], rx[sl],
-                                     tx.phasors[sl], targets)
+            grads = _generator_grads(g_net, d_net, z[sl], mixing[sl], rx[sl], tx[sl],
+                                     targets, budget)
             adam_step(g_net, grads, g_state, opt_cfg)
 
         # (d) epoch bookkeeping: losses, protocol bits, convergence
         p_real = from_t_probability(d_net, real_xc)
         p_synth = from_t_probability(d_net, synth_xc)
-        trace.d_loss.append(float(_clamped_log(1.0 - p_synth).mean()
-                                  - _clamped_log(p_real).mean()))
-        trace.g_loss.append(float(_clamped_log(1.0 - p_synth).mean()))
+        d_loss, g_loss = _losses(p_real, p_synth)
+        trace.d_loss.append(d_loss)
+        trace.g_loss.append(g_loss)
         trace.protocol_log.append(EpochProtocol(epoch, n_synth, int((p_synth > 0.5).sum())))
         trace.epochs_run = epoch + 1
         if check_convergence(trace.g_loss, cfg.conv_window, cfg.conv_threshold) and \

@@ -11,7 +11,7 @@ from spoofsim import (FROM_T, NOT_T, AttackReport, Authenticator, GanConfig,
                       run_replay_attack, success_probability, train_classifier,
                       train_gan, train_spoofer)
 from spoofsim.gan import init_generator
-from spoofsim.nn import DenseNetwork
+from spoofsim.nn import DenseNetwork, init_network
 from spoofsim.scenario import substream
 from spoofsim.waveform import feature_rows
 
@@ -121,6 +121,17 @@ class TestGanAttack:
                                np.random.default_rng(0))
         with pytest.raises(ValueError):
             run_gan_attack(clf, wrong, sc, 5, substream(6, 4))
+
+    def test_raw_sample_generator_refused(self):
+        # a generator of the raw-sample width, 2 * n_points * n_a, predates
+        # the symbol-phasor generator's 2 * 4 * n_a outputs
+        sc = tiny_scenario(9, n_a=2)
+        old = init_network([TINY_GAN.noise_dim, 8, 2 * sc.n_points * sc.n_a],
+                           rng=np.random.default_rng(0))
+        clf = always_not_t(sc, sc.conditioned_length)
+        with pytest.raises(ValueError, match="emits 80 values.*predates the "
+                                             "symbol-phasor generator, which emits 16"):
+            run_gan_attack(clf, old, sc, 5, substream(9, 4))
 
     def test_mobility_uses_attack_time_position(self):
         sc, clf = tiny_classifier(7)

@@ -152,9 +152,9 @@ class TestRunExperiment:
 
         budgets = []
 
-        def spy(g_net, z, n_adv, samples_per_symbol, power_budget):
+        def spy(g_net, z, n_adv, power_budget):
             budgets.append(power_budget)
-            return generator_phasors(g_net, z, n_adv, samples_per_symbol, power_budget)
+            return generator_phasors(g_net, z, n_adv, power_budget)
 
         generator_phasors = spoofsim.attacks.generator_phasors
         monkeypatch.setattr("spoofsim.attacks.generator_phasors", spy)

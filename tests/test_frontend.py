@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from spoofsim import condition_rows, init_network, qpsk_phases
-from spoofsim.frontend import (GRID_POWER, PHASOR_LIMIT, condition_phasors_vjp,
-                               init_conditioned_network, matched_filter, spread_phasors,
+from spoofsim.frontend import (GRID_POWER, PHASOR_LIMIT, condition_phasors,
+                               condition_phasors_vjp, init_conditioned_network,
                                symbol_phasors)
 from spoofsim.waveform import carrier_tracks, feature_rows
 
@@ -60,48 +60,26 @@ def test_grid_power_collapses_constellation():
     npt.assert_allclose(a, b, atol=1e-9)
 
 
-def raw_row_vjp(grad_out, rows, n_antennas, sps):
-    """Gradient w.r.t. raw rows: the conditioning VJP, then the matched filter's adjoint."""
-    return spread_phasors(condition_phasors_vjp(grad_out, symbol_phasors(rows, n_antennas, sps)),
-                          sps)
-
-
 def test_vjp_matches_finite_differences():
+    # phasors on both sides of the limiter's knee, 2 antennas x 4 symbols
     rng = np.random.default_rng(7)
-    rows = rng.standard_normal((3, 2 * 2 * 20)) * 2.0
-    g = rng.standard_normal((3, 2 * 2 * 4))  # 2 antennas x 4 symbols of 5 samples
+    u = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+    g = rng.standard_normal((3, 2 * 2 * 4))
 
-    def f(r):
-        return float((condition_rows(r, 2, 5) * g).sum())
+    def f(v):
+        return float((condition_phasors(v) * g).sum())
 
-    analytic = raw_row_vjp(g, rows, 2, 5)
+    analytic = condition_phasors_vjp(g, u)
     h = 1e-6
-    numeric = np.zeros_like(rows)
-    for i in range(rows.shape[0]):
-        for j in range(rows.shape[1]):
-            up, down = rows.copy(), rows.copy()
-            up[i, j] += h
-            down[i, j] -= h
-            numeric[i, j] = (f(up) - f(down)) / (2 * h)
+    numeric = np.zeros_like(u)
+    for idx in np.ndindex(u.shape):
+        for part in (1.0, 1j):
+            up, down = u.copy(), u.copy()
+            up[idx] += h * part
+            down[idx] -= h * part
+            numeric[idx] += part * (f(up) - f(down)) / (2 * h)
+    assert np.any(np.abs(u) < PHASOR_LIMIT) and np.any(np.abs(u) > PHASOR_LIMIT)
     npt.assert_allclose(analytic, numeric, atol=1e-6 * np.abs(numeric).max())
-
-
-def test_spread_phasors_is_the_adjoint_of_symbol_phasors():
-    # <symbol_phasors(x), y> = <x, spread_phasors(y)> under the real inner
-    # product Re(sum(conj(a) * b)) on the complex side
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((3, 2 * 2 * 20))
-    y = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
-    lhs = np.sum(np.conj(y) * symbol_phasors(x, 2, 5)).real
-    rhs = np.sum(x * spread_phasors(y, 5))
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
-
-
-def test_matched_filter_matrix_gives_the_symbol_phasors():
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((3, 2 * 2 * 20))
-    iq = x.reshape(3, 2 * 4, 2 * 5) @ matched_filter(5).T
-    npt.assert_allclose(iq.reshape(3, -1), feature_rows(symbol_phasors(x, 2, 5)), atol=1e-15)
 
 
 def test_rows_of_phasor_width_are_taken_as_matched_filter_output():
@@ -119,7 +97,8 @@ def test_single_row_round_trips_shape():
     row = rng.standard_normal(2 * 1 * 40)
     out = condition_rows(row, 1, 10)
     assert out.shape == (2 * 1 * 4,)
-    assert raw_row_vjp(out, row, 1, 10).shape == row.shape
+    u = symbol_phasors(row, 1, 10)
+    assert condition_phasors_vjp(out, u).shape == u.shape == (1, 4)
 
 
 def test_vjp_rejects_gradient_of_the_wrong_width():

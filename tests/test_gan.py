@@ -6,20 +6,18 @@ import numpy.testing as npt
 import pytest
 
 import spoofsim.gan
-from spoofsim import (GanConfig, ScenarioConfig, check_convergence,
-                      condition_rows, discriminator_loss, generator_loss,
-                      generator_phasors, train_gan)
-from spoofsim.frontend import (condition_phasors, condition_phasors_vjp, spread_phasors,
-                               symbol_phasors)
-from spoofsim.gan import (_generator_grads, _PhasorGenerator, _scale_backward,
-                          discriminator_layer_sizes, from_t_probability,
-                          generator_layer_sizes, init_discriminator, init_generator,
-                          scale_to_budget)
+from spoofsim import (GanConfig, ScenarioConfig, check_convergence, discriminator_loss,
+                      generator_loss, generator_phasors, train_gan)
+from spoofsim.authenticator import FROM_T
+from spoofsim.frontend import condition_phasors, condition_phasors_vjp, symbol_phasors
+from spoofsim.gan import (_generator_grads, _scale_backward, discriminator_layer_sizes,
+                          from_t_probability, generator_layer_sizes, init_discriminator,
+                          init_generator, scale_to_budget)
 from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, backward,
                          cross_entropy, cross_entropy_grad, forward, init_network,
                          predict)
 from spoofsim.scenario import substream
-from spoofsim.waveform import feature_rows, rows_to_streams
+from spoofsim.waveform import carrier_tracks, feature_rows, rows_to_streams, stream_rms
 
 TINY = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=12,
                  synth_per_epoch=12, batch_size=6, max_epochs=2,
@@ -38,59 +36,47 @@ def constant_discriminator(width, p_from_t):
     return DenseNetwork(w, b, ["softmax"])
 
 
-BUDGET = 0.5  # the power cap binds on some rows of channel_case, not on all
+# per n_a, a power cap that binds on some rows of channel_case, not on all
+BUDGETS = {1: 1.3, 2: 2.5}
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def channel_case(sc):
-    """Frozen generator and discriminator, fixed channel, noise and targets."""
+    """Frozen generator and discriminator, fixed channel, received noise
+    phasors, targets and power budget."""
     rng = np.random.default_rng(0)
     g = init_generator(sc, TINY, rng)
     d = init_discriminator(sc, TINY, rng)
     z = rng.standard_normal((3, TINY.noise_dim))
-    mats = (rng.standard_normal((3, sc.n_r, sc.n_a))
-            + 1j * rng.standard_normal((3, sc.n_r, sc.n_a)))
-    noise = (rng.standard_normal((3, sc.n_r, sc.n_points))
-             + 1j * rng.standard_normal((3, sc.n_r, sc.n_points)))
-    _, scale = scale_to_budget(rows_to_streams(predict(g, z), sc.n_a), BUDGET)
+    mats = complex_normal(rng, (3, sc.n_r, sc.n_a))
+    noise = complex_normal(rng, (3, sc.n_r, 4))
+    budget = BUDGETS[sc.n_a]
+    _, scale = scale_to_budget(rows_to_streams(predict(g, z), sc.n_a), budget)
     assert np.any(scale < 1.0) and not np.all(scale < 1.0)
-    return g, d, z, mats, noise, np.tile([0.0, 1.0], (3, 1))
+    return g, d, z, mats, noise, np.tile([0.0, 1.0], (3, 1)), budget
 
 
-def raw_row_vjp(grad_out, rows, n_antennas, sps):
-    """Gradient w.r.t. raw rows: the conditioning VJP, then the matched filter's adjoint."""
-    return spread_phasors(condition_phasors_vjp(grad_out, symbol_phasors(rows, n_antennas, sps)),
-                          sps)
+def production_generator_grads(g, d, z, mats, noise, targets, budget):
+    """The generator epoch's per-batch gradients on channel_case's bursts:
+    the received phasors of the noise alone, moved by mats @ (transmit
+    phasors - 0)."""
+    tx_zero = np.zeros((len(z), mats.shape[-1], noise.shape[-1]), dtype=complex)
+    return _generator_grads(g, d, z, mats, noise, tx_zero, targets, budget)
 
 
-def compact_row_grad(sc, d, rx_rows, targets):
-    """Loss gradient w.r.t. raw received rows through the compact discriminator."""
-    d_out, d_cache = forward(d, condition_rows(rx_rows, sc.n_r, sc.samples_per_symbol))
-    d_grads = backward(d, d_cache, cross_entropy_grad(d_out, targets))
-    return raw_row_vjp(d_grads.d_input, rx_rows, sc.n_r, sc.samples_per_symbol)
-
-
-def full_width_generator_grads(sc, g, z, mats, noise, row_grad, budget=BUDGET):
-    """Reference generator gradients, every burst at full width: through the
-    output layer, the power cap and the channel, given `row_grad(rx_rows)`,
-    the loss gradient w.r.t. the received rows."""
+def reference_generator_grads(sc, g, z, mats, noise, budget, phasor_grad):
+    """Generator gradients written out step by step: through the output
+    layer, the power cap and the channel, given `phasor_grad(rx)`, the loss
+    gradient w.r.t. the received phasors."""
     out, g_cache = forward(g, z)
     raw = rows_to_streams(out, sc.n_a)
     tx, _ = scale_to_budget(raw, budget)
-    rx_rows = feature_rows(np.einsum("bij,bjk->bik", mats, tx) + noise)
-    grad_rx = rows_to_streams(row_grad(rx_rows), sc.n_r)
-    grad_tx = np.einsum("bij,bik->bjk", np.conj(mats), grad_rx)
+    rx = np.einsum("bij,bjk->bik", mats, tx) + noise
+    grad_tx = np.einsum("bij,bik->bjk", np.conj(mats), phasor_grad(rx))
     return backward(g, g_cache, feature_rows(_scale_backward(grad_tx, raw, budget)))
-
-
-def production_generator_grads(sc, g, d, z, mats, noise, targets, budget=BUDGET):
-    """The generator epoch's per-batch gradients on the same bursts: symbol
-    domain, exact power cap, received phasors of the noise alone moved by
-    mats @ (transmit phasors - 0)."""
-    s = sc.samples_per_symbol
-    gen = _PhasorGenerator(g, sc.n_a, s, budget)
-    rx_noise = symbol_phasors(feature_rows(noise), sc.n_r, s)
-    tx_zero = np.zeros((len(z), sc.n_a, rx_noise.shape[-1]), dtype=complex)
-    return _generator_grads(gen, d, z, mats, rx_noise, tx_zero, targets)
 
 
 class TestLosses:
@@ -156,59 +142,50 @@ class TestCheckConvergence:
             check_convergence([1.0, 1.0], 2, 0.0)
 
 
-def capped_phasors(g, z, n_adv, sps, budget):
-    """Reference for generator_phasors: every burst built at full width,
-    capped by scale_to_budget, then matched-filtered."""
-    raw = rows_to_streams(np.atleast_2d(predict(g, z)), n_adv)
-    tx, scale = scale_to_budget(raw, budget)
-    return symbol_phasors(feature_rows(tx), n_adv, sps), tx, scale
-
-
 class TestSpoofBurst:
     def test_within_budget_unchanged(self):
         rng = np.random.default_rng(1)
-        sc = tiny_scenario()
-        g = init_generator(sc, TINY, rng)
+        g = init_generator(tiny_scenario(), TINY, rng)
         z = rng.standard_normal((3, TINY.noise_dim))
-        raw = symbol_phasors(predict(g, z), 1, sc.samples_per_symbol)
-        got = generator_phasors(g, z, 1, sc.samples_per_symbol, power_budget=1e9)
-        npt.assert_allclose(got, raw, rtol=0, atol=1e-12 * np.max(np.abs(raw)))
+        got, scale = generator_phasors(g, z, 1, power_budget=1e9)
+        npt.assert_array_equal(scale, 1.0)
+        npt.assert_array_equal(got, rows_to_streams(predict(g, z), 1))
 
     def test_over_budget_scaled_down_phase_preserved(self):
         rng = np.random.default_rng(2)
-        sc = tiny_scenario()
-        g = init_generator(sc, TINY, rng)
+        g = init_generator(tiny_scenario(), TINY, rng)
         z = rng.standard_normal(TINY.noise_dim)
         raw = rows_to_streams(predict(g, z)[None, :], 1)
-        rms = float(np.sqrt(np.mean(np.abs(raw) ** 2)))
-        got = generator_phasors(g, z, 1, sc.samples_per_symbol, power_budget=rms / 2)
-        want = symbol_phasors(feature_rows(raw), 1, sc.samples_per_symbol) / 2
-        npt.assert_allclose(got, want, rtol=1e-12)
+        got, _ = generator_phasors(g, z, 1, power_budget=stream_rms(raw)[0, 0] / 2)
+        npt.assert_allclose(got, raw / 2, rtol=1e-12)
 
     def test_budget_invariant_over_noise_draws(self):
         rng = np.random.default_rng(3)
-        sc = tiny_scenario()
-        g = init_generator(sc, TINY, rng)
+        g = init_generator(tiny_scenario(n_a=2), TINY, rng)
         # crank the output weights so the raw bursts exceed the budget
         g.weights[-1] *= 50.0
         budget = 10.0
         z = rng.standard_normal((50, TINY.noise_dim))
-        got = generator_phasors(g, z, 1, sc.samples_per_symbol, budget)
-        want, tx, scale = capped_phasors(g, z, 1, sc.samples_per_symbol, budget)
-        assert np.count_nonzero(scale < 1.0) > len(z) // 2
-        total = np.sqrt(np.mean(np.abs(tx) ** 2, axis=-1)).sum(axis=-1)
-        assert np.all(total <= budget + 1e-9)
-        npt.assert_allclose(got, want, rtol=1e-12)
+        got, scale = generator_phasors(g, z, 2, budget)
+        capped = scale < 1.0
+        assert np.count_nonzero(capped) > len(z) // 2
+        total = stream_rms(got).sum(axis=-1)
+        assert np.all(total <= budget * (1 + 1e-12))
+        npt.assert_allclose(total[capped], budget, rtol=1e-12)
+        npt.assert_allclose(got, rows_to_streams(predict(g, z), 2) * scale[:, None, None],
+                            rtol=1e-12)
 
-    def test_budget_binding_on_some_bursts_matches_full_width_cap(self):
-        rng = np.random.default_rng(5)
-        sc = tiny_scenario(n_a=2)
-        g = init_generator(sc, TINY, rng)
-        z = rng.standard_normal((40, TINY.noise_dim))
-        want, _, scale = capped_phasors(g, z, 2, sc.samples_per_symbol, 0.9)
-        assert 0 < np.count_nonzero(scale < 1.0) < len(z)
-        got = generator_phasors(g, z, 2, sc.samples_per_symbol, 0.9)
-        npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    @pytest.mark.parametrize("sps", [1, 100])
+    def test_constant_envelope_stream_is_its_phasors(self, sps):
+        # The generator's phasors on the carrier, constant envelope within
+        # each symbol: the matched filter gives them back, and the stream's
+        # per-antenna RMS is theirs, so the cap applies exactly to phasors.
+        rng = np.random.default_rng(6)
+        p = complex_normal(rng, (5, 2, 4))
+        stream = np.repeat(np.abs(p), sps, axis=-1) * carrier_tracks(np.angle(p), sps)
+        npt.assert_allclose(symbol_phasors(feature_rows(stream), 2, sps), p, rtol=0,
+                            atol=1e-12)
+        npt.assert_allclose(stream_rms(stream), stream_rms(p), rtol=1e-12)
 
     def test_equal_split_across_antennas(self):
         streams = np.ones((1, 4, 8), dtype=complex)
@@ -221,7 +198,7 @@ class TestSpoofBurst:
         rng = np.random.default_rng(4)
         g = init_generator(tiny_scenario(), TINY, rng)
         with pytest.raises(ValueError):
-            generator_phasors(g, rng.standard_normal(TINY.noise_dim), 3, 5, 10.0)
+            generator_phasors(g, rng.standard_normal(TINY.noise_dim), 3, 10.0)
 
 
 class TestScaleBackward:
@@ -252,7 +229,7 @@ class TestArchitectures:
     def test_contract_widths(self):
         sc = ScenarioConfig(n_r=4, n_a=2)
         cfg = GanConfig()
-        assert generator_layer_sizes(sc, cfg) == [100, 128, 128, 128, 1600]
+        assert generator_layer_sizes(sc, cfg) == [100, 128, 128, 128, 16]
         # one conditioned I/Q pair per (surrogate antenna, symbol)
         assert discriminator_layer_sizes(sc, cfg) == [32, 128, 128, 128, 2]
 
@@ -312,22 +289,20 @@ class TestTrainGan:
         assert t1.g_loss == t2.g_loss
         assert t1.d_loss == t2.d_loss
 
-    def test_generator_gradient_through_channel_matches_fd(self):
+    @pytest.mark.parametrize("n_a", [1, 2])
+    def test_generator_gradient_through_channel_matches_fd(self, n_a):
         # frozen tiny generator/discriminator, fixed channel and noise:
         # the gradient the generator epoch computes must match central
         # finite differences through power cap + channel + front end + D
-        sc = tiny_scenario(seed=4)
-        g, d, z, mats, noise, targets = channel_case(sc)
+        sc = tiny_scenario(seed=4, n_a=n_a)
+        g, d, z, mats, noise, targets, budget = channel_case(sc)
 
         def loss_value():
-            out = predict(g, z)
-            raw = rows_to_streams(out, sc.n_a)
-            tx, _ = scale_to_budget(raw, BUDGET)
+            tx, _ = scale_to_budget(rows_to_streams(predict(g, z), sc.n_a), budget)
             rx = np.einsum("bij,bjk->bik", mats, tx) + noise
-            cond = condition_rows(feature_rows(rx), sc.n_r, sc.samples_per_symbol)
-            return cross_entropy(predict(d, cond), targets)
+            return cross_entropy(predict(d, condition_phasors(rx)), targets)
 
-        d_weights = production_generator_grads(sc, g, d, z, mats, noise, targets).d_weights
+        d_weights = production_generator_grads(g, d, z, mats, noise, targets, budget).d_weights
 
         h = 1e-6
         rng_idx = np.random.default_rng(1)
@@ -347,45 +322,25 @@ class TestTrainGan:
                             / max(abs(analytic), abs(numeric), 1e-6))
         assert worst < 1e-4
 
-    @pytest.mark.parametrize("budget, exact_rows", [(BUDGET, 3), (0.9, 2), (np.inf, 0)])
-    def test_generator_step_matches_full_width_reference(self, budget, exact_rows):
-        # The generator epoch's symbol-domain step against every burst built
-        # at full width. At BUDGET all rows take the exact cap path (two are
-        # scaled, one is not); at 0.9 a free row shares the batch with two
-        # capped ones; with no budget every row stays in the symbol domain.
-        sc = tiny_scenario(seed=4)
-        g, d, z, mats, noise, targets = channel_case(sc)
-        gen = _PhasorGenerator(g, sc.n_a, sc.samples_per_symbol, budget)
-        # the hidden layers are the generator's own arrays, so Adam moves both
-        assert all(a is b for a, b in zip(gen.hidden.weights, g.weights))
-        assert all(a is b for a, b in zip(gen.hidden.biases, g.biases))
-        assert len(gen.transmit(predict(gen.hidden, z)).exact) == exact_rows
-        got = production_generator_grads(sc, g, d, z, mats, noise, targets, budget)
-        want = full_width_generator_grads(
-            sc, g, z, mats, noise, lambda rows: compact_row_grad(sc, d, rows, targets), budget)
-        for a, b in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
-            assert a.shape == b.shape
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    def test_trace_losses_are_the_exported_losses_on_the_epoch_pool(self, monkeypatch):
+        # Phase (d) and the exported loss functions share one formula: on
+        # the pool the discriminator trained on, the returned discriminator
+        # must reproduce the trace's losses exactly.
+        pools = []
 
-    @pytest.mark.parametrize("n_a, n_r, budget", [(1, 1, 0.9), (3, 2, 2.5)])
-    def test_training_matches_full_width_cap_on_every_burst(self, monkeypatch, n_a, n_r,
-                                                            budget):
-        # With the cap bound's slack infinite, every burst is built at full
-        # width and goes through scale_to_budget; the run with the bound must
-        # train the same nets. The budgets make the cap bind on some bursts.
-        sc = tiny_scenario(seed=6, n_a=n_a, n_r=n_r)
-        cfg = replace(TINY, real_pool=24, synth_per_epoch=24, max_epochs=4, conv_window=5,
-                      power_budget=budget)
-        g, d, trace = train_gan(sc, cfg, substream(6, 2))
-        monkeypatch.setattr("spoofsim.gan._BOUND_SLACK", np.inf)
-        g_ref, d_ref, trace_ref = train_gan(sc, cfg, substream(6, 2))
-        assert 0 < sum(trace.capped_bursts) < cfg.synth_per_epoch * cfg.max_epochs
-        assert trace.capped_bursts == trace_ref.capped_bursts
-        for w, w_ref in zip(g.weights + g.biases + d.weights + d.biases,
-                            g_ref.weights + g_ref.biases + d_ref.weights + d_ref.biases):
-            assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
-        npt.assert_allclose(trace.g_loss, trace_ref.g_loss, rtol=1e-12)
-        npt.assert_allclose(trace.d_loss, trace_ref.d_loss, rtol=1e-12)
+        def epoch_spy(net, state, x, targets, *args):
+            pools.append((x.copy(), targets.copy()))
+            return train_epoch(net, state, x, targets, *args)
+
+        train_epoch = spoofsim.gan._train_epoch
+        monkeypatch.setattr("spoofsim.gan._train_epoch", epoch_spy)
+        cfg = replace(TINY, max_epochs=1)
+        _, d, trace = train_gan(tiny_scenario(seed=8), cfg, substream(8, 2))
+        [(x, targets)] = pools
+        n = cfg.real_pool
+        assert np.all(targets[:n, FROM_T] == 1) and not np.any(targets[n:, FROM_T])
+        assert trace.d_loss[0] == discriminator_loss(d, x[:n], x[n:])
+        assert trace.g_loss[0] == generator_loss(d, x[n:])
 
     def test_capped_burst_counts(self, monkeypatch):
         # Each epoch counts the bursts of its synthetic pool that the cap
@@ -443,24 +398,24 @@ class TestTrainGan:
         # both score alike, so the generator gradients must agree.
         sc = tiny_scenario(seed=4)
         s = sc.samples_per_symbol
-        g, d, z, mats, noise, targets = channel_case(sc)
+        g, d, z, mats, noise, targets, budget = channel_case(sc)
         h = d.weights[0].shape[0]
         w_slots = np.repeat(d.weights[0].reshape(h, -1, 1, 2) / s, s, axis=2)
         d_raw = DenseNetwork([w_slots.reshape(h, -1), *d.weights[1:]], d.biases,
                              d.activations)
 
-        def replicated_row_grad(rows):
-            cond = condition_rows(rows, sc.n_r, s)
+        def replicated_phasor_grad(rx):
+            cond = condition_phasors(rx)
             x = np.repeat(cond.reshape(len(cond), -1, 1, 2), s, axis=2).reshape(len(cond), -1)
             out, cache = forward(d_raw, x)
             g_x = backward(d_raw, cache, cross_entropy_grad(out, targets)).d_input
             # replication adjoint: each phasor collects its slots' gradients
             g_cond = g_x.reshape(len(cond), -1, s, 2).sum(axis=2).reshape(len(cond), -1)
-            return raw_row_vjp(g_cond, rows, sc.n_r, s)
+            return condition_phasors_vjp(g_cond, rx)
 
-        compact = full_width_generator_grads(
-            sc, g, z, mats, noise, lambda rows: compact_row_grad(sc, d, rows, targets))
-        reference = full_width_generator_grads(sc, g, z, mats, noise, replicated_row_grad)
+        compact = production_generator_grads(g, d, z, mats, noise, targets, budget)
+        reference = reference_generator_grads(sc, g, z, mats, noise, budget,
+                                              replicated_phasor_grad)
         for got, want in zip(compact.d_weights, reference.d_weights):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
