@@ -48,7 +48,7 @@ from .authenticator import FROM_T, one_hot
 from .frontend import condition_phasors, condition_phasors_vjp, init_conditioned_network
 from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork,
                  Gradients, TrainConfig, adam_step, backward, cross_entropy_grad,
-                 forward, init_network, predict)
+                 forward, init_network, input_gradient, predict)
 from .scenario import ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows, qpsk_phases,
                        receive_phasors, receive_waveform_phasors, rows_to_streams,
@@ -106,7 +106,8 @@ class EpochProtocol:
 @dataclass
 class TrainingTrace:
     """Per-epoch record of one adversarial run. capped_bursts[e] counts the
-    synthetic bursts of epoch e's pool that the power cap scaled down."""
+    synthetic bursts of epoch e's pool that the power cap scaled down; the
+    losses and protocol_log score that pool as `train_gan`'s phase (d) says."""
 
     g_loss: list = field(default_factory=list)
     d_loss: list = field(default_factory=list)
@@ -236,10 +237,10 @@ def _generator_grads(g_net, d_net, z, mixing, rx_phasors, tx_phasors, targets,
     tx, _ = scale_to_budget(raw, power_budget)
     rx = rx_phasors + mixing @ (tx - tx_phasors)
     d_out, d_cache = forward(d_net, condition_phasors(rx))
-    d_grads = backward(d_net, d_cache, cross_entropy_grad(d_out, targets))
+    d_x = input_gradient(d_net, d_cache, cross_entropy_grad(d_out, targets))
     # The channel's adjoint carries the received-phasor gradient back to the
     # transmit phasors, and the cap's adjoint to the generator's output.
-    q = np.conj(mixing).swapaxes(-1, -2) @ condition_phasors_vjp(d_grads.d_input, rx)
+    q = np.conj(mixing).swapaxes(-1, -2) @ condition_phasors_vjp(d_x, rx)
     return backward(g_net, cache, feature_rows(_scale_backward(q, raw, power_budget)))
 
 
@@ -292,7 +293,10 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
         same links and noise, with gradients flowing through the
         discriminator, the front end, the link matrices and the power cap,
         all on phasors;
-    (d) losses and protocol bits are recorded.
+    (d) losses and protocol bits are recorded. They score (a)'s pool, sent
+        before (c) moved the generator, with the discriminator that (b) has
+        just trained on that pool, so g_loss, d_loss and n_fooled never
+        show (c)'s update.
     Training stops early once both loss series pass the perturbation
     convergence test; otherwise the trace reports converged=False.
     """

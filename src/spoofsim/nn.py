@@ -1,10 +1,12 @@
 """Dense feedforward networks with hand-rolled backprop and Adam.
 
-A network is a plain container of per-layer weight matrices (out x in),
-bias vectors and activation names; everything is float64 numpy. Forward
-passes accept a single vector or a (batch, features) matrix. Analytic
-gradients can be verified entry by entry against central finite
-differences.
+A network holds all its parameters in one float64 vector, `params`: per
+layer the row-major (out x in) weights, then the biases; `weights[i]` and
+`biases[i]` are views into it. Gradients share that layout, so Adam steps
+the whole vector at once. `backward` forms only the parameter gradients and
+`input_gradient` only d(loss)/d(input). Forward passes accept a single
+vector or a (batch, features) matrix. Analytic gradients can be verified
+entry by entry against central finite differences.
 """
 
 from __future__ import annotations
@@ -31,26 +33,42 @@ _ACT_CODE = {RELU: 0, SOFTMAX: 1, LINEAR: 2}
 _CODE_ACT = {v: k for k, v in _ACT_CODE.items()}
 
 
+def _layer_views(flat, layer_sizes):
+    """(weights, biases): per-layer (out x in) and (out,) views into a flat
+    vector laid out as `DenseNetwork.params` is."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        weights.append(flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 class DenseNetwork:
-    """Ordered stack of affine layers with relu/softmax/linear activations."""
+    """Ordered stack of affine layers with relu/softmax/linear activations;
+    the constructor copies the given weights and biases into `params`."""
 
     def __init__(self, weights, biases, activations):
         if not (len(weights) == len(biases) == len(activations)) or not weights:
             raise ValueError("weights, biases and activations must have equal nonzero length")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
         self.activations = list(activations)
-        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
+        for i, (w, b, act) in enumerate(zip(weights, biases, self.activations)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight/bias shapes {w.shape}/{b.shape} disagree")
             if act not in _ACTIVATIONS:
                 raise ValueError(f"layer {i}: unknown activation {act!r}")
-            if act == SOFTMAX and i != len(self.weights) - 1:
+            if act == SOFTMAX and i != len(weights) - 1:
                 raise ValueError("softmax is only allowed at the output layer")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
+            if i > 0 and w.shape[1] != weights[i - 1].shape[0]:
                 raise ValueError(f"layer {i} input width {w.shape[1]} does not chain")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i}: parameters must be finite")
+        self.params = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("parameters must be finite")
+        sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
+        self.weights, self.biases = _layer_views(self.params, sizes)
 
     @property
     def n_layers(self) -> int:
@@ -61,12 +79,10 @@ class DenseNetwork:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def n_parameters(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def copy(self) -> "DenseNetwork":
-        return DenseNetwork([w.copy() for w in self.weights],
-                            [b.copy() for b in self.biases],
-                            list(self.activations))
+        return DenseNetwork(self.weights, self.biases, self.activations)
 
 
 def init_network(layer_sizes, activations=None, rng=None) -> DenseNetwork:
@@ -121,13 +137,14 @@ class ForwardCache:
     single: bool
 
 
-@dataclass
 class Gradients:
-    """Loss gradients for every weight, bias, and the network input."""
+    """Loss gradients of every parameter of `net`, held in `flat`, a vector
+    laid out like its `params`; `d_weights[i]` and `d_biases[i]` are views
+    into it."""
 
-    d_weights: list
-    d_biases: list
-    d_input: np.ndarray
+    def __init__(self, net: DenseNetwork, flat: np.ndarray):
+        self.flat = flat
+        self.d_weights, self.d_biases = _layer_views(flat, net.layer_sizes)
 
 
 def _as_batch(x, width, what):
@@ -161,39 +178,52 @@ def predict(net: DenseNetwork, x):
     return a[0] if single else a
 
 
-def _check_cache(net, cache):
+def _output_gradient(net, cache, loss_gradient):
+    """The loss gradient as a batch, checked against the network and cache."""
     if len(cache.inputs) != net.n_layers or len(cache.pre) != net.n_layers:
         raise ValueError("cache does not match network: wrong layer count")
     for i, w in enumerate(net.weights):
         if cache.inputs[i].shape[1] != w.shape[1] or cache.pre[i].shape[1] != w.shape[0]:
             raise ValueError(f"cache does not match network at layer {i}")
-
-
-def backward(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> Gradients:
-    """Backpropagate d(loss)/d(output) into exact parameter and input gradients."""
-    _check_cache(net, cache)
     g = np.asarray(loss_gradient, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
     if g.shape != (cache.pre[-1].shape[0], net.layer_sizes[-1]):
         raise ValueError(f"loss gradient shape {g.shape} does not match cached output")
-    d_w = [None] * net.n_layers
-    d_b = [None] * net.n_layers
+    return g
+
+
+def _pre_activation_gradient(g, z, act):
+    """d(loss)/d(pre-activation z) of one layer from d(loss)/d(its output)."""
+    if act == RELU:
+        return g * (z > 0.0)
+    if act == SOFTMAX:
+        s = _softmax(z)
+        return s * (g - np.sum(g * s, axis=1, keepdims=True))
+    return g
+
+
+def backward(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> Gradients:
+    """Backpropagate d(loss)/d(output) into exact parameter gradients; the
+    input gradient is not formed (see `input_gradient`)."""
+    g = _output_gradient(net, cache, loss_gradient)
+    grads = Gradients(net, np.empty(net.params.size))
     for i in range(net.n_layers - 1, -1, -1):
-        act = net.activations[i]
-        z = cache.pre[i]
-        if act == RELU:
-            dz = g * (z > 0.0)
-        elif act == SOFTMAX:
-            s = _softmax(z)
-            dz = s * (g - np.sum(g * s, axis=1, keepdims=True))
-        else:
-            dz = g
-        d_w[i] = dz.T @ cache.inputs[i]
-        d_b[i] = dz.sum(axis=0)
-        g = dz @ net.weights[i]
-    d_input = g[0] if cache.single else g
-    return Gradients(d_w, d_b, d_input)
+        dz = _pre_activation_gradient(g, cache.pre[i], net.activations[i])
+        np.matmul(dz.T, cache.inputs[i], out=grads.d_weights[i])
+        np.add.reduce(dz, axis=0, out=grads.d_biases[i])
+        if i > 0:
+            g = dz @ net.weights[i]
+    return grads
+
+
+def input_gradient(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> np.ndarray:
+    """Backpropagate d(loss)/d(output) into d(loss)/d(input) alone, shaped
+    as the forward pass's input."""
+    g = _output_gradient(net, cache, loss_gradient)
+    for i in range(net.n_layers - 1, -1, -1):
+        g = _pre_activation_gradient(g, cache.pre[i], net.activations[i]) @ net.weights[i]
+    return g[0] if cache.single else g
 
 
 def _one_hot_ok(label):
@@ -258,60 +288,52 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter tensor.
+    """First/second moment accumulators, each one flat vector laid out like
+    the `params` of the network whose `layer_sizes` they record.
 
     first_weight_scale multiplies the first layer's weight step (not its
     bias step): a first-layer weight that stands for that many tied
     raw-width weights, all with the same gradient, moves as far as their sum.
     """
 
-    m_weights: list
-    v_weights: list
-    m_biases: list
-    v_biases: list
+    m: np.ndarray
+    v: np.ndarray
+    layer_sizes: list
     step: int = 0
     first_weight_scale: float = 1.0
 
     @classmethod
     def for_network(cls, net: DenseNetwork, first_weight_scale=1.0) -> "AdamState":
-        return cls([np.zeros_like(w) for w in net.weights],
-                   [np.zeros_like(w) for w in net.weights],
-                   [np.zeros_like(b) for b in net.biases],
-                   [np.zeros_like(b) for b in net.biases],
+        return cls(np.zeros(net.params.size), np.zeros(net.params.size), net.layer_sizes,
                    first_weight_scale=float(first_weight_scale))
 
 
 def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
               config: TrainConfig) -> AdamState:
-    """One bias-corrected Adam update; mutates `net` and `state` in place."""
-    if len(state.m_weights) != net.n_layers:
+    """One bias-corrected Adam update of the whole parameter vector; mutates
+    `net` and `state` in place."""
+    if state.layer_sizes != net.layer_sizes or grads.flat.shape != net.params.shape:
         raise ValueError("optimizer state does not match network")
-    for m, w in zip(state.m_weights, net.weights):
-        if m.shape != w.shape:
-            raise ValueError("optimizer state does not match network")
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     corr1 = 1.0 - b1 ** state.step
     inv_sqrt_corr2 = 1.0 / math.sqrt(1.0 - b2 ** state.step)
     scale = config.learning_rate / corr1
-    eps = config.adam_epsilon
-    for i in range(net.n_layers):
-        w_scale = scale * state.first_weight_scale if i == 0 else scale
-        for params, grad, m, v, step_scale in (
-            (net.weights[i], grads.d_weights[i], state.m_weights[i], state.v_weights[i],
-             w_scale),
-            (net.biases[i], grads.d_biases[i], state.m_biases[i], state.v_biases[i], scale),
-        ):
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * np.square(grad)
-            denom = np.sqrt(v)
-            denom *= inv_sqrt_corr2
-            denom += eps
-            step = np.divide(m, denom, out=denom)
-            step *= step_scale
-            params -= step
+    g = grads.flat
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    step = np.square(g)
+    step *= 1.0 - b2
+    state.v *= b2
+    state.v += step
+    np.sqrt(state.v, out=step)
+    step *= inv_sqrt_corr2
+    step += config.adam_epsilon
+    np.divide(state.m, step, out=step)
+    n_first = net.weights[0].size
+    step[:n_first] *= scale * state.first_weight_scale
+    step[n_first:] *= scale
+    net.params -= step
     return state
 
 
@@ -361,10 +383,8 @@ def save_model(net: DenseNetwork, path) -> None:
         struct.pack("<I", net.n_layers),
         struct.pack(f"<{len(sizes)}I", *sizes),
         bytes(_ACT_CODE[a] for a in net.activations),
+        net.params.astype("<f8").tobytes(),
     ]
-    for w, b in zip(net.weights, net.biases):
-        parts.append(np.ascontiguousarray(w).astype("<f8").tobytes())
-        parts.append(b.astype("<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -383,16 +403,9 @@ def load_model(path) -> DenseNetwork:
     offset += 4 * (n_layers + 1)
     codes = buf[offset:offset + n_layers]
     offset += n_layers
-    weights, biases, activations = [], [], []
-    for i in range(n_layers):
-        fan_out, fan_in = sizes[i + 1], sizes[i]
-        w = np.frombuffer(buf, dtype="<f8", count=fan_out * fan_in, offset=offset)
-        offset += 8 * fan_out * fan_in
-        b = np.frombuffer(buf, dtype="<f8", count=fan_out, offset=offset)
-        offset += 8 * fan_out
-        weights.append(w.reshape(fan_out, fan_in).astype(np.float64))
-        biases.append(b.astype(np.float64))
-        activations.append(_CODE_ACT[codes[i]])
-    if offset != len(buf):
-        raise ValueError(f"{path}: trailing bytes after model payload")
-    return DenseNetwork(weights, biases, activations)
+    n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+    if len(buf) != offset + 8 * n_params:
+        raise ValueError(f"{path}: payload is {len(buf) - offset} bytes, "
+                         f"its layer sizes need {8 * n_params}")
+    params = np.frombuffer(buf, dtype="<f8", offset=offset).astype(np.float64)
+    return DenseNetwork(*_layer_views(params, sizes), [_CODE_ACT[c] for c in codes])

@@ -15,7 +15,7 @@ from spoofsim.gan import (_generator_grads, _scale_backward, discriminator_layer
                           init_generator, scale_to_budget)
 from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, backward,
                          cross_entropy, cross_entropy_grad, forward, init_network,
-                         predict)
+                         input_gradient, predict)
 from spoofsim.scenario import substream
 from spoofsim.waveform import carrier_tracks, feature_rows, rows_to_streams, stream_rms
 
@@ -408,7 +408,7 @@ class TestTrainGan:
             cond = condition_phasors(rx)
             x = np.repeat(cond.reshape(len(cond), -1, 1, 2), s, axis=2).reshape(len(cond), -1)
             out, cache = forward(d_raw, x)
-            g_x = backward(d_raw, cache, cross_entropy_grad(out, targets)).d_input
+            g_x = input_gradient(d_raw, cache, cross_entropy_grad(out, targets))
             # replication adjoint: each phasor collects its slots' gradients
             g_cond = g_x.reshape(len(cond), -1, s, 2).sum(axis=2).reshape(len(cond), -1)
             return condition_phasors_vjp(g_cond, rx)

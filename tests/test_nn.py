@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -6,13 +7,50 @@ import pytest
 
 from spoofsim import (AdamState, DenseNetwork, Gradients, TrainConfig,
                       adam_step, backward, cross_entropy, cross_entropy_grad,
-                      finite_diff_check, forward, init_network, load_model,
-                      predict, save_model)
+                      finite_diff_check, forward, init_network, input_gradient,
+                      load_model, predict, save_model)
 from spoofsim.nn import LINEAR, RELU, SOFTMAX
 
 
 def small_net(sizes=(7, 6, 5, 3), seed=0):
     return init_network(list(sizes), rng=np.random.default_rng(seed))
+
+
+def full_backward_d_input(net, cache, loss_gradient):
+    """d(loss)/d(input) as one backward pass that also formed every
+    parameter gradient reached it: each layer's pre-activation gradient
+    times that layer's weights, down to the input."""
+    g = np.atleast_2d(loss_gradient)
+    for i in range(net.n_layers - 1, -1, -1):
+        z = cache.pre[i]
+        if net.activations[i] == RELU:
+            dz = g * (z > 0.0)
+        elif net.activations[i] == SOFTMAX:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            s = e / e.sum(axis=1, keepdims=True)
+            dz = s * (g - np.sum(g * s, axis=1, keepdims=True))
+        else:
+            dz = g
+        g = dz @ net.weights[i]
+    return g[0] if cache.single else g
+
+
+def per_tensor_adam(weights, biases, d_weights, d_biases, m, v, step, cfg,
+                    first_weight_scale):
+    """Adam updated one parameter tensor at a time, weights then biases, with
+    m and v holding one array per tensor in that order."""
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    corr1 = 1.0 - b1 ** step
+    inv_sqrt_corr2 = 1.0 / math.sqrt(1.0 - b2 ** step)
+    scale = cfg.learning_rate / corr1
+    for k, (p, g) in enumerate(zip(weights + biases, d_weights + d_biases)):
+        step_scale = scale * first_weight_scale if k == 0 else scale
+        m[k] *= b1
+        m[k] += (1.0 - b1) * g
+        v[k] *= b2
+        v[k] += (1.0 - b2) * np.square(g)
+        denom = np.sqrt(v[k]) * inv_sqrt_corr2 + cfg.adam_epsilon
+        p -= m[k] / denom * step_scale
 
 
 class TestInit:
@@ -168,8 +206,7 @@ class TestBackward:
         net = small_net()
         x = np.ones((4, 7))
         out, cache = forward(net, x)
-        grads = backward(net, cache, np.ones_like(out))
-        assert grads.d_input.shape == x.shape
+        assert input_gradient(net, cache, np.ones_like(out)).shape == x.shape
 
     def test_stale_cache_rejected(self):
         net = small_net()
@@ -179,13 +216,82 @@ class TestBackward:
             backward(net, cache, np.zeros(3))
 
 
+class TestInputGradient:
+    @pytest.mark.parametrize("output", [SOFTMAX, LINEAR])
+    def test_matches_finite_differences(self, output):
+        rng = np.random.default_rng(13)
+        net = init_network([6, 5, 4, 3], [RELU, RELU, output], rng=rng)
+        x = rng.standard_normal((4, 6))
+        out, cache = forward(net, x)
+        if output == SOFTMAX:
+            label = np.eye(3)[rng.integers(0, 3, 4)]
+            loss_gradient = cross_entropy_grad(out, label)
+
+            def loss(xx):
+                return cross_entropy(predict(net, xx), label)
+        else:
+            loss_gradient = rng.standard_normal(out.shape)
+
+            def loss(xx):
+                return float(np.sum(loss_gradient * predict(net, xx)))
+        analytic = input_gradient(net, cache, loss_gradient)
+        h = 1e-6
+        numeric = np.zeros_like(x)
+        for idx in np.ndindex(x.shape):
+            step = np.zeros_like(x)
+            step[idx] = h
+            numeric[idx] = (loss(x + step) - loss(x - step)) / (2.0 * h)
+        npt.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("output", [SOFTMAX, LINEAR])
+    @pytest.mark.parametrize("shape", [(5, 7), (7,)])
+    def test_equals_full_backward(self, output, shape):
+        rng = np.random.default_rng(14)
+        net = init_network([7, 6, 5, 3], [RELU, RELU, output], rng=rng)
+        out, cache = forward(net, rng.standard_normal(shape))
+        loss_gradient = rng.standard_normal(out.shape)
+        npt.assert_array_equal(input_gradient(net, cache, loss_gradient),
+                               full_backward_d_input(net, cache, loss_gradient))
+
+    def test_stale_cache_rejected(self):
+        _, cache = forward(small_net((7, 4, 3)), np.ones(7))
+        with pytest.raises(ValueError):
+            input_gradient(small_net(), cache, np.zeros(3))
+
+
 class TestAdam:
+    @pytest.mark.parametrize("sizes, first_weight_scale",
+                             [((32, 50, 50, 50, 2), 100.0), ((100, 128, 128, 128, 8), 1.0)],
+                             ids=["classifier", "generator"])
+    def test_flat_step_equals_per_tensor_reference(self, sizes, first_weight_scale):
+        rng = np.random.default_rng(15)
+        net = init_network(list(sizes), rng=rng)
+        state = AdamState.for_network(net, first_weight_scale=first_weight_scale)
+        cfg = TrainConfig()
+        ref_w = [w.copy() for w in net.weights]
+        ref_b = [b.copy() for b in net.biases]
+        m = [np.zeros_like(p) for p in ref_w + ref_b]
+        v = [np.zeros_like(p) for p in ref_w + ref_b]
+        for step in range(1, 61):
+            grads = Gradients(net, rng.standard_normal(net.n_parameters())
+                              * 10.0 ** rng.integers(-4, 3))
+            adam_step(net, grads, state, cfg)
+            per_tensor_adam(ref_w, ref_b, grads.d_weights, grads.d_biases, m, v, step,
+                            cfg, first_weight_scale)
+        assert state.step == 60
+        for got, want in zip(net.weights + net.biases, ref_w + ref_b):
+            npt.assert_array_equal(got, want)
+        n = net.n_layers
+        for flat, per_tensor in ((state.m, m), (state.v, v)):
+            layer_major = [a.ravel() for pair in zip(per_tensor[:n], per_tensor[n:])
+                           for a in pair]
+            npt.assert_array_equal(flat, np.concatenate(layer_major))
+
     def test_zero_gradient_is_noop(self):
         net = small_net()
         before = [w.copy() for w in net.weights]
-        grads = Gradients([np.zeros_like(w) for w in net.weights],
-                          [np.zeros_like(b) for b in net.biases], None)
-        adam_step(net, grads, AdamState.for_network(net), TrainConfig())
+        adam_step(net, Gradients(net, np.zeros(net.n_parameters())), AdamState.for_network(net),
+                  TrainConfig())
         for w0, w1 in zip(before, net.weights):
             npt.assert_array_equal(w0, w1)
 
@@ -193,7 +299,7 @@ class TestAdam:
         net = DenseNetwork([np.zeros((1, 1))], [np.zeros(1)], [LINEAR])
         state = AdamState.for_network(net)
         cfg = TrainConfig(learning_rate=1e-3)
-        grads = Gradients([np.array([[0.37]])], [np.array([0.37])], None)
+        grads = Gradients(net, np.full(2, 0.37))
         for _ in range(2000):
             adam_step(net, grads, state, cfg)
         last = net.weights[0][0, 0]
@@ -221,10 +327,17 @@ class TestAdam:
     def test_state_mismatch_rejected(self):
         net = small_net()
         other = small_net((7, 4, 3))
-        grads = Gradients([np.zeros_like(w) for w in net.weights],
-                          [np.zeros_like(b) for b in net.biases], None)
         with pytest.raises(ValueError):
-            adam_step(net, grads, AdamState.for_network(other), TrainConfig())
+            adam_step(net, Gradients(net, np.zeros(net.n_parameters())),
+                      AdamState.for_network(other), TrainConfig())
+
+    def test_state_of_same_size_net_with_other_layers_rejected(self):
+        net = init_network([3, 2, 2], rng=np.random.default_rng(0))
+        other = init_network([5, 1, 4], rng=np.random.default_rng(0))
+        assert net.n_parameters() == other.n_parameters()
+        with pytest.raises(ValueError):
+            adam_step(net, Gradients(net, np.zeros(net.n_parameters())),
+                      AdamState.for_network(other), TrainConfig())
 
     def test_linearly_separable_toy_set_reaches_full_accuracy(self):
         rng = np.random.default_rng(6)
@@ -257,7 +370,48 @@ class TestFiniteDiffCheck:
             finite_diff_check(small_net(), np.ones(7), np.array([1.0, 0, 0]), h=0)
 
 
+class TestLayout:
+    def test_views_share_memory_with_params(self):
+        net = small_net()
+        for a in net.weights + net.biases:
+            assert np.shares_memory(a, net.params)
+        before = net.params.copy()
+        net.weights[-1] *= 50.0
+        net.biases[0][:] = 7.0
+        want = before.copy()
+        want[-(3 * 5 + 3):-3] *= 50.0  # the last layer: (3 x 5) weights, then 3 biases
+        want[7 * 6:7 * 6 + 6] = 7.0  # the first layer: (6 x 7) weights, then 6 biases
+        npt.assert_array_equal(net.params, want)
+
+    def test_gradient_views_share_memory_with_flat(self):
+        net = small_net()
+        out, cache = forward(net, np.ones((3, 7)))
+        grads = backward(net, cache, np.ones_like(out))
+        assert grads.flat.shape == net.params.shape
+        for a in grads.d_weights + grads.d_biases:
+            assert np.shares_memory(a, grads.flat)
+        assert [a.shape for a in grads.d_weights] == [w.shape for w in net.weights]
+
+    def test_copy_shares_no_memory(self):
+        net = small_net()
+        before = net.params.copy()
+        twin = net.copy()
+        npt.assert_array_equal(twin.params, net.params)
+        for a in [twin.params] + twin.weights + twin.biases:
+            assert not np.shares_memory(a, net.params)
+        twin.params += 1.0
+        npt.assert_array_equal(net.params, before)
+
+
 class TestPersistence:
+    def test_file_bytes_are_the_dnetv002_layout(self, tmp_path):
+        net = init_network([3, 4, 2], [LINEAR, SOFTMAX], rng=np.random.default_rng(16))
+        want = b"DNETV002" + struct.pack("<I", 2) + struct.pack("<3I", 3, 4, 2) + bytes([2, 1])
+        for w, b in zip(net.weights, net.biases):
+            want += struct.pack(f"<{w.size}d", *w.ravel()) + struct.pack(f"<{b.size}d", *b)
+        save_model(net, tmp_path / "m.bin")
+        assert (tmp_path / "m.bin").read_bytes() == want
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         net = init_network([12, 9, 4], [RELU, SOFTMAX],
                            rng=np.random.default_rng(10))
@@ -265,6 +419,7 @@ class TestPersistence:
         save_model(net, path)
         loaded = load_model(path)
         assert loaded.activations == net.activations
+        npt.assert_array_equal(loaded.params, net.params)
         for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
             npt.assert_array_equal(a, b)
 
