@@ -294,9 +294,8 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
         discriminator, the front end, the link matrices and the power cap,
         all on phasors;
     (d) losses and protocol bits are recorded. They score (a)'s pool, sent
-        before (c) moved the generator, with the discriminator that (b) has
-        just trained on that pool, so g_loss, d_loss and n_fooled never
-        show (c)'s update.
+        before (c) moved the generator, with the discriminator (b) just
+        trained on it: g_loss, d_loss and n_fooled never show (c)'s update.
     Training stops early once both loss series pass the perturbation
     convergence test; otherwise the trace reports converged=False.
     """

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +179,6 @@ def predict(net: DenseNetwork, x):
 
 
 def _output_gradient(net, cache, loss_gradient):
-    """The loss gradient as a batch, checked against the network and cache."""
     if len(cache.inputs) != net.n_layers or len(cache.pre) != net.n_layers:
         raise ValueError("cache does not match network: wrong layer count")
     for i, w in enumerate(net.weights):
@@ -301,6 +300,10 @@ class AdamState:
     layer_sizes: list
     step: int = 0
     first_weight_scale: float = 1.0
+    work: np.ndarray = field(init=False, repr=False)  # the step's scratch vector
+
+    def __post_init__(self):
+        self.work = np.empty_like(self.m)
 
     @classmethod
     def for_network(cls, net: DenseNetwork, first_weight_scale=1.0) -> "AdamState":
@@ -319,10 +322,10 @@ def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
     corr1 = 1.0 - b1 ** state.step
     inv_sqrt_corr2 = 1.0 / math.sqrt(1.0 - b2 ** state.step)
     scale = config.learning_rate / corr1
-    g = grads.flat
+    g, step = grads.flat, state.work
     state.m *= b1
-    state.m += (1.0 - b1) * g
-    step = np.square(g)
+    state.m += np.multiply(g, 1.0 - b1, out=step)
+    np.square(g, out=step)
     step *= 1.0 - b2
     state.v *= b2
     state.v += step
@@ -383,7 +386,7 @@ def save_model(net: DenseNetwork, path) -> None:
         struct.pack("<I", net.n_layers),
         struct.pack(f"<{len(sizes)}I", *sizes),
         bytes(_ACT_CODE[a] for a in net.activations),
-        net.params.astype("<f8").tobytes(),
+        net.params.astype("<f8", copy=False).tobytes(),
     ]
     Path(path).write_bytes(b"".join(parts))
 
@@ -407,5 +410,5 @@ def load_model(path) -> DenseNetwork:
     if len(buf) != offset + 8 * n_params:
         raise ValueError(f"{path}: payload is {len(buf) - offset} bytes, "
                          f"its layer sizes need {8 * n_params}")
-    params = np.frombuffer(buf, dtype="<f8", offset=offset).astype(np.float64)
+    params = np.frombuffer(buf, dtype="<f8", offset=offset)
     return DenseNetwork(*_layer_views(params, sizes), [_CODE_ACT[c] for c in codes])

@@ -244,7 +244,7 @@ class TestInputGradient:
         npt.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("output", [SOFTMAX, LINEAR])
-    @pytest.mark.parametrize("shape", [(5, 7), (7,)])
+    @pytest.mark.parametrize("shape", [(5, 7), (7,)], ids=["batch", "single"])
     def test_equals_full_backward(self, output, shape):
         rng = np.random.default_rng(14)
         net = init_network([7, 6, 5, 3], [RELU, RELU, output], rng=rng)
