@@ -12,7 +12,12 @@ not favour either side. For every end-to-end metric that the change's
 BENCHMARK.json lists, the script prints each side's median and quartiles,
 how many pairs the change won, and whether the gain rule holds: the
 change wins at least 9 in 10 pairs and its median beats the parent's by
-more than the parent's interquartile range. A closing JSON line holds the
+more than the parent's interquartile range. It also prints a "no worse"
+verdict against the metric's `bound`, a fraction of the parent's median:
+"worse" when the change's median is worse than the parent's by more than
+the bound; else "unresolved" when the parent's interquartile range is
+wider than the bound, unless every change run beats every parent run;
+else "no worse". A closing JSON line holds the
 same figures, with both trees' git revisions (HEAD commit, and whether
 tracked files differ from it). `--out PATH` also stores that closing
 object in a JSON file under "workloads", keyed by workload, so runs on
@@ -99,18 +104,28 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def verdict(parent, change, lower_better):
-    """Per-metric summary of paired runs: medians, quartiles, wins, rule."""
+def verdict(parent, change, lower_better, bound):
+    """Per-metric summary of paired runs: medians, quartiles, wins, the gain
+    rule, and the "no worse" verdict against `bound` (a fraction of the
+    parent's median)."""
     sign = 1.0 if lower_better else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
     p_q, c_q = quartiles(parent), quartiles(change)
     gap = sign * (p_q[1] - c_q[1])
     iqr = p_q[2] - p_q[0]
     need = math.ceil(WIN_SHARE * len(parent))
+    allowed = bound * abs(p_q[1])
+    every_run_beats = max(sign * c for c in change) < min(sign * p for p in parent)
+    if -gap > allowed:
+        no_worse = "worse"
+    elif iqr > allowed and not every_run_beats:
+        no_worse = "unresolved"
+    else:
+        no_worse = "no worse"
     return {"parent": {"median": p_q[1], "q1": p_q[0], "q3": p_q[2]},
             "change": {"median": c_q[1], "q1": c_q[0], "q3": c_q[2]},
             "wins": wins, "pairs": len(parent), "gap": gap, "parent_iqr": iqr,
-            "gain": wins >= need and gap > iqr}
+            "gain": wins >= need and gap > iqr, "bound": bound, "no_worse": no_worse}
 
 
 def main(argv=None) -> int:
@@ -143,14 +158,15 @@ def main(argv=None) -> int:
             summary[name] = None
             print(f"{name}: missing values (parent {len(parent)}, change {len(change)})")
             continue
-        v = verdict(parent, change, m["better"] == "lower")
+        v = verdict(parent, change, m["better"] == "lower", float(m["bound"]))
         summary[name] = v
         p, c = v["parent"], v["change"]
         print(f"{name} [{m['unit']}, {m['better']} is better]: "
               f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
               f"wins {v['wins']}/{v['pairs']}  gap {v['gap']:.4g} vs parent IQR "
-              f"{v['parent_iqr']:.4g}  gain rule {'holds' if v['gain'] else 'fails'}")
+              f"{v['parent_iqr']:.4g}  gain rule {'holds' if v['gain'] else 'fails'}  "
+              f"bound {v['bound']:.3g}: {v['no_worse']}")
     closing = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
                "seconds": args.seconds, "correct": all_correct, "metrics": summary,
                "runs": values,

@@ -37,10 +37,9 @@ from .frontend import condition_rows
 from .gan import (GanConfig, TrainingTrace, check_convergence,
                   discriminator_loss, generator_loss, generator_phasors,
                   train_gan)
-from .nn import (AdamState, DenseNetwork, Gradients, TrainConfig, adam_step,
-                 backward, cross_entropy, cross_entropy_grad,
-                 finite_diff_check, forward, init_network, input_gradient,
-                 load_model, predict, save_model)
+from .nn import (AdamState, DenseNetwork, Gradients, TrainConfig, Workspace, adam_step,
+                 backward, cross_entropy, cross_entropy_grad, finite_diff_check, forward,
+                 gather_rows, init_network, input_gradient, load_model, predict, save_model)
 from .scenario import Position, ScenarioConfig, substream
 from .waveform import (qpsk_phases, receive_phasors, receive_rows, receive_waveform,
                        receive_waveform_phasors, relay_phasors)

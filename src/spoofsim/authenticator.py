@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontend import condition_rows, init_conditioned_network
-from .nn import (AdamState, DenseNetwork, TrainConfig, adam_step, backward,
-                 cross_entropy_grad, forward, predict)
+from .nn import (AdamState, DenseNetwork, TrainConfig, Workspace, adam_step, backward,
+                 cross_entropy_grad, forward, gather_rows, predict)
 from .scenario import TWO_PI, ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows,
                        qpsk_phases, receive_waveform, receive_waveform_phasors)
@@ -212,12 +212,13 @@ def train_classifier(train_set: LabeledDataset, config: TrainConfig | None = Non
     state = AdamState.for_network(net, first_weight_scale=sps)
     targets = one_hot(train_set.labels)
     n = len(train_set)
+    ws = Workspace(net, min(cfg.batch_size, n))
     steps = 0
     while steps < cfg.train_steps:
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            out, cache = forward(net, x[idx])
+            out, cache = forward(net, gather_rows(ws, x, idx), ws)
             grads = backward(net, cache, cross_entropy_grad(out, targets[idx]))
             adam_step(net, grads, state, cfg)
             steps += 1

@@ -46,9 +46,9 @@ import numpy as np
 
 from .authenticator import FROM_T, one_hot
 from .frontend import condition_phasors, condition_phasors_vjp, init_conditioned_network
-from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork,
-                 Gradients, TrainConfig, adam_step, backward, cross_entropy_grad,
-                 forward, init_network, input_gradient, predict)
+from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork, Gradients,
+                 TrainConfig, Workspace, adam_step, backward, cross_entropy_grad, forward,
+                 gather_rows, init_network, input_gradient, predict)
 from .scenario import ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows, qpsk_phases,
                        receive_phasors, receive_waveform_phasors, rows_to_streams,
@@ -223,20 +223,21 @@ def generator_phasors(g_net: DenseNetwork, z, n_adv, power_budget):
 
 
 def _generator_grads(g_net, d_net, z, mixing, rx_phasors, tx_phasors, targets,
-                     power_budget) -> Gradients:
+                     power_budget, g_ws=None, d_ws=None) -> Gradients:
     """Generator gradients of the discriminator's cross-entropy against
-    `targets` on bursts re-sent by the generator's current output for z.
+    `targets` on bursts re-sent by the generator's current output for z,
+    passes written into g_ws and d_ws.
 
     The bursts were received as rx_phasors (count, n_rx, n_symbols) when
     sent as tx_phasors (count, n_tx, n_symbols); the same link matrices and
     receiver noise carry the new transmit phasors, so the received ones move
     by mixing @ (new - old).
     """
-    out, cache = forward(g_net, z)
+    out, cache = forward(g_net, z, g_ws)
     raw = rows_to_streams(out, mixing.shape[-1])
     tx, _ = scale_to_budget(raw, power_budget)
     rx = rx_phasors + mixing @ (tx - tx_phasors)
-    d_out, d_cache = forward(d_net, condition_phasors(rx))
+    d_out, d_cache = forward(d_net, condition_phasors(rx), d_ws)
     d_x = input_gradient(d_net, d_cache, cross_entropy_grad(d_out, targets))
     # The channel's adjoint carries the received-phasor gradient back to the
     # transmit phasors, and the cap's adjoint to the generator's output.
@@ -264,12 +265,12 @@ def check_convergence(loss_series, window, threshold) -> bool:
     return bool(np.max(np.abs(tail - now)) < threshold * abs(now))
 
 
-def _train_epoch(net, state, x, targets, batch_size, cfg, rng):
-    """One shuffled cross-entropy pass over (x, targets)."""
+def _train_epoch(net, state, x, targets, batch_size, cfg, rng, ws):
+    """One shuffled cross-entropy pass over (x, targets) through workspace ws."""
     order = rng.permutation(x.shape[0])
     for start in range(0, x.shape[0], batch_size):
         idx = order[start:start + batch_size]
-        out, cache = forward(net, x[idx])
+        out, cache = forward(net, gather_rows(ws, x, idx), ws)
         grads = backward(net, cache, cross_entropy_grad(out, targets[idx]))
         adam_step(net, grads, state, cfg)
 
@@ -310,13 +311,15 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
     g_state = AdamState.for_network(g_net)
     d_state = AdamState.for_network(d_net, first_weight_scale=sc.samples_per_symbol)
     opt_cfg = TrainConfig(batch_size=cfg.batch_size)
+    n_synth = cfg.synth_per_epoch
+    g_ws = Workspace(g_net, min(cfg.batch_size, n_synth))
+    d_ws = Workspace(d_net, min(cfg.batch_size, cfg.real_pool + n_synth))
 
     bits = rng.integers(0, 2, size=(cfg.real_pool, BITS_PER_BURST))
     mixing = sc.draw_mixing("t", "ar", cfg.real_pool, rng)
     real_xc = condition_phasors(receive_waveform_phasors(
         mixing, qpsk_phases(bits), sc.power, sc.samples_per_symbol, rng))
 
-    n_synth = cfg.synth_per_epoch
     real_targets = one_hot(np.full(cfg.real_pool, FROM_T))
     synth_targets = one_hot(np.zeros(n_synth, dtype=np.int64))
     spoof_targets = one_hot(np.full(cfg.batch_size, FROM_T))
@@ -335,7 +338,7 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
         # (b) one discriminator epoch over real + synthetic
         pool_x = np.concatenate([real_xc, synth_xc])
         pool_targets = np.concatenate([real_targets, synth_targets])
-        _train_epoch(d_net, d_state, pool_x, pool_targets, cfg.batch_size, opt_cfg, rng)
+        _train_epoch(d_net, d_state, pool_x, pool_targets, cfg.batch_size, opt_cfg, rng, d_ws)
 
         # (c) one generator epoch against the updated discriminator, in
         # phasors: each batch re-sends its bursts of (a) with the updated
@@ -347,7 +350,7 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
             sl = slice(start, start + cfg.batch_size)
             targets = spoof_targets[: len(z[sl])]
             grads = _generator_grads(g_net, d_net, z[sl], mixing[sl], rx[sl], tx[sl],
-                                     targets, budget)
+                                     targets, budget, g_ws, d_ws)
             adam_step(g_net, grads, g_state, opt_cfg)
 
         # (d) epoch bookkeeping: losses, protocol bits, convergence

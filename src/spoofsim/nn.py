@@ -7,6 +7,11 @@ the whole vector at once. `backward` forms only the parameter gradients and
 `input_gradient` only d(loss)/d(input). Forward passes accept a single
 vector or a (batch, features) matrix. Analytic gradients can be verified
 entry by entry against central finite differences.
+
+Passes write into a `Workspace` that the trainer builds once per network
+and owns; no module state. A forward pass's output and cache, and what
+`backward` and `input_gradient` return from it, are views into it, valid
+until its next forward pass, after which they are refused.
 """
 
 from __future__ import annotations
@@ -67,16 +72,12 @@ class DenseNetwork:
         self.params = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
         if not np.all(np.isfinite(self.params)):
             raise ValueError("parameters must be finite")
-        sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
-        self.weights, self.biases = _layer_views(self.params, sizes)
+        self.layer_sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
+        self.weights, self.biases = _layer_views(self.params, self.layer_sizes)
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def n_parameters(self) -> int:
         return self.params.size
@@ -114,37 +115,59 @@ def init_network(layer_sizes, activations=None, rng=None) -> DenseNetwork:
     return DenseNetwork(weights, biases, activations)
 
 
-def _softmax(z):
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _activate(z, act):
+def _activate(z, act, out):
+    """Activation of z written into out (which may be z); linear returns z."""
     if act == RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if act == SOFTMAX:
-        return _softmax(z)
+        np.subtract(z, z.max(axis=1, keepdims=True), out=out)
+        np.exp(out, out=out)
+        out /= out.sum(axis=1, keepdims=True)
+        return out
     return z
-
-
-@dataclass
-class ForwardCache:
-    """Per-layer inputs and pre-activations of one forward pass."""
-
-    inputs: list
-    pre: list
-    single: bool
 
 
 class Gradients:
     """Loss gradients of every parameter of `net`, held in `flat`, a vector
     laid out like its `params`; `d_weights[i]` and `d_biases[i]` are views
-    into it."""
+    into it. `backward` returns its workspace's one `Gradients` (overwritten
+    by its next `backward`) with `cache` set to their forward pass, which
+    `adam_step` checks; gradients built by hand have no cache."""
 
     def __init__(self, net: DenseNetwork, flat: np.ndarray):
         self.flat = flat
         self.d_weights, self.d_biases = _layer_views(flat, net.layer_sizes)
+        self.cache = None
+
+
+class Workspace:
+    """Buffers the passes of nets shaped like `net` write into, for up to
+    `rows` rows; its builder owns it (a trainer: one per network, reused each
+    step). Per layer: input (`acts`, whose last entry is the output),
+    pre-activation, its gradient, and the gradient passed down; plus one
+    `Gradients`. Contents stay valid until the next forward or `gather_rows`,
+    which count in `passes`."""
+
+    def __init__(self, net: DenseNetwork, rows: int):
+        self.layer_sizes, self.rows, self.passes = net.layer_sizes, int(rows), 0
+        self.acts = [np.empty((self.rows, n)) for n in self.layer_sizes]
+        self.pre = [np.empty((self.rows, n)) for n in self.layer_sizes[1:]]
+        self.d_pre = [np.empty((self.rows, n)) for n in self.layer_sizes[1:]]
+        self.d_in = [np.empty((self.rows, n)) for n in self.layer_sizes[:-1]]
+        self.grads = Gradients(net, np.empty(net.params.size))
+
+
+@dataclass
+class ForwardCache:
+    """Per-layer inputs and pre-activations, and the output, of one forward
+    pass: views into `workspace`, stale once its `passes` moves on."""
+
+    inputs: list
+    pre: list
+    out: np.ndarray
+    single: bool
+    workspace: Workspace
+    pass_id: int
 
 
 def _as_batch(x, width, what):
@@ -157,71 +180,92 @@ def _as_batch(x, width, what):
     return arr, single
 
 
-def forward(net: DenseNetwork, x):
-    """Run the network, returning (output, cache) for a later backward pass."""
+def gather_rows(ws: Workspace, x, idx):
+    """Rows idx (in range) of x, copied into ws's input buffer for `forward`."""
+    ws.passes += 1
+    return np.take(x, idx, axis=0, out=ws.acts[0][:len(idx)], mode="clip")
+
+
+def forward(net: DenseNetwork, x, ws: Workspace | None = None):
+    """Run the network, returning (output, cache) for a later backward pass;
+    both are views into ws, a one-shot workspace when None."""
     a, single = _as_batch(x, net.layer_sizes[0], "input")
+    n = a.shape[0]
+    if ws is None:
+        ws = Workspace(net, n)
+    if ws.layer_sizes != net.layer_sizes or n > ws.rows:
+        raise ValueError(f"{n} rows do not fit a {ws.rows}-row {ws.layer_sizes} workspace")
+    ws.passes += 1
     inputs, pres = [], []
-    for w, b, act in zip(net.weights, net.biases, net.activations):
+    for w, b, act, pre, out in zip(net.weights, net.biases, net.activations, ws.pre, ws.acts[1:]):
         inputs.append(a)
-        z = a @ w.T + b
+        z = np.matmul(a, w.T, out=pre[:n])
+        z += b
         pres.append(z)
-        a = _activate(z, act)
-    out = a[0] if single else a
-    return out, ForwardCache(inputs, pres, single)
+        a = _activate(z, act, out[:n])
+    return (a[0] if single else a), ForwardCache(inputs, pres, a, single, ws, ws.passes)
 
 
 def predict(net: DenseNetwork, x):
-    """Forward pass without keeping intermediate results."""
+    """Forward pass without keeping intermediate results: one new array per
+    layer, biased and activated in place."""
     a, single = _as_batch(x, net.layer_sizes[0], "input")
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        a = _activate(a @ w.T + b, act)
+        z = a @ w.T
+        z += b
+        a = _activate(z, act, z)
     return a[0] if single else a
 
 
 def _output_gradient(net, cache, loss_gradient):
-    if len(cache.inputs) != net.n_layers or len(cache.pre) != net.n_layers:
-        raise ValueError("cache does not match network: wrong layer count")
-    for i, w in enumerate(net.weights):
-        if cache.inputs[i].shape[1] != w.shape[1] or cache.pre[i].shape[1] != w.shape[0]:
-            raise ValueError(f"cache does not match network at layer {i}")
+    if cache.workspace.layer_sizes != net.layer_sizes:
+        raise ValueError("cache does not match network")
+    if cache.pass_id != cache.workspace.passes:
+        raise ValueError("cache is stale: its workspace has run a later pass")
     g = np.asarray(loss_gradient, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
-    if g.shape != (cache.pre[-1].shape[0], net.layer_sizes[-1]):
+    if g.shape != cache.out.shape:
         raise ValueError(f"loss gradient shape {g.shape} does not match cached output")
     return g
 
 
-def _pre_activation_gradient(g, z, act):
-    """d(loss)/d(pre-activation z) of one layer from d(loss)/d(its output)."""
+def _pre_activation_gradient(g, cache, i, act):
+    """d(loss)/d(pre-activation) of layer i from d(loss)/d(its output), in
+    the workspace; softmax (output layer only) reuses the forward output."""
+    if act == LINEAR:
+        return g
+    dz = cache.workspace.d_pre[i][:len(g)]
     if act == RELU:
-        return g * (z > 0.0)
-    if act == SOFTMAX:
-        s = _softmax(z)
-        return s * (g - np.sum(g * s, axis=1, keepdims=True))
-    return g
+        return np.multiply(g, cache.pre[i] > 0.0, out=dz)
+    np.multiply(g, cache.out, out=dz)
+    np.subtract(g, dz.sum(axis=1, keepdims=True), out=dz)
+    dz *= cache.out
+    return dz
 
 
 def backward(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> Gradients:
-    """Backpropagate d(loss)/d(output) into exact parameter gradients; the
-    input gradient is not formed (see `input_gradient`)."""
+    """Backpropagate d(loss)/d(output) into exact parameter gradients (the
+    workspace's); the input gradient is not formed (see `input_gradient`)."""
     g = _output_gradient(net, cache, loss_gradient)
-    grads = Gradients(net, np.empty(net.params.size))
+    grads = cache.workspace.grads
+    grads.cache = cache
     for i in range(net.n_layers - 1, -1, -1):
-        dz = _pre_activation_gradient(g, cache.pre[i], net.activations[i])
+        dz = _pre_activation_gradient(g, cache, i, net.activations[i])
         np.matmul(dz.T, cache.inputs[i], out=grads.d_weights[i])
         np.add.reduce(dz, axis=0, out=grads.d_biases[i])
         if i > 0:
-            g = dz @ net.weights[i]
+            g = np.matmul(dz, net.weights[i], out=cache.workspace.d_in[i][:len(g)])
     return grads
 
 
 def input_gradient(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> np.ndarray:
     """Backpropagate d(loss)/d(output) into d(loss)/d(input) alone, shaped
-    as the forward pass's input."""
+    as the forward pass's input: a view into the cache's workspace."""
     g = _output_gradient(net, cache, loss_gradient)
     for i in range(net.n_layers - 1, -1, -1):
-        g = _pre_activation_gradient(g, cache.pre[i], net.activations[i]) @ net.weights[i]
+        dz = _pre_activation_gradient(g, cache, i, net.activations[i])
+        g = np.matmul(dz, net.weights[i], out=cache.workspace.d_in[i][:len(g)])
     return g[0] if cache.single else g
 
 
@@ -317,6 +361,8 @@ def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
     `net` and `state` in place."""
     if state.layer_sizes != net.layer_sizes or grads.flat.shape != net.params.shape:
         raise ValueError("optimizer state does not match network")
+    if grads.cache is not None and grads.cache.pass_id != grads.cache.workspace.passes:
+        raise ValueError("gradients are stale: their workspace has run a later pass")
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     corr1 = 1.0 - b1 ** state.step

@@ -1,0 +1,43 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+QUIET = [1.00, 1.01, 0.99, 1.00, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00]  # IQR 0.015
+NOISY = [0.70, 1.30, 0.80, 1.20, 1.00, 0.90, 1.10, 0.75, 1.25, 1.00]  # IQR 0.35
+
+
+class TestNoWorseVerdict:
+    @pytest.mark.parametrize("parent, change, lower_better, want", [
+        # median 1.0 -> 1.2 where lower is better, 0.1 allowed
+        (QUIET, [v + 0.2 for v in QUIET], True, "worse"),
+        # median 1.0 -> 0.8 where higher is better
+        (QUIET, [v - 0.2 for v in QUIET], False, "worse"),
+        # 5% worse, inside the bound, on a quiet parent
+        (QUIET, [v + 0.05 for v in QUIET], True, "no worse"),
+        (QUIET, [v - 0.05 for v in QUIET], False, "no worse"),
+        # a parent IQR of 0.35 hides any move of 0.1
+        (NOISY, [v - 0.05 for v in NOISY], True, "unresolved"),
+        (NOISY, [v + 0.05 for v in NOISY], False, "unresolved"),
+        # ... unless every change run beats every parent run
+        (NOISY, [0.5 + 0.01 * i for i in range(10)], True, "no worse"),
+        (NOISY, [1.5 + 0.01 * i for i in range(10)], False, "no worse"),
+    ])
+    def test_verdict(self, parent, change, lower_better, want):
+        v = bench_pairs.verdict(parent, change, lower_better, 0.1)
+        assert v["no_worse"] == want
+        assert v["bound"] == 0.1
+
+    def test_worse_beyond_the_bound_is_worse_even_on_a_noisy_parent(self):
+        v = bench_pairs.verdict(NOISY, [v + 0.5 for v in NOISY], True, 0.1)
+        assert v["no_worse"] == "worse"
+        assert not v["gain"]
+
+    def test_gain_rule_unchanged(self):
+        v = bench_pairs.verdict(QUIET, [v - 0.1 for v in QUIET], True, 0.1)
+        assert (v["wins"], v["gain"], v["no_worse"]) == (10, True, "no worse")

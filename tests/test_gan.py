@@ -13,7 +13,7 @@ from spoofsim.frontend import condition_phasors, condition_phasors_vjp, symbol_p
 from spoofsim.gan import (_generator_grads, _scale_backward, discriminator_layer_sizes,
                           from_t_probability, generator_layer_sizes, init_discriminator,
                           init_generator, scale_to_budget)
-from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, backward,
+from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, Workspace, backward,
                          cross_entropy, cross_entropy_grad, forward, init_network,
                          input_gradient, predict)
 from spoofsim.scenario import substream
@@ -321,6 +321,18 @@ class TestTrainGan:
                 worst = max(worst, abs(analytic - numeric)
                             / max(abs(analytic), abs(numeric), 1e-6))
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("n_a", [1, 2])
+    def test_generator_gradient_through_workspaces_is_bit_identical(self, n_a):
+        sc = tiny_scenario(seed=4, n_a=n_a)
+        g, d, z, mats, noise, targets, budget = channel_case(sc)
+        one_shot = production_generator_grads(g, d, z, mats, noise, targets, budget).flat
+        tx_zero = np.zeros((len(z), n_a, noise.shape[-1]), dtype=complex)
+        g_ws, d_ws = Workspace(g, 5), Workspace(d, 5)
+        for _ in range(2):  # the second call reuses the buffers the first wrote
+            grads = _generator_grads(g, d, z, mats, noise, tx_zero, targets, budget, g_ws, d_ws)
+            assert grads is g_ws.grads
+            npt.assert_array_equal(grads.flat, one_shot)
 
     def test_trace_losses_are_the_exported_losses_on_the_epoch_pool(self, monkeypatch):
         # Phase (d) and the exported loss functions share one formula: on

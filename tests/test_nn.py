@@ -5,10 +5,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import (AdamState, DenseNetwork, Gradients, TrainConfig,
+from spoofsim import (AdamState, DenseNetwork, Gradients, TrainConfig, Workspace,
                       adam_step, backward, cross_entropy, cross_entropy_grad,
-                      finite_diff_check, forward, init_network, input_gradient,
-                      load_model, predict, save_model)
+                      finite_diff_check, forward, gather_rows, init_network,
+                      input_gradient, load_model, predict, save_model)
 from spoofsim.nn import LINEAR, RELU, SOFTMAX
 
 
@@ -130,9 +130,94 @@ class TestForward:
 
     def test_predict_matches_forward(self):
         rng = np.random.default_rng(2)
-        net = small_net(seed=2)
-        x = rng.standard_normal((5, 7))
-        npt.assert_array_equal(predict(net, x), forward(net, x)[0])
+        for output in (SOFTMAX, LINEAR):
+            net = init_network([7, 6, 5, 3], [RELU, RELU, output], rng=rng)
+            for shape in ((5, 7), (7,)):
+                x = rng.standard_normal(shape)
+                before = x.copy()
+                npt.assert_array_equal(predict(net, x), forward(net, x)[0])
+                npt.assert_array_equal(x, before)
+
+
+def training_loss_gradient(out, label, output):
+    """Cross-entropy gradient for a softmax output, half squared error's for
+    a linear one."""
+    if output == SOFTMAX:
+        return cross_entropy_grad(out, label)
+    return (out - label) / len(out)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("output", [SOFTMAX, LINEAR])
+    def test_reused_workspace_equals_one_shot_passes(self, output):
+        # 47 rows in batches of 10: every epoch ends with a batch of 7
+        rng = np.random.default_rng(17)
+        net = init_network([7, 6, 5, 3], [RELU, RELU, output], rng=rng)
+        ref = net.copy()
+        x = rng.standard_normal((47, 7))
+        y = np.eye(3)[rng.integers(0, 3, 47)]
+        ws = Workspace(net, 10)
+        state, ref_state, cfg = AdamState.for_network(net), AdamState.for_network(ref), TrainConfig()
+        steps = 0
+        for epoch in range(5):
+            order = np.random.default_rng(epoch).permutation(47)
+            for start in range(0, 47, 10):
+                idx = order[start:start + 10]
+                out, cache = forward(net, gather_rows(ws, x, idx), ws)
+                adam_step(net, backward(net, cache, training_loss_gradient(out, y[idx], output)),
+                          state, cfg)
+                out, cache = forward(ref, x[idx])
+                adam_step(ref, backward(ref, cache, training_loss_gradient(out, y[idx], output)),
+                          ref_state, cfg)
+                steps += 1
+        assert steps == 25
+        npt.assert_array_equal(net.params, ref.params)
+        npt.assert_array_equal(state.m, ref_state.m)
+        npt.assert_array_equal(state.v, ref_state.v)
+
+    def test_one_shot_gradients_survive_later_passes(self):
+        rng = np.random.default_rng(18)
+        net = small_net(seed=18)
+        out, cache = forward(net, rng.standard_normal((4, 7)))
+        grads = backward(net, cache, rng.standard_normal(out.shape))
+        kept = grads.flat.copy()
+        ws = Workspace(net, 6)
+        for _ in range(2):
+            out, other = forward(net, rng.standard_normal((6, 7)), ws)
+            backward(net, other, rng.standard_normal(out.shape))
+            input_gradient(net, other, rng.standard_normal(out.shape))
+            out, other = forward(net, rng.standard_normal((4, 7)))
+            backward(net, other, rng.standard_normal(out.shape))
+        npt.assert_array_equal(grads.flat, kept)
+        adam_step(net, grads, AdamState.for_network(net), TrainConfig())
+
+    @pytest.mark.parametrize("later", ["forward", "gather_rows"])
+    def test_later_pass_makes_cache_and_gradients_stale(self, later):
+        rng = np.random.default_rng(19)
+        net = small_net(seed=19)
+        x = rng.standard_normal((8, 7))
+        ws = Workspace(net, 8)
+        out, cache = forward(net, x[:5], ws)
+        grads = backward(net, cache, np.ones_like(out))
+        if later == "forward":
+            forward(net, x, ws)
+        else:
+            gather_rows(ws, x, np.arange(3))
+        with pytest.raises(ValueError, match="stale"):
+            backward(net, cache, np.ones_like(out))
+        with pytest.raises(ValueError, match="stale"):
+            input_gradient(net, cache, np.ones_like(out))
+        with pytest.raises(ValueError, match="stale"):
+            adam_step(net, grads, AdamState.for_network(net), TrainConfig())
+
+    def test_batch_wider_than_rows_rejected(self):
+        net = small_net()
+        with pytest.raises(ValueError, match="do not fit"):
+            forward(net, np.ones((5, 7)), Workspace(net, 4))
+
+    def test_workspace_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            forward(small_net(), np.ones((2, 7)), Workspace(small_net((7, 4, 3)), 4))
 
 
 class TestCrossEntropy:
