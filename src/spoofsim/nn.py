@@ -9,7 +9,7 @@ vector or a (batch, features) matrix. Analytic gradients can be verified
 entry by entry against central finite differences.
 
 Passes write into a `Workspace` that the trainer builds once per network
-and owns; no module state. A forward pass's output and cache, and what
+and owns (no module state). A forward pass's output and cache, and what
 `backward` and `input_gradient` return from it, are views into it, valid
 until its next forward pass, after which they are refused.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,22 +132,21 @@ class Gradients:
     """Loss gradients of every parameter of `net`, held in `flat`, a vector
     laid out like its `params`; `d_weights[i]` and `d_biases[i]` are views
     into it. `backward` returns its workspace's one `Gradients` (overwritten
-    by its next `backward`) with `cache` set to their forward pass, which
-    `adam_step` checks; gradients built by hand have no cache."""
+    by its next `backward`), which `adam_step` refuses once that workspace
+    has run a later pass; gradients built by hand have no `owner`."""
 
     def __init__(self, net: DenseNetwork, flat: np.ndarray):
         self.flat = flat
         self.d_weights, self.d_biases = _layer_views(flat, net.layer_sizes)
-        self.cache = None
+        self.owner, self.pass_id = None, 0
 
 
 class Workspace:
     """Buffers the passes of nets shaped like `net` write into, for up to
-    `rows` rows; its builder owns it (a trainer: one per network, reused each
-    step). Per layer: input (`acts`, whose last entry is the output),
-    pre-activation, its gradient, and the gradient passed down; plus one
-    `Gradients`. Contents stay valid until the next forward or `gather_rows`,
-    which count in `passes`."""
+    `rows` rows, owned by its builder (a trainer: one per network, reused
+    each step). Per layer: input (`acts`; `acts[-1]` is the output),
+    pre-activation, its gradient and the gradient passed down; one
+    `Gradients`. Valid until the next forward or `gather_rows` (`passes`)."""
 
     def __init__(self, net: DenseNetwork, rows: int):
         self.layer_sizes, self.rows, self.passes = net.layer_sizes, int(rows), 0
@@ -155,12 +155,13 @@ class Workspace:
         self.d_pre = [np.empty((self.rows, n)) for n in self.layer_sizes[1:]]
         self.d_in = [np.empty((self.rows, n)) for n in self.layer_sizes[:-1]]
         self.grads = Gradients(net, np.empty(net.params.size))
+        self.grads.owner = weakref.ref(self)  # no cycle to keep the buffers alive
 
 
 @dataclass
 class ForwardCache:
     """Per-layer inputs and pre-activations, and the output, of one forward
-    pass: views into `workspace`, stale once its `passes` moves on."""
+    pass: views into the caller's `workspace`, valid until its next pass."""
 
     inputs: list
     pre: list
@@ -207,8 +208,7 @@ def forward(net: DenseNetwork, x, ws: Workspace | None = None):
 
 
 def predict(net: DenseNetwork, x):
-    """Forward pass without keeping intermediate results: one new array per
-    layer, biased and activated in place."""
+    """Forward pass keeping nothing: one array per layer, biased and activated in place."""
     a, single = _as_batch(x, net.layer_sizes[0], "input")
     for w, b, act in zip(net.weights, net.biases, net.activations):
         z = a @ w.T
@@ -249,7 +249,7 @@ def backward(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> Gradients
     workspace's); the input gradient is not formed (see `input_gradient`)."""
     g = _output_gradient(net, cache, loss_gradient)
     grads = cache.workspace.grads
-    grads.cache = cache
+    grads.pass_id = cache.pass_id
     for i in range(net.n_layers - 1, -1, -1):
         dz = _pre_activation_gradient(g, cache, i, net.activations[i])
         np.matmul(dz.T, cache.inputs[i], out=grads.d_weights[i])
@@ -361,7 +361,8 @@ def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
     `net` and `state` in place."""
     if state.layer_sizes != net.layer_sizes or grads.flat.shape != net.params.shape:
         raise ValueError("optimizer state does not match network")
-    if grads.cache is not None and grads.cache.pass_id != grads.cache.workspace.passes:
+    owner = grads.owner and grads.owner()
+    if owner is not None and owner.passes != grads.pass_id:
         raise ValueError("gradients are stale: their workspace has run a later pass")
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2

@@ -1,5 +1,7 @@
+import gc
 import math
 import struct
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -209,6 +211,21 @@ class TestWorkspace:
             input_gradient(net, cache, np.ones_like(out))
         with pytest.raises(ValueError, match="stale"):
             adam_step(net, grads, AdamState.for_network(net), TrainConfig())
+
+    def test_workspace_is_freed_without_the_cycle_collector(self):
+        # Its Gradients point back at it weakly, so dropping the last cache
+        # frees its buffers at once; the gradients stay usable.
+        net = small_net()
+        out, cache = forward(net, np.ones((3, 7)), Workspace(net, 3))
+        grads = backward(net, cache, np.ones_like(out))
+        owner = weakref.ref(cache.workspace)
+        gc.disable()
+        try:
+            del out, cache
+            assert owner() is None
+        finally:
+            gc.enable()
+        adam_step(net, grads, AdamState.for_network(net), TrainConfig())
 
     def test_batch_wider_than_rows_rejected(self):
         net = small_net()
