@@ -159,18 +159,18 @@ class TestWorkspace:
         x = rng.standard_normal((47, 7))
         y = np.eye(3)[rng.integers(0, 3, 47)]
         ws = Workspace(net, 10)
-        state, ref_state, cfg = AdamState.for_network(net), AdamState.for_network(ref), TrainConfig()
+        state, ref_state = AdamState.for_network(net), AdamState.for_network(ref)
         steps = 0
         for epoch in range(5):
             order = np.random.default_rng(epoch).permutation(47)
             for start in range(0, 47, 10):
                 idx = order[start:start + 10]
                 out, cache = forward(net, gather_rows(ws, x, idx), ws)
-                adam_step(net, backward(net, cache, training_loss_gradient(out, y[idx], output)),
-                          state, cfg)
+                loss_gradient = training_loss_gradient(out, y[idx], output)
+                adam_step(net, backward(net, cache, loss_gradient), state, TrainConfig())
                 out, cache = forward(ref, x[idx])
-                adam_step(ref, backward(ref, cache, training_loss_gradient(out, y[idx], output)),
-                          ref_state, cfg)
+                loss_gradient = training_loss_gradient(out, y[idx], output)
+                adam_step(ref, backward(ref, cache, loss_gradient), ref_state, TrainConfig())
                 steps += 1
         assert steps == 25
         npt.assert_array_equal(net.params, ref.params)
@@ -219,12 +219,14 @@ class TestWorkspace:
         out, cache = forward(net, np.ones((3, 7)), Workspace(net, 3))
         grads = backward(net, cache, np.ones_like(out))
         owner = weakref.ref(cache.workspace)
+        collector_was_on = gc.isenabled()
         gc.disable()
         try:
             del out, cache
             assert owner() is None
         finally:
-            gc.enable()
+            if collector_was_on:
+                gc.enable()
         adam_step(net, grads, AdamState.for_network(net), TrainConfig())
 
     def test_batch_wider_than_rows_rejected(self):
