@@ -8,9 +8,18 @@ Five canned table layouts mirror the headline result families:
 4. generator-attack success versus the adversary's training position,
 5. generator-attack success when the adversary moves after training.
 
+A sweep is one list of cells. A cell has a tag, a scenario, and the
+training tag whose classifier (and GAN generator) it is scored with.
+Tables 1-3 and custom sweeps hold one cell per (n_t, n_r, n_a), table 4 one
+per A_T training position, each trained under its own tag; table 5 holds
+one per attack-time position, all sharing the classifier and generator
+trained once per seed under `trained_at_base`. Every cell runs the sweep's
+attack, which tables 1-5 fix (`TABLE_ATTACKS`).
+
 Every emitted row carries the seed, the full scenario, and the build
-version (read once per sweep); a master seed plus a per-cell counter split
-keeps grid cells independent and order-insensitive. Cells that fail on bad
+version (read once per sweep); each cell adds one row of seed means. Random
+streams are keyed by (seed, table, tag), so a cell's rows do not depend on
+which other cells the sweep holds or in what order. Cells that fail on bad
 values (ValueError, including ConfigError, or FloatingPointError) are
 recorded and skipped; any other exception is a programming error and
 aborts the sweep.
@@ -24,17 +33,19 @@ import subprocess
 import time
 import zlib
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .attacks import (run_gan_attack, run_random_attack, run_replay_attack,
                       train_spoofer)
-from .authenticator import (Authenticator, build_phasor_dataset, classify, evaluate,
-                            train_classifier)
+from .authenticator import (Authenticator, ClassifierMetrics, build_phasor_dataset,
+                            classify, evaluate, train_classifier)
 from .gan import GanConfig, save_trace_csv, trace_summary
-from .nn import TrainConfig, save_model
+from .nn import DenseNetwork, TrainConfig, save_model
 from .scenario import ScenarioConfig, substream
 
 
@@ -44,6 +55,8 @@ class ConfigError(ValueError):
 
 TABLES = ("1", "2", "3", "4", "5", "custom")
 ATTACKS = ("none", "random", "replay", "gan")
+# The attack each canned table runs; a custom sweep runs the configured one.
+TABLE_ATTACKS = {"1": "none", "2": "replay", "3": "gan", "4": "gan", "5": "gan"}
 
 CSV_COLUMNS = [
     "table", "seed", "n_t", "n_r", "n_a",
@@ -65,7 +78,7 @@ class ExperimentSpec:
     n_r_grid: tuple = (1,)
     n_a_grid: tuple = (1,)
     at_positions: tuple = ()
-    attack: str = "none"
+    attack: str | None = None  # None: the table's attack, "none" for custom
     base: ScenarioConfig = field(default_factory=ScenarioConfig)
     n_train: int = 1000
     n_test: int = 1000
@@ -78,8 +91,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.table not in TABLES:
             raise ConfigError(f"table must be one of {TABLES}, got {self.table!r}")
+        table_attack = TABLE_ATTACKS.get(self.table)
+        if self.attack is None:
+            self.attack = table_attack or "none"
         if self.attack not in ATTACKS:
             raise ConfigError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
+        if table_attack and self.attack != table_attack:
+            raise ConfigError(f"attack must be {table_attack!r} for table {self.table}, "
+                              f"got {self.attack!r}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         if self.n_trials < 1:
@@ -88,8 +107,14 @@ class ExperimentSpec:
             grid = getattr(self, name)
             if not grid or any(v < 1 for v in grid):
                 raise ConfigError(f"{name} must be a non-empty list of positive ints")
-        if self.table in ("4", "5") and not self.at_positions:
-            raise ConfigError(f"table {self.table} needs at_positions")
+        if self.table in ("4", "5"):
+            if not self.at_positions:
+                raise ConfigError(f"table {self.table} needs at_positions")
+            for key in ("n_t", "n_r", "n_a"):
+                grid = getattr(self, f"{key}_grid")
+                if len(grid) != 1:
+                    raise ConfigError(f"table {self.table} runs one geometry: {key} must "
+                                      f"be one value, got {list(grid)}")
         if self.n_train < 2 or self.n_test < 2:
             raise ConfigError("dataset sizes must be >= 2")
         if not (0.0 < self.positive_fraction < 1.0):
@@ -254,10 +279,6 @@ def parse_config(path=None, overrides=None) -> ExperimentSpec:
     spec_kwargs.pop("table", None)
     for fieldname, value in _TABLE_GRID_DEFAULTS.get(table, {}).items():
         spec_kwargs.setdefault(fieldname, value)
-    if table == "2":
-        spec_kwargs.setdefault("attack", "replay")
-    elif table in ("3", "4", "5"):
-        spec_kwargs.setdefault("attack", "gan")
 
     scenario_kwargs = {f: v for (t, f), v in parsed.items() if t == "scenario"}
     classifier_kwargs = {f: v for (t, f), v in parsed.items() if t == "classifier"}
@@ -277,26 +298,88 @@ def parse_config(path=None, overrides=None) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 # sweep execution
 
-def _cell_seed_words(master_seed, table, cell_tag):
-    return zlib.crc32(f"{table}|{cell_tag}".encode())
-
-
-def _cell_rngs(master_seed, table, cell_tag):
-    cid = _cell_seed_words(master_seed, table, cell_tag)
-    scen_seed = int(np.random.SeedSequence([master_seed & ((1 << 63) - 1), cid])
+def _cell_rngs(seed, table, cell_tag):
+    cid = zlib.crc32(f"{table}|{cell_tag}".encode())
+    scen_seed = int(np.random.SeedSequence([seed & ((1 << 63) - 1), cid])
                     .generate_state(1)[0])
     return (scen_seed,
-            substream(master_seed, cid, 1),   # datasets
-            substream(master_seed, cid, 2),   # adversarial training
-            substream(master_seed, cid, 3))   # attack trials
+            substream(seed, cid, 1),   # datasets
+            substream(seed, cid, 2),   # adversarial training
+            substream(seed, cid, 3))   # attack trials
 
 
 # Errors a cell may raise on legitimate input; anything else propagates.
 CELL_ERRORS = (ValueError, FloatingPointError)
 
 
-def _blank_row(spec, scenario, seed, version):
-    return {
+class Cell(NamedTuple):
+    """A sweep cell: scored under `tag` with the models trained under `trained_at`."""
+
+    tag: str
+    scenario: ScenarioConfig
+    trained_at: str
+
+
+def _cells(spec):
+    """The sweep's cells, in row order; cells sharing a training tag are adjacent."""
+    cells = []
+    # Tables 4 and 5 hold one geometry (ExperimentSpec checks), so their tags stay unique.
+    for n_t, n_r, n_a in product(spec.n_t_grid, spec.n_r_grid, spec.n_a_grid):
+        geometry = replace(spec.base, n_t=n_t, n_r=n_r, n_a=n_a)
+        if spec.table == "4":
+            cells += [Cell(f"at{x}_{y}", replace(geometry, at_pos=(x, y)), f"at{x}_{y}")
+                      for x, y in spec.at_positions]
+        elif spec.table == "5":
+            cells += [Cell(f"attack_from_{x}_{y}", replace(geometry, attack_time_at_pos=(x, y)),
+                           "trained_at_base")
+                      for x, y in spec.at_positions]
+        else:
+            tag = f"nt{n_t}_nr{n_r}_na{n_a}"
+            cells.append(Cell(tag, geometry, tag))
+    return cells
+
+
+class _Trained(NamedTuple):
+    scen_seed: int
+    clf: Authenticator
+    metrics: ClassifierMetrics
+    generator: DenseNetwork | None
+    gan_summary: dict | None
+
+
+def _output_path(out_dir, spec, tag, seed, what):
+    models = Path(out_dir) / "models"
+    models.mkdir(parents=True, exist_ok=True)
+    return models / f"t{spec.table}_{tag}_seed{seed}_{what}"
+
+
+def _train(spec, cell, seed, out_dir):
+    """Train the cell's classifier under its training tag, plus the generator in
+    a GAN sweep, and save both and the GAN trace. Training never reads the
+    attack-time position, the only field in which cells sharing a tag differ."""
+    tag = cell.trained_at
+    scen_seed, data_rng, gan_rng, _ = _cell_rngs(seed, spec.table, tag)
+    scenario = replace(cell.scenario, seed=scen_seed)
+    train_set = build_phasor_dataset(scenario, spec.n_train, spec.positive_fraction, data_rng)
+    test_set = build_phasor_dataset(scenario, spec.n_test, spec.positive_fraction, data_rng)
+    clf = train_classifier(train_set, replace(spec.classifier, seed=scen_seed & 0x7FFFFFFF))
+    metrics = evaluate(clf, test_set)
+    if spec.save_models:
+        save_model(clf.net, _output_path(out_dir, spec, tag, seed, "classifier.bin"))
+    if spec.attack != "gan":
+        return _Trained(scen_seed, clf, metrics, None, None)
+    generator, _, trace = train_spoofer(scenario, spec.gan, gan_rng, spec.gan_retries)
+    if spec.save_models:
+        save_model(generator, _output_path(out_dir, spec, tag, seed, "generator.bin"))
+        save_trace_csv(trace, _output_path(out_dir, spec, tag, seed, "trace.csv"))
+    return _Trained(scen_seed, clf, metrics, generator, trace_summary(trace))
+
+
+def _score(spec, cell, seed, trained, version):
+    """The cell's row for one seed: the trained classifier's error rates plus
+    the sweep's attack, drawn from the cell's own attack stream."""
+    scenario = replace(cell.scenario, seed=trained.scen_seed)
+    row = {
         "table": spec.table, "seed": seed,
         "n_t": scenario.n_t, "n_r": scenario.n_r, "n_a": scenario.n_a,
         "t_x": scenario.t_pos[0], "t_y": scenario.t_pos[1],
@@ -306,156 +389,67 @@ def _blank_row(spec, scenario, seed, version):
         "attack_at_x": scenario.attack_position[0],
         "attack_at_y": scenario.attack_position[1],
         "p": scenario.power, "s": scenario.samples_per_symbol,
-        "n_trials": "", "attack": "", "e_md": "", "e_fa": "",
-        "success_prob": "", "gan_epochs": "", "gan_converged": "",
-        "version": version,
+        "n_trials": "", "attack": "", "e_md": trained.metrics.e_md,
+        "e_fa": trained.metrics.e_fa, "success_prob": "", "gan_epochs": "",
+        "gan_converged": "", "version": version,
     }
-
-
-def _mean_rows(rows):
-    """Seed-averaged companion rows, grouped by everything except the seed."""
-    groups = {}
-    for row in rows:
-        key = tuple(row[c] for c in CSV_COLUMNS if c not in ("seed", "version",
-                                                             "gan_epochs", "gan_converged"))
-        groups.setdefault(key, []).append(row)
-    means = []
-    for bucket in groups.values():
-        mean = dict(bucket[0])
-        mean["seed"] = "mean"
-        for col in ("e_md", "e_fa", "success_prob"):
-            vals = [r[col] for r in bucket if r[col] != ""]
-            mean[col] = sum(vals) / len(vals) if vals else ""
-        mean["gan_epochs"] = ""
-        mean["gan_converged"] = ""
-        means.append(mean)
-    return means
-
-
-def _train_cell_classifier(spec, scenario, data_rng, clf_seed):
-    train_set = build_phasor_dataset(scenario, spec.n_train, spec.positive_fraction, data_rng)
-    test_set = build_phasor_dataset(scenario, spec.n_test, spec.positive_fraction, data_rng)
-    clf_cfg = replace(spec.classifier, seed=clf_seed)
-    clf = train_classifier(train_set, clf_cfg)
-    return clf, evaluate(clf, test_set)
-
-
-def _model_path(out_dir, spec, tag, seed, what):
-    models = Path(out_dir) / "models"
-    models.mkdir(parents=True, exist_ok=True)
-    return models / f"t{spec.table}_{tag}_seed{seed}_{what}.bin"
-
-
-def _run_attack_cell(spec, scenario, tag, seed, attack, out_dir, version, clf=None,
-                     metrics=None, generator=None, gan_summary=None):
-    scen_seed, data_rng, gan_rng, attack_rng = _cell_rngs(seed, spec.table, tag)
-    if clf is None:
-        scenario = replace(scenario, seed=scen_seed)
-        clf, metrics = _train_cell_classifier(spec, scenario, data_rng, scen_seed & 0x7FFFFFFF)
-        if spec.save_models:
-            save_model(clf.net, _model_path(out_dir, spec, tag, seed, "classifier"))
-    row = _blank_row(spec, scenario, seed, version)
-    row.update(e_md=metrics.e_md, e_fa=metrics.e_fa)
-    if attack == "none":
-        return row, scenario, clf, metrics, generator, gan_summary
-    if attack == "gan" and generator is None:
-        generator, _, trace = train_spoofer(scenario, spec.gan, gan_rng, spec.gan_retries)
-        gan_summary = trace_summary(trace)
-        if spec.save_models:
-            save_model(generator, _model_path(out_dir, spec, tag, seed, "generator"))
-            save_trace_csv(trace, Path(out_dir) / "models" /
-                           f"t{spec.table}_{tag}_seed{seed}_trace.csv")
-    runners = {"random": run_random_attack, "replay": run_replay_attack}
-    if attack == "gan":
-        report = run_gan_attack(clf, generator, scenario, spec.n_trials, attack_rng,
-                                metrics, gan_summary, spec.gan.power_budget)
-        row.update(gan_epochs=gan_summary["epochs_run"],
-                   gan_converged=gan_summary["converged"])
+    if spec.attack == "none":
+        return row
+    attack_rng = _cell_rngs(seed, spec.table, cell.tag)[3]
+    if spec.attack == "gan":
+        report = run_gan_attack(trained.clf, trained.generator, scenario, spec.n_trials,
+                                attack_rng, trained.metrics, trained.gan_summary,
+                                spec.gan.power_budget)
+        row.update(gan_epochs=trained.gan_summary["epochs_run"],
+                   gan_converged=trained.gan_summary["converged"])
     else:
-        report = runners[attack](clf, scenario, spec.n_trials, attack_rng, metrics)
-    row.update(attack=attack, n_trials=report.n_trials,
+        runner = {"random": run_random_attack, "replay": run_replay_attack}[spec.attack]
+        report = runner(trained.clf, scenario, spec.n_trials, attack_rng, trained.metrics)
+    row.update(attack=spec.attack, n_trials=report.n_trials,
                success_prob=report.success_prob)
-    return row, scenario, clf, metrics, generator, gan_summary
+    return row
+
+
+def _mean_row(cell_rows):
+    """The cell's seed-mean row: its seed rows' rates averaged."""
+    mean = dict(cell_rows[0], seed="mean", gan_epochs="", gan_converged="")
+    for col in ("e_md", "e_fa", "success_prob"):
+        if mean[col] != "":
+            mean[col] = sum(row[col] for row in cell_rows) / len(cell_rows)
+    return mean
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Execute a sweep and write its CSV table plus JSON summary."""
+    """Execute a sweep and write its CSV table plus JSON summary.
+
+    Each (cell, seed) trains its training tag unless an earlier cell did,
+    then scores the cell."""
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, failures = [], []
     version = build_version()
 
-    if spec.table in ("1", "2", "3", "custom"):
-        attack = {"1": "none", "2": "replay", "3": "gan"}.get(spec.table, spec.attack)
-        for n_t in spec.n_t_grid:
-            for n_r in spec.n_r_grid:
-                for n_a in spec.n_a_grid:
-                    cell_rows = []
-                    tag = f"nt{n_t}_nr{n_r}_na{n_a}"
-                    for seed in spec.seeds:
-                        scenario = replace(spec.base, n_t=n_t, n_r=n_r, n_a=n_a)
-                        try:
-                            row, *_ = _run_attack_cell(spec, scenario, tag, seed,
-                                                       attack, out_dir, version)
-                            cell_rows.append(row)
-                        except CELL_ERRORS as exc:
-                            failures.append({"cell": tag, "seed": seed, "error": str(exc)})
-                    rows.extend(cell_rows + _mean_rows(cell_rows))
-    elif spec.table == "4":
-        for pos in spec.at_positions:
-            cell_rows = []
-            tag = f"at{pos[0]}_{pos[1]}"
-            for seed in spec.seeds:
-                scenario = replace(spec.base, at_pos=pos)
-                try:
-                    row, *_ = _run_attack_cell(spec, scenario, tag, seed, "gan", out_dir,
-                                               version)
-                    cell_rows.append(row)
-                except CELL_ERRORS as exc:
-                    failures.append({"cell": tag, "seed": seed, "error": str(exc)})
-            rows.extend(cell_rows + _mean_rows(cell_rows))
-    else:  # table 5: train once per seed at the base position, attack from each
-        trained = {}
-        base_tag = "trained_at_base"
+    trained_at, trained = None, {}
+    for cell in _cells(spec):
+        if cell.trained_at != trained_at:
+            trained_at, trained = cell.trained_at, {}
+        cell_rows = []
         for seed in spec.seeds:
-            scenario = replace(spec.base)
-            try:
-                trained[seed] = _run_attack_cell(spec, scenario, base_tag, seed,
-                                                 "none", out_dir, version)
-                scen = trained[seed][1]
-                _, _, gen_rng, _ = _cell_rngs(seed, spec.table, base_tag)
-                generator, _, trace = train_spoofer(scen, spec.gan, gen_rng,
-                                                    spec.gan_retries)
-                trained[seed] = trained[seed][:4] + (generator, trace_summary(trace))
-                if spec.save_models:
-                    save_model(generator, _model_path(out_dir, spec, base_tag, seed,
-                                                      "generator"))
-            except CELL_ERRORS as exc:
-                failures.append({"cell": base_tag, "seed": seed, "error": str(exc)})
-                trained[seed] = None
-        for pos in spec.at_positions:
-            cell_rows = []
-            tag = f"attack_from_{pos[0]}_{pos[1]}"
-            for seed in spec.seeds:
-                if trained.get(seed) is None:
-                    continue
-                _, scen, clf, metrics, generator, gan_summary = trained[seed]
-                moved = replace(scen, attack_time_at_pos=pos)
+            if seed not in trained:
                 try:
-                    _, _, _, attack_rng = _cell_rngs(seed, spec.table, tag)
-                    report = run_gan_attack(clf, generator, moved, spec.n_trials,
-                                            attack_rng, metrics, gan_summary,
-                                            spec.gan.power_budget)
-                    row = _blank_row(spec, moved, seed, version)
-                    row.update(attack="gan", n_trials=report.n_trials,
-                               e_md=metrics.e_md, e_fa=metrics.e_fa,
-                               success_prob=report.success_prob,
-                               gan_epochs=gan_summary["epochs_run"],
-                               gan_converged=gan_summary["converged"])
-                    cell_rows.append(row)
+                    trained[seed] = _train(spec, cell, seed, out_dir)
                 except CELL_ERRORS as exc:
-                    failures.append({"cell": tag, "seed": seed, "error": str(exc)})
-            rows.extend(cell_rows + _mean_rows(cell_rows))
+                    trained[seed] = None
+                    failures.append({"cell": trained_at, "seed": seed, "error": str(exc)})
+            if trained[seed] is None:
+                continue
+            try:
+                cell_rows.append(_score(spec, cell, seed, trained[seed], version))
+            except CELL_ERRORS as exc:
+                failures.append({"cell": cell.tag, "seed": seed, "error": str(exc)})
+        rows += cell_rows
+        if cell_rows:
+            rows.append(_mean_row(cell_rows))
 
     name = f"table{spec.table}" if spec.table != "custom" else "custom"
     csv_path = out_dir / f"{name}.csv"

@@ -72,6 +72,18 @@ scenario.power = 500
         with pytest.raises(ConfigError, match="scenario.power"):
             parse_config(overrides={"scenario.power": "abc"})
 
+    @pytest.mark.parametrize("table,attack", [("1", "replay"), ("2", "gan"), ("3", "none"),
+                                              ("4", "random"), ("5", "replay")])
+    def test_table_rejects_another_attack(self, table, attack):
+        with pytest.raises(ConfigError, match="attack"):
+            parse_config(overrides={"table": table, "attack": attack})
+
+    @pytest.mark.parametrize("table", ["4", "5"])
+    @pytest.mark.parametrize("key", ["n_t", "n_r", "n_a"])
+    def test_mobility_tables_reject_several_geometries(self, table, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(overrides={"table": table, key: "1,2"})
+
 
 def fast_spec(tmp_path, **overrides):
     base = {
@@ -164,6 +176,94 @@ class TestRunExperiment:
         result = run_experiment(spec)
         assert not result.failures
         assert budgets == [0.25] * (2 if table == "5" else 1)
+
+    def test_mean_row_averages_the_cell_seeds(self, tmp_path):
+        spec = fast_spec(tmp_path, **{"seeds": "0,1", "n_r": "1,2", "attack": "replay"})
+        result = run_experiment(spec)
+        assert not result.failures
+        assert [r["seed"] for r in result.rows] == [0, 1, "mean"] * 2
+        for seed0, seed1, mean in (result.rows[:3], result.rows[3:]):
+            for col in ("e_md", "e_fa", "success_prob"):
+                assert mean[col] == pytest.approx((seed0[col] + seed1[col]) / 2)
+            assert mean["n_r"] == seed0["n_r"] == seed1["n_r"]
+
+    def test_a_sub_grid_gives_the_rows_of_the_full_grid(self, tmp_path):
+        # cell streams are keyed by (seed, table, tag), not by the cell's place
+        alone = run_experiment(fast_spec(tmp_path / "a", **{"n_r": "2", "attack": "replay"}))
+        full = run_experiment(fast_spec(tmp_path / "b", **{"n_r": "1,2", "attack": "replay"}))
+        assert alone.rows[0]["n_r"] == 2
+        assert alone.rows == [r for r in full.rows if r["n_r"] == 2]
+
+    def test_position_table_moves_the_adversary_per_cell(self, tmp_path):
+        spec = fast_spec(tmp_path, **{"table": "4", "at_positions": "0,5;3,15"})
+        result = run_experiment(spec)
+        assert not result.failures
+        rows = [r for r in result.rows if r["seed"] != "mean"]
+        assert [(r["at_x"], r["at_y"]) for r in rows] == [(0.0, 5.0), (3.0, 15.0)]
+        assert all((r["attack_at_x"], r["attack_at_y"]) == (r["at_x"], r["at_y"])
+                   for r in rows)
+        models = sorted(p.name for p in (tmp_path / "out" / "models").glob("*generator.bin"))
+        assert models == ["t4_at0.0_5.0_seed0_generator.bin",
+                          "t4_at3.0_15.0_seed0_generator.bin"]
+
+    @pytest.mark.parametrize("table", ["4", "5"])
+    def test_mobility_tables_run_the_configured_geometry(self, tmp_path, table):
+        spec = fast_spec(tmp_path, **{"table": table, "at_positions": "0,10;0,20",
+                                      "n_r": "2", "n_a": "2"})
+        result = run_experiment(spec)
+        assert not result.failures
+        assert len(result.rows) == 4
+        assert all((r["n_t"], r["n_r"], r["n_a"]) == (1, 2, 2) for r in result.rows)
+
+    def test_mobility_table_trains_once_per_seed(self, tmp_path, monkeypatch):
+        import spoofsim.experiments
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return train_spoofer(*args, **kwargs)
+
+        train_spoofer = spoofsim.experiments.train_spoofer
+        monkeypatch.setattr("spoofsim.experiments.train_spoofer", counting)
+        spec = fast_spec(tmp_path, **{"table": "5", "seeds": "0,1",
+                                      "at_positions": "0,10;0,15;0,20"})
+        result = run_experiment(spec)
+        assert not result.failures
+        assert len(calls) == 2
+        assert len([r for r in result.rows if r["seed"] != "mean"]) == 6
+
+    def test_mobility_table_writes_its_gan_trace(self, tmp_path):
+        spec = fast_spec(tmp_path, **{"table": "5", "at_positions": "0,10;0,20"})
+        result = run_experiment(spec)
+        trace = tmp_path / "out" / "models" / "t5_trained_at_base_seed0_trace.csv"
+        with open(trace) as fh:
+            lines = list(csv.reader(fh))
+        assert lines[0] == ["epoch", "g_loss", "d_loss"]
+        assert len(lines) - 1 == result.rows[0]["gan_epochs"] == 2
+
+    def test_mobility_table_training_failure_drops_only_that_seed(self, tmp_path,
+                                                                  monkeypatch):
+        import spoofsim.experiments
+
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("gan diverged")
+            return train_spoofer(*args, **kwargs)
+
+        train_spoofer = spoofsim.experiments.train_spoofer
+        monkeypatch.setattr("spoofsim.experiments.train_spoofer", first_fails)
+        spec = fast_spec(tmp_path, **{"table": "5", "seeds": "0,1",
+                                      "at_positions": "0,10;0,20"})
+        result = run_experiment(spec)
+        assert result.failures == [{"cell": "trained_at_base", "seed": 0,
+                                    "error": "gan diverged"}]
+        assert len(calls) == 2
+        assert [r["seed"] for r in result.rows] == [1, "mean"] * 2
+        assert [r["attack_at_y"] for r in result.rows] == [10.0, 10.0, 20.0, 20.0]
 
     def test_json_summary_contents(self, tmp_path):
         spec = fast_spec(tmp_path)
