@@ -5,15 +5,25 @@ the defender's classifier on paper-size datasets (1000 training and 1000
 test bursts), measures its error rates, and mounts the random and replay
 attacks; at 1x1x1 it also trains the GAN for a fixed number of epochs (no
 early stop, no retries) and mounts the GAN attack. Counts are pooled over
-seeds and reported with Wilson 95% intervals, plus a per-seed table of
-the GAN cell.
+seeds and reported with Wilson 95% intervals, and every (geometry,
+metric) keeps its per-seed rates.
 
     PYTHONPATH=src python3 scripts/repro.py --seeds 1,2,3,4,5,6 --trials 1000
 
 prints one JSON document and exits 1 unless the pooled success rates at
-1x1x1 order as GAN > replay > random. `--compare FILE` (a document an
-earlier run printed) adds, per geometry and metric, whether the two
-pooled estimates fall inside each other's intervals.
+1x1x1 order as GAN > replay > random.
+
+`--compare FILE` (a document an earlier run printed, of the same seeds)
+gates a change that moves results. Each seed trains its own classifier,
+so the spread between seeds dominates and pooled intervals would flag
+equal distributions most of the time. So per geometry and metric the gate
+runs a seed-level Welch t-test on the two runs' per-seed rates, and
+flags the metric when its two-sided p-value is below FLAG_P (|t| of
+about 2.8). With a dozen metrics one such flag turns up by chance in
+about one gate in eight: rerun a flagged metric on fresh seeds before
+reading it as a difference. Whether the two pooled Wilson intervals hold
+each other's estimates is reported as information only. The script
+exits 1 when a metric is flagged.
 
 The script is not part of the test suite: at paper size it runs for
 minutes per seed.
@@ -27,6 +37,9 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+from scipy import stats
+
 from spoofsim import (GanConfig, ScenarioConfig, TrainConfig, build_phasor_dataset,
                       evaluate, run_gan_attack, run_random_attack,
                       run_replay_attack, train_classifier, train_gan)
@@ -36,6 +49,7 @@ Z95 = 1.959963984540054
 N_TRAIN = 1000
 N_TEST = 1000
 GAN_GEOMETRY = (1, 1, 1)
+FLAG_P = 0.005
 
 
 def wilson(k, n, z=Z95) -> dict:
@@ -80,10 +94,9 @@ def run_cell(seed, geometry, args, with_gan):
         # A window longer than the run disables the early stop: every seed
         # trains exactly gan_epochs epochs.
         cfg = GanConfig(max_epochs=args.gan_epochs, conv_window=args.gan_epochs + 1)
-        generator, _, trace = train_gan(sc, cfg, substream(seed, *geometry, 2))
+        generator, _, _ = train_gan(sc, cfg, substream(seed, *geometry, 2))
         report = run_gan_attack(clf, generator, sc, args.trials, substream(seed, *geometry, 5))
         counts["gan"] = (report.n_success, report.n_trials)
-        counts["gan_epochs"] = trace.epochs_run
     return counts
 
 
@@ -91,6 +104,37 @@ def overlap(before, after) -> bool:
     """Both pooled estimates lie inside each other's intervals."""
     return (after["ci"][0] <= before["p"] <= after["ci"][1]
             and before["ci"][0] <= after["p"] <= before["ci"][1])
+
+
+def welch(before, after) -> dict:
+    """Seed-level Welch t-test of two lists of per-seed rates. Two constant
+    lists, where the test is undefined, give p = 1 when equal, else 0."""
+    a, b = np.asarray(before, dtype=float), np.asarray(after, dtype=float)
+    if np.ptp(a) == 0.0 and np.ptp(b) == 0.0:
+        t, p = 0.0, float(a[0] == b[0])
+    else:
+        t, p = stats.ttest_ind(a, b, equal_var=False)
+    return {"mean_before": float(a.mean()), "mean_after": float(b.mean()),
+            "n_before": len(a), "n_after": len(b), "t": float(t), "p": float(p)}
+
+
+def compare(earlier, pooled, per_seed) -> dict:
+    """Per geometry and metric both runs hold: the Welch test, whether it
+    flags the metric, and the pooled intervals' overlap (information)."""
+    table, flagged = {}, []
+    for geo, metrics in per_seed.items():
+        for metric, rates in metrics.items():
+            before = earlier["per_seed"].get(geo, {}).get(metric)
+            if before is None:
+                continue
+            test = welch(before, rates)
+            test["flagged"] = test["p"] < FLAG_P
+            test["wilson_overlap"] = overlap(earlier["pooled"][geo][metric],
+                                             pooled[geo][metric])
+            table.setdefault(geo, {})[metric] = test
+            if test["flagged"]:
+                flagged.append(f"{geo}/{metric}")
+    return {"flag_p": FLAG_P, "flagged": flagged, "metrics": table}
 
 
 def main(argv=None) -> int:
@@ -108,36 +152,35 @@ def main(argv=None) -> int:
     if GAN_GEOMETRY not in geometries:
         parser.error("--geometries must include 1x1x1, the GAN cell")
 
-    pooled, per_seed = {}, []
+    earlier = None
+    if args.compare:
+        earlier = json.loads(Path(args.compare).read_text())
+        if "per_seed" not in earlier or earlier.get("seeds") != seeds:
+            parser.error("--compare needs a document of the same seeds with per-seed rates")
+
+    pooled, per_seed = {}, {}
     for geometry in geometries:
         with_gan = geometry == GAN_GEOMETRY
-        totals = {}
+        totals, rates = {}, {}
         for seed in seeds:
             counts = run_cell(seed, geometry, args, with_gan)
             print(f"seed {seed} {name_of(geometry)}: {counts}", file=sys.stderr)
-            for metric, value in counts.items():
-                if metric != "gan_epochs":
-                    k, n = totals.get(metric, (0, 0))
-                    totals[metric] = (k + value[0], n + value[1])
-            if with_gan:
-                per_seed.append({"seed": seed, "epochs": counts["gan_epochs"],
-                                 **{kind: counts[kind][0] / counts[kind][1]
-                                    for kind in ("gan", "replay", "random")}})
+            for metric, (k, n) in counts.items():
+                k_sum, n_sum = totals.get(metric, (0, 0))
+                totals[metric] = (k_sum + k, n_sum + n)
+                rates.setdefault(metric, []).append(k / n)
         pooled[name_of(geometry)] = {metric: wilson(k, n) for metric, (k, n) in totals.items()}
+        per_seed[name_of(geometry)] = rates
 
     at_gan = pooled[name_of(GAN_GEOMETRY)]
     holds = at_gan["gan"]["p"] > at_gan["replay"]["p"] > at_gan["random"]["p"]
     result = {"seeds": seeds, "trials": args.trials, "gan_epochs": args.gan_epochs,
-              "pooled": pooled, "gan_per_seed": per_seed,
+              "pooled": pooled, "per_seed": per_seed,
               "ordering": {"claim": "gan > replay > random at 1x1x1", "holds": holds}}
-    if args.compare:
-        earlier = json.loads(Path(args.compare).read_text())["pooled"]
-        result["compare"] = {geo: {metric: overlap(earlier[geo][metric], stats)
-                                   for metric, stats in metrics.items()
-                                   if metric in earlier.get(geo, {})}
-                             for geo, metrics in pooled.items() if geo in earlier}
+    if earlier is not None:
+        result["compare"] = compare(earlier, pooled, per_seed)
     print(json.dumps(result, indent=2))
-    return 0 if holds else 1
+    return 0 if holds and not result.get("compare", {}).get("flagged") else 1
 
 
 if __name__ == "__main__":

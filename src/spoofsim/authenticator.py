@@ -43,8 +43,8 @@ class LabeledDataset:
     samples (width 2 * n_antennas * n_points, from build_dataset).
     n_antennas and samples_per_symbol describe the burst geometry behind
     the feature layout; both dataset functions fill them, and training a
-    classifier needs them (a caller that builds a dataset by hand restates
-    them to train_classifier).
+    classifier needs them (a caller that builds a dataset by hand sets
+    them here).
     """
 
     features: np.ndarray
@@ -188,11 +188,11 @@ class Authenticator:
         return condition_rows(rows, self.n_antennas, self.samples_per_symbol)
 
 
-def train_classifier(train_set: LabeledDataset, config: TrainConfig | None = None,
-                     n_antennas=None, samples_per_symbol=None) -> Authenticator:
-    """Train the authentication network: front-end conditioning, then a net
-    of shape [2 * SYMBOLS_PER_BURST * n_antennas, 50, 50, 50, 2] with relu
-    hidden layers, softmax output, cross-entropy and Adam.
+def train_classifier(train_set: LabeledDataset,
+                     config: TrainConfig | None = None) -> Authenticator:
+    """Train the authentication network: front-end conditioning, then a
+    float32 net of shape [2 * SYMBOLS_PER_BURST * n_antennas, 50, 50, 50, 2]
+    with relu hidden layers, softmax output, cross-entropy and Adam.
 
     The net is initialised and stepped as the one raw-width net that would
     read each conditioned phasor copied into all of its symbol's S sample
@@ -201,14 +201,15 @@ def train_classifier(train_set: LabeledDataset, config: TrainConfig | None = Non
     """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
-    n_ant = n_antennas if n_antennas is not None else train_set.n_antennas
-    sps = samples_per_symbol if samples_per_symbol is not None else train_set.samples_per_symbol
+    n_ant, sps = train_set.n_antennas, train_set.samples_per_symbol
     if n_ant is None or sps is None:
         raise ValueError("burst geometry (n_antennas, samples_per_symbol) is required")
     cfg = config if config is not None else TrainConfig()
     rng = np.random.default_rng(cfg.seed)
     x = condition_rows(train_set.features, n_ant, sps)
-    net = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None, sps, rng)
+    net = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None, sps, rng,
+                                   np.float32)
+    x = x.astype(net.params.dtype)  # once: `gather_rows` copies batches out of it
     state = AdamState.for_network(net, first_weight_scale=sps)
     targets = one_hot(train_set.labels)
     n = len(train_set)

@@ -115,6 +115,9 @@ class ExperimentSpec:
                 if len(grid) != 1:
                     raise ConfigError(f"table {self.table} runs one geometry: {key} must "
                                       f"be one value, got {list(grid)}")
+        elif self.at_positions:
+            raise ConfigError(f"at_positions is only read by tables 4 and 5, "
+                              f"not table {self.table}")
         if self.n_train < 2 or self.n_test < 2:
             raise ConfigError("dataset sizes must be >= 2")
         if not (0.0 < self.positive_fraction < 1.0):

@@ -132,23 +132,25 @@ def discriminator_layer_sizes(scenario: ScenarioConfig, config: GanConfig) -> li
 
 
 def init_generator(scenario, config, rng) -> DenseNetwork:
+    """A float32 net; its phasors leave it as float64 (see `rows_to_streams`)."""
     sizes = generator_layer_sizes(scenario, config)
-    return init_network(sizes, [RELU] * config.hidden_depth + [LINEAR], rng)
+    return init_network(sizes, [RELU] * config.hidden_depth + [LINEAR], rng, np.float32)
 
 
 def init_discriminator(scenario, config, rng) -> DenseNetwork:
-    """Initialised as the raw-width net on slot-replicated features would be
-    (see `frontend.init_conditioned_network`); train it with the first-layer
-    weight step scaled by samples_per_symbol."""
+    """A float32 net, initialised as the raw-width net on slot-replicated
+    features would be (see `frontend.init_conditioned_network`); train it
+    with the first-layer weight step scaled by samples_per_symbol."""
     sizes = discriminator_layer_sizes(scenario, config)
     return init_conditioned_network(sizes, [RELU] * config.hidden_depth + [SOFTMAX],
-                                    scenario.samples_per_symbol, rng)
+                                    scenario.samples_per_symbol, rng, np.float32)
 
 
 def from_t_probability(d_net: DenseNetwork, batch) -> np.ndarray:
-    """Discriminator's probability that each row is a legitimate burst."""
+    """Discriminator's probability that each row is a legitimate burst, as
+    float64 whatever the net's dtype, so the losses are summed in float64."""
     out = np.atleast_2d(predict(d_net, batch))
-    return out[:, FROM_T]
+    return out[:, FROM_T].astype(np.float64)
 
 
 def _clamped_log(p):
@@ -317,8 +319,11 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
 
     bits = rng.integers(0, 2, size=(cfg.real_pool, BITS_PER_BURST))
     mixing = sc.draw_mixing("t", "ar", cfg.real_pool, rng)
+    # Conditioned rows are cast to the discriminator's dtype once, where they
+    # enter it: `gather_rows` copies batches out of them into its workspace.
+    d_dtype = d_net.params.dtype
     real_xc = condition_phasors(receive_waveform_phasors(
-        mixing, qpsk_phases(bits), sc.power, sc.samples_per_symbol, rng))
+        mixing, qpsk_phases(bits), sc.power, sc.samples_per_symbol, rng)).astype(d_dtype)
 
     real_targets = one_hot(np.full(cfg.real_pool, FROM_T))
     synth_targets = one_hot(np.zeros(n_synth, dtype=np.int64))
@@ -328,15 +333,15 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
     for epoch in range(cfg.max_epochs):
         # (a) transmit a fresh synthetic pool through fresh channel draws, as
         # matched-filter phasors.
-        z = rng.standard_normal((n_synth, cfg.noise_dim))
+        z = rng.standard_normal((n_synth, cfg.noise_dim)).astype(g_net.params.dtype)
         tx, scale = generator_phasors(g_net, z, sc.n_a, budget)
         mixing = sc.draw_mixing("at", "ar", n_synth, rng)
         rx = receive_phasors(mixing, tx, sc.samples_per_symbol, rng)
-        synth_xc = condition_phasors(rx)
         trace.capped_bursts.append(int(np.count_nonzero(scale < 1.0)))
 
         # (b) one discriminator epoch over real + synthetic
-        pool_x = np.concatenate([real_xc, synth_xc])
+        pool_x = np.concatenate([real_xc, condition_phasors(rx)], dtype=d_dtype)
+        synth_xc = pool_x[cfg.real_pool:]
         pool_targets = np.concatenate([real_targets, synth_targets])
         _train_epoch(d_net, d_state, pool_x, pool_targets, cfg.batch_size, opt_cfg, rng, d_ws)
 

@@ -1,12 +1,17 @@
 """Dense feedforward networks with hand-rolled backprop and Adam.
 
-A network holds all its parameters in one float64 vector, `params`: per
-layer the row-major (out x in) weights, then the biases; `weights[i]` and
-`biases[i]` are views into it. Gradients share that layout, so Adam steps
-the whole vector at once. `backward` forms only the parameter gradients and
-`input_gradient` only d(loss)/d(input). Forward passes accept a single
-vector or a (batch, features) matrix. Analytic gradients can be verified
-entry by entry against central finite differences.
+A network holds all its parameters in one vector, `params`: per layer the
+row-major (out x in) weights, then the biases; `weights[i]` and `biases[i]`
+are views into it. Gradients share that layout, so Adam steps the whole
+vector at once. The vector's dtype is the network's: float32 when it was
+built from float32 arrays, float64 otherwise. Workspaces, gradients and
+Adam state follow it, and inputs and loss gradients are cast to it, so a
+float32 network trains in float32 throughout. The trainers build float32
+networks; the finite-difference checks need float64 ones. `backward` forms
+only the parameter gradients and `input_gradient` only d(loss)/d(input).
+Forward passes accept a single vector or a (batch, features) matrix.
+Analytic gradients can be verified entry by entry against central finite
+differences.
 
 Passes write into a `Workspace` that the trainer builds once per network
 and owns (no module state). A forward pass's output and cache, and what
@@ -31,6 +36,13 @@ _ACTIVATIONS = (RELU, SOFTMAX, LINEAR)
 
 LOG_EPS = 1e-12
 
+# Every FLUSH_EVERY Adam steps, moment entries below FLUSH_SCALE times their
+# dtype's smallest normal number are zeroed; a moment decays by at most
+# adam_beta1 per step, so at the default 0.9 it needs 150 steps from there
+# to go subnormal.
+FLUSH_EVERY = 16
+FLUSH_SCALE = 2.0 ** 24
+
 _MODEL_MAGIC = b"DNETV002"
 # Magic of files written while the front end copied each symbol phasor into
 # all its sample slots: their classifier/discriminator inputs are S times wider.
@@ -53,13 +65,16 @@ def _layer_views(flat, layer_sizes):
 
 class DenseNetwork:
     """Ordered stack of affine layers with relu/softmax/linear activations;
-    the constructor copies the given weights and biases into `params`."""
+    the constructor copies the given weights and biases into `params`, as
+    float32 when all of them are float32 arrays and as float64 otherwise."""
 
     def __init__(self, weights, biases, activations):
         if not (len(weights) == len(biases) == len(activations)) or not weights:
             raise ValueError("weights, biases and activations must have equal nonzero length")
-        weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        all_f32 = all(getattr(a, "dtype", None) == np.float32 for a in (*weights, *biases))
+        dtype = np.float32 if all_f32 else np.float64
+        weights = [np.asarray(w, dtype=dtype) for w in weights]
+        biases = [np.asarray(b, dtype=dtype) for b in biases]
         self.activations = list(activations)
         for i, (w, b, act) in enumerate(zip(weights, biases, self.activations)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
@@ -87,10 +102,12 @@ class DenseNetwork:
         return DenseNetwork(self.weights, self.biases, self.activations)
 
 
-def init_network(layer_sizes, activations=None, rng=None) -> DenseNetwork:
+def init_network(layer_sizes, activations=None, rng=None, dtype=np.float64) -> DenseNetwork:
     """He-uniform weights for relu layers, Xavier-uniform elsewhere, zero biases.
 
     `activations` defaults to relu on hidden layers and softmax at the output.
+    The weights are drawn in float64 whatever `dtype` is (same random stream
+    use), then stored as `dtype`, float32 or float64.
     """
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2:
@@ -111,8 +128,8 @@ def init_network(layer_sizes, activations=None, rng=None) -> DenseNetwork:
             limit = math.sqrt(6.0 / fan_in)
         else:
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype))
+        biases.append(np.zeros(fan_out, dtype=dtype))
     return DenseNetwork(weights, biases, activations)
 
 
@@ -146,15 +163,17 @@ class Workspace:
     `rows` rows, owned by its builder (a trainer: one per network, reused
     each step). Per layer: input (`acts`; `acts[-1]` is the output),
     pre-activation, its gradient and the gradient passed down; one
-    `Gradients`. Valid until the next forward or `gather_rows` (`passes`)."""
+    `Gradients`; all in the net's dtype. Valid until the next forward or
+    `gather_rows` (`passes`)."""
 
     def __init__(self, net: DenseNetwork, rows: int):
         self.layer_sizes, self.rows, self.passes = net.layer_sizes, int(rows), 0
-        self.acts = [np.empty((self.rows, n)) for n in self.layer_sizes]
-        self.pre = [np.empty((self.rows, n)) for n in self.layer_sizes[1:]]
-        self.d_pre = [np.empty((self.rows, n)) for n in self.layer_sizes[1:]]
-        self.d_in = [np.empty((self.rows, n)) for n in self.layer_sizes[:-1]]
-        self.grads = Gradients(net, np.empty(net.params.size))
+        self.dtype = dtype = net.params.dtype
+        self.acts = [np.empty((self.rows, n), dtype) for n in self.layer_sizes]
+        self.pre = [np.empty((self.rows, n), dtype) for n in self.layer_sizes[1:]]
+        self.d_pre = [np.empty((self.rows, n), dtype) for n in self.layer_sizes[1:]]
+        self.d_in = [np.empty((self.rows, n), dtype) for n in self.layer_sizes[:-1]]
+        self.grads = Gradients(net, np.empty(net.params.size, dtype))
         self.grads.owner = weakref.ref(self)  # no cycle to keep the buffers alive
 
 
@@ -171,8 +190,8 @@ class ForwardCache:
     pass_id: int
 
 
-def _as_batch(x, width, what):
-    arr = np.asarray(x, dtype=np.float64)
+def _as_batch(x, width, what, dtype):
+    arr = np.asarray(x, dtype=dtype)
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
@@ -182,7 +201,10 @@ def _as_batch(x, width, what):
 
 
 def gather_rows(ws: Workspace, x, idx):
-    """Rows idx (in range) of x, copied into ws's input buffer for `forward`."""
+    """Rows idx (in range) of x, copied into ws's input buffer for `forward`;
+    x must have the workspace's dtype, so cast it once before the loop."""
+    if x.dtype != ws.dtype:
+        raise ValueError(f"{x.dtype} rows do not fit a {ws.dtype} workspace")
     ws.passes += 1
     return np.take(x, idx, axis=0, out=ws.acts[0][:len(idx)], mode="clip")
 
@@ -190,12 +212,13 @@ def gather_rows(ws: Workspace, x, idx):
 def forward(net: DenseNetwork, x, ws: Workspace | None = None):
     """Run the network, returning (output, cache) for a later backward pass;
     both are views into ws, a one-shot workspace when None."""
-    a, single = _as_batch(x, net.layer_sizes[0], "input")
+    a, single = _as_batch(x, net.layer_sizes[0], "input", net.params.dtype)
     n = a.shape[0]
     if ws is None:
         ws = Workspace(net, n)
-    if ws.layer_sizes != net.layer_sizes or n > ws.rows:
-        raise ValueError(f"{n} rows do not fit a {ws.rows}-row {ws.layer_sizes} workspace")
+    if ws.layer_sizes != net.layer_sizes or ws.dtype != net.params.dtype or n > ws.rows:
+        raise ValueError(f"{n} {net.params.dtype} rows do not fit a {ws.rows}-row "
+                         f"{ws.layer_sizes} {ws.dtype} workspace")
     ws.passes += 1
     inputs, pres = [], []
     for w, b, act, pre, out in zip(net.weights, net.biases, net.activations, ws.pre, ws.acts[1:]):
@@ -208,8 +231,9 @@ def forward(net: DenseNetwork, x, ws: Workspace | None = None):
 
 
 def predict(net: DenseNetwork, x):
-    """Forward pass keeping nothing: one array per layer, biased and activated in place."""
-    a, single = _as_batch(x, net.layer_sizes[0], "input")
+    """Forward pass keeping nothing: one array per layer, biased and activated
+    in place, in the net's dtype."""
+    a, single = _as_batch(x, net.layer_sizes[0], "input", net.params.dtype)
     for w, b, act in zip(net.weights, net.biases, net.activations):
         z = a @ w.T
         z += b
@@ -222,7 +246,7 @@ def _output_gradient(net, cache, loss_gradient):
         raise ValueError("cache does not match network")
     if cache.pass_id != cache.workspace.passes:
         raise ValueError("cache is stale: its workspace has run a later pass")
-    g = np.asarray(loss_gradient, dtype=np.float64)
+    g = np.asarray(loss_gradient, dtype=net.params.dtype)
     if g.ndim == 1:
         g = g[None, :]
     if g.shape != cache.out.shape:
@@ -232,7 +256,14 @@ def _output_gradient(net, cache, loss_gradient):
 
 def _pre_activation_gradient(g, cache, i, act):
     """d(loss)/d(pre-activation) of layer i from d(loss)/d(its output), in
-    the workspace; softmax (output layer only) reuses the forward output."""
+    the workspace; softmax (output layer only) reuses the forward output.
+
+    Softmax zeroes dz where the output is below LOG_EPS, as
+    `cross_entropy_grad` zeroes the slope there; each entry it drops is
+    below 1e-12 in size. A confident net's float32 outputs go subnormal,
+    and without the clamp their products carry subnormals into every
+    layer's gradients, where BLAS runs many times slower.
+    """
     if act == LINEAR:
         return g
     dz = cache.workspace.d_pre[i][:len(g)]
@@ -241,6 +272,7 @@ def _pre_activation_gradient(g, cache, i, act):
     np.multiply(g, cache.out, out=dz)
     np.subtract(g, dz.sum(axis=1, keepdims=True), out=dz)
     dz *= cache.out
+    np.copyto(dz, 0.0, where=cache.out < LOG_EPS)
     return dz
 
 
@@ -332,11 +364,18 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """First/second moment accumulators, each one flat vector laid out like
-    the `params` of the network whose `layer_sizes` they record.
+    the `params` of the network whose `layer_sizes` they record, in its dtype.
 
     first_weight_scale multiplies the first layer's weight step (not its
     bias step): a first-layer weight that stands for that many tied
     raw-width weights, all with the same gradient, moves as far as their sum.
+
+    The moments of a parameter whose gradient stays zero (a dead relu unit)
+    decay geometrically. In float32 they would go subnormal within a few
+    hundred steps and, rounding back onto themselves, stay there, slowing
+    every later step many times over; `adam_step` zeroes them long before
+    (see FLUSH_EVERY). A flushed first moment moved its parameter by less
+    than 1e-20 times the learning rate per step.
     """
 
     m: np.ndarray
@@ -351,15 +390,17 @@ class AdamState:
 
     @classmethod
     def for_network(cls, net: DenseNetwork, first_weight_scale=1.0) -> "AdamState":
-        return cls(np.zeros(net.params.size), np.zeros(net.params.size), net.layer_sizes,
-                   first_weight_scale=float(first_weight_scale))
+        dtype = net.params.dtype
+        return cls(np.zeros(net.params.size, dtype), np.zeros(net.params.size, dtype),
+                   net.layer_sizes, first_weight_scale=float(first_weight_scale))
 
 
 def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
               config: TrainConfig) -> AdamState:
     """One bias-corrected Adam update of the whole parameter vector; mutates
     `net` and `state` in place."""
-    if state.layer_sizes != net.layer_sizes or grads.flat.shape != net.params.shape:
+    if state.layer_sizes != net.layer_sizes or grads.flat.shape != net.params.shape or \
+       not (state.m.dtype == grads.flat.dtype == net.params.dtype):
         raise ValueError("optimizer state does not match network")
     owner = grads.owner and grads.owner()
     if owner is not None and owner.passes != grads.pass_id:
@@ -384,6 +425,10 @@ def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
     step[:n_first] *= scale * state.first_weight_scale
     step[n_first:] *= scale
     net.params -= step
+    if state.step % FLUSH_EVERY == 0:
+        tiny = np.finfo(state.m.dtype).tiny * FLUSH_SCALE
+        for moment in (state.m, state.v):
+            np.copyto(moment, 0.0, where=np.abs(moment, out=step) < tiny)
     return state
 
 
@@ -393,10 +438,13 @@ def finite_diff_check(net: DenseNetwork, x, label, h=1e-5, max_per_tensor=None,
 
     Checks every parameter by default; for wide networks `max_per_tensor`
     limits the check to that many randomly chosen entries per tensor
-    (seeded through `rng`) so the sweep stays fast.
+    (seeded through `rng`) so the sweep stays fast. The net must be float64:
+    float32 would round a step of h away.
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    if net.params.dtype != np.float64:
+        raise ValueError("finite differences need a float64 net")
     out, cache = forward(net, x)
     grads = backward(net, cache, cross_entropy_grad(out, label))
     tensors = []
@@ -426,7 +474,8 @@ def finite_diff_check(net: DenseNetwork, x, label, h=1e-5, max_per_tensor=None,
 
 
 def save_model(net: DenseNetwork, path) -> None:
-    """Flat self-describing binary dump; round-trips bit-exactly."""
+    """Flat self-describing binary dump with a little-endian float64 payload,
+    which holds float32 parameters exactly; round-trips bit-exactly."""
     sizes = net.layer_sizes
     parts = [
         _MODEL_MAGIC,
@@ -439,6 +488,7 @@ def save_model(net: DenseNetwork, path) -> None:
 
 
 def load_model(path) -> DenseNetwork:
+    """The network `save_model` wrote, always as float64."""
     buf = Path(path).read_bytes()
     if buf[:8] == _REPLICATED_MAGIC:
         raise ValueError(

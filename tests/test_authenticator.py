@@ -174,6 +174,7 @@ class TestTrainClassifier:
         ds = build_dataset(sc, 30, 0.5, substream(6, 1))
         clf = train_classifier(ds, TrainConfig(train_steps=5))
         assert clf.net.layer_sizes == [sc.conditioned_length, 50, 50, 50, 2]
+        assert clf.net.params.dtype == np.float32
         assert sc.conditioned_length == 2 * 4 * sc.n_r
 
     def test_geometry_required(self):
@@ -184,22 +185,29 @@ class TestTrainClassifier:
     def test_matches_raw_width_net_on_slot_replicated_features(self):
         # Reference: the raw-width net that reads every conditioned phasor
         # copied into all S sample slots of its symbol, trained with plain
-        # Adam from the same seed. Its S tied first-layer weights per
-        # phasor share one gradient, so the compact net (slot-summed init,
-        # S-scaled first-layer weight step) must make the same decisions.
+        # Adam from the same seed, in the trainer's dtype. Its S tied
+        # first-layer weights per phasor share one gradient, so the compact
+        # net (slot-summed init, S-scaled first-layer weight step) must make
+        # the same decisions.
         sc = tiny_scenario(seed=13, n_r=2)
         s = sc.samples_per_symbol
         train = build_dataset(sc, 200, 0.5, substream(13, 1))
         test = build_dataset(sc, 300, 0.5, substream(13, 2))
         cfg = TrainConfig(seed=4, train_steps=150, batch_size=20)
+        clf = train_classifier(train, cfg)
+        dtype = clf.net.params.dtype
+        # The two nets round the first-layer sum and every step differently.
+        # Independent rounding errors of size eps add up like a random walk
+        # over the Adam steps; allow four times that on the probabilities.
+        tol = 4 * np.sqrt(cfg.train_steps) * np.finfo(dtype).eps
 
         def replicated(rows):
             cond = condition_rows(rows, sc.n_r, s)
             return np.repeat(cond.reshape(len(cond), -1, 1, 2), s, axis=2).reshape(len(cond), -1)
 
         rng = np.random.default_rng(cfg.seed)
-        x = replicated(train.features)
-        ref = init_network([x.shape[1], *CLASSIFIER_HIDDEN, 2], rng=rng)
+        x = replicated(train.features).astype(dtype)
+        ref = init_network([x.shape[1], *CLASSIFIER_HIDDEN, 2], rng=rng, dtype=dtype)
         state = AdamState.for_network(ref)
         targets = one_hot(train.labels)
         steps = 0
@@ -214,11 +222,11 @@ class TestTrainClassifier:
                 if steps >= cfg.train_steps:
                     break
 
-        clf = train_classifier(train, cfg)
+        assert dtype == np.float32
         assert clf.net.weights[0].size * s == ref.weights[0].size
         p_ref = predict(ref, replicated(test.features))
         p_new = predict(clf.net, clf.condition(test.features))
-        assert np.max(np.abs(p_new - p_ref)) <= 1e-9
+        assert np.max(np.abs(p_new - p_ref)) <= tol
         npt.assert_array_equal(classify(clf, test.features), np.argmax(p_ref, axis=1))
 
 

@@ -84,6 +84,11 @@ scenario.power = 500
         with pytest.raises(ConfigError, match=key):
             parse_config(overrides={"table": table, key: "1,2"})
 
+    @pytest.mark.parametrize("table", ["1", "2", "3", "custom"])
+    def test_only_mobility_tables_take_positions(self, table):
+        with pytest.raises(ConfigError, match="at_positions"):
+            parse_config(overrides={"table": table, "at_positions": "0,5;0,7"})
+
 
 def fast_spec(tmp_path, **overrides):
     base = {
@@ -170,8 +175,8 @@ class TestRunExperiment:
 
         generator_phasors = spoofsim.attacks.generator_phasors
         monkeypatch.setattr("spoofsim.attacks.generator_phasors", spy)
-        spec = fast_spec(tmp_path, **{"attack": "gan", "table": table,
-                                      "at_positions": "0,10;0,20",
+        positions = {"at_positions": "0,10;0,20"} if table == "5" else {}
+        spec = fast_spec(tmp_path, **{"attack": "gan", "table": table, **positions,
                                       "gan.power_budget": "0.25"})
         result = run_experiment(spec)
         assert not result.failures

@@ -8,14 +8,14 @@ import pytest
 import spoofsim.gan
 from spoofsim import (GanConfig, ScenarioConfig, check_convergence, discriminator_loss,
                       generator_loss, generator_phasors, train_gan)
-from spoofsim.authenticator import FROM_T
+from spoofsim.authenticator import FROM_T, one_hot
 from spoofsim.frontend import condition_phasors, condition_phasors_vjp, symbol_phasors
 from spoofsim.gan import (_generator_grads, _scale_backward, discriminator_layer_sizes,
                           from_t_probability, generator_layer_sizes, init_discriminator,
                           init_generator, scale_to_budget)
-from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, Workspace, backward,
-                         cross_entropy, cross_entropy_grad, forward, init_network,
-                         input_gradient, predict)
+from spoofsim.nn import (LINEAR, RELU, SOFTMAX, AdamState, DenseNetwork, TrainConfig,
+                         Workspace, adam_step, backward, cross_entropy, cross_entropy_grad,
+                         forward, init_network, input_gradient, predict)
 from spoofsim.scenario import substream
 from spoofsim.waveform import carrier_tracks, feature_rows, rows_to_streams, stream_rms
 
@@ -44,12 +44,18 @@ def complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def as_float64(net):
+    return DenseNetwork([w.astype(np.float64) for w in net.weights],
+                        [b.astype(np.float64) for b in net.biases], net.activations)
+
+
 def channel_case(sc):
-    """Frozen generator and discriminator, fixed channel, received noise
-    phasors, targets and power budget."""
+    """Frozen generator and discriminator, as float64 nets for the
+    finite-difference checks, fixed channel, received noise phasors,
+    targets and power budget."""
     rng = np.random.default_rng(0)
-    g = init_generator(sc, TINY, rng)
-    d = init_discriminator(sc, TINY, rng)
+    g = as_float64(init_generator(sc, TINY, rng))
+    d = as_float64(init_discriminator(sc, TINY, rng))
     z = rng.standard_normal((3, TINY.noise_dim))
     mats = complex_normal(rng, (3, sc.n_r, sc.n_a))
     noise = complex_normal(rng, (3, sc.n_r, 4))
@@ -100,9 +106,10 @@ class TestLosses:
         d = init_discriminator(tiny_scenario(), TINY, rng)
         real = rng.standard_normal((7, d.layer_sizes[0]))
         synth = rng.standard_normal((9, d.layer_sizes[0]))
-        # independently coded expectation over the two batches
-        p_real = predict(d, real)[:, 1]
-        p_synth = predict(d, synth)[:, 1]
+        # independently coded expectation over the two batches, in float64
+        # on the net's (float32) probabilities
+        p_real = predict(d, real)[:, 1].astype(np.float64)
+        p_synth = predict(d, synth)[:, 1].astype(np.float64)
         expected_d = np.mean(np.log(1 - p_synth)) - np.mean(np.log(p_real))
         expected_g = np.mean(np.log(1 - p_synth))
         npt.assert_allclose(discriminator_loss(d, real, synth), expected_d,
@@ -242,7 +249,43 @@ class TestArchitectures:
             GanConfig(real_pool=0)
 
 
+def subnormal_count(a) -> int:
+    a = np.abs(np.asarray(a))
+    return int(np.count_nonzero((a > 0.0) & (a < np.finfo(a.dtype).tiny)))
+
+
 class TestTrainGan:
+    def test_trainers_build_float32_nets(self):
+        g, d, _ = train_gan(tiny_scenario(seed=2), replace(TINY, max_epochs=1), substream(2, 2))
+        assert g.params.dtype == d.params.dtype == np.float32
+
+    def test_sure_discriminator_epoch_leaves_no_subnormal_gradients(self, monkeypatch):
+        # A pool the float32 discriminator is sure of: with zero biases its
+        # relu layers are positively homogeneous, so each row is scaled until
+        # its logits differ by 95, and the losing class's softmax output,
+        # e^-95 (about 5e-42), is subnormal. Before every Adam step of the
+        # epoch, no gradient and no pre-activation gradient may be.
+        rng = np.random.default_rng(9)
+        d = init_discriminator(tiny_scenario(seed=9), TINY, rng)
+        logits = DenseNetwork(d.weights, d.biases, [RELU] * TINY.hidden_depth + [LINEAR])
+        x = rng.standard_normal((2 * TINY.batch_size, d.layer_sizes[0]))
+        z = predict(logits, x)
+        x = (x * (95.0 / np.abs(z[:, 0] - z[:, 1]))[:, None]).astype(d.params.dtype)
+        out = predict(d, x)
+        assert subnormal_count(out) == len(x)
+        seen = []
+
+        def checked_step(net, grads, state, cfg):
+            ws = grads.owner()
+            seen.append(subnormal_count(grads.flat) + sum(subnormal_count(a) for a in ws.d_pre))
+            return adam_step(net, grads, state, cfg)
+
+        monkeypatch.setattr("spoofsim.gan.adam_step", checked_step)
+        spoofsim.gan._train_epoch(d, AdamState.for_network(d), x, one_hot(np.argmax(out, axis=1)),
+                                  TINY.batch_size, TrainConfig(batch_size=TINY.batch_size),
+                                  rng, Workspace(d, TINY.batch_size))
+        assert seen == [0, 0]
+
     def test_single_epoch_trace(self):
         sc = tiny_scenario(seed=1)
         cfg = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=10,
@@ -455,7 +498,7 @@ class TestTrainGan:
         def raw_discriminator(scenario, config, rng):
             sizes = discriminator_layer_sizes(scenario, config)
             return init_network([sizes[0] * s, *sizes[1:]],
-                                [RELU] * config.hidden_depth + [SOFTMAX], rng)
+                                [RELU] * config.hidden_depth + [SOFTMAX], rng, d.params.dtype)
 
         monkeypatch.setattr("spoofsim.gan.AdamState", PlainAdam)
         monkeypatch.setattr("spoofsim.gan.init_discriminator", raw_discriminator)
@@ -465,12 +508,20 @@ class TestTrainGan:
                             lambda grad, u: condition_phasors_vjp(fold(grad), u))
         g_ref, d_ref, trace_ref = train_gan(sc, cfg, substream(5, 2))
 
+        # Both runs train in the nets' float32, which rounds the compact
+        # first-layer sum and every step differently from the raw-width
+        # run's. Independent rounding errors of size eps add up like a
+        # random walk over the run's Adam steps; allow four times that, on
+        # weights of size about 1 and on the losses.
+        n_steps = cfg.max_epochs * (cfg.real_pool + 2 * cfg.synth_per_epoch) // cfg.batch_size
+        tol = 4 * math.sqrt(n_steps) * np.finfo(np.float32).eps
+        assert d_ref.params.dtype == np.float32
         assert d.weights[0].size * s == d_ref.weights[0].size
-        npt.assert_allclose(d.weights[0], fold(d_ref.weights[0]), rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(d.weights[0], fold(d_ref.weights[0]), rtol=tol, atol=tol)
         for w, w_ref in zip(g.weights + d.weights[1:], g_ref.weights + d_ref.weights[1:]):
-            npt.assert_allclose(w, w_ref, rtol=1e-9, atol=1e-12)
-        npt.assert_allclose(trace.g_loss, trace_ref.g_loss, rtol=1e-9)
-        npt.assert_allclose(trace.d_loss, trace_ref.d_loss, rtol=1e-9)
+            npt.assert_allclose(w, w_ref, rtol=tol, atol=tol)
+        npt.assert_allclose(trace.g_loss, trace_ref.g_loss, rtol=tol)
+        npt.assert_allclose(trace.d_loss, trace_ref.d_loss, rtol=tol)
 
     def test_from_t_probability_shape(self):
         d = constant_discriminator(4, 0.7)

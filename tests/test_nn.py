@@ -473,6 +473,11 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError):
             finite_diff_check(small_net(), np.ones(7), np.array([1.0, 0, 0]), h=0)
 
+    def test_float32_net_rejected(self):
+        net = init_network([7, 3], rng=np.random.default_rng(0), dtype=np.float32)
+        with pytest.raises(ValueError, match="float64"):
+            finite_diff_check(net, np.ones(7), np.array([1.0, 0, 0]))
+
 
 class TestLayout:
     def test_views_share_memory_with_params(self):
@@ -556,3 +561,140 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError):
             load_model(path)
+
+
+def subnormal_count(a) -> int:
+    a = np.abs(np.asarray(a))
+    return int(np.count_nonzero((a > 0.0) & (a < np.finfo(a.dtype).tiny)))
+
+
+def as_float64(net):
+    return DenseNetwork([w.astype(np.float64) for w in net.weights],
+                        [b.astype(np.float64) for b in net.biases], net.activations)
+
+
+class TestDtype:
+    def test_float32_arrays_make_a_float32_net(self):
+        rng = np.random.default_rng(20)
+        net = init_network([5, 4, 2], rng=rng, dtype=np.float32)
+        assert net.params.dtype == np.float32
+        assert all(a.dtype == np.float32 for a in net.weights + net.biases)
+        assert net.copy().params.dtype == np.float32
+        ws = Workspace(net, 3)
+        assert {a.dtype for a in ws.acts + ws.pre + ws.d_pre + ws.d_in} == {np.dtype(np.float32)}
+        assert ws.grads.flat.dtype == np.float32
+        state = AdamState.for_network(net)
+        assert state.m.dtype == state.v.dtype == state.work.dtype == np.float32
+
+    def test_anything_else_makes_a_float64_net(self):
+        w32 = np.ones((2, 3), dtype=np.float32)
+        assert DenseNetwork([w32], [np.zeros(2, np.float32)], [LINEAR]).params.dtype == np.float32
+        for b in (np.zeros(2), [0.0, 0.0], np.zeros(2, dtype=np.float16)):
+            assert DenseNetwork([w32], [b], [LINEAR]).params.dtype == np.float64
+        assert init_network([3, 2], rng=np.random.default_rng(0)).params.dtype == np.float64
+
+    def test_same_draw_at_either_dtype(self):
+        n32 = init_network([6, 5, 2], rng=np.random.default_rng(21), dtype=np.float32)
+        n64 = init_network([6, 5, 2], rng=np.random.default_rng(21))
+        npt.assert_array_equal(n32.params, n64.params.astype(np.float32))
+
+    def test_passes_cast_inputs_and_loss_gradients_to_the_net_dtype(self):
+        net = init_network([5, 4, 3], rng=np.random.default_rng(22), dtype=np.float32)
+        x = np.random.default_rng(23).standard_normal((6, 5))
+        out, cache = forward(net, x)
+        assert out.dtype == predict(net, x).dtype == np.float32
+        npt.assert_array_equal(out, predict(net, x.astype(np.float32)))
+        label = np.eye(3)[[0, 1, 2, 0, 1, 2]]
+        grads = backward(net, cache, cross_entropy_grad(out, label))
+        assert grads.flat.dtype == np.float32
+        assert input_gradient(net, cache, cross_entropy_grad(out, label)).dtype == np.float32
+
+    def test_gather_rows_refuses_rows_of_another_dtype(self):
+        net = init_network([3, 2], rng=np.random.default_rng(24), dtype=np.float32)
+        ws = Workspace(net, 4)
+        with pytest.raises(ValueError, match="float64 rows"):
+            gather_rows(ws, np.zeros((5, 3)), np.arange(2))
+        assert gather_rows(ws, np.zeros((5, 3), np.float32), np.arange(2)).dtype == np.float32
+
+    def test_adam_refuses_state_of_another_dtype(self):
+        net = init_network([3, 2], rng=np.random.default_rng(25), dtype=np.float32)
+        state = AdamState.for_network(as_float64(net))
+        grads = Gradients(net, np.zeros(net.n_parameters(), np.float32))
+        with pytest.raises(ValueError, match="does not match"):
+            adam_step(net, grads, state, TrainConfig())
+
+    def test_float32_adam_trajectory_tracks_float64(self):
+        # The same net, data and batches in float32 and float64. Rounding
+        # errors of size eps (float32's) per step add up like a random walk,
+        # so after k steps the RMS parameter gap and the largest probability
+        # gap stay within 4 * sqrt(k) * eps. Hidden layers are linear: a
+        # relu pre-activation within rounding of zero switches its unit on
+        # in one run and off in the other, a gap of order one that says
+        # nothing about how either dtype is handled.
+        rng = np.random.default_rng(26)
+        n32 = init_network([8, 32, 32, 2], [LINEAR, LINEAR, SOFTMAX], rng, np.float32)
+        n64 = as_float64(n32)
+        x = rng.standard_normal((200, 8))
+        targets = np.eye(2)[(x[:, :4].sum(axis=1) > x[:, 4:].sum(axis=1)).astype(int)]
+        runs = [(net, AdamState.for_network(net), Workspace(net, 20), x.astype(net.params.dtype))
+                for net in (n32, n64)]
+        cfg = TrainConfig()
+        eps = np.finfo(np.float32).eps
+        order = np.random.default_rng(27)
+        for k in range(1, 301):
+            idx = order.choice(len(x), 20, replace=False)
+            for net, state, ws, rows in runs:
+                out, cache = forward(net, gather_rows(ws, rows, idx), ws)
+                adam_step(net, backward(net, cache, cross_entropy_grad(out, targets[idx])),
+                          state, cfg)
+            if k % 50 == 0:
+                tol = 4 * math.sqrt(k) * eps
+                assert np.sqrt(np.mean((n32.params - n64.params) ** 2)) <= tol
+                assert np.max(np.abs(predict(n32, x) - predict(n64, x))) <= tol
+        assert n32.params.dtype == np.float32
+
+    def test_softmax_guard_keeps_subnormals_out_of_the_backward_pass(self):
+        # A batch the net is sure of: relu layers with zero biases are
+        # positively homogeneous, so each row is scaled until its logits
+        # differ by 95, and the losing class's float32 softmax output,
+        # e^-95 (about 5e-42), is subnormal. Its slope must not carry
+        # subnormals into any layer's gradients.
+        net = init_network([6, 16, 16, 2], rng=np.random.default_rng(28), dtype=np.float32)
+        x = np.random.default_rng(29).standard_normal((10, 6))
+        logits = predict(init_network([6, 16, 16, 2], [RELU, RELU, LINEAR],
+                                      np.random.default_rng(28), np.float32), x)
+        x *= 95.0 / np.abs(logits[:, 0] - logits[:, 1])[:, None]
+        out, cache = forward(net, x)
+        assert subnormal_count(out) == len(x)
+        sure = np.eye(2)[np.argmax(out, axis=1)]
+        ws = cache.workspace
+        grads = backward(net, cache, cross_entropy_grad(out, sure))
+        assert subnormal_count(grads.flat) == 0
+        assert all(subnormal_count(d) == 0 for d in ws.d_pre)
+        input_gradient(net, cache, cross_entropy_grad(out, sure))
+        assert all(subnormal_count(d) == 0 for d in ws.d_pre)
+
+    def test_moments_of_a_dead_parameter_never_go_subnormal(self):
+        # half the parameters' gradients stay zero from step 50 on: their
+        # first moments decay by 0.9 a step, and in float32 would go
+        # subnormal near step 850 and stay so
+        net = init_network([20, 30, 2], rng=np.random.default_rng(30), dtype=np.float32)
+        state = AdamState.for_network(net)
+        rng = np.random.default_rng(31)
+        dead = rng.random(net.n_parameters()) < 0.5
+        for k in range(1500):
+            g = rng.standard_normal(net.n_parameters()).astype(np.float32)
+            if k >= 50:
+                g[dead] = 0.0
+            adam_step(net, Gradients(net, g), state, TrainConfig())
+            assert subnormal_count(state.m) == subnormal_count(state.v) == 0
+        assert np.all(state.m[dead] == 0.0)
+
+    def test_float32_net_saves_and_loads_as_float64_with_the_same_values(self, tmp_path):
+        net = init_network([7, 5, 3], rng=np.random.default_rng(32), dtype=np.float32)
+        save_model(net, tmp_path / "m.bin")
+        loaded = load_model(tmp_path / "m.bin")
+        assert loaded.params.dtype == np.float64
+        npt.assert_array_equal(loaded.params, net.params)
+        save_model(loaded, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "m.bin").read_bytes()
