@@ -19,8 +19,8 @@ so the spread between seeds dominates and pooled intervals would flag
 equal distributions most of the time. So per geometry and metric the gate
 runs a seed-level Welch t-test on the two runs' per-seed rates, and
 flags the metric when its two-sided p-value is below FLAG_P (|t| of
-about 2.8). With a dozen metrics one such flag turns up by chance in
-about one gate in eight: rerun a flagged metric on fresh seeds before
+about 2.8). With 13 metrics a flag turns up by chance in about one gate
+in sixteen (1 - 0.995^13): rerun a flagged metric on fresh seeds before
 reading it as a difference. Whether the two pooled Wilson intervals hold
 each other's estimates is reported as information only. The script
 exits 1 when a metric is flagged.
