@@ -38,7 +38,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from spoofsim import (GanConfig, ScenarioConfig, TrainConfig, build_phasor_dataset,
                       evaluate, run_gan_attack, run_random_attack,
@@ -108,7 +107,10 @@ def overlap(before, after) -> bool:
 
 def welch(before, after) -> dict:
     """Seed-level Welch t-test of two lists of per-seed rates. Two constant
-    lists, where the test is undefined, give p = 1 when equal, else 0."""
+    lists, where the test is undefined, give p = 1 when equal, else 0.
+    Only `--compare` needs scipy, so it is imported here."""
+    from scipy import stats
+
     a, b = np.asarray(before, dtype=float), np.asarray(after, dtype=float)
     if np.ptp(a) == 0.0 and np.ptp(b) == 0.0:
         t, p = 0.0, float(a[0] == b[0])

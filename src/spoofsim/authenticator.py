@@ -207,8 +207,7 @@ def train_classifier(train_set: LabeledDataset,
     cfg = config if config is not None else TrainConfig()
     rng = np.random.default_rng(cfg.seed)
     x = condition_rows(train_set.features, n_ant, sps)
-    net = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None, sps, rng,
-                                   np.float32)
+    net = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None, sps, rng)
     x = x.astype(net.params.dtype)  # once: `gather_rows` copies batches out of it
     state = AdamState.for_network(net, first_weight_scale=sps)
     targets = one_hot(train_set.labels)

@@ -115,19 +115,19 @@ def condition_rows(rows, n_antennas, samples_per_symbol) -> np.ndarray:
 
 
 def init_conditioned_network(layer_sizes, activations, samples_per_symbol,
-                             rng, dtype=np.float64) -> DenseNetwork:
-    """Network for conditioned rows of width layer_sizes[0], stored as dtype.
+                             rng) -> DenseNetwork:
+    """Float32 network for conditioned rows of width layer_sizes[0].
 
     The weights are drawn as `init_network` draws them for a raw-width
     input of S = samples_per_symbol copies of each conditioned value (same
     random stream use); each value's S first-layer weights are then summed
-    into one, in float64, which gives He variance 2/F for the compact
-    fan-in F.
+    into one, in float64 before the cast, which gives He variance 2/F for
+    the compact fan-in F.
     """
     s = int(samples_per_symbol)
     sizes = [int(n) for n in layer_sizes]
     raw = init_network([sizes[0] * s, *sizes[1:]], activations, rng)
     w = raw.weights[0]
     folded = w.reshape(w.shape[0], sizes[0] // 2, s, 2).sum(axis=2).reshape(w.shape[0], -1)
-    return DenseNetwork([a.astype(dtype) for a in (folded, *raw.weights[1:])],
-                        [b.astype(dtype) for b in raw.biases], raw.activations)
+    return DenseNetwork([a.astype(np.float32) for a in (folded, *raw.weights[1:])],
+                        [b.astype(np.float32) for b in raw.biases], raw.activations)

@@ -143,7 +143,7 @@ def init_discriminator(scenario, config, rng) -> DenseNetwork:
     with the first-layer weight step scaled by samples_per_symbol."""
     sizes = discriminator_layer_sizes(scenario, config)
     return init_conditioned_network(sizes, [RELU] * config.hidden_depth + [SOFTMAX],
-                                    scenario.samples_per_symbol, rng, np.float32)
+                                    scenario.samples_per_symbol, rng)
 
 
 def from_t_probability(d_net: DenseNetwork, batch) -> np.ndarray:

@@ -258,11 +258,11 @@ def _pre_activation_gradient(g, cache, i, act):
     """d(loss)/d(pre-activation) of layer i from d(loss)/d(its output), in
     the workspace; softmax (output layer only) reuses the forward output.
 
-    Softmax zeroes dz where the output is below LOG_EPS, as
-    `cross_entropy_grad` zeroes the slope there; each entry it drops is
-    below 1e-12 in size. A confident net's float32 outputs go subnormal,
-    and without the clamp their products carry subnormals into every
-    layer's gradients, where BLAS runs many times slower.
+    Softmax zeroes dz where the output is below FLUSH_SCALE times its
+    dtype's smallest normal number (about 2e-31 in float32, 4e-301 in
+    float64). A confident net's float32 outputs go subnormal, and without
+    the clamp their products carry subnormals into every layer's
+    gradients, where BLAS runs many times slower.
     """
     if act == LINEAR:
         return g
@@ -272,7 +272,7 @@ def _pre_activation_gradient(g, cache, i, act):
     np.multiply(g, cache.out, out=dz)
     np.subtract(g, dz.sum(axis=1, keepdims=True), out=dz)
     dz *= cache.out
-    np.copyto(dz, 0.0, where=cache.out < LOG_EPS)
+    np.copyto(dz, 0.0, where=cache.out < np.finfo(dz.dtype).tiny * FLUSH_SCALE)
     return dz
 
 

@@ -114,8 +114,10 @@ def test_conditioned_init_sums_the_raw_width_draw_over_sample_slots():
     compact = init_conditioned_network([8, 6, 2], None, s, np.random.default_rng(3))
     raw = init_network([8 * s, 6, 2], rng=np.random.default_rng(3))
     slots = raw.weights[0].reshape(6, 4, s, 2)
-    npt.assert_allclose(compact.weights[0], slots.sum(axis=2).reshape(6, 8), rtol=1e-15)
-    npt.assert_array_equal(compact.weights[1], raw.weights[1])
+    assert compact.params.dtype == np.float32
+    npt.assert_array_equal(compact.weights[0],
+                           slots.sum(axis=2).reshape(6, 8).astype(np.float32))
+    npt.assert_array_equal(compact.weights[1], raw.weights[1].astype(np.float32))
     assert compact.layer_sizes == [8, 6, 2]
 
 

@@ -13,11 +13,13 @@ from spoofsim.frontend import condition_phasors, condition_phasors_vjp, symbol_p
 from spoofsim.gan import (_generator_grads, _scale_backward, discriminator_layer_sizes,
                           from_t_probability, generator_layer_sizes, init_discriminator,
                           init_generator, scale_to_budget)
-from spoofsim.nn import (LINEAR, RELU, SOFTMAX, AdamState, DenseNetwork, TrainConfig,
+from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, TrainConfig,
                          Workspace, adam_step, backward, cross_entropy, cross_entropy_grad,
                          forward, init_network, input_gradient, predict)
 from spoofsim.scenario import substream
 from spoofsim.waveform import carrier_tracks, feature_rows, rows_to_streams, stream_rms
+
+from helpers import as_float64, subnormal_count, sure_rows
 
 TINY = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=12,
                  synth_per_epoch=12, batch_size=6, max_epochs=2,
@@ -42,11 +44,6 @@ BUDGETS = {1: 1.3, 2: 2.5}
 
 def complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def as_float64(net):
-    return DenseNetwork([w.astype(np.float64) for w in net.weights],
-                        [b.astype(np.float64) for b in net.biases], net.activations)
 
 
 def channel_case(sc):
@@ -249,28 +246,18 @@ class TestArchitectures:
             GanConfig(real_pool=0)
 
 
-def subnormal_count(a) -> int:
-    a = np.abs(np.asarray(a))
-    return int(np.count_nonzero((a > 0.0) & (a < np.finfo(a.dtype).tiny)))
-
-
 class TestTrainGan:
     def test_trainers_build_float32_nets(self):
         g, d, _ = train_gan(tiny_scenario(seed=2), replace(TINY, max_epochs=1), substream(2, 2))
         assert g.params.dtype == d.params.dtype == np.float32
 
     def test_sure_discriminator_epoch_leaves_no_subnormal_gradients(self, monkeypatch):
-        # A pool the float32 discriminator is sure of: with zero biases its
-        # relu layers are positively homogeneous, so each row is scaled until
-        # its logits differ by 95, and the losing class's softmax output,
-        # e^-95 (about 5e-42), is subnormal. Before every Adam step of the
-        # epoch, no gradient and no pre-activation gradient may be.
+        # A pool the float32 discriminator is sure of, so the losing
+        # class's softmax output is subnormal. Before every Adam step of
+        # the epoch, no gradient and no pre-activation gradient may be.
         rng = np.random.default_rng(9)
         d = init_discriminator(tiny_scenario(seed=9), TINY, rng)
-        logits = DenseNetwork(d.weights, d.biases, [RELU] * TINY.hidden_depth + [LINEAR])
-        x = rng.standard_normal((2 * TINY.batch_size, d.layer_sizes[0]))
-        z = predict(logits, x)
-        x = (x * (95.0 / np.abs(z[:, 0] - z[:, 1]))[:, None]).astype(d.params.dtype)
+        x = sure_rows(d, rng.standard_normal((2 * TINY.batch_size, d.layer_sizes[0])))
         out = predict(d, x)
         assert subnormal_count(out) == len(x)
         seen = []

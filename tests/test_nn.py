@@ -13,6 +13,8 @@ from spoofsim import (AdamState, DenseNetwork, Gradients, TrainConfig, Workspace
                       input_gradient, load_model, predict, save_model)
 from spoofsim.nn import LINEAR, RELU, SOFTMAX
 
+from helpers import as_float64, subnormal_count, sure_rows
+
 
 def small_net(sizes=(7, 6, 5, 3), seed=0):
     return init_network(list(sizes), rng=np.random.default_rng(seed))
@@ -563,16 +565,6 @@ class TestPersistence:
             load_model(path)
 
 
-def subnormal_count(a) -> int:
-    a = np.abs(np.asarray(a))
-    return int(np.count_nonzero((a > 0.0) & (a < np.finfo(a.dtype).tiny)))
-
-
-def as_float64(net):
-    return DenseNetwork([w.astype(np.float64) for w in net.weights],
-                        [b.astype(np.float64) for b in net.biases], net.activations)
-
-
 class TestDtype:
     def test_float32_arrays_make_a_float32_net(self):
         rng = np.random.default_rng(20)
@@ -654,16 +646,11 @@ class TestDtype:
         assert n32.params.dtype == np.float32
 
     def test_softmax_guard_keeps_subnormals_out_of_the_backward_pass(self):
-        # A batch the net is sure of: relu layers with zero biases are
-        # positively homogeneous, so each row is scaled until its logits
-        # differ by 95, and the losing class's float32 softmax output,
-        # e^-95 (about 5e-42), is subnormal. Its slope must not carry
-        # subnormals into any layer's gradients.
+        # On a batch the net is sure of, the losing class's float32 softmax
+        # output is subnormal; its slope must not carry subnormals into any
+        # layer's gradients.
         net = init_network([6, 16, 16, 2], rng=np.random.default_rng(28), dtype=np.float32)
-        x = np.random.default_rng(29).standard_normal((10, 6))
-        logits = predict(init_network([6, 16, 16, 2], [RELU, RELU, LINEAR],
-                                      np.random.default_rng(28), np.float32), x)
-        x *= 95.0 / np.abs(logits[:, 0] - logits[:, 1])[:, None]
+        x = sure_rows(net, np.random.default_rng(29).standard_normal((10, 6)))
         out, cache = forward(net, x)
         assert subnormal_count(out) == len(x)
         sure = np.eye(2)[np.argmax(out, axis=1)]
@@ -673,6 +660,19 @@ class TestDtype:
         assert all(subnormal_count(d) == 0 for d in ws.d_pre)
         input_gradient(net, cache, cross_entropy_grad(out, sure))
         assert all(subnormal_count(d) == 0 for d in ws.d_pre)
+
+    def test_softmax_guard_leaves_float64_backprop_exact(self):
+        # Outputs near e^-40 lie far above float64's subnormals: the guard
+        # keeps their slope, so dz is the exact softmax product
+        net = init_network([6, 16, 16, 2], rng=np.random.default_rng(28))
+        x = sure_rows(net, np.random.default_rng(29).standard_normal((10, 6)), gap=40.0)
+        out, cache = forward(net, x)
+        assert np.all(out.min(axis=1) < 1e-17)
+        g = cross_entropy_grad(out, np.eye(2)[np.argmax(out, axis=1)])
+        backward(net, cache, g)
+        dz = cache.workspace.d_pre[-1][:len(x)]
+        npt.assert_array_equal(dz, out * (g - (g * out).sum(axis=1, keepdims=True)))
+        assert np.count_nonzero(dz) >= len(x)
 
     def test_moments_of_a_dead_parameter_never_go_subnormal(self):
         # half the parameters' gradients stay zero from step 50 on: their

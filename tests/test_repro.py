@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+pytest.importorskip("scipy.stats")  # the Welch gate's test
+
 _SPEC = importlib.util.spec_from_file_location(
     "repro", Path(__file__).resolve().parents[1] / "scripts" / "repro.py")
 repro = importlib.util.module_from_spec(_SPEC)
