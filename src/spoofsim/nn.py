@@ -258,10 +258,11 @@ def _pre_activation_gradient(g, cache, i, act):
     """d(loss)/d(pre-activation) of layer i from d(loss)/d(its output), in
     the workspace; softmax (output layer only) reuses the forward output.
 
-    Softmax zeroes dz where the output is below FLUSH_SCALE times its
-    dtype's smallest normal number (about 2e-31 in float32, 4e-301 in
-    float64). A confident net's float32 outputs go subnormal, and without
-    the clamp their products carry subnormals into every layer's
+    Softmax zeroes dz where the output is below the square root of its
+    dtype's smallest normal number (about 1e-19 in float32, 1e-154 in
+    float64), so a product of a kept slope with any value above that bound
+    stays normal. A confident net's float32 outputs go subnormal, and
+    without the clamp their products carry subnormals into every layer's
     gradients, where BLAS runs many times slower.
     """
     if act == LINEAR:
@@ -272,7 +273,7 @@ def _pre_activation_gradient(g, cache, i, act):
     np.multiply(g, cache.out, out=dz)
     np.subtract(g, dz.sum(axis=1, keepdims=True), out=dz)
     dz *= cache.out
-    np.copyto(dz, 0.0, where=cache.out < np.finfo(dz.dtype).tiny * FLUSH_SCALE)
+    np.copyto(dz, 0.0, where=cache.out < math.sqrt(np.finfo(dz.dtype).tiny))
     return dz
 
 

@@ -662,8 +662,9 @@ class TestDtype:
         assert all(subnormal_count(d) == 0 for d in ws.d_pre)
 
     def test_softmax_guard_leaves_float64_backprop_exact(self):
-        # Outputs near e^-40 lie far above float64's subnormals: the guard
-        # keeps their slope, so dz is the exact softmax product
+        # Outputs near e^-40 lie far above float64's subnormals (and below
+        # LOG_EPS): the guard keeps their slope, so dz is the exact softmax
+        # product
         net = init_network([6, 16, 16, 2], rng=np.random.default_rng(28))
         x = sure_rows(net, np.random.default_rng(29).standard_normal((10, 6)), gap=40.0)
         out, cache = forward(net, x)
