@@ -8,10 +8,14 @@ early stop, no retries) and mounts the GAN attack. Counts are pooled over
 seeds and reported with Wilson 95% intervals, and every (geometry,
 metric) keeps its per-seed rates.
 
-    PYTHONPATH=src python3 scripts/repro.py --seeds 1,2,3,4,5,6 --trials 1000
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/repro.py --seeds 1,2,3,4,5,6 --trials 1000
 
 prints one JSON document and exits 1 unless the pooled success rates at
-1x1x1 order as GAN > replay > random.
+1x1x1 order as GAN > replay > random. The (geometry, seed) cells are
+independent jobs for `spoofsim.experiments.run_jobs`, GAN cells first, so
+they run on as many processes as the usable cores allow at the BLAS thread
+count set (one BLAS thread per process above uses every core); the
+document does not depend on which process ran which cell.
 
 `--compare FILE` (a document an earlier run printed, of the same seeds)
 gates a change that moves results. Each seed trains its own classifier,
@@ -42,6 +46,7 @@ import numpy as np
 from spoofsim import (GanConfig, ScenarioConfig, TrainConfig, build_phasor_dataset,
                       evaluate, run_gan_attack, run_random_attack,
                       run_replay_attack, train_classifier, train_gan)
+from spoofsim.experiments import run_jobs
 from spoofsim.scenario import substream
 
 Z95 = 1.959963984540054
@@ -160,12 +165,16 @@ def main(argv=None) -> int:
         if "per_seed" not in earlier or earlier.get("seeds") != seeds:
             parser.error("--compare needs a document of the same seeds with per-seed rates")
 
+    jobs = [(seed, geometry, args, geometry == GAN_GEOMETRY)
+            for geometry in sorted(geometries, key=lambda g: g != GAN_GEOMETRY)
+            for seed in seeds]
+    cell_counts = {(geometry, seed): counts for (seed, geometry, _, _), counts
+                   in zip(jobs, run_jobs(run_cell, jobs))}
     pooled, per_seed = {}, {}
     for geometry in geometries:
-        with_gan = geometry == GAN_GEOMETRY
         totals, rates = {}, {}
         for seed in seeds:
-            counts = run_cell(seed, geometry, args, with_gan)
+            counts = cell_counts[geometry, seed]
             print(f"seed {seed} {name_of(geometry)}: {counts}", file=sys.stderr)
             for metric, (k, n) in counts.items():
                 k_sum, n_sum = totals.get(metric, (0, 0))

@@ -23,15 +23,33 @@ which other cells the sweep holds or in what order. Cells that fail on bad
 values (ValueError, including ConfigError, or FloatingPointError) are
 recorded and skipped; any other exception is a programming error and
 aborts the sweep.
+
+A sweep first lists its training jobs: per (training tag, seed) one GAN
+job in a GAN sweep, then one classifier job (both datasets, training and
+test metrics), GAN jobs first since they run longest. Each reads only its
+own keyed streams, so `run_jobs` may run them on worker processes in any
+order, and the parent then saves models and traces and scores the cells in
+row order; outputs are the same whichever process trained what. The
+process count (`sweep_processes`) is the usable cores over the BLAS threads
+each process runs (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one
+per core), so a process pool never oversubscribes the cores; below two
+processes, or with one job, every job runs inline. Workers are spawned,
+and spawning re-imports the main module: a script that calls
+`run_experiment` (or `run_jobs`) at import time needs an
+`if __name__ == "__main__":` guard, and a main program read from standard
+input (`python -`) cannot be re-imported, so its pooled sweeps fail.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import subprocess
 import time
 import zlib
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -342,6 +360,92 @@ def _cells(spec):
     return cells
 
 
+# BLAS thread variables in the order OpenBLAS reads them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def sweep_processes(cores=None, environ=None) -> int:
+    """Processes that can train at once without oversubscribing the cores:
+    the usable cores (default: this process's CPU affinity) over the BLAS
+    threads each process runs, which `environ` (default: `os.environ`) sets
+    through BLAS_THREAD_VARS, the first positive value winning. With neither
+    set, OpenBLAS runs one thread per usable core, so one process fills them."""
+    if cores is None:
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+    if environ is None:
+        environ = os.environ
+    for var in BLAS_THREAD_VARS:
+        value = environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cores // int(value))
+    return 1
+
+
+def run_jobs(job, args) -> list:
+    """`[job(*a) for a in args]`, on worker processes when cores are spare.
+
+    Below two processes (`sweep_processes`), or with one job, the jobs run
+    inline in order. Otherwise a spawned pool of min(processes, jobs - 1)
+    workers takes jobs 1 onward while this process runs job 0, so list the
+    longest job first. `job` must be a module-level function (workers import
+    it by name) and each argument tuple picklable. When a job raises, the
+    jobs not yet started are cancelled and, once the running ones have
+    ended, the first failed job's exception is raised; no worker outlives
+    the call.
+    """
+    args = list(args)
+    processes = sweep_processes()
+    if processes < 2 or len(args) < 2:
+        return [job(*a) for a in args]
+    pool = ProcessPoolExecutor(min(processes, len(args) - 1),
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:
+        futures = [pool.submit(job, *a) for a in args[1:]]
+        first = job(*args[0])
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    for error in [f.exception() for f in futures if not f.cancelled()]:
+        if error is not None:
+            raise error
+    return [first] + [f.result() for f in futures]
+
+
+def _jobs(spec, cells):
+    """The sweep's training jobs as `_train_job` arguments: per training tag
+    and seed, a GAN job in a GAN sweep, then a classifier job. GAN jobs run
+    longest, so they come first. A tag's jobs train on its first cell, since
+    training never reads the attack-time position, the only field in which
+    cells sharing a tag differ."""
+    first_cells = {}
+    for cell in cells:
+        first_cells.setdefault(cell.trained_at, cell)
+    kinds = ("gan", "classifier") if spec.attack == "gan" else ("classifier",)
+    return [(spec, kind, cell, seed)
+            for kind in kinds for cell in first_cells.values() for seed in spec.seeds]
+
+
+def _train_job(spec, kind, cell, seed):
+    """One training job, in a worker or inline: the classifier of the cell's
+    training tag with its test metrics, or its GAN generator and trace. A
+    CELL_ERRORS exception is returned, not raised, so that the parent
+    records it in row order; any other propagates."""
+    scen_seed, data_rng, gan_rng, _ = _cell_rngs(seed, spec.table, cell.trained_at)
+    scenario = replace(cell.scenario, seed=scen_seed)
+    try:
+        if kind == "gan":
+            generator, _, trace = train_spoofer(scenario, spec.gan, gan_rng, spec.gan_retries)
+            return generator, trace
+        train_set = build_phasor_dataset(scenario, spec.n_train, spec.positive_fraction,
+                                         data_rng)
+        test_set = build_phasor_dataset(scenario, spec.n_test, spec.positive_fraction, data_rng)
+        clf = train_classifier(train_set, replace(spec.classifier, seed=scen_seed & 0x7FFFFFFF))
+        return clf, evaluate(clf, test_set)
+    except CELL_ERRORS as exc:
+        return exc.with_traceback(None)  # whose frames would hold the datasets
+
+
 class _Trained(NamedTuple):
     scen_seed: int
     clf: Authenticator
@@ -356,22 +460,25 @@ def _output_path(out_dir, spec, tag, seed, what):
     return models / f"t{spec.table}_{tag}_seed{seed}_{what}"
 
 
-def _train(spec, cell, seed, out_dir):
-    """Train the cell's classifier under its training tag, plus the generator in
-    a GAN sweep, and save both and the GAN trace. Training never reads the
-    attack-time position, the only field in which cells sharing a tag differ."""
-    tag = cell.trained_at
-    scen_seed, data_rng, gan_rng, _ = _cell_rngs(seed, spec.table, tag)
-    scenario = replace(cell.scenario, seed=scen_seed)
-    train_set = build_phasor_dataset(scenario, spec.n_train, spec.positive_fraction, data_rng)
-    test_set = build_phasor_dataset(scenario, spec.n_test, spec.positive_fraction, data_rng)
-    clf = train_classifier(train_set, replace(spec.classifier, seed=scen_seed & 0x7FFFFFFF))
-    metrics = evaluate(clf, test_set)
+def _train(spec, tag, seed, jobs_done, out_dir):
+    """The models trained under `tag` for `seed`, taken from `jobs_done`,
+    with the classifier, generator and GAN trace saved. Raises the classifier
+    job's error, else the GAN job's; as when the GAN trained after the
+    classifier, a failed GAN job leaves the classifier saved and a failed
+    classifier job leaves nothing."""
+    clf = jobs_done.pop(("classifier", tag, seed))
+    if isinstance(clf, BaseException):
+        raise clf
+    clf, metrics = clf
     if spec.save_models:
         save_model(clf.net, _output_path(out_dir, spec, tag, seed, "classifier.bin"))
+    scen_seed = _cell_rngs(seed, spec.table, tag)[0]
     if spec.attack != "gan":
         return _Trained(scen_seed, clf, metrics, None, None)
-    generator, _, trace = train_spoofer(scenario, spec.gan, gan_rng, spec.gan_retries)
+    gan = jobs_done.pop(("gan", tag, seed))
+    if isinstance(gan, BaseException):
+        raise gan
+    generator, trace = gan
     if spec.save_models:
         save_model(generator, _output_path(out_dir, spec, tag, seed, "generator.bin"))
         save_trace_csv(trace, _output_path(out_dir, spec, tag, seed, "trace.csv"))
@@ -425,22 +532,33 @@ def _mean_row(cell_rows):
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute a sweep and write its CSV table plus JSON summary.
 
-    Each (cell, seed) trains its training tag unless an earlier cell did,
-    then scores the cell."""
+    Runs the sweep's training jobs (see the module docstring) through
+    `run_jobs`: on min(processes, jobs - 1) spawned workers beside this
+    process, where `sweep_processes` gives the processes, or inline when
+    that is below two or there is one job. Spawning re-imports the main
+    module, so a script calling this at import time needs an
+    `if __name__ == "__main__":` guard. Then, cell by cell in row order,
+    saves the models of the cell's training tag where an earlier cell did
+    not, and scores the cell for each seed. A failed job is recorded once
+    per (training tag, seed), where its first cell is scored."""
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, failures = [], []
     version = build_version()
+    cells = _cells(spec)
+    jobs = _jobs(spec, cells)
+    jobs_done = {(kind, cell.trained_at, seed): result
+                 for (_, kind, cell, seed), result in zip(jobs, run_jobs(_train_job, jobs))}
 
     trained_at, trained = None, {}
-    for cell in _cells(spec):
+    for cell in cells:
         if cell.trained_at != trained_at:
             trained_at, trained = cell.trained_at, {}
         cell_rows = []
         for seed in spec.seeds:
             if seed not in trained:
                 try:
-                    trained[seed] = _train(spec, cell, seed, out_dir)
+                    trained[seed] = _train(spec, trained_at, seed, jobs_done, out_dir)
                 except CELL_ERRORS as exc:
                     trained[seed] = None
                     failures.append({"cell": trained_at, "seed": seed, "error": str(exc)})

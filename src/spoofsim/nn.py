@@ -101,6 +101,16 @@ class DenseNetwork:
     def copy(self) -> "DenseNetwork":
         return DenseNetwork(self.weights, self.biases, self.activations)
 
+    def __getstate__(self):
+        # Pickle the flat vector alone: pickled one by one, the layer views
+        # would come back as copies that no longer share memory with it.
+        return {"params": self.params, "layer_sizes": self.layer_sizes,
+                "activations": self.activations}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.weights, self.biases = _layer_views(self.params, self.layer_sizes)
+
 
 def init_network(layer_sizes, activations=None, rng=None, dtype=np.float64) -> DenseNetwork:
     """He-uniform weights for relu layers, Xavier-uniform elsewhere, zero biases.

@@ -1,4 +1,4 @@
-"""Helpers shared by the dense-network and GAN tests."""
+"""Helpers shared by the test modules."""
 
 import numpy as np
 
@@ -22,3 +22,11 @@ def sure_rows(net, x, gap=95.0):
     losing class's float32 output, e^-95 (about 5e-42), is subnormal."""
     logits = predict(DenseNetwork(net.weights, net.biases, [*net.activations[:-1], LINEAR]), x)
     return (x * (gap / np.abs(logits[:, 0] - logits[:, 1]))[:, None]).astype(net.params.dtype)
+
+
+def job_failing_at(value, bad):
+    """A job for `run_jobs`, which must be importable by spawned workers:
+    returns value, but raises a programming error when it equals bad."""
+    if value == bad:
+        raise TypeError(f"job {value} hit a programming error")
+    return value

@@ -1,5 +1,7 @@
 import csv
 import json
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from spoofsim import (Authenticator, ConfigError, ExperimentSpec,
                       benchmark_latency, build_version, init_network,
                       parse_config, run_experiment, save_model)
 from spoofsim.cli import main
-from spoofsim.experiments import CSV_COLUMNS
+from spoofsim.experiments import CSV_COLUMNS, run_jobs, sweep_processes
+
+from helpers import job_failing_at
 
 
 class TestParseConfig:
@@ -231,6 +235,7 @@ class TestRunExperiment:
 
         train_spoofer = spoofsim.experiments.train_spoofer
         monkeypatch.setattr("spoofsim.experiments.train_spoofer", counting)
+        monkeypatch.setattr("spoofsim.experiments.sweep_processes", lambda: 1)  # count inline
         spec = fast_spec(tmp_path, **{"table": "5", "seeds": "0,1",
                                       "at_positions": "0,10;0,15;0,20"})
         result = run_experiment(spec)
@@ -261,6 +266,7 @@ class TestRunExperiment:
 
         train_spoofer = spoofsim.experiments.train_spoofer
         monkeypatch.setattr("spoofsim.experiments.train_spoofer", first_fails)
+        monkeypatch.setattr("spoofsim.experiments.sweep_processes", lambda: 1)  # fail inline
         spec = fast_spec(tmp_path, **{"table": "5", "seeds": "0,1",
                                       "at_positions": "0,10;0,20"})
         result = run_experiment(spec)
@@ -303,6 +309,70 @@ class TestCellErrors:
         assert len(calls) == 1
         assert {row["version"] for row in result.rows} == {"v-test"}
         assert json.loads(result.json_path.read_text())["version"] == "v-test"
+
+
+def sweep_outputs(out_dir):
+    """Every file a sweep wrote under out_dir, by relative path, as bytes."""
+    return {str(f.relative_to(out_dir)): f.read_bytes()
+            for f in sorted(out_dir.rglob("*")) if f.is_file()}
+
+
+def run_with_processes(monkeypatch, processes, spec):
+    monkeypatch.setattr("spoofsim.experiments.sweep_processes", lambda: processes)
+    return run_experiment(spec), sweep_outputs(Path(spec.out_dir))
+
+
+class TestJobs:
+    @pytest.mark.parametrize("cores, environ, processes", [
+        (2, {}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "4"}, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "3"}, 2),
+        (16, {"OMP_NUM_THREADS": "4"}, 4),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ])
+    def test_process_count_is_cores_over_blas_threads(self, cores, environ, processes):
+        assert sweep_processes(cores, environ) == processes
+
+    def test_pooled_results_come_back_in_job_order(self, monkeypatch):
+        monkeypatch.setattr("spoofsim.experiments.sweep_processes", lambda: 2)
+        assert run_jobs(job_failing_at, [(k, None) for k in range(5)]) == list(range(5))
+
+    def test_worker_programming_error_propagates_and_no_worker_outlives_it(self,
+                                                                           monkeypatch):
+        monkeypatch.setattr("spoofsim.experiments.sweep_processes", lambda: 2)
+        with pytest.raises(TypeError, match="job 2"):
+            run_jobs(job_failing_at, [(k, 2) for k in range(6)])
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_sweep_is_byte_identical_to_inline(self, tmp_path, monkeypatch):
+        def spec(name):
+            return fast_spec(tmp_path / name, **{"table": "5", "seeds": "0,1,2",
+                                                 "at_positions": "0,10;0,20"})
+        inline, inline_files = run_with_processes(monkeypatch, 1, spec("inline"))
+        pooled, pooled_files = run_with_processes(monkeypatch, 2, spec("pooled"))
+        assert not pooled.failures and pooled.rows == inline.rows
+        assert len(pooled_files) == 2 + 3 * 3  # CSV, JSON; per seed 2 models and a trace
+        assert pooled_files == inline_files
+
+    def test_worker_training_failure_is_recorded_as_inline(self, tmp_path, monkeypatch):
+        # A_T trained at (10, 0.1) stands on A_R, which fails only the GAN job;
+        # listed second, that job runs in a worker
+        def spec(name):
+            return fast_spec(tmp_path / name, **{"table": "4", "seeds": "0,1",
+                                                 "at_positions": "0,20;10,0.1"})
+        inline, inline_files = run_with_processes(monkeypatch, 1, spec("inline"))
+        pooled, pooled_files = run_with_processes(monkeypatch, 2, spec("pooled"))
+        assert [(f["cell"], f["seed"]) for f in pooled.failures] == [("at10.0_0.1", 0),
+                                                                     ("at10.0_0.1", 1)]
+        assert all("coincident positions" in f["error"] for f in pooled.failures)
+        assert pooled.failures == inline.failures and pooled.rows == inline.rows
+        assert "models/t4_at10.0_0.1_seed0_classifier.bin" in pooled_files
+        assert "models/t4_at10.0_0.1_seed0_generator.bin" not in pooled_files
+        assert pooled_files == inline_files
 
 
 class TestBenchmarkLatency:

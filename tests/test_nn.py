@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import struct
 import weakref
 
@@ -512,6 +513,17 @@ class TestLayout:
             assert not np.shares_memory(a, net.params)
         twin.params += 1.0
         npt.assert_array_equal(net.params, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pickle_round_trip_keeps_the_views(self, dtype):
+        net = init_network([7, 6, 5, 3], rng=np.random.default_rng(3), dtype=dtype)
+        twin = pickle.loads(pickle.dumps(net))
+        assert twin.params.dtype == dtype and twin.layer_sizes == net.layer_sizes
+        for a in twin.weights + twin.biases:
+            assert np.shares_memory(a, twin.params)
+        assert not np.shares_memory(twin.params, net.params)
+        x = np.random.default_rng(4).standard_normal((9, 7)).astype(dtype)
+        assert predict(twin, x).tobytes() == predict(net, x).tobytes()
 
 
 class TestPersistence:
