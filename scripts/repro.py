@@ -8,7 +8,8 @@ early stop, no retries) and mounts the GAN attack. Counts are pooled over
 seeds and reported with Wilson 95% intervals, and every (geometry,
 metric) keeps its per-seed rates.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/repro.py --seeds 1,2,3,4,5,6 --trials 1000
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
+        python3 scripts/repro.py --seeds 1,2,3,4,5,6 --trials 1000
 
 prints one JSON document and exits 1 unless the pooled success rates at
 1x1x1 order as GAN > replay > random. The (geometry, seed) cells are

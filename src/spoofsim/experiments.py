@@ -44,12 +44,10 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import os
 import subprocess
 import time
 import zlib
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -398,6 +396,11 @@ def run_jobs(job, args) -> list:
     processes = sweep_processes()
     if processes < 2 or len(args) < 2:
         return [job(*a) for a in args]
+    # Imported only where a pool is made: these modules hold about 2 MB of
+    # resident memory that a process running every job inline need not carry.
+    import multiprocessing
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
     pool = ProcessPoolExecutor(min(processes, len(args) - 1),
                                mp_context=multiprocessing.get_context("spawn"))
     try:

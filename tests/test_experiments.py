@@ -341,11 +341,11 @@ class TestJobs:
         monkeypatch.setattr("spoofsim.experiments.sweep_processes", lambda: 2)
         assert run_jobs(job_failing_at, [(k, None) for k in range(5)]) == list(range(5))
 
-    def test_worker_programming_error_propagates_and_no_worker_outlives_it(self,
-                                                                           monkeypatch):
+    @pytest.mark.parametrize("bad", [0, 2])  # job 0 runs in this process, job 2 in a worker
+    def test_programming_error_propagates_and_no_worker_outlives_it(self, monkeypatch, bad):
         monkeypatch.setattr("spoofsim.experiments.sweep_processes", lambda: 2)
-        with pytest.raises(TypeError, match="job 2"):
-            run_jobs(job_failing_at, [(k, 2) for k in range(6)])
+        with pytest.raises(TypeError, match=f"job {bad}"):
+            run_jobs(job_failing_at, [(k, bad) for k in range(6)])
         assert multiprocessing.active_children() == []
 
     def test_pooled_sweep_is_byte_identical_to_inline(self, tmp_path, monkeypatch):
