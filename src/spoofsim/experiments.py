@@ -384,9 +384,9 @@ def sweep_processes(cores=None, environ=None) -> int:
 def _skip_teardown_at_exit():
     """Pool initializer: the worker leaves through `os._exit`, as a forked
     process does, without the interpreter's teardown (tens of milliseconds
-    with numpy loaded, which shutdown would wait for). By the time exit handlers run,
-    the worker has flushed its streams and run its multiprocessing
-    finalizers, and every result has been sent."""
+    with numpy loaded, which shutdown would wait for). By the time exit
+    handlers run, the worker has flushed its streams and run its
+    multiprocessing finalizers, and every result has been sent."""
     atexit.register(os._exit, 0)
 
 
