@@ -25,11 +25,10 @@ at full width through `receive_rows`) and an `Authenticator` or
 __version__ = "0.1.0"
 
 from .attacks import (AttackReport, run_gan_attack, run_random_attack,
-                      run_replay_attack, success_probability, train_spoofer)
+                      run_replay_attack, train_spoofer)
 from .authenticator import (FROM_T, NOT_T, Authenticator, ClassifierMetrics,
                             LabeledDataset, build_dataset, build_phasor_dataset,
-                            classify, evaluate, train_classifier,
-                            tune_hyperparameters)
+                            classify, evaluate, train_classifier)
 from .experiments import (ConfigError, ExperimentResult, ExperimentSpec,
                           benchmark_latency, build_version, parse_config,
                           run_experiment)

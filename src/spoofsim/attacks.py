@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .authenticator import FROM_T, Authenticator, ClassifierMetrics, classify
+from .authenticator import FROM_T, Authenticator, classify
 from .gan import generator_phasors, train_gan
 from .scenario import TWO_PI, ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows,
@@ -30,13 +30,9 @@ from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows,
 class AttackReport:
     """Outcome of one attack evaluation run."""
 
-    attack_kind: str
     n_trials: int
     n_success: int
     success_prob: float
-    scenario: ScenarioConfig
-    classifier_metrics: ClassifierMetrics | None = None
-    gan_trace_summary: dict | None = None
 
     def __post_init__(self):
         if self.n_trials < 1 or not (0 <= self.n_success <= self.n_trials):
@@ -45,20 +41,11 @@ class AttackReport:
             raise ValueError("success_prob must equal n_success / n_trials exactly")
 
 
-def success_probability(decisions) -> float:
-    """Fraction of classifier decisions equal to the legitimate label."""
-    arr = np.asarray(decisions)
-    if arr.size == 0:
-        raise ValueError("no decisions given")
-    return float(np.mean(arr == FROM_T))
-
-
-def _report(kind, classifier, rx, scenario, metrics, gan_summary=None) -> AttackReport:
+def _report(classifier, rx) -> AttackReport:
     """Score received phasors (count, n_r, n_symbols) with the classifier."""
     decisions = classify(classifier, feature_rows(rx))
     n_success = int((decisions == FROM_T).sum())
-    return AttackReport(kind, len(decisions), n_success, n_success / len(decisions),
-                        scenario, metrics, gan_summary)
+    return AttackReport(len(decisions), n_success, n_success / len(decisions))
 
 
 def _check_feature_width(classifier: Authenticator, scenario: ScenarioConfig):
@@ -69,8 +56,7 @@ def _check_feature_width(classifier: Authenticator, scenario: ScenarioConfig):
             f"delivers {scenario.conditioned_length}")
 
 
-def run_random_attack(classifier, scenario, n_trials=500, rng=None,
-                      classifier_metrics=None) -> AttackReport:
+def run_random_attack(classifier, scenario, n_trials=500, rng=None) -> AttackReport:
     """Transmit structureless random-phase bursts at full power."""
     _check_feature_width(classifier, scenario)
     if rng is None:
@@ -79,11 +65,10 @@ def run_random_attack(classifier, scenario, n_trials=500, rng=None,
     phases = rng.uniform(0.0, TWO_PI, size=(n_trials, SYMBOLS_PER_BURST))
     mixing = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
     rx = receive_waveform_phasors(mixing, phases, sc.power, sc.samples_per_symbol, rng)
-    return _report("random", classifier, rx, sc, classifier_metrics)
+    return _report(classifier, rx)
 
 
-def run_replay_attack(classifier, scenario, n_trials=500, rng=None,
-                      classifier_metrics=None) -> AttackReport:
+def run_replay_attack(classifier, scenario, n_trials=500, rng=None) -> AttackReport:
     """Record a fresh legitimate burst each trial, amplify, and forward it."""
     _check_feature_width(classifier, scenario)
     if rng is None:
@@ -98,11 +83,10 @@ def run_replay_attack(classifier, scenario, n_trials=500, rng=None,
     # uniform per-burst phase offset already absorbs any such phase.
     hop2 = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
     rx = receive_phasors(hop2, forwarded, sc.samples_per_symbol, rng)
-    return _report("replay", classifier, rx, sc, classifier_metrics)
+    return _report(classifier, rx)
 
 
 def run_gan_attack(classifier, generator, scenario, n_trials=500, rng=None,
-                   classifier_metrics=None, gan_trace_summary=None,
                    power_budget=None) -> AttackReport:
     """Spoof with a trained generator from the attack-time position, its
     bursts capped at `power_budget` (default: the scenario's power)."""
@@ -111,11 +95,6 @@ def run_gan_attack(classifier, generator, scenario, n_trials=500, rng=None,
     width = generator.layer_sizes[-1]
     expected_out = 2 * SYMBOLS_PER_BURST * sc.n_a
     if width != expected_out:
-        if width == 2 * sc.n_points * sc.n_a:
-            raise ValueError(
-                f"generator emits {width} values, one raw I/Q sample per (antenna, "
-                f"point): it predates the symbol-phasor generator, which emits "
-                f"{expected_out}, one I/Q phasor per (antenna, symbol)")
         raise ValueError(f"generator emits {width} values, scenario needs {expected_out} "
                          f"for {sc.n_a} transmit antennas")
     if rng is None:
@@ -125,7 +104,7 @@ def run_gan_attack(classifier, generator, scenario, n_trials=500, rng=None,
     tx, _ = generator_phasors(generator, z, sc.n_a, budget)
     mixing = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
     rx = receive_phasors(mixing, tx, sc.samples_per_symbol, rng)
-    return _report("gan", classifier, rx, sc, classifier_metrics, gan_trace_summary)
+    return _report(classifier, rx)
 
 
 def train_spoofer(scenario, gan_config=None, rng=None, retries=3):

@@ -92,10 +92,6 @@ class ClassifierMetrics:
             raise ValueError("evaluation needs both classes present")
         return cls(n, n_from_t, n_md, n_fa, n_md / n_from_t, n_fa / (n - n_from_t))
 
-    @property
-    def worst_error(self) -> float:
-        return max(self.e_md, self.e_fa)
-
 
 def _draw_sensing_bursts(scenario: ScenarioConfig, n_samples, positive_fraction, rng):
     """Everything a sensing dataset draws before the receiver: labels,
@@ -247,23 +243,3 @@ def evaluate(classifier: Authenticator, test_set: LabeledDataset) -> ClassifierM
     n_md = int(((labels == FROM_T) & (preds != FROM_T)).sum())
     n_fa = int(((labels == NOT_T) & (preds == FROM_T)).sum())
     return ClassifierMetrics.from_counts(len(test_set), n_from_t, n_md, n_fa)
-
-
-def tune_hyperparameters(scenario: ScenarioConfig, grid, rng,
-                         n_train=1000, n_val=1000, positive_fraction=0.5) -> TrainConfig:
-    """Pick the training config minimising max(e_MD, e_FA) on a validation split.
-
-    Ties break toward the smaller batch size, then the earlier grid entry.
-    The candidate configs all see the same train/validation data.
-    """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("hyperparameter grid is empty")
-    train_set = build_phasor_dataset(scenario, n_train, positive_fraction, rng)
-    val_set = build_phasor_dataset(scenario, n_val, positive_fraction, rng)
-    scores = []
-    for cfg in grid:
-        net = train_classifier(train_set, cfg)
-        scores.append(evaluate(net, val_set).worst_error)
-    best = min(range(len(grid)), key=lambda i: (scores[i], grid[i].batch_size, i))
-    return grid[best]

@@ -177,14 +177,6 @@ _TABLE_GRID_DEFAULTS = {
 }
 
 
-def _parse_int(text):
-    return int(text)
-
-
-def _parse_float(text):
-    return float(text)
-
-
 def _parse_int_list(text):
     items = [t for t in text.replace(" ", "").split(",") if t]
     if not items:
@@ -206,10 +198,6 @@ def _parse_positions(text):
     return tuple(_parse_position(c) for c in chunks)
 
 
-def _parse_str(text):
-    return text.strip()
-
-
 def _parse_bool(text):
     val = text.strip().lower()
     if val in ("1", "true", "yes", "on"):
@@ -221,11 +209,11 @@ def _parse_bool(text):
 
 # key -> (target, field, parser); targets name sub-configs of ExperimentSpec
 _KEYS = {
-    "table": ("spec", "table", _parse_str),
+    "table": ("spec", "table", str.strip),
     "seeds": ("spec", "seeds", _parse_int_list),
-    "trials": ("spec", "n_trials", _parse_int),
-    "out": ("spec", "out_dir", _parse_str),
-    "attack": ("spec", "attack", _parse_str),
+    "trials": ("spec", "n_trials", int),
+    "out": ("spec", "out_dir", str.strip),
+    "attack": ("spec", "attack", str.strip),
     "n_t": ("spec", "n_t_grid", _parse_int_list),
     "n_r": ("spec", "n_r_grid", _parse_int_list),
     "n_a": ("spec", "n_a_grid", _parse_int_list),
@@ -235,25 +223,25 @@ _KEYS = {
     "scenario.r_pos": ("scenario", "r_pos", _parse_position),
     "scenario.at_pos": ("scenario", "at_pos", _parse_position),
     "scenario.ar_pos": ("scenario", "ar_pos", _parse_position),
-    "scenario.power": ("scenario", "power", _parse_float),
-    "scenario.samples_per_symbol": ("scenario", "samples_per_symbol", _parse_int),
-    "dataset.n_train": ("spec", "n_train", _parse_int),
-    "dataset.n_test": ("spec", "n_test", _parse_int),
-    "dataset.positive_fraction": ("spec", "positive_fraction", _parse_float),
-    "classifier.learning_rate": ("classifier", "learning_rate", _parse_float),
-    "classifier.batch_size": ("classifier", "batch_size", _parse_int),
-    "classifier.train_steps": ("classifier", "train_steps", _parse_int),
-    "gan.noise_dim": ("gan", "noise_dim", _parse_int),
-    "gan.hidden_width": ("gan", "hidden_width", _parse_int),
-    "gan.hidden_depth": ("gan", "hidden_depth", _parse_int),
-    "gan.real_pool": ("gan", "real_pool", _parse_int),
-    "gan.synth_per_epoch": ("gan", "synth_per_epoch", _parse_int),
-    "gan.batch_size": ("gan", "batch_size", _parse_int),
-    "gan.max_epochs": ("gan", "max_epochs", _parse_int),
-    "gan.conv_window": ("gan", "conv_window", _parse_int),
-    "gan.conv_threshold": ("gan", "conv_threshold", _parse_float),
-    "gan.power_budget": ("gan", "power_budget", _parse_float),
-    "gan.retries": ("spec", "gan_retries", _parse_int),
+    "scenario.power": ("scenario", "power", float),
+    "scenario.samples_per_symbol": ("scenario", "samples_per_symbol", int),
+    "dataset.n_train": ("spec", "n_train", int),
+    "dataset.n_test": ("spec", "n_test", int),
+    "dataset.positive_fraction": ("spec", "positive_fraction", float),
+    "classifier.learning_rate": ("classifier", "learning_rate", float),
+    "classifier.batch_size": ("classifier", "batch_size", int),
+    "classifier.train_steps": ("classifier", "train_steps", int),
+    "gan.noise_dim": ("gan", "noise_dim", int),
+    "gan.hidden_width": ("gan", "hidden_width", int),
+    "gan.hidden_depth": ("gan", "hidden_depth", int),
+    "gan.real_pool": ("gan", "real_pool", int),
+    "gan.synth_per_epoch": ("gan", "synth_per_epoch", int),
+    "gan.batch_size": ("gan", "batch_size", int),
+    "gan.max_epochs": ("gan", "max_epochs", int),
+    "gan.conv_window": ("gan", "conv_window", int),
+    "gan.conv_threshold": ("gan", "conv_threshold", float),
+    "gan.power_budget": ("gan", "power_budget", float),
+    "gan.retries": ("spec", "gan_retries", int),
 }
 
 
@@ -292,27 +280,24 @@ def parse_config(path=None, overrides=None) -> ExperimentSpec:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
 
     table = parsed.get(("spec", "table"), "custom")
-    if table not in TABLES:
-        raise ConfigError(f"table must be one of {TABLES}, got {table!r}")
-
     spec_kwargs = {f: v for (t, f), v in parsed.items() if t == "spec"}
     spec_kwargs.pop("table", None)
     for fieldname, value in _TABLE_GRID_DEFAULTS.get(table, {}).items():
         spec_kwargs.setdefault(fieldname, value)
 
-    scenario_kwargs = {f: v for (t, f), v in parsed.items() if t == "scenario"}
-    classifier_kwargs = {f: v for (t, f), v in parsed.items() if t == "classifier"}
-    gan_kwargs = {f: v for (t, f), v in parsed.items() if t == "gan"}
-    try:
-        return ExperimentSpec(
-            table=table,
-            base=ScenarioConfig(**scenario_kwargs),
-            classifier=TrainConfig(**classifier_kwargs),
-            gan=GanConfig(**gan_kwargs),
-            **spec_kwargs,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # A sub-config's range errors start with the field name, so the section
+    # prefix turns them into the offending key.
+    configs = {}
+    for target, config_cls in (("scenario", ScenarioConfig), ("classifier", TrainConfig),
+                               ("gan", GanConfig)):
+        try:
+            configs[target] = config_cls(**{f: v for (t, f), v in parsed.items()
+                                            if t == target})
+        except ValueError as exc:
+            raise ConfigError(f"{target}.{exc}") from exc
+    return ExperimentSpec(table=table, base=configs["scenario"],
+                          classifier=configs["classifier"], gan=configs["gan"],
+                          **spec_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +507,12 @@ def _score(spec, cell, seed, trained, version):
     attack_rng = _cell_rngs(seed, spec.table, cell.tag)[3]
     if spec.attack == "gan":
         report = run_gan_attack(trained.clf, trained.generator, scenario, spec.n_trials,
-                                attack_rng, trained.metrics, trained.gan_summary,
-                                spec.gan.power_budget)
+                                attack_rng, spec.gan.power_budget)
         row.update(gan_epochs=trained.gan_summary["epochs_run"],
                    gan_converged=trained.gan_summary["converged"])
     else:
         runner = {"random": run_random_attack, "replay": run_replay_attack}[spec.attack]
-        report = runner(trained.clf, scenario, spec.n_trials, attack_rng, trained.metrics)
+        report = runner(trained.clf, scenario, spec.n_trials, attack_rng)
     row.update(attack=spec.attack, n_trials=report.n_trials,
                success_prob=report.success_prob)
     return row
@@ -618,13 +602,9 @@ def benchmark_latency(classifier: Authenticator, n_repeats=1000, rng=None) -> fl
         rng = np.random.default_rng(0)
     x = rng.standard_normal(classifier.net.layer_sizes[0] * classifier.samples_per_symbol)
     warmup = n_repeats // 10
-    start_timed = None
-    t0 = time.perf_counter()
     for i in range(n_repeats):
         if i == warmup:
             start_timed = time.perf_counter()
         classify(classifier, x)
     end = time.perf_counter()
-    if start_timed is None:
-        start_timed = t0
     return (end - start_timed) / (n_repeats - warmup) * 1e6

@@ -28,18 +28,13 @@ per-antenna RMS cap the constant-envelope stream therefore meets the
 budget whenever the raw stream does, and the phasor generator can still
 produce every received phasor set the raw one could, without spending
 budget on samples no receiver sees.
-
-Radio protocol bookkeeping is kept alongside: the transmitter flags each
-synthetic transmission (one bit) and the surrogate receiver feeds back its
-classification decision for each burst it labels (one bit). Numerically
-the generator update uses co-located gradients; the trace keeps per-epoch
-counts of the bits, which do not carry the learning signal.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +77,7 @@ class GanConfig:
     power_budget: float | None = None
 
     def __post_init__(self):
+        # Each message starts with the field name (`parse_config` relies on it).
         if self.conv_window < 2:
             raise ValueError("conv_window must be >= 2")
         if not (0.0 < self.conv_threshold < 1.0):
@@ -90,30 +86,21 @@ class GanConfig:
                      "synth_per_epoch", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-
-
-@dataclass
-class EpochProtocol:
-    """Per-epoch protocol bit counts: n_flags synthetic transmissions were
-    flagged, and the surrogate receiver fed back "legitimate" for n_fooled
-    of them."""
-
-    epoch: int
-    n_flags: int
-    n_fooled: int
+        if self.power_budget is not None and not (0.0 < self.power_budget < math.inf):
+            raise ValueError(f"power_budget must be finite and above zero, "
+                             f"got {self.power_budget}")
 
 
 @dataclass
 class TrainingTrace:
-    """Per-epoch record of one adversarial run. capped_bursts[e] counts the
-    synthetic bursts of epoch e's pool that the power cap scaled down; the
-    losses and protocol_log score that pool as `train_gan`'s phase (d) says."""
+    """Per-epoch record of one adversarial run: the losses g_loss and d_loss,
+    which score epoch e's synthetic pool as `train_gan`'s phase (d) says, and
+    capped_bursts[e], the bursts of that pool the power cap scaled down."""
 
     g_loss: list = field(default_factory=list)
     d_loss: list = field(default_factory=list)
     epochs_run: int = 0
     converged: bool = False
-    protocol_log: list = field(default_factory=list)
     capped_bursts: list = field(default_factory=list)
 
 
@@ -296,9 +283,9 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
         same links and noise, with gradients flowing through the
         discriminator, the front end, the link matrices and the power cap,
         all on phasors;
-    (d) losses and protocol bits are recorded. They score (a)'s pool, sent
-        before (c) moved the generator, with the discriminator (b) just
-        trained on it: g_loss, d_loss and n_fooled never show (c)'s update.
+    (d) the losses are recorded. They score (a)'s pool, sent before (c)
+        moved the generator, with the discriminator (b) just trained on it,
+        so g_loss and d_loss never show (c)'s update.
     Training stops early once both loss series pass the perturbation
     convergence test; otherwise the trace reports converged=False.
     """
@@ -358,13 +345,11 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
                                      targets, budget, g_ws, d_ws)
             adam_step(g_net, grads, g_state, opt_cfg)
 
-        # (d) epoch bookkeeping: losses, protocol bits, convergence
-        p_real = from_t_probability(d_net, real_xc)
-        p_synth = from_t_probability(d_net, synth_xc)
-        d_loss, g_loss = _losses(p_real, p_synth)
+        # (d) epoch bookkeeping: losses, convergence
+        d_loss, g_loss = _losses(from_t_probability(d_net, real_xc),
+                                 from_t_probability(d_net, synth_xc))
         trace.d_loss.append(d_loss)
         trace.g_loss.append(g_loss)
-        trace.protocol_log.append(EpochProtocol(epoch, n_synth, int((p_synth > 0.5).sum())))
         trace.epochs_run = epoch + 1
         if check_convergence(trace.g_loss, cfg.conv_window, cfg.conv_threshold) and \
            check_convergence(trace.d_loss, cfg.conv_window, cfg.conv_threshold):

@@ -44,9 +44,6 @@ FLUSH_EVERY = 16
 FLUSH_SCALE = 2.0 ** 24
 
 _MODEL_MAGIC = b"DNETV002"
-# Magic of files written while the front end copied each symbol phasor into
-# all its sample slots: their classifier/discriminator inputs are S times wider.
-_REPLICATED_MAGIC = b"DNETV001"
 _ACT_CODE = {RELU: 0, SOFTMAX: 1, LINEAR: 2}
 _CODE_ACT = {v: k for k, v in _ACT_CODE.items()}
 
@@ -364,12 +361,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
-            raise ValueError("adam betas must lie in (0, 1)")
-        if self.batch_size < 1 or self.train_steps < 1:
-            raise ValueError("batch_size and train_steps must be >= 1")
+        # Each message starts with the field name (`parse_config` relies on it).
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be finite and above zero, "
+                             f"got {self.learning_rate}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not (0.0 < getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must lie in (0, 1)")
+        for name in ("batch_size", "train_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -501,11 +502,6 @@ def save_model(net: DenseNetwork, path) -> None:
 def load_model(path) -> DenseNetwork:
     """The network `save_model` wrote, always as float64."""
     buf = Path(path).read_bytes()
-    if buf[:8] == _REPLICATED_MAGIC:
-        raise ValueError(
-            f"{path}: a {_REPLICATED_MAGIC.decode()} file holds a replicated-width net "
-            f"(each symbol phasor copied into every sample slot); retrain it for the "
-            f"compact front end")
     if len(buf) < 12 or buf[:8] != _MODEL_MAGIC:
         raise ValueError(f"{path}: not a serialized dense network")
     (n_layers,) = struct.unpack("<I", buf[8:12])

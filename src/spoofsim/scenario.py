@@ -66,7 +66,7 @@ def substream(seed, *key) -> np.random.Generator:
 def _check_position(name, pos) -> Position:
     x, y = float(pos[0]), float(pos[1])
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"{name} position must be finite, got {pos}")
+        raise ValueError(f"{name} must be a finite position, got {pos}")
     return (x, y)
 
 
@@ -95,21 +95,17 @@ class ScenarioConfig:
     attack_time_at_pos: Position | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "t_pos", _check_position("T", self.t_pos))
-        object.__setattr__(self, "r_pos", _check_position("R", self.r_pos))
-        object.__setattr__(self, "at_pos", _check_position("A_T", self.at_pos))
-        object.__setattr__(self, "ar_pos", _check_position("A_R", self.ar_pos))
-        if self.attack_time_at_pos is not None:
-            object.__setattr__(self, "attack_time_at_pos",
-                               _check_position("attack-time A_T", self.attack_time_at_pos))
-        if min(self.n_t, self.n_r, self.n_a) < 1:
-            raise ValueError("antenna counts must be >= 1")
-        if self.power <= 0:
-            raise ValueError("power must be positive")
-        if self.samples_per_symbol < 1:
-            raise ValueError("samples_per_symbol must be >= 1")
-        if self.carrier_jitter < 0:
-            raise ValueError("carrier_jitter must be >= 0")
+        # Each message starts with the field name (`parse_config` relies on it).
+        for name in ("t_pos", "r_pos", "at_pos", "ar_pos", "attack_time_at_pos"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _check_position(name, getattr(self, name)))
+        for name in ("n_t", "n_r", "n_a", "samples_per_symbol"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not (0.0 < self.power < math.inf):
+            raise ValueError(f"power must be finite and above zero, got {self.power}")
+        if not (0.0 <= self.carrier_jitter < math.inf):
+            raise ValueError(f"carrier_jitter must be finite and >= 0, got {self.carrier_jitter}")
 
     @property
     def n_points(self) -> int:
@@ -144,7 +140,7 @@ class ScenarioConfig:
 
     def _position(self, role, at_position=None) -> Position:
         if role == "at" and at_position is not None:
-            return _check_position("A_T override", at_position)
+            return _check_position("at_position", at_position)
         return {"t": self.t_pos, "at": self.at_pos,
                 "r": self.r_pos, "ar": self.ar_pos}[role]
 

@@ -4,12 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import (FROM_T, NOT_T, AttackReport, Authenticator, GanConfig,
+from spoofsim import (FROM_T, AttackReport, Authenticator, GanConfig,
                       ScenarioConfig, TrainConfig, build_phasor_dataset, classify,
                       qpsk_phases, receive_phasors, receive_waveform_phasors,
                       relay_phasors, run_gan_attack, run_random_attack,
-                      run_replay_attack, success_probability, train_classifier,
-                      train_gan, train_spoofer)
+                      run_replay_attack, train_classifier, train_gan, train_spoofer)
 from spoofsim.gan import init_generator
 from spoofsim.nn import DenseNetwork, init_network
 from spoofsim.scenario import substream
@@ -35,27 +34,10 @@ def always_not_t(sc, width):
     return Authenticator(net, sc.n_r, sc.samples_per_symbol)
 
 
-class TestSuccessProbability:
-    def test_all_accepted(self):
-        assert success_probability([FROM_T] * 4) == 1.0
-
-    def test_none_accepted(self):
-        assert success_probability([NOT_T] * 4) == 0.0
-
-    def test_table_scale_fraction(self):
-        decisions = [FROM_T] * 381 + [NOT_T] * 119
-        assert success_probability(decisions) == 0.762
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            success_probability([])
-
-
 class TestAttackReport:
     def test_success_prob_identity_enforced(self):
-        sc = tiny_scenario()
         with pytest.raises(ValueError):
-            AttackReport("random", 100, 10, 0.2, sc)
+            AttackReport(100, 10, 0.2)
 
 
 class TestRandomAttack:
@@ -84,8 +66,8 @@ class TestReplayAttack:
     def test_runs_and_reports(self):
         sc, clf = tiny_classifier(3)
         report = run_replay_attack(clf, sc, 25, substream(3, 3))
-        assert report.attack_kind == "replay"
-        assert 0.0 <= report.success_prob <= 1.0
+        assert report.n_trials == 25
+        assert report.success_prob == report.n_success / 25
 
     def test_zero_gain_channel_equals_noise_only(self):
         # when the forward hop gain is zero the received burst is pure AWGN,
@@ -108,39 +90,40 @@ class TestReplayAttack:
 class TestGanAttack:
     def test_runs_with_trained_generator(self):
         sc, clf = tiny_classifier(5)
-        g, _, trace = train_spoofer(sc, TINY_GAN, substream(5, 2), retries=0)
-        report = run_gan_attack(clf, g, sc, 20, substream(5, 4),
-                                gan_trace_summary={"epochs_run": trace.epochs_run,
-                                                   "converged": trace.converged})
-        assert report.attack_kind == "gan"
-        assert report.gan_trace_summary["epochs_run"] == trace.epochs_run
+        g, _, _ = train_spoofer(sc, TINY_GAN, substream(5, 2), retries=0)
+        report = run_gan_attack(clf, g, sc, 20, substream(5, 4))
+        assert report.n_trials == 20
+        assert report.success_prob == report.n_success / 20
 
     def test_generator_antenna_mismatch_rejected(self):
         sc, clf = tiny_classifier(6)
         wrong = init_generator(tiny_scenario(6, n_a=2), TINY_GAN,
                                np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="emits 16 values, scenario needs 8"):
             run_gan_attack(clf, wrong, sc, 5, substream(6, 4))
-
-    def test_raw_sample_generator_refused(self):
-        # a generator of the raw-sample width, 2 * n_points * n_a, predates
-        # the symbol-phasor generator's 2 * 4 * n_a outputs
-        sc = tiny_scenario(9, n_a=2)
-        old = init_network([TINY_GAN.noise_dim, 8, 2 * sc.n_points * sc.n_a],
+        # one raw I/Q sample per (antenna, point), not one phasor per symbol
+        raw = init_network([TINY_GAN.noise_dim, 8, 2 * sc.n_points * sc.n_a],
                            rng=np.random.default_rng(0))
-        clf = always_not_t(sc, sc.conditioned_length)
-        with pytest.raises(ValueError, match="emits 80 values.*predates the "
-                                             "symbol-phasor generator, which emits 16"):
-            run_gan_attack(clf, old, sc, 5, substream(9, 4))
+        with pytest.raises(ValueError, match="emits 40 values, scenario needs 8"):
+            run_gan_attack(clf, raw, sc, 5, substream(6, 4))
 
-    def test_mobility_uses_attack_time_position(self):
+    def test_mobility_uses_attack_time_position(self, monkeypatch):
+        # the attack's links into R are drawn from where A_T stands at attack
+        # time, not from its training position
+        positions = []
+        draw_mixing = ScenarioConfig.draw_mixing
+
+        def spy(self, tx_role, rx_role, count, rng, at_position=None):
+            positions.append((tx_role, rx_role, at_position))
+            return draw_mixing(self, tx_role, rx_role, count, rng, at_position)
+
         sc, clf = tiny_classifier(7)
         g = init_generator(sc, TINY_GAN, np.random.default_rng(1))
-        moved = replace(sc, attack_time_at_pos=(0.0, 20.0))
-        home = run_gan_attack(clf, g, sc, 30, substream(7, 4))
-        away = run_gan_attack(clf, g, moved, 30, substream(7, 4))
-        assert away.scenario.attack_position == (0.0, 20.0)
-        assert home.scenario.attack_position == (0.0, 10.0)
+        monkeypatch.setattr(ScenarioConfig, "draw_mixing", spy)
+        run_gan_attack(clf, g, replace(sc, attack_time_at_pos=(0.0, 20.0)), 30,
+                       substream(7, 4))
+        run_gan_attack(clf, g, sc, 30, substream(7, 4))
+        assert positions == [("at", "r", (0.0, 20.0)), ("at", "r", (0.0, 10.0))]
 
 
 class TestTrainSpoofer:

@@ -7,7 +7,7 @@ from spoofsim import (FROM_T, NOT_T, AdamState, Authenticator, ClassifierMetrics
                       backward, build_dataset, build_phasor_dataset, classify,
                       condition_rows,
                       cross_entropy_grad, evaluate, forward, init_network,
-                      predict, train_classifier, tune_hyperparameters)
+                      predict, train_classifier)
 from spoofsim.authenticator import CLASSIFIER_HIDDEN, one_hot
 from spoofsim.frontend import symbol_phasors
 from spoofsim.waveform import feature_rows
@@ -41,10 +41,6 @@ class TestClassifierMetrics:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             ClassifierMetrics.from_counts(10, 10, 0, 0)
-
-    def test_worst_error(self):
-        m = ClassifierMetrics.from_counts(100, 50, 10, 5)
-        assert m.worst_error == 0.2
 
 
 class TestBuildDataset:
@@ -284,21 +280,3 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(clf, only_pos)
 
-
-class TestTuneHyperparameters:
-    def test_single_entry_grid_returned(self):
-        cfg = TrainConfig(train_steps=5)
-        best = tune_hyperparameters(tiny_scenario(seed=11), [cfg],
-                                    substream(11, 1), n_train=40, n_val=40)
-        assert best is cfg
-
-    def test_duplicate_configs_tie_break_to_first(self):
-        a = TrainConfig(train_steps=5, seed=1)
-        b = TrainConfig(train_steps=5, seed=1)
-        best = tune_hyperparameters(tiny_scenario(seed=12), [a, b],
-                                    substream(12, 1), n_train=40, n_val=40)
-        assert best is a
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            tune_hyperparameters(tiny_scenario(), [], substream(0, 1))

@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import re
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,18 @@ scenario.power = 500
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="scenario.power"):
             parse_config(overrides={"scenario.power": "abc"})
+
+    @pytest.mark.parametrize("key,value", [
+        ("scenario.power", "nan"), ("scenario.power", "inf"), ("scenario.power", "0"),
+        ("classifier.learning_rate", "nan"), ("classifier.learning_rate", "inf"),
+        ("gan.power_budget", "-1"), ("gan.power_budget", "0"), ("gan.power_budget", "nan"),
+        ("gan.power_budget", "inf"), ("scenario.t_pos", "inf,0"),
+        ("scenario.samples_per_symbol", "0"), ("classifier.batch_size", "0"),
+        ("classifier.train_steps", "0"), ("gan.conv_window", "1"),
+    ])
+    def test_out_of_range_value_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(overrides={key: value})
 
     @pytest.mark.parametrize("table,attack", [("1", "replay"), ("2", "gan"), ("3", "none"),
                                               ("4", "random"), ("5", "replay")])
@@ -422,10 +435,10 @@ classifier.train_steps = 20
         save_model(init_network([12, 8, 2], rng=np.random.default_rng(1)), path)
         assert main(["bench", "--model", str(path), "--repeats", "150"]) == 1
         assert "input width 12" in capsys.readouterr().err
-        # a file of the slot-replicated front end is refused, not run
+        # a retired version-1 file (slot-replicated front end) is refused, not run
         path.write_bytes(b"DNETV001" + path.read_bytes()[8:])
         assert main(["bench", "--model", str(path)]) == 1
-        assert "replicated-width net" in capsys.readouterr().err
+        assert "not a serialized dense network" in capsys.readouterr().err
 
     @pytest.mark.parametrize("repeats", ["50", "99", "0", "-3"])
     def test_bench_too_few_repeats_is_a_configuration_error(self, tmp_path, capsys, repeats):

@@ -283,32 +283,6 @@ class TestTrainGan:
         assert not trace.converged
         assert len(trace.g_loss) == len(trace.d_loss) == 1
 
-    def test_protocol_log_bit_counts(self, monkeypatch):
-        # every synthetic burst is flagged, and the feedback counts the
-        # bursts the epoch's discriminator scores above one half
-        probabilities = []
-
-        def spy(d_net, batch):
-            p = from_t_probability(d_net, batch)
-            probabilities.append(p)
-            return p
-
-        monkeypatch.setattr("spoofsim.gan.from_t_probability", spy)
-        sc = tiny_scenario(seed=2)
-        cfg = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=10,
-                        synth_per_epoch=7, batch_size=5, max_epochs=3,
-                        conv_window=2)
-        _, _, trace = train_gan(sc, cfg, substream(2, 2))
-        assert len(trace.protocol_log) == trace.epochs_run
-        # (d) scores the real pool, then the synthetic pool, once per epoch
-        p_synth = probabilities[1::2]
-        assert len(p_synth) == trace.epochs_run
-        for epoch, (entry, p) in enumerate(zip(trace.protocol_log, p_synth)):
-            assert p.shape == (7,)
-            assert entry.epoch == epoch
-            assert entry.n_flags == cfg.synth_per_epoch
-            assert entry.n_fooled == int((p > 0.5).sum())
-
     def test_fixed_seed_gives_bit_identical_trace(self):
         sc = tiny_scenario(seed=3)
         cfg = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=8,

@@ -33,6 +33,8 @@ def test_attack_position_override():
 @pytest.mark.parametrize("kwargs", [
     {"n_t": 0}, {"power": 0.0}, {"power": -5.0}, {"samples_per_symbol": 0},
     {"carrier_jitter": -0.1}, {"t_pos": (np.inf, 0.0)},
+    {"power": np.nan}, {"power": np.inf}, {"carrier_jitter": np.nan},
+    {"attack_time_at_pos": (0.0, np.nan)},
 ])
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ValueError):
