@@ -601,7 +601,7 @@ def benchmark_latency(classifier: Authenticator, n_repeats=1000, rng=None) -> fl
     if rng is None:
         rng = np.random.default_rng(0)
     x = rng.standard_normal(classifier.net.layer_sizes[0] * classifier.samples_per_symbol)
-    warmup = n_repeats // 10
+    warmup = n_repeats // 10  # 0 < warmup < n_repeats, so start_timed is always set
     for i in range(n_repeats):
         if i == warmup:
             start_timed = time.perf_counter()
