@@ -101,7 +101,11 @@ class TestGanAttack:
                                np.random.default_rng(0))
         with pytest.raises(ValueError, match="emits 16 values, scenario needs 8"):
             run_gan_attack(clf, wrong, sc, 5, substream(6, 4))
-        # one raw I/Q sample per (antenna, point), not one phasor per symbol
+
+    def test_raw_sample_generator_refused(self):
+        # a generator of the raw-sample width, 2 * n_points * n_a (one I/Q
+        # sample per antenna and point), not one phasor per symbol
+        sc, clf = tiny_classifier(6)
         raw = init_network([TINY_GAN.noise_dim, 8, 2 * sc.n_points * sc.n_a],
                            rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="emits 40 values, scenario needs 8"):

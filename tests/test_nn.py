@@ -557,7 +557,11 @@ class TestPersistence:
         path.write_bytes(b"NOTMODEL" + b"\x00" * 32)
         with pytest.raises(ValueError, match="not a serialized dense network"):
             load_model(path)
-        # a retired version-1 file (slot-replicated front end) is refused alike
+
+    def test_replicated_width_format_rejected(self, tmp_path):
+        # a retired version-1 file (slot-replicated front end) is refused by
+        # the magic check
+        path = tmp_path / "m.bin"
         save_model(init_network([3, 2], rng=np.random.default_rng(12)), path)
         assert path.read_bytes()[:8] == b"DNETV002"
         path.write_bytes(b"DNETV001" + path.read_bytes()[8:])
