@@ -204,9 +204,11 @@ def train_classifier(train_set: LabeledDataset,
     rng = np.random.default_rng(cfg.seed)
     x = condition_rows(train_set.features, n_ant, sps)
     net = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None, sps, rng)
-    x = x.astype(net.params.dtype)  # once: `gather_rows` copies batches out of it
+    # Cast once: `gather_rows` copies batches out of x, and the loss takes
+    # targets in the net's dtype.
+    x = x.astype(net.params.dtype)
+    targets = one_hot(train_set.labels).astype(net.params.dtype)
     state = AdamState.for_network(net, first_weight_scale=sps)
-    targets = one_hot(train_set.labels)
     n = len(train_set)
     ws = Workspace(net, min(cfg.batch_size, n))
     steps = 0

@@ -306,15 +306,16 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
 
     bits = rng.integers(0, 2, size=(cfg.real_pool, BITS_PER_BURST))
     mixing = sc.draw_mixing("t", "ar", cfg.real_pool, rng)
-    # Conditioned rows are cast to the discriminator's dtype once, where they
-    # enter it: `gather_rows` copies batches out of them into its workspace.
+    # Conditioned rows and targets are cast to the discriminator's dtype
+    # once, where they enter it: `gather_rows` copies batches out of the
+    # rows into its workspace.
     d_dtype = d_net.params.dtype
     real_xc = condition_phasors(receive_waveform_phasors(
         mixing, qpsk_phases(bits), sc.power, sc.samples_per_symbol, rng)).astype(d_dtype)
 
-    real_targets = one_hot(np.full(cfg.real_pool, FROM_T))
-    synth_targets = one_hot(np.zeros(n_synth, dtype=np.int64))
-    spoof_targets = one_hot(np.full(cfg.batch_size, FROM_T))
+    real_targets = one_hot(np.full(cfg.real_pool, FROM_T)).astype(d_dtype)
+    synth_targets = one_hot(np.zeros(n_synth, dtype=np.int64)).astype(d_dtype)
+    spoof_targets = one_hot(np.full(cfg.batch_size, FROM_T)).astype(d_dtype)
 
     trace = TrainingTrace()
     for epoch in range(cfg.max_epochs):

@@ -140,18 +140,6 @@ def init_network(layer_sizes, activations=None, rng=None, dtype=np.float64) -> D
     return DenseNetwork(weights, biases, activations)
 
 
-def _activate(z, act, out):
-    """Activation of z written into out (which may be z); linear returns z."""
-    if act == RELU:
-        return np.maximum(z, 0.0, out=out)
-    if act == SOFTMAX:
-        np.subtract(z, z.max(axis=1, keepdims=True), out=out)
-        np.exp(out, out=out)
-        out /= out.sum(axis=1, keepdims=True)
-        return out
-    return z
-
-
 class Gradients:
     """Loss gradients of every parameter of `net`, held in `flat`, a vector
     laid out like its `params`; `d_weights[i]` and `d_biases[i]` are views
@@ -183,6 +171,11 @@ class Workspace:
         self.grads = Gradients(net, np.empty(net.params.size, dtype))
         self.grads.owner = weakref.ref(self)  # no cycle to keep the buffers alive
 
+    def rows_of(self, buffers, n):
+        """`buffers` cut to their first n rows; the lists themselves when
+        n fills the workspace, so a full batch slices nothing."""
+        return buffers if n == self.rows else [b[:n] for b in buffers]
+
 
 @dataclass
 class ForwardCache:
@@ -198,7 +191,7 @@ class ForwardCache:
 
 
 def _as_batch(x, width, what, dtype):
-    arr = np.asarray(x, dtype=dtype)
+    arr = x if type(x) is np.ndarray and x.dtype == dtype else np.asarray(x, dtype=dtype)
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
@@ -227,13 +220,20 @@ def forward(net: DenseNetwork, x, ws: Workspace | None = None):
         raise ValueError(f"{n} {net.params.dtype} rows do not fit a {ws.rows}-row "
                          f"{ws.layer_sizes} {ws.dtype} workspace")
     ws.passes += 1
-    inputs, pres = [], []
-    for w, b, act, pre, out in zip(net.weights, net.biases, net.activations, ws.pre, ws.acts[1:]):
+    pres, acts = ws.rows_of(ws.pre, n), ws.rows_of(ws.acts, n)
+    inputs = []
+    for i, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
         inputs.append(a)
-        z = np.matmul(a, w.T, out=pre[:n])
+        z = np.matmul(a, w.T, out=pres[i])
         z += b
-        pres.append(z)
-        a = _activate(z, act, out[:n])
+        if act == RELU:
+            a = np.maximum(z, 0.0, out=acts[i + 1])
+        elif act == SOFTMAX:
+            a = np.subtract(z, z.max(axis=1, keepdims=True), out=acts[i + 1])
+            np.exp(a, out=a)
+            a /= a.sum(axis=1, keepdims=True)
+        else:
+            a = z
     return (a[0] if single else a), ForwardCache(inputs, pres, a, single, ws, ws.passes)
 
 
@@ -242,45 +242,50 @@ def predict(net: DenseNetwork, x):
     in place, in the net's dtype."""
     a, single = _as_batch(x, net.layer_sizes[0], "input", net.params.dtype)
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ w.T
-        z += b
-        a = _activate(z, act, z)
+        a = a @ w.T
+        a += b
+        if act == RELU:
+            np.maximum(a, 0.0, out=a)
+        elif act == SOFTMAX:
+            a -= a.max(axis=1, keepdims=True)
+            np.exp(a, out=a)
+            a /= a.sum(axis=1, keepdims=True)
     return a[0] if single else a
 
 
 def _output_gradient(net, cache, loss_gradient):
-    if cache.workspace.layer_sizes != net.layer_sizes:
+    """The loss gradient as a (rows, outputs) array in the net's dtype, cast
+    and reshaped only where it is not one, once the cache is checked."""
+    ws = cache.workspace
+    if ws.layer_sizes != net.layer_sizes:
         raise ValueError("cache does not match network")
-    if cache.pass_id != cache.workspace.passes:
+    if cache.pass_id != ws.passes:
         raise ValueError("cache is stale: its workspace has run a later pass")
-    g = np.asarray(loss_gradient, dtype=net.params.dtype)
-    if g.ndim == 1:
-        g = g[None, :]
-    if g.shape != cache.out.shape:
-        raise ValueError(f"loss gradient shape {g.shape} does not match cached output")
+    g = loss_gradient
+    if type(g) is not np.ndarray or g.dtype != ws.dtype or g.shape != cache.out.shape:
+        g = np.asarray(g, dtype=ws.dtype)
+        if g.ndim == 1:
+            g = g[None, :]
+        if g.shape != cache.out.shape:
+            raise ValueError(f"loss gradient shape {g.shape} does not match cached output")
     return g
 
 
-def _pre_activation_gradient(g, cache, i, act):
-    """d(loss)/d(pre-activation) of layer i from d(loss)/d(its output), in
-    the workspace; softmax (output layer only) reuses the forward output.
+def _softmax_backward(g, out, dz):
+    """d(loss)/d(logits) of a softmax layer from d(loss)/d(its output `out`),
+    written into dz.
 
-    Softmax zeroes dz where the output is below the square root of its
-    dtype's smallest normal number (about 1e-19 in float32, 1e-154 in
-    float64), so a product of a kept slope with any value above that bound
-    stays normal. A confident net's float32 outputs go subnormal, and
-    without the clamp their products carry subnormals into every layer's
-    gradients, where BLAS runs many times slower.
+    It zeroes dz where the output is below the square root of its dtype's
+    smallest normal number (about 1e-19 in float32, 1e-154 in float64), so
+    a product of a kept slope with any value above that bound stays normal.
+    A confident net's float32 outputs go subnormal, and without the clamp
+    their products carry subnormals into every layer's gradients, where
+    BLAS runs many times slower.
     """
-    if act == LINEAR:
-        return g
-    dz = cache.workspace.d_pre[i][:len(g)]
-    if act == RELU:
-        return np.multiply(g, cache.pre[i] > 0.0, out=dz)
-    np.multiply(g, cache.out, out=dz)
+    np.multiply(g, out, out=dz)
     np.subtract(g, dz.sum(axis=1, keepdims=True), out=dz)
-    dz *= cache.out
-    np.copyto(dz, 0.0, where=cache.out < math.sqrt(np.finfo(dz.dtype).tiny))
+    dz *= out
+    np.copyto(dz, 0.0, where=out < math.sqrt(np.finfo(dz.dtype).tiny))
     return dz
 
 
@@ -288,14 +293,23 @@ def backward(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> Gradients
     """Backpropagate d(loss)/d(output) into exact parameter gradients (the
     workspace's); the input gradient is not formed (see `input_gradient`)."""
     g = _output_gradient(net, cache, loss_gradient)
-    grads = cache.workspace.grads
+    ws = cache.workspace
+    n = g.shape[0]
+    d_pre, d_in = ws.rows_of(ws.d_pre, n), ws.rows_of(ws.d_in, n)
+    grads = ws.grads
     grads.pass_id = cache.pass_id
     for i in range(net.n_layers - 1, -1, -1):
-        dz = _pre_activation_gradient(g, cache, i, net.activations[i])
+        act = net.activations[i]
+        if act == RELU:
+            dz = np.multiply(g, cache.pre[i] > 0.0, out=d_pre[i])
+        elif act == SOFTMAX:
+            dz = _softmax_backward(g, cache.out, d_pre[i])
+        else:
+            dz = g
         np.matmul(dz.T, cache.inputs[i], out=grads.d_weights[i])
         np.add.reduce(dz, axis=0, out=grads.d_biases[i])
         if i > 0:
-            g = np.matmul(dz, net.weights[i], out=cache.workspace.d_in[i][:len(g)])
+            g = np.matmul(dz, net.weights[i], out=d_in[i])
     return grads
 
 
@@ -303,9 +317,18 @@ def input_gradient(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> np.
     """Backpropagate d(loss)/d(output) into d(loss)/d(input) alone, shaped
     as the forward pass's input: a view into the cache's workspace."""
     g = _output_gradient(net, cache, loss_gradient)
+    ws = cache.workspace
+    n = g.shape[0]
+    d_pre, d_in = ws.rows_of(ws.d_pre, n), ws.rows_of(ws.d_in, n)
     for i in range(net.n_layers - 1, -1, -1):
-        dz = _pre_activation_gradient(g, cache, i, net.activations[i])
-        g = np.matmul(dz, net.weights[i], out=cache.workspace.d_in[i][:len(g)])
+        act = net.activations[i]
+        if act == RELU:
+            dz = np.multiply(g, cache.pre[i] > 0.0, out=d_pre[i])
+        elif act == SOFTMAX:
+            dz = _softmax_backward(g, cache.out, d_pre[i])
+        else:
+            dz = g
+        g = np.matmul(dz, net.weights[i], out=d_in[i])
     return g[0] if cache.single else g
 
 
