@@ -209,6 +209,23 @@ def gather_rows(ws: Workspace, x, idx):
     return np.take(x, idx, axis=0, out=ws.acts[0][:len(idx)], mode="clip")
 
 
+def _softmax(z, out):
+    """Row-wise softmax of z, written into out (which may be z). Row maxima
+    and sums are taken column by column, because numpy's reductions along a
+    short last axis cost several times more; the maxima are the same, and
+    so are the sums of two columns."""
+    top = z[:, :1]
+    for j in range(1, z.shape[1]):
+        top = np.maximum(top, z[:, j:j + 1])
+    np.subtract(z, top, out=out)
+    np.exp(out, out=out)
+    total = out[:, :1]
+    for j in range(1, out.shape[1]):
+        total = total + out[:, j:j + 1]
+    out /= total
+    return out
+
+
 def forward(net: DenseNetwork, x, ws: Workspace | None = None):
     """Run the network, returning (output, cache) for a later backward pass;
     both are views into ws, a one-shot workspace when None."""
@@ -229,9 +246,7 @@ def forward(net: DenseNetwork, x, ws: Workspace | None = None):
         if act == RELU:
             a = np.maximum(z, 0.0, out=acts[i + 1])
         elif act == SOFTMAX:
-            a = np.subtract(z, z.max(axis=1, keepdims=True), out=acts[i + 1])
-            np.exp(a, out=a)
-            a /= a.sum(axis=1, keepdims=True)
+            a = _softmax(z, acts[i + 1])
         else:
             a = z
     return (a[0] if single else a), ForwardCache(inputs, pres, a, single, ws, ws.passes)
@@ -247,9 +262,7 @@ def predict(net: DenseNetwork, x):
         if act == RELU:
             np.maximum(a, 0.0, out=a)
         elif act == SOFTMAX:
-            a -= a.max(axis=1, keepdims=True)
-            np.exp(a, out=a)
-            a /= a.sum(axis=1, keepdims=True)
+            _softmax(a, a)
     return a[0] if single else a
 
 
