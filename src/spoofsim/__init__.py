@@ -37,7 +37,7 @@ from .gan import (GanConfig, TrainingTrace, check_convergence,
                   discriminator_loss, generator_loss, generator_phasors,
                   train_gan)
 from .nn import (AdamState, DenseNetwork, Gradients, TrainConfig, Workspace, adam_step,
-                 backward, cross_entropy, cross_entropy_grad, finite_diff_check, forward,
+                 backward, cross_entropy, cross_entropy_delta, finite_diff_check, forward,
                  gather_rows, init_network, input_gradient, load_model, predict, save_model)
 from .scenario import Position, ScenarioConfig, substream
 from .waveform import (qpsk_phases, receive_phasors, receive_rows, receive_waveform,

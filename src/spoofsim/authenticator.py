@@ -22,7 +22,7 @@ import numpy as np
 
 from .frontend import condition_rows, init_conditioned_network
 from .nn import (AdamState, DenseNetwork, TrainConfig, Workspace, adam_step, backward,
-                 cross_entropy_grad, forward, gather_rows, predict)
+                 cross_entropy_delta, forward, gather_rows, predict)
 from .scenario import TWO_PI, ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows,
                        qpsk_phases, receive_waveform, receive_waveform_phasors)
@@ -217,7 +217,7 @@ def train_classifier(train_set: LabeledDataset,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             out, cache = forward(net, gather_rows(ws, x, idx), ws)
-            grads = backward(net, cache, cross_entropy_grad(out, targets[idx]))
+            grads = backward(net, cache, cross_entropy_delta(out, targets[idx]))
             adam_step(net, grads, state, cfg)
             steps += 1
             if steps >= cfg.train_steps:

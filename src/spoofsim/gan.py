@@ -42,7 +42,7 @@ import numpy as np
 from .authenticator import FROM_T, one_hot
 from .frontend import condition_phasors, condition_phasors_vjp, init_conditioned_network
 from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork, Gradients,
-                 TrainConfig, Workspace, adam_step, backward, cross_entropy_grad, forward,
+                 TrainConfig, Workspace, adam_step, backward, cross_entropy_delta, forward,
                  gather_rows, init_network, input_gradient, predict)
 from .scenario import ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows, qpsk_phases,
@@ -227,7 +227,7 @@ def _generator_grads(g_net, d_net, z, mixing, rx_phasors, tx_phasors, targets,
     tx, _ = scale_to_budget(raw, power_budget)
     rx = rx_phasors + mixing @ (tx - tx_phasors)
     d_out, d_cache = forward(d_net, condition_phasors(rx), d_ws)
-    d_x = input_gradient(d_net, d_cache, cross_entropy_grad(d_out, targets))
+    d_x = input_gradient(d_net, d_cache, cross_entropy_delta(d_out, targets))
     # The channel's adjoint carries the received-phasor gradient back to the
     # transmit phasors, and the cap's adjoint to the generator's output.
     q = np.conj(mixing).swapaxes(-1, -2) @ condition_phasors_vjp(d_x, rx)
@@ -260,7 +260,7 @@ def _train_epoch(net, state, x, targets, batch_size, cfg, rng, ws):
     for start in range(0, x.shape[0], batch_size):
         idx = order[start:start + batch_size]
         out, cache = forward(net, gather_rows(ws, x, idx), ws)
-        grads = backward(net, cache, cross_entropy_grad(out, targets[idx]))
+        grads = backward(net, cache, cross_entropy_delta(out, targets[idx]))
         adam_step(net, grads, state, cfg)
 
 

@@ -9,6 +9,10 @@ Adam state follow it, and inputs and loss gradients are cast to it, so a
 float32 network trains in float32 throughout. The trainers build float32
 networks; the finite-difference checks need float64 ones. `backward` forms
 only the parameter gradients and `input_gradient` only d(loss)/d(input).
+The loss gradient both take is d(loss)/d(output), except at a softmax
+output layer: that takes d(loss)/d(logits), its pre-activation gradient,
+and passes it straight through (`cross_entropy_delta` forms it for the
+cross-entropy), so no softmax Jacobian is ever applied.
 Forward passes accept a single vector or a (batch, features) matrix.
 Analytic gradients can be verified entry by entry against central finite
 differences.
@@ -35,6 +39,9 @@ LINEAR = "linear"
 _ACTIVATIONS = (RELU, SOFTMAX, LINEAR)
 
 LOG_EPS = 1e-12
+# Square root of each float dtype's smallest normal number, below which
+# `cross_entropy_delta` zeroes an entry.
+_SQRT_TINY = {np.dtype(t): math.sqrt(np.finfo(t).tiny) for t in (np.float32, np.float64)}
 
 # Every FLUSH_EVERY Adam steps, moment entries below FLUSH_SCALE times their
 # dtype's smallest normal number are zeroed; a moment decays by at most
@@ -157,17 +164,20 @@ class Workspace:
     """Buffers the passes of nets shaped like `net` write into, for up to
     `rows` rows, owned by its builder (a trainer: one per network, reused
     each step). Per layer: input (`acts`; `acts[-1]` is the output),
-    pre-activation, its gradient and the gradient passed down; one
-    `Gradients`; all in the net's dtype. Valid until the next forward or
-    `gather_rows` (`passes`)."""
+    pre-activation, its gradient (`d_pre`: written by relu layers only;
+    any other layer's is the gradient it receives) and the gradient passed
+    down; a ones vector whose product with a batch's rows sums them into
+    the bias gradients; one `Gradients`; all in the net's dtype. Valid
+    until the next forward or `gather_rows` (`passes`)."""
 
     def __init__(self, net: DenseNetwork, rows: int):
         self.layer_sizes, self.rows, self.passes = net.layer_sizes, int(rows), 0
         self.dtype = dtype = net.params.dtype
         self.acts = [np.empty((self.rows, n), dtype) for n in self.layer_sizes]
         self.pre = [np.empty((self.rows, n), dtype) for n in self.layer_sizes[1:]]
-        self.d_pre = [np.empty((self.rows, n), dtype) for n in self.layer_sizes[1:]]
+        self.d_pre = [np.zeros((self.rows, n), dtype) for n in self.layer_sizes[1:]]
         self.d_in = [np.empty((self.rows, n), dtype) for n in self.layer_sizes[:-1]]
+        self.ones = np.ones(self.rows, dtype)
         self.grads = Gradients(net, np.empty(net.params.size, dtype))
         self.grads.owner = weakref.ref(self)  # no cycle to keep the buffers alive
 
@@ -206,7 +216,7 @@ def gather_rows(ws: Workspace, x, idx):
     if x.dtype != ws.dtype:
         raise ValueError(f"{x.dtype} rows do not fit a {ws.dtype} workspace")
     ws.passes += 1
-    return np.take(x, idx, axis=0, out=ws.acts[0][:len(idx)], mode="clip")
+    return x.take(idx, axis=0, out=ws.acts[0][:len(idx)], mode="clip")
 
 
 def _softmax(z, out):
@@ -239,14 +249,14 @@ def forward(net: DenseNetwork, x, ws: Workspace | None = None):
     ws.passes += 1
     pres, acts = ws.rows_of(ws.pre, n), ws.rows_of(ws.acts, n)
     inputs = []
-    for i, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
+    for w, b, act, z, out in zip(net.weights, net.biases, net.activations, pres, acts[1:]):
         inputs.append(a)
-        z = np.matmul(a, w.T, out=pres[i])
+        np.dot(a, w.T, out=z)
         z += b
         if act == RELU:
-            a = np.maximum(z, 0.0, out=acts[i + 1])
+            a = np.maximum(z, 0.0, out=out)
         elif act == SOFTMAX:
-            a = _softmax(z, acts[i + 1])
+            a = _softmax(z, out)
         else:
             a = z
     return (a[0] if single else a), ForwardCache(inputs, pres, a, single, ws, ws.passes)
@@ -284,64 +294,39 @@ def _output_gradient(net, cache, loss_gradient):
     return g
 
 
-def _softmax_backward(g, out, dz):
-    """d(loss)/d(logits) of a softmax layer from d(loss)/d(its output `out`),
-    written into dz.
-
-    It zeroes dz where the output is below the square root of its dtype's
-    smallest normal number (about 1e-19 in float32, 1e-154 in float64), so
-    a product of a kept slope with any value above that bound stays normal.
-    A confident net's float32 outputs go subnormal, and without the clamp
-    their products carry subnormals into every layer's gradients, where
-    BLAS runs many times slower.
-    """
-    np.multiply(g, out, out=dz)
-    np.subtract(g, dz.sum(axis=1, keepdims=True), out=dz)
-    dz *= out
-    np.copyto(dz, 0.0, where=out < math.sqrt(np.finfo(dz.dtype).tiny))
-    return dz
-
-
 def backward(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> Gradients:
-    """Backpropagate d(loss)/d(output) into exact parameter gradients (the
-    workspace's); the input gradient is not formed (see `input_gradient`)."""
+    """Backpropagate the loss gradient (see the module docstring) into
+    exact parameter gradients (the workspace's); the input gradient is not
+    formed (see `input_gradient`)."""
     g = _output_gradient(net, cache, loss_gradient)
     ws = cache.workspace
     n = g.shape[0]
     d_pre, d_in = ws.rows_of(ws.d_pre, n), ws.rows_of(ws.d_in, n)
+    ones = ws.ones if n == ws.rows else ws.ones[:n]
     grads = ws.grads
     grads.pass_id = cache.pass_id
     for i in range(net.n_layers - 1, -1, -1):
-        act = net.activations[i]
-        if act == RELU:
-            dz = np.multiply(g, cache.pre[i] > 0.0, out=d_pre[i])
-        elif act == SOFTMAX:
-            dz = _softmax_backward(g, cache.out, d_pre[i])
-        else:
-            dz = g
-        np.matmul(dz.T, cache.inputs[i], out=grads.d_weights[i])
-        np.add.reduce(dz, axis=0, out=grads.d_biases[i])
+        if net.activations[i] == RELU:
+            g = np.multiply(g, cache.pre[i] > 0.0, out=d_pre[i])
+        np.dot(g.T, cache.inputs[i], out=grads.d_weights[i])
+        np.dot(ones, g, out=grads.d_biases[i])
         if i > 0:
-            g = np.matmul(dz, net.weights[i], out=d_in[i])
+            g = np.dot(g, net.weights[i], out=d_in[i])
     return grads
 
 
 def input_gradient(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> np.ndarray:
-    """Backpropagate d(loss)/d(output) into d(loss)/d(input) alone, shaped
-    as the forward pass's input: a view into the cache's workspace."""
+    """Backpropagate the loss gradient (see the module docstring) into
+    d(loss)/d(input) alone, shaped as the forward pass's input: a view into
+    the cache's workspace."""
     g = _output_gradient(net, cache, loss_gradient)
     ws = cache.workspace
     n = g.shape[0]
     d_pre, d_in = ws.rows_of(ws.d_pre, n), ws.rows_of(ws.d_in, n)
     for i in range(net.n_layers - 1, -1, -1):
-        act = net.activations[i]
-        if act == RELU:
-            dz = np.multiply(g, cache.pre[i] > 0.0, out=d_pre[i])
-        elif act == SOFTMAX:
-            dz = _softmax_backward(g, cache.out, d_pre[i])
-        else:
-            dz = g
-        g = np.matmul(dz, net.weights[i], out=d_in[i])
+        if net.activations[i] == RELU:
+            g = np.multiply(g, cache.pre[i] > 0.0, out=d_pre[i])
+        g = np.dot(g, net.weights[i], out=d_in[i])
     return g[0] if cache.single else g
 
 
@@ -369,18 +354,37 @@ def cross_entropy(pred, label) -> float:
     return float(losses.mean())
 
 
-def cross_entropy_grad(pred, label) -> np.ndarray:
-    """Gradient of `cross_entropy` w.r.t. the predictions (batch mean included)."""
-    p = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(label, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValueError(f"prediction shape {p.shape} != label shape {y.shape}")
-    single = p.ndim == 1
-    if single:
-        p, y = p[None, :], y[None, :]
-    # The clamp zeroes the slope below LOG_EPS, matching the clamped loss.
-    grad = np.where(p >= LOG_EPS, -y / np.maximum(p, LOG_EPS), 0.0) / p.shape[0]
-    return grad[0] if single else grad
+def cross_entropy_delta(pred, targets) -> np.ndarray:
+    """d(`cross_entropy`)/d(logits) of softmax outputs `pred` against one-hot
+    `targets`: (pred - targets) / batch, in pred's dtype (cast the targets
+    to it once, outside a training loop). It is what `backward` and
+    `input_gradient` take at a softmax output layer.
+
+    Two rules zero entries:
+    - a row whose target probability is below LOG_EPS, where the clamped
+      loss is flat;
+    - an entry whose prediction is below the square root of its dtype's
+      smallest normal number (about 1e-19 in float32, 1e-154 in float64),
+      so a product of a kept entry with any value above that bound stays
+      normal. A confident net's float32 outputs go subnormal, and without
+      this rule their products carry subnormals into every layer's
+      gradients, where BLAS runs many times slower.
+    1-D inputs are treated as a single sample.
+    """
+    p = np.asarray(pred)
+    if p.dtype not in _SQRT_TINY:
+        p = p.astype(np.float64)
+    if np.shape(targets) != p.shape:
+        raise ValueError(f"prediction shape {p.shape} != target shape {np.shape(targets)}")
+    delta = np.subtract(p, targets, dtype=p.dtype)
+    delta /= p.shape[0] if p.ndim == 2 else 1
+    low = p.min()
+    if low < LOG_EPS:  # else no target probability is below it
+        target_p = (p * targets) @ np.ones(p.shape[-1], p.dtype)
+        np.copyto(delta, 0.0, where=(target_p < LOG_EPS)[..., None])
+    if low < _SQRT_TINY[p.dtype]:
+        np.copyto(delta, 0.0, where=p < _SQRT_TINY[p.dtype])
+    return delta
 
 
 @dataclass
@@ -494,7 +498,7 @@ def finite_diff_check(net: DenseNetwork, x, label, h=1e-5, max_per_tensor=None,
     if net.params.dtype != np.float64:
         raise ValueError("finite differences need a float64 net")
     out, cache = forward(net, x)
-    grads = backward(net, cache, cross_entropy_grad(out, label))
+    grads = backward(net, cache, cross_entropy_delta(out, label))
     tensors = []
     for i in range(net.n_layers):
         tensors.append((net.weights[i], grads.d_weights[i]))

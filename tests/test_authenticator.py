@@ -6,7 +6,7 @@ from spoofsim import (FROM_T, NOT_T, AdamState, Authenticator, ClassifierMetrics
                       LabeledDataset, ScenarioConfig, TrainConfig, adam_step,
                       backward, build_dataset, build_phasor_dataset, classify,
                       condition_rows,
-                      cross_entropy_grad, evaluate, forward, init_network,
+                      cross_entropy_delta, evaluate, forward, init_network,
                       predict, train_classifier)
 from spoofsim.authenticator import CLASSIFIER_HIDDEN, one_hot
 from spoofsim.frontend import symbol_phasors
@@ -212,7 +212,7 @@ class TestTrainClassifier:
             for start in range(0, len(train), cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
                 out, cache = forward(ref, x[idx])
-                adam_step(ref, backward(ref, cache, cross_entropy_grad(out, targets[idx])),
+                adam_step(ref, backward(ref, cache, cross_entropy_delta(out, targets[idx])),
                           state, cfg)
                 steps += 1
                 if steps >= cfg.train_steps:

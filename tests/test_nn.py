@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from spoofsim import (AdamState, DenseNetwork, Gradients, TrainConfig, Workspace,
-                      adam_step, backward, cross_entropy, cross_entropy_grad,
+                      adam_step, backward, cross_entropy, cross_entropy_delta,
                       finite_diff_check, forward, gather_rows, init_network,
                       input_gradient, load_model, predict, save_model)
 from spoofsim.nn import LINEAR, RELU, SOFTMAX
@@ -24,18 +24,11 @@ def small_net(sizes=(7, 6, 5, 3), seed=0):
 def full_backward_d_input(net, cache, loss_gradient):
     """d(loss)/d(input) as one backward pass that also formed every
     parameter gradient reached it: each layer's pre-activation gradient
-    times that layer's weights, down to the input."""
+    times that layer's weights, down to the input. A softmax layer's loss
+    gradient is already its pre-activation gradient."""
     g = np.atleast_2d(loss_gradient)
     for i in range(net.n_layers - 1, -1, -1):
-        z = cache.pre[i]
-        if net.activations[i] == RELU:
-            dz = g * (z > 0.0)
-        elif net.activations[i] == SOFTMAX:
-            e = np.exp(z - z.max(axis=1, keepdims=True))
-            s = e / e.sum(axis=1, keepdims=True)
-            dz = s * (g - np.sum(g * s, axis=1, keepdims=True))
-        else:
-            dz = g
+        dz = g * (cache.pre[i] > 0.0) if net.activations[i] == RELU else g
         g = dz @ net.weights[i]
     return g[0] if cache.single else g
 
@@ -145,10 +138,11 @@ class TestForward:
 
 
 def training_loss_gradient(out, label, output):
-    """Cross-entropy gradient for a softmax output, half squared error's for
-    a linear one."""
+    """Cross-entropy's gradient with respect to the logits for a softmax
+    output, half squared error's with respect to the output for a linear
+    one."""
     if output == SOFTMAX:
-        return cross_entropy_grad(out, label)
+        return cross_entropy_delta(out, label)
     return (out - label) / len(out)
 
 
@@ -281,6 +275,55 @@ class TestCrossEntropy:
         npt.assert_allclose(cross_entropy(p, y), math.log(2) / 2, rtol=1e-12)
 
 
+def softmax_rows(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestCrossEntropyDelta:
+    @pytest.mark.parametrize("shape", [(4, 3), (3,)], ids=["batch", "single"])
+    def test_matches_central_differences_through_the_softmax(self, shape):
+        rng = np.random.default_rng(40)
+        z = 2.0 * rng.standard_normal(shape)
+        y = np.eye(shape[-1])[rng.integers(0, shape[-1], shape[:-1])]
+        h = 1e-6
+        numeric = np.zeros(shape)
+        for idx in np.ndindex(shape):
+            step = np.zeros(shape)
+            step[idx] = h
+            numeric[idx] = (cross_entropy(softmax_rows(z + step), y)
+                            - cross_entropy(softmax_rows(z - step), y)) / (2.0 * h)
+        delta = cross_entropy_delta(softmax_rows(z), y)
+        assert delta.shape == shape and delta.dtype == np.float64
+        npt.assert_allclose(delta, numeric, rtol=1e-6, atol=1e-10)
+
+    def test_row_whose_target_probability_is_below_log_eps_is_zero(self):
+        # Float64 keeps every entry here, so only the row rule acts: where
+        # the target's probability is clamped the loss is flat.
+        p = np.array([[1.0 - 1e-13, 1e-13], [1.0 - 1e-11, 1e-11]])
+        y = np.array([[0.0, 1.0], [0.0, 1.0]])
+        delta = cross_entropy_delta(p, y)
+        npt.assert_array_equal(delta[0], [0.0, 0.0])
+        npt.assert_array_equal(delta[1], (p[1] - y[1]) / 2)
+        assert np.all(delta[1] != 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_entry_below_root_of_smallest_normal_is_zero(self, dtype):
+        # Every target's probability is 1, so only the entry rule acts, at
+        # about 1e-19 in float32 and 1e-154 in float64.
+        p = np.array([[1.0, 1e-30], [1.0, 1e-18]], dtype=dtype)
+        y = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=dtype)
+        delta = cross_entropy_delta(p, y)
+        assert delta.dtype == dtype
+        assert delta[0, 1] == (0.0 if dtype == np.float32 else dtype(1e-30) / 2)
+        assert delta[1, 1] == dtype(1e-18) / 2
+        npt.assert_array_equal(delta[:, 0], [0.0, 0.0])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            cross_entropy_delta(np.full((2, 2), 0.5), np.eye(3)[:2])
+
+
 class TestBackward:
     def test_zero_loss_gradient_gives_zero_parameter_gradients(self):
         net = small_net()
@@ -304,7 +347,7 @@ class TestBackward:
         x = rng.standard_normal(7)
         label = np.array([0.0, 1.0, 0.0])
         out, cache = forward(net, x)
-        grads = backward(net, cache, cross_entropy_grad(out, label))
+        grads = backward(net, cache, cross_entropy_delta(out, label))
         # with softmax + cross-entropy, d(loss)/d(last pre-activation) = p - y,
         # so the last bias gradient equals the residual directly
         npt.assert_allclose(grads.d_biases[-1], out - label, atol=1e-12)
@@ -332,7 +375,7 @@ class TestInputGradient:
         out, cache = forward(net, x)
         if output == SOFTMAX:
             label = np.eye(3)[rng.integers(0, 3, 4)]
-            loss_gradient = cross_entropy_grad(out, label)
+            loss_gradient = cross_entropy_delta(out, label)
 
             def loss(xx):
                 return cross_entropy(predict(net, xx), label)
@@ -424,7 +467,7 @@ class TestAdam:
             y[np.arange(20), rng.integers(0, 3, 20)] = 1.0
             for _ in range(50):
                 out, cache = forward(net, x)
-                adam_step(net, backward(net, cache, cross_entropy_grad(out, y)),
+                adam_step(net, backward(net, cache, cross_entropy_delta(out, y)),
                           state, TrainConfig())
             return net
         a, b = run(), run()
@@ -458,7 +501,7 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=1e-2, batch_size=100)
         for _ in range(500):
             out, cache = forward(net, x)
-            adam_step(net, backward(net, cache, cross_entropy_grad(out, y)),
+            adam_step(net, backward(net, cache, cross_entropy_delta(out, y)),
                       state, cfg)
         assert np.all(np.argmax(predict(net, x), axis=1) == labels)
 
@@ -609,9 +652,11 @@ class TestDtype:
         assert out.dtype == predict(net, x).dtype == np.float32
         npt.assert_array_equal(out, predict(net, x.astype(np.float32)))
         label = np.eye(3)[[0, 1, 2, 0, 1, 2]]
-        grads = backward(net, cache, cross_entropy_grad(out, label))
+        delta = cross_entropy_delta(out.astype(np.float64), label)
+        assert delta.dtype == np.float64
+        grads = backward(net, cache, delta)
         assert grads.flat.dtype == np.float32
-        assert input_gradient(net, cache, cross_entropy_grad(out, label)).dtype == np.float32
+        assert input_gradient(net, cache, delta).dtype == np.float32
 
     def test_gather_rows_refuses_rows_of_another_dtype(self):
         net = init_network([3, 2], rng=np.random.default_rng(24), dtype=np.float32)
@@ -649,7 +694,7 @@ class TestDtype:
             idx = order.choice(len(x), 20, replace=False)
             for net, state, ws, rows in runs:
                 out, cache = forward(net, gather_rows(ws, rows, idx), ws)
-                adam_step(net, backward(net, cache, cross_entropy_grad(out, targets[idx])),
+                adam_step(net, backward(net, cache, cross_entropy_delta(out, targets[idx])),
                           state, cfg)
             if k % 50 == 0:
                 tol = 4 * math.sqrt(k) * eps
@@ -667,25 +712,29 @@ class TestDtype:
         assert subnormal_count(out) == len(x)
         sure = np.eye(2)[np.argmax(out, axis=1)]
         ws = cache.workspace
-        grads = backward(net, cache, cross_entropy_grad(out, sure))
+        delta = cross_entropy_delta(out, sure)
+        assert subnormal_count(delta) == 0
+        grads = backward(net, cache, delta)
         assert subnormal_count(grads.flat) == 0
         assert all(subnormal_count(d) == 0 for d in ws.d_pre)
-        input_gradient(net, cache, cross_entropy_grad(out, sure))
+        input_gradient(net, cache, delta)
         assert all(subnormal_count(d) == 0 for d in ws.d_pre)
 
     def test_softmax_guard_leaves_float64_backprop_exact(self):
         # Outputs near e^-40 lie far above float64's subnormals (and below
-        # LOG_EPS): the guard keeps their slope, so dz is the exact softmax
-        # product
+        # LOG_EPS): the guard keeps them, so the output layer's dz is
+        # exactly (out - y) / B, and backward forms its gradients from it
         net = init_network([6, 16, 16, 2], rng=np.random.default_rng(28))
         x = sure_rows(net, np.random.default_rng(29).standard_normal((10, 6)), gap=40.0)
         out, cache = forward(net, x)
         assert np.all(out.min(axis=1) < 1e-17)
-        g = cross_entropy_grad(out, np.eye(2)[np.argmax(out, axis=1)])
-        backward(net, cache, g)
-        dz = cache.workspace.d_pre[-1][:len(x)]
-        npt.assert_array_equal(dz, out * (g - (g * out).sum(axis=1, keepdims=True)))
-        assert np.count_nonzero(dz) >= len(x)
+        y = np.eye(2)[np.argmax(out, axis=1)]
+        dz = cross_entropy_delta(out, y)
+        npt.assert_array_equal(dz, (out - y) / len(x))
+        assert np.all(dz[y == 0.0] > 0.0)  # each losing output kept
+        grads = backward(net, cache, dz)
+        npt.assert_array_equal(grads.d_weights[-1], np.dot(dz.T, cache.inputs[-1]))
+        npt.assert_array_equal(grads.d_biases[-1], np.dot(np.ones(len(x)), dz))
 
     def test_moments_of_a_dead_parameter_never_go_subnormal(self):
         # half the parameters' gradients stay zero from step 50 on: their
