@@ -185,10 +185,13 @@ def scale_to_budget(streams, power_budget):
 
 
 def _scale_backward(grad_scaled, raw, power_budget):
-    """Adjoint of scale_to_budget for complex stream grads (batched)."""
+    """Adjoint of scale_to_budget for complex stream grads (batched):
+    grad_scaled itself when the cap binds on no row."""
     rms = stream_rms(raw)
     total = rms.sum(axis=-1)
     active = total > power_budget
+    if not active.any():
+        return grad_scaled
     scale = np.where(active, power_budget / np.maximum(total, LOG_EPS), 1.0)
     grad = grad_scaled * scale[..., None, None]
     # d(scale)/d(raw) term, only where the cap binds.
