@@ -75,6 +75,11 @@ ATTACKS = ("none", "random", "replay", "gan")
 # The attack each canned table runs; a custom sweep runs the configured one.
 TABLE_ATTACKS = {"1": "none", "2": "replay", "3": "gan", "4": "gan", "5": "gan"}
 
+# Node pairs that share a link, as ScenarioConfig position fields: their
+# positions must differ (`link_mean_gain` needs a distance above zero).
+LINKED_NODES = (("t_pos", "r_pos"), ("t_pos", "ar_pos"), ("t_pos", "at_pos"),
+                ("at_pos", "r_pos"), ("at_pos", "ar_pos"))
+
 CSV_COLUMNS = [
     "table", "seed", "n_t", "n_r", "n_a",
     "t_x", "t_y", "r_x", "r_y", "at_x", "at_y", "ar_x", "ar_y",
@@ -118,6 +123,8 @@ class ExperimentSpec:
                               f"got {self.attack!r}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
         if self.n_trials < 1:
             raise ConfigError("trials must be >= 1")
         for name in ("n_t_grid", "n_r_grid", "n_a_grid"):
@@ -135,6 +142,18 @@ class ExperimentSpec:
         elif self.at_positions:
             raise ConfigError(f"at_positions is only read by tables 4 and 5, "
                               f"not table {self.table}")
+        if len(set(self.at_positions)) != len(self.at_positions):
+            raise ConfigError(f"at_positions must not repeat, got {list(self.at_positions)}")
+        for a, b in LINKED_NODES:
+            if getattr(self.base, a) == getattr(self.base, b):
+                raise ConfigError(f"scenario.{a} and scenario.{b} share a link but coincide "
+                                  f"at {getattr(self.base, a)}")
+        # Each entry stands in for A_T, so it links to T, R and A_R.
+        for pos in self.at_positions:
+            for b in ("t_pos", "r_pos", "ar_pos"):
+                if tuple(pos) == getattr(self.base, b):
+                    raise ConfigError(f"at_positions entry {pos} stands in for A_T but "
+                                      f"coincides with scenario.{b}")
         if self.n_train < 2 or self.n_test < 2:
             raise ConfigError("dataset sizes must be >= 2")
         if not (0.0 < self.positive_fraction < 1.0):

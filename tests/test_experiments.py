@@ -84,10 +84,25 @@ scenario.power = 500
         ("gan.power_budget", "inf"), ("scenario.t_pos", "inf,0"),
         ("scenario.samples_per_symbol", "0"), ("classifier.batch_size", "0"),
         ("classifier.train_steps", "0"), ("gan.conv_window", "1"),
+        ("seeds", "0,0"), ("seeds", "3,1,3"),
+        # nodes that share a link may not coincide: T-R, T-A_R, T-A_T, A_T-R, A_T-A_R
+        ("scenario.r_pos", "0,0"), ("scenario.ar_pos", "0,0"), ("scenario.t_pos", "0,10"),
+        ("scenario.at_pos", "10,0"), ("scenario.at_pos", "10,0.1"),
     ])
     def test_out_of_range_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(overrides={key: value})
+
+    @pytest.mark.parametrize("table", ["4", "5"])
+    @pytest.mark.parametrize("positions", ["0,5;0,5", "0,5;0,0", "0,5;10,0", "0,5;10,0.1"])
+    def test_repeated_or_linked_node_mobility_position_names_key(self, table, positions):
+        # an entry stands in for A_T: repeated, or on T, R or A_R, it is refused
+        with pytest.raises(ConfigError, match="at_positions"):
+            parse_config(overrides={"table": table, "at_positions": positions})
+
+    def test_receivers_may_share_a_position(self):
+        # R and A_R share no link
+        assert parse_config(overrides={"scenario.ar_pos": "10,0"}).base.ar_pos == (10.0, 0.0)
 
     @pytest.mark.parametrize("table,attack", [("1", "replay"), ("2", "gan"), ("3", "none"),
                                               ("4", "random"), ("5", "replay")])
@@ -373,10 +388,13 @@ class TestJobs:
 
     def test_worker_training_failure_is_recorded_as_inline(self, tmp_path, monkeypatch):
         # A_T trained at (10, 0.1) stands on A_R, which fails only the GAN job;
-        # listed second, that job runs in a worker
+        # listed second, that job runs in a worker. The spec refuses that
+        # position, so it is set after the spec is built.
         def spec(name):
-            return fast_spec(tmp_path / name, **{"table": "4", "seeds": "0,1",
-                                                 "at_positions": "0,20;10,0.1"})
+            built = fast_spec(tmp_path / name, **{"table": "4", "seeds": "0,1",
+                                                  "at_positions": "0,20"})
+            built.at_positions = ((0.0, 20.0), (10.0, 0.1))
+            return built
         inline, inline_files = run_with_processes(monkeypatch, 1, spec("inline"))
         pooled, pooled_files = run_with_processes(monkeypatch, 2, spec("pooled"))
         assert [(f["cell"], f["seed"]) for f in pooled.failures] == [("at10.0_0.1", 0),
