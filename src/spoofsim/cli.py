@@ -81,10 +81,12 @@ def _cmd_bench(args) -> int:
         raise ConfigError(
             f"{args.model}: input width {net.layer_sizes[0]} is not "
             f"{2 * SYMBOLS_PER_BURST} x antennas, so not a classifier's")
-    micros = benchmark_latency(Authenticator(net, n_r, args.sps), args.repeats)
+    latency = benchmark_latency(Authenticator(net, n_r, args.sps), args.repeats)
     sizes = "x".join(str(s) for s in net.layer_sizes)
-    print(f"{args.model}: {micros:.1f} us per sample (one raw burst, n_r={n_r}, "
+    print(f"{args.model}: {latency.mean_us:.1f} us per sample (one raw burst, n_r={n_r}, "
           f"S={args.sps}, net {sizes}, {args.repeats} repeats)")
+    print(f"per decision: mean {latency.mean_us:.1f} us, p50 {latency.p50_us:.1f} us, "
+          f"p99 {latency.p99_us:.1f} us ({latency.n_timed} timed after warm-up)")
     return 0
 
 

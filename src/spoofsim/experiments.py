@@ -608,9 +608,20 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 MIN_REPEATS = 100
 
 
-def benchmark_latency(classifier: Authenticator, n_repeats=1000, rng=None) -> float:
-    """Mean wall time in microseconds to authenticate one raw burst: front
-    end plus network, from a raw feature row to a decision.
+class Latency(NamedTuple):
+    """Wall time per decision of `benchmark_latency`, in microseconds, over
+    its n_timed timed decisions."""
+
+    mean_us: float
+    p50_us: float
+    p99_us: float
+    n_timed: int
+
+
+def benchmark_latency(classifier: Authenticator, n_repeats=1000, rng=None) -> Latency:
+    """Wall time in microseconds to authenticate one raw burst, front end
+    plus network, from a raw feature row to a decision: mean, median and
+    99th percentile over the decisions, each timed on its own.
 
     Runs `n_repeats` decisions on one random raw row and discards the first
     tenth as warm-up.
@@ -620,10 +631,11 @@ def benchmark_latency(classifier: Authenticator, n_repeats=1000, rng=None) -> fl
     if rng is None:
         rng = np.random.default_rng(0)
     x = rng.standard_normal(classifier.net.layer_sizes[0] * classifier.samples_per_symbol)
-    warmup = n_repeats // 10  # 0 < warmup < n_repeats, so start_timed is always set
+    seconds = np.empty(n_repeats)
     for i in range(n_repeats):
-        if i == warmup:
-            start_timed = time.perf_counter()
+        start = time.perf_counter()
         classify(classifier, x)
-    end = time.perf_counter()
-    return (end - start_timed) / (n_repeats - warmup) * 1e6
+        seconds[i] = time.perf_counter() - start
+    micros = seconds[n_repeats // 10:] * 1e6
+    p50, p99 = np.percentile(micros, [50, 99])
+    return Latency(float(micros.mean()), float(p50), float(p99), micros.size)

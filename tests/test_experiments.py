@@ -409,8 +409,10 @@ class TestJobs:
 class TestBenchmarkLatency:
     def test_reports_microseconds(self):
         net = init_network([80, 16, 2], rng=np.random.default_rng(0))
-        micros = benchmark_latency(Authenticator(net, 10, 5), 200)
-        assert 0.0 < micros < 5000.0
+        latency = benchmark_latency(Authenticator(net, 10, 5), 200)
+        assert latency.n_timed == 180  # the first tenth warms up
+        assert 0.0 < latency.p50_us <= latency.p99_us < 5000.0
+        assert 0.0 < latency.mean_us < 5000.0
 
     def test_too_few_repeats_rejected(self):
         net = init_network([8, 2], rng=np.random.default_rng(0))
@@ -445,7 +447,9 @@ classifier.train_steps = 20
         path = tmp_path / "model.bin"
         save_model(net, path)
         assert main(["bench", "--model", str(path), "--repeats", "150"]) == 0
-        assert "us per sample" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "us per sample" in out
+        assert re.search(r"mean [\d.]+ us, p50 [\d.]+ us, p99 [\d.]+ us \(135 timed", out)
 
     def test_bench_rejects_models_it_cannot_run(self, tmp_path, capsys):
         # a classifier reads 8 values (4 symbols x I/Q) per antenna
