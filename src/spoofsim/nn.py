@@ -164,11 +164,11 @@ class Workspace:
     """Buffers the passes of nets shaped like `net` write into, for up to
     `rows` rows, owned by its builder (a trainer: one per network, reused
     each step). Per layer: input (`acts`; `acts[-1]` is the output),
-    pre-activation, its gradient (`d_pre`: written by relu layers only;
-    any other layer's is the gradient it receives) and the gradient passed
-    down; a ones vector whose product with a batch's rows sums them into
-    the bias gradients; one `Gradients`; all in the net's dtype. Valid
-    until the next forward or `gather_rows` (`passes`)."""
+    pre-activation, its gradient (`d_pre`, zero-filled: only relu layers
+    write theirs, any other layer's being the gradient it receives) and the
+    gradient passed down; a ones vector whose product with a batch's rows
+    sums them into the bias gradients; one `Gradients`; all in the net's
+    dtype. Valid until the next forward or `gather_rows` (`passes`)."""
 
     def __init__(self, net: DenseNetwork, rows: int):
         self.layer_sizes, self.rows, self.passes = net.layer_sizes, int(rows), 0
