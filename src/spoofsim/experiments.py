@@ -131,6 +131,9 @@ class ExperimentSpec:
             grid = getattr(self, name)
             if not grid or any(v < 1 for v in grid):
                 raise ConfigError(f"{name} must be a non-empty list of positive ints")
+            if len(set(grid)) != len(grid):
+                raise ConfigError(f"{name.removesuffix('_grid')} must not repeat, "
+                                  f"got {list(grid)}")
         if self.table in ("4", "5"):
             if not self.at_positions:
                 raise ConfigError(f"table {self.table} needs at_positions")

@@ -84,7 +84,7 @@ scenario.power = 500
         ("gan.power_budget", "inf"), ("scenario.t_pos", "inf,0"),
         ("scenario.samples_per_symbol", "0"), ("classifier.batch_size", "0"),
         ("classifier.train_steps", "0"), ("gan.conv_window", "1"),
-        ("seeds", "0,0"), ("seeds", "3,1,3"),
+        ("seeds", "0,0"), ("seeds", "3,1,3"), ("n_t", "1,1"), ("n_a", "2,1,2"),
         # nodes that share a link may not coincide: T-R, T-A_R, T-A_T, A_T-R, A_T-A_R
         ("scenario.r_pos", "0,0"), ("scenario.ar_pos", "0,0"), ("scenario.t_pos", "0,10"),
         ("scenario.at_pos", "10,0"), ("scenario.at_pos", "10,0.1"),
