@@ -184,6 +184,21 @@ class Authenticator:
         return condition_rows(rows, self.n_antennas, self.samples_per_symbol)
 
 
+def _train_epoch(net, state, x, targets, cfg, rng, ws, max_steps=None) -> int:
+    """One shuffled cross-entropy pass over (x, targets) in batches of
+    cfg.batch_size through workspace ws, stopped after max_steps batches
+    when given; returns the batches run. Both the classifier and the GAN's
+    discriminator train here."""
+    order = rng.permutation(x.shape[0])
+    starts = range(0, x.shape[0], cfg.batch_size)[:max_steps]
+    for start in starts:
+        idx = order[start:start + cfg.batch_size]
+        out, cache = forward(net, gather_rows(ws, x, idx), ws)
+        grads = backward(net, cache, cross_entropy_delta(out, targets[idx]))
+        adam_step(net, grads, state, cfg)
+    return len(starts)
+
+
 def train_classifier(train_set: LabeledDataset,
                      config: TrainConfig | None = None) -> Authenticator:
     """Train the authentication network: front-end conditioning, then a
@@ -209,28 +224,19 @@ def train_classifier(train_set: LabeledDataset,
     x = x.astype(net.params.dtype)
     targets = one_hot(train_set.labels).astype(net.params.dtype)
     state = AdamState.for_network(net, first_weight_scale=sps)
-    n = len(train_set)
-    ws = Workspace(net, min(cfg.batch_size, n))
+    ws = Workspace(net, min(cfg.batch_size, len(train_set)))
     steps = 0
     while steps < cfg.train_steps:
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            out, cache = forward(net, gather_rows(ws, x, idx), ws)
-            grads = backward(net, cache, cross_entropy_delta(out, targets[idx]))
-            adam_step(net, grads, state, cfg)
-            steps += 1
-            if steps >= cfg.train_steps:
-                break
+        steps += _train_epoch(net, state, x, targets, cfg, rng, ws, cfg.train_steps - steps)
     return Authenticator(net, n_ant, sps)
 
 
 def classify(classifier: Authenticator, rows) -> np.ndarray:
     """Hard label decisions (argmax of the softmax output) for feature rows,
     raw or matched-filter phasors, told apart by width as in
-    `Authenticator.condition`."""
-    out = predict(classifier.net, classifier.condition(rows))
-    return np.argmax(np.atleast_2d(out), axis=1)
+    `Authenticator.condition`; one row, 1-D, gets one decision."""
+    out = predict(classifier.net, np.atleast_2d(classifier.condition(rows)))
+    return np.argmax(out, axis=1)
 
 
 def evaluate(classifier: Authenticator, test_set: LabeledDataset) -> ClassifierMetrics:

@@ -61,7 +61,7 @@ from .attacks import (run_gan_attack, run_random_attack, run_replay_attack,
                       train_spoofer)
 from .authenticator import (Authenticator, ClassifierMetrics, build_phasor_dataset,
                             classify, evaluate, train_classifier)
-from .gan import GanConfig, save_trace_csv, trace_summary
+from .gan import GanConfig, TrainingTrace, save_trace_csv
 from .nn import DenseNetwork, TrainConfig, save_model
 from .scenario import ScenarioConfig, substream
 
@@ -104,11 +104,9 @@ class ExperimentSpec:
     base: ScenarioConfig = field(default_factory=ScenarioConfig)
     n_train: int = 1000
     n_test: int = 1000
-    positive_fraction: float = 0.5
     classifier: TrainConfig = field(default_factory=TrainConfig)
     gan: GanConfig = field(default_factory=GanConfig)
     gan_retries: int = 3
-    save_models: bool = True
 
     def __post_init__(self):
         if self.table not in TABLES:
@@ -159,8 +157,6 @@ class ExperimentSpec:
                                       f"coincides with scenario.{b}")
         if self.n_train < 2 or self.n_test < 2:
             raise ConfigError("dataset sizes must be >= 2")
-        if not (0.0 < self.positive_fraction < 1.0):
-            raise ConfigError("positive_fraction must lie in (0, 1)")
         if self.gan_retries < 0:
             raise ConfigError("gan retries must be >= 0")
 
@@ -220,15 +216,6 @@ def _parse_positions(text):
     return tuple(_parse_position(c) for c in chunks)
 
 
-def _parse_bool(text):
-    val = text.strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 # key -> (target, field, parser); targets name sub-configs of ExperimentSpec
 _KEYS = {
     "table": ("spec", "table", str.strip),
@@ -240,7 +227,6 @@ _KEYS = {
     "n_r": ("spec", "n_r_grid", _parse_int_list),
     "n_a": ("spec", "n_a_grid", _parse_int_list),
     "at_positions": ("spec", "at_positions", _parse_positions),
-    "save_models": ("spec", "save_models", _parse_bool),
     "scenario.t_pos": ("scenario", "t_pos", _parse_position),
     "scenario.r_pos": ("scenario", "r_pos", _parse_position),
     "scenario.at_pos": ("scenario", "at_pos", _parse_position),
@@ -249,7 +235,6 @@ _KEYS = {
     "scenario.samples_per_symbol": ("scenario", "samples_per_symbol", int),
     "dataset.n_train": ("spec", "n_train", int),
     "dataset.n_test": ("spec", "n_test", int),
-    "dataset.positive_fraction": ("spec", "positive_fraction", float),
     "classifier.learning_rate": ("classifier", "learning_rate", float),
     "classifier.batch_size": ("classifier", "batch_size", int),
     "classifier.train_steps": ("classifier", "train_steps", int),
@@ -458,9 +443,8 @@ def _train_job(spec, kind, cell, seed):
         if kind == "gan":
             generator, _, trace = train_spoofer(scenario, spec.gan, gan_rng, spec.gan_retries)
             return generator, trace
-        train_set = build_phasor_dataset(scenario, spec.n_train, spec.positive_fraction,
-                                         data_rng)
-        test_set = build_phasor_dataset(scenario, spec.n_test, spec.positive_fraction, data_rng)
+        train_set = build_phasor_dataset(scenario, spec.n_train, rng=data_rng)
+        test_set = build_phasor_dataset(scenario, spec.n_test, rng=data_rng)
         clf = train_classifier(train_set, replace(spec.classifier, seed=scen_seed & 0x7FFFFFFF))
         return clf, evaluate(clf, test_set)
     except CELL_ERRORS as exc:
@@ -472,7 +456,7 @@ class _Trained(NamedTuple):
     clf: Authenticator
     metrics: ClassifierMetrics
     generator: DenseNetwork | None
-    gan_summary: dict | None
+    trace: TrainingTrace | None
 
 
 def _output_path(out_dir, spec, tag, seed, what):
@@ -491,8 +475,7 @@ def _train(spec, tag, seed, jobs_done, out_dir):
     if isinstance(clf, BaseException):
         raise clf
     clf, metrics = clf
-    if spec.save_models:
-        save_model(clf.net, _output_path(out_dir, spec, tag, seed, "classifier.bin"))
+    save_model(clf.net, _output_path(out_dir, spec, tag, seed, "classifier.bin"))
     scen_seed = _cell_rngs(seed, spec.table, tag)[0]
     if spec.attack != "gan":
         return _Trained(scen_seed, clf, metrics, None, None)
@@ -500,10 +483,9 @@ def _train(spec, tag, seed, jobs_done, out_dir):
     if isinstance(gan, BaseException):
         raise gan
     generator, trace = gan
-    if spec.save_models:
-        save_model(generator, _output_path(out_dir, spec, tag, seed, "generator.bin"))
-        save_trace_csv(trace, _output_path(out_dir, spec, tag, seed, "trace.csv"))
-    return _Trained(scen_seed, clf, metrics, generator, trace_summary(trace))
+    save_model(generator, _output_path(out_dir, spec, tag, seed, "generator.bin"))
+    save_trace_csv(trace, _output_path(out_dir, spec, tag, seed, "trace.csv"))
+    return _Trained(scen_seed, clf, metrics, generator, trace)
 
 
 def _score(spec, cell, seed, trained, version):
@@ -530,8 +512,7 @@ def _score(spec, cell, seed, trained, version):
     if spec.attack == "gan":
         report = run_gan_attack(trained.clf, trained.generator, scenario, spec.n_trials,
                                 attack_rng, spec.gan.power_budget)
-        row.update(gan_epochs=trained.gan_summary["epochs_run"],
-                   gan_converged=trained.gan_summary["converged"])
+        row.update(gan_epochs=trained.trace.epochs_run, gan_converged=trained.trace.converged)
     else:
         runner = {"random": run_random_attack, "replay": run_replay_attack}[spec.attack]
         report = runner(trained.clf, scenario, spec.n_trials, attack_rng)

@@ -39,11 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .authenticator import FROM_T, one_hot
+from .authenticator import FROM_T, _train_epoch, one_hot
 from .frontend import condition_phasors, condition_phasors_vjp, init_conditioned_network
 from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork, Gradients,
                  TrainConfig, Workspace, adam_step, backward, cross_entropy_delta, forward,
-                 gather_rows, init_network, input_gradient, predict)
+                 init_network, input_gradient, predict)
 from .scenario import ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows, qpsk_phases,
                        receive_phasors, receive_waveform_phasors, rows_to_streams,
@@ -95,13 +95,17 @@ class GanConfig:
 class TrainingTrace:
     """Per-epoch record of one adversarial run: the losses g_loss and d_loss,
     which score epoch e's synthetic pool as `train_gan`'s phase (d) says, and
-    capped_bursts[e], the bursts of that pool the power cap scaled down."""
+    capped_bursts[e], the bursts of that pool the power cap scaled down;
+    epochs_run counts the recorded epochs."""
 
     g_loss: list = field(default_factory=list)
     d_loss: list = field(default_factory=list)
-    epochs_run: int = 0
     converged: bool = False
     capped_bursts: list = field(default_factory=list)
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.g_loss)
 
 
 def generator_layer_sizes(scenario: ScenarioConfig, config: GanConfig) -> list[int]:
@@ -136,8 +140,7 @@ def init_discriminator(scenario, config, rng) -> DenseNetwork:
 def from_t_probability(d_net: DenseNetwork, batch) -> np.ndarray:
     """Discriminator's probability that each row is a legitimate burst, as
     float64 whatever the net's dtype, so the losses are summed in float64."""
-    out = np.atleast_2d(predict(d_net, batch))
-    return out[:, FROM_T].astype(np.float64)
+    return predict(d_net, batch)[:, FROM_T].astype(np.float64)
 
 
 def _clamped_log(p):
@@ -155,9 +158,7 @@ def _losses(p_real, p_synth) -> tuple[float, float]:
 
 def discriminator_loss(d_net: DenseNetwork, real_batch, synth_batch) -> float:
     """E_synth[log(1 - D(x))] - E_real[log D(x)] on the given batches."""
-    real_batch = np.atleast_2d(np.asarray(real_batch, dtype=np.float64))
-    synth_batch = np.atleast_2d(np.asarray(synth_batch, dtype=np.float64))
-    if real_batch.shape[0] == 0 or synth_batch.shape[0] == 0:
+    if len(real_batch) == 0 or len(synth_batch) == 0:
         raise ValueError("both batches must be non-empty")
     return _losses(from_t_probability(d_net, real_batch),
                    from_t_probability(d_net, synth_batch))[0]
@@ -165,8 +166,7 @@ def discriminator_loss(d_net: DenseNetwork, real_batch, synth_batch) -> float:
 
 def generator_loss(d_net: DenseNetwork, synth_batch) -> float:
     """E_synth[log(1 - D(x))] on the given batch."""
-    synth_batch = np.atleast_2d(np.asarray(synth_batch, dtype=np.float64))
-    if synth_batch.shape[0] == 0:
+    if len(synth_batch) == 0:
         raise ValueError("batch must be non-empty")
     # The generator loss ignores p_real; a certain real batch stands in.
     return _losses(np.ones(1), from_t_probability(d_net, synth_batch))[1]
@@ -210,7 +210,7 @@ def generator_phasors(g_net: DenseNetwork, z, n_adv, power_budget):
     Returns (phasors, cap scale factors), as `scale_to_budget` does; the
     training epoch's pool and the GAN attack both draw their bursts here.
     """
-    raw = rows_to_streams(np.atleast_2d(predict(g_net, z)), n_adv)
+    raw = rows_to_streams(predict(g_net, z), n_adv)
     return scale_to_budget(raw, float(power_budget))
 
 
@@ -255,16 +255,6 @@ def check_convergence(loss_series, window, threshold) -> bool:
     if abs(now) < 1e-9:
         return bool(np.all(np.abs(tail) < 1e-9))
     return bool(np.max(np.abs(tail - now)) < threshold * abs(now))
-
-
-def _train_epoch(net, state, x, targets, batch_size, cfg, rng, ws):
-    """One shuffled cross-entropy pass over (x, targets) through workspace ws."""
-    order = rng.permutation(x.shape[0])
-    for start in range(0, x.shape[0], batch_size):
-        idx = order[start:start + batch_size]
-        out, cache = forward(net, gather_rows(ws, x, idx), ws)
-        grads = backward(net, cache, cross_entropy_delta(out, targets[idx]))
-        adam_step(net, grads, state, cfg)
 
 
 def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=None):
@@ -321,7 +311,7 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
     spoof_targets = one_hot(np.full(cfg.batch_size, FROM_T)).astype(d_dtype)
 
     trace = TrainingTrace()
-    for epoch in range(cfg.max_epochs):
+    for _ in range(cfg.max_epochs):
         # (a) transmit a fresh synthetic pool through fresh channel draws, as
         # matched-filter phasors.
         z = rng.standard_normal((n_synth, cfg.noise_dim)).astype(g_net.params.dtype)
@@ -334,7 +324,7 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
         pool_x = np.concatenate([real_xc, condition_phasors(rx)], dtype=d_dtype)
         synth_xc = pool_x[cfg.real_pool:]
         pool_targets = np.concatenate([real_targets, synth_targets])
-        _train_epoch(d_net, d_state, pool_x, pool_targets, cfg.batch_size, opt_cfg, rng, d_ws)
+        _train_epoch(d_net, d_state, pool_x, pool_targets, opt_cfg, rng, d_ws)
 
         # (c) one generator epoch against the updated discriminator, in
         # phasors: each batch re-sends its bursts of (a) with the updated
@@ -354,7 +344,6 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
                                  from_t_probability(d_net, synth_xc))
         trace.d_loss.append(d_loss)
         trace.g_loss.append(g_loss)
-        trace.epochs_run = epoch + 1
         if check_convergence(trace.g_loss, cfg.conv_window, cfg.conv_threshold) and \
            check_convergence(trace.d_loss, cfg.conv_window, cfg.conv_threshold):
             trace.converged = True
@@ -370,11 +359,7 @@ def save_trace_csv(trace: TrainingTrace, path) -> None:
             writer.writerow([epoch, repr(g), repr(d)])
 
 
-def trace_summary(trace: TrainingTrace) -> dict:
-    return {"epochs_run": trace.epochs_run, "converged": trace.converged}
-
-
 def save_trace_summary(trace: TrainingTrace, path) -> None:
     with open(path, "w") as fh:
-        json.dump(trace_summary(trace), fh, indent=2)
+        json.dump({"epochs_run": trace.epochs_run, "converged": trace.converged}, fh, indent=2)
         fh.write("\n")

@@ -13,7 +13,8 @@ The loss gradient both take is d(loss)/d(output), except at a softmax
 output layer: that takes d(loss)/d(logits), its pre-activation gradient,
 and passes it straight through (`cross_entropy_delta` forms it for the
 cross-entropy), so no softmax Jacobian is ever applied.
-Forward passes accept a single vector or a (batch, features) matrix.
+Every function that takes rows takes them as a (rows, features) array and
+refuses a 1-D one; a single sample is one row.
 Analytic gradients can be verified entry by entry against central finite
 differences.
 
@@ -43,10 +44,12 @@ LOG_EPS = 1e-12
 # `cross_entropy_delta` zeroes an entry.
 _SQRT_TINY = {np.dtype(t): math.sqrt(np.finfo(t).tiny) for t in (np.float32, np.float64)}
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 # Every FLUSH_EVERY Adam steps, moment entries below FLUSH_SCALE times their
 # dtype's smallest normal number are zeroed; a moment decays by at most
-# adam_beta1 per step, so at the default 0.9 it needs 150 steps from there
-# to go subnormal.
+# ADAM_BETA1 per step, so it needs 150 steps from there to go subnormal.
 FLUSH_EVERY = 16
 FLUSH_SCALE = 2.0 ** 24
 
@@ -195,19 +198,15 @@ class ForwardCache:
     inputs: list
     pre: list
     out: np.ndarray
-    single: bool
     workspace: Workspace
     pass_id: int
 
 
-def _as_batch(x, width, what, dtype):
+def _as_batch(x, width, dtype):
     arr = x if type(x) is np.ndarray and x.dtype == dtype else np.asarray(x, dtype=dtype)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != width:
-        raise ValueError(f"{what} width {arr.shape[-1]} does not match expected {width}")
-    return arr, single
+        raise ValueError(f"input of shape {arr.shape} is not (rows, {width})")
+    return arr
 
 
 def gather_rows(ws: Workspace, x, idx):
@@ -239,7 +238,7 @@ def _softmax(z, out):
 def forward(net: DenseNetwork, x, ws: Workspace | None = None):
     """Run the network, returning (output, cache) for a later backward pass;
     both are views into ws, a one-shot workspace when None."""
-    a, single = _as_batch(x, net.layer_sizes[0], "input", net.params.dtype)
+    a = _as_batch(x, net.layer_sizes[0], net.params.dtype)
     n = a.shape[0]
     if ws is None:
         ws = Workspace(net, n)
@@ -259,13 +258,13 @@ def forward(net: DenseNetwork, x, ws: Workspace | None = None):
             a = _softmax(z, out)
         else:
             a = z
-    return (a[0] if single else a), ForwardCache(inputs, pres, a, single, ws, ws.passes)
+    return a, ForwardCache(inputs, pres, a, ws, ws.passes)
 
 
 def predict(net: DenseNetwork, x):
     """Forward pass keeping nothing: one array per layer, biased and activated
     in place, in the net's dtype."""
-    a, single = _as_batch(x, net.layer_sizes[0], "input", net.params.dtype)
+    a = _as_batch(x, net.layer_sizes[0], net.params.dtype)
     for w, b, act in zip(net.weights, net.biases, net.activations):
         a = a @ w.T
         a += b
@@ -273,12 +272,12 @@ def predict(net: DenseNetwork, x):
             np.maximum(a, 0.0, out=a)
         elif act == SOFTMAX:
             _softmax(a, a)
-    return a[0] if single else a
+    return a
 
 
 def _output_gradient(net, cache, loss_gradient):
     """The loss gradient as a (rows, outputs) array in the net's dtype, cast
-    and reshaped only where it is not one, once the cache is checked."""
+    only where it is not one, once the cache is checked."""
     ws = cache.workspace
     if ws.layer_sizes != net.layer_sizes:
         raise ValueError("cache does not match network")
@@ -287,10 +286,9 @@ def _output_gradient(net, cache, loss_gradient):
     g = loss_gradient
     if type(g) is not np.ndarray or g.dtype != ws.dtype or g.shape != cache.out.shape:
         g = np.asarray(g, dtype=ws.dtype)
-        if g.ndim == 1:
-            g = g[None, :]
         if g.shape != cache.out.shape:
-            raise ValueError(f"loss gradient shape {g.shape} does not match cached output")
+            raise ValueError(f"loss gradient shape {g.shape} does not match the cached "
+                             f"output's {cache.out.shape}")
     return g
 
 
@@ -327,7 +325,7 @@ def input_gradient(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> np.
         if net.activations[i] == RELU:
             g = np.multiply(g, cache.pre[i] > 0.0, out=d_pre[i])
         g = np.dot(g, net.weights[i], out=d_in[i])
-    return g[0] if cache.single else g
+    return g
 
 
 def _one_hot_ok(label):
@@ -337,15 +335,15 @@ def _one_hot_ok(label):
 def cross_entropy(pred, label) -> float:
     """Mean -sum(label * log(pred)) with the log clamped at 1e-12.
 
-    `pred` rows must sum to 1 within 1e-9 and `label` rows must be one-hot;
-    1-D inputs are treated as a single sample.
+    `pred` and `label` are (rows, classes); `pred` rows must sum to 1 within
+    1e-9 and `label` rows must be one-hot.
     """
     p = np.asarray(pred, dtype=np.float64)
     y = np.asarray(label, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError(f"prediction shape {p.shape} != label shape {y.shape}")
-    if p.ndim == 1:
-        p, y = p[None, :], y[None, :]
+    if p.ndim != 2:
+        raise ValueError(f"predictions of shape {p.shape} are not (rows, classes)")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("predictions must sum to 1")
     if not _one_hot_ok(y):
@@ -369,19 +367,20 @@ def cross_entropy_delta(pred, targets) -> np.ndarray:
       normal. A confident net's float32 outputs go subnormal, and without
       this rule their products carry subnormals into every layer's
       gradients, where BLAS runs many times slower.
-    1-D inputs are treated as a single sample.
     """
     p = np.asarray(pred)
     if p.dtype not in _SQRT_TINY:
         p = p.astype(np.float64)
     if np.shape(targets) != p.shape:
         raise ValueError(f"prediction shape {p.shape} != target shape {np.shape(targets)}")
+    if p.ndim != 2:
+        raise ValueError(f"predictions of shape {p.shape} are not (rows, classes)")
     delta = np.subtract(p, targets, dtype=p.dtype)
-    delta /= p.shape[0] if p.ndim == 2 else 1
+    delta /= p.shape[0]
     low = p.min()
     if low < LOG_EPS:  # else no target probability is below it
-        target_p = (p * targets) @ np.ones(p.shape[-1], p.dtype)
-        np.copyto(delta, 0.0, where=(target_p < LOG_EPS)[..., None])
+        target_p = (p * targets) @ np.ones(p.shape[1], p.dtype)
+        np.copyto(delta, 0.0, where=(target_p < LOG_EPS)[:, None])
     if low < _SQRT_TINY[p.dtype]:
         np.copyto(delta, 0.0, where=p < _SQRT_TINY[p.dtype])
     return delta
@@ -389,13 +388,11 @@ def cross_entropy_delta(pred, targets) -> np.ndarray:
 
 @dataclass
 class TrainConfig:
-    """Adam hyperparameters plus batching; defaults match the training recipes
-    used throughout this package."""
+    """Adam's learning rate plus batching (its other settings are the
+    ADAM_* constants); defaults match the training recipes used throughout
+    this package."""
 
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     batch_size: int = 100
     train_steps: int = 1000
     seed: int = 0
@@ -405,9 +402,6 @@ class TrainConfig:
         if not (0.0 < self.learning_rate < math.inf):
             raise ValueError(f"learning_rate must be finite and above zero, "
                              f"got {self.learning_rate}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not (0.0 < getattr(self, name) < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1)")
         for name in ("batch_size", "train_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -458,7 +452,7 @@ def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
     if owner is not None and owner.passes != grads.pass_id:
         raise ValueError("gradients are stale: their workspace has run a later pass")
     state.step += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** state.step
     inv_sqrt_corr2 = 1.0 / math.sqrt(1.0 - b2 ** state.step)
     scale = config.learning_rate / corr1
@@ -471,7 +465,7 @@ def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
     state.v += step
     np.sqrt(state.v, out=step)
     step *= inv_sqrt_corr2
-    step += config.adam_epsilon
+    step += ADAM_EPSILON
     np.divide(state.m, step, out=step)
     n_first = net.weights[0].size
     step[:n_first] *= scale * state.first_weight_scale

@@ -179,6 +179,14 @@ class TestTrainClassifier:
             train_classifier(ds, TrainConfig(train_steps=1))
 
     def test_matches_raw_width_net_on_slot_replicated_features(self):
+        self.check_matches_raw_width_net(TrainConfig(seed=4, train_steps=150, batch_size=20))
+
+    def test_matches_raw_width_net_when_steps_end_mid_epoch(self):
+        # 200 rows in batches of 30 make 7 steps an epoch, the last of 20
+        # rows; the 10th step is the 3rd of the second epoch.
+        self.check_matches_raw_width_net(TrainConfig(seed=4, train_steps=10, batch_size=30))
+
+    def check_matches_raw_width_net(self, cfg):
         # Reference: the raw-width net that reads every conditioned phasor
         # copied into all S sample slots of its symbol, trained with plain
         # Adam from the same seed, in the trainer's dtype. Its S tied
@@ -189,7 +197,6 @@ class TestTrainClassifier:
         s = sc.samples_per_symbol
         train = build_dataset(sc, 200, 0.5, substream(13, 1))
         test = build_dataset(sc, 300, 0.5, substream(13, 2))
-        cfg = TrainConfig(seed=4, train_steps=150, batch_size=20)
         clf = train_classifier(train, cfg)
         dtype = clf.net.params.dtype
         # The two nets round the first-layer sum and every step differently.
@@ -224,6 +231,17 @@ class TestTrainClassifier:
         p_new = predict(clf.net, clf.condition(test.features))
         assert np.max(np.abs(p_new - p_ref)) <= tol
         npt.assert_array_equal(classify(clf, test.features), np.argmax(p_ref, axis=1))
+
+
+class TestClassify:
+    def test_one_raw_row_gets_the_batched_decision(self):
+        sc = tiny_scenario(seed=11)
+        ds = build_dataset(sc, 40, 0.5, substream(11, 1))
+        clf = train_classifier(ds, TrainConfig(train_steps=20))
+        batched = classify(clf, ds.features)
+        for row, want in zip(ds.features, batched):
+            decision = classify(clf, row)
+            assert decision.shape == (1,) and decision[0] == want
 
 
 class TestEvaluate:

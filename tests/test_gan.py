@@ -158,8 +158,8 @@ class TestSpoofBurst:
     def test_over_budget_scaled_down_phase_preserved(self):
         rng = np.random.default_rng(2)
         g = init_generator(tiny_scenario(), TINY, rng)
-        z = rng.standard_normal(TINY.noise_dim)
-        raw = rows_to_streams(predict(g, z)[None, :], 1)
+        z = rng.standard_normal((1, TINY.noise_dim))
+        raw = rows_to_streams(predict(g, z), 1)
         got, _ = generator_phasors(g, z, 1, power_budget=stream_rms(raw)[0, 0] / 2)
         npt.assert_allclose(got, raw / 2, rtol=1e-12)
 
@@ -202,7 +202,7 @@ class TestSpoofBurst:
         rng = np.random.default_rng(4)
         g = init_generator(tiny_scenario(), TINY, rng)
         with pytest.raises(ValueError):
-            generator_phasors(g, rng.standard_normal(TINY.noise_dim), 3, 10.0)
+            generator_phasors(g, rng.standard_normal((1, TINY.noise_dim)), 3, 10.0)
 
 
 class TestScaleBackward:
@@ -267,10 +267,10 @@ class TestTrainGan:
             seen.append(subnormal_count(grads.flat) + sum(subnormal_count(a) for a in ws.d_pre))
             return adam_step(net, grads, state, cfg)
 
-        monkeypatch.setattr("spoofsim.gan.adam_step", checked_step)
+        monkeypatch.setattr("spoofsim.authenticator.adam_step", checked_step)
         spoofsim.gan._train_epoch(d, AdamState.for_network(d), x, one_hot(np.argmax(out, axis=1)),
-                                  TINY.batch_size, TrainConfig(batch_size=TINY.batch_size),
-                                  rng, Workspace(d, TINY.batch_size))
+                                  TrainConfig(batch_size=TINY.batch_size), rng,
+                                  Workspace(d, TINY.batch_size))
         assert seen == [0, 0]
 
     def test_single_epoch_trace(self):

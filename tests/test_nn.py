@@ -1,6 +1,7 @@
 import gc
 import math
 import pickle
+import re
 import struct
 import weakref
 
@@ -12,7 +13,7 @@ from spoofsim import (AdamState, DenseNetwork, Gradients, TrainConfig, Workspace
                       adam_step, backward, cross_entropy, cross_entropy_delta,
                       finite_diff_check, forward, gather_rows, init_network,
                       input_gradient, load_model, predict, save_model)
-from spoofsim.nn import LINEAR, RELU, SOFTMAX
+from spoofsim.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, LINEAR, RELU, SOFTMAX
 
 from helpers import as_float64, subnormal_count, sure_rows
 
@@ -26,18 +27,18 @@ def full_backward_d_input(net, cache, loss_gradient):
     parameter gradient reached it: each layer's pre-activation gradient
     times that layer's weights, down to the input. A softmax layer's loss
     gradient is already its pre-activation gradient."""
-    g = np.atleast_2d(loss_gradient)
+    g = loss_gradient
     for i in range(net.n_layers - 1, -1, -1):
         dz = g * (cache.pre[i] > 0.0) if net.activations[i] == RELU else g
         g = dz @ net.weights[i]
-    return g[0] if cache.single else g
+    return g
 
 
 def per_tensor_adam(weights, biases, d_weights, d_biases, m, v, step, cfg,
                     first_weight_scale):
     """Adam updated one parameter tensor at a time, weights then biases, with
     m and v holding one array per tensor in that order."""
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** step
     inv_sqrt_corr2 = 1.0 / math.sqrt(1.0 - b2 ** step)
     scale = cfg.learning_rate / corr1
@@ -47,7 +48,7 @@ def per_tensor_adam(weights, biases, d_weights, d_biases, m, v, step, cfg,
         m[k] += (1.0 - b1) * g
         v[k] *= b2
         v[k] += (1.0 - b2) * np.square(g)
-        denom = np.sqrt(v[k]) * inv_sqrt_corr2 + cfg.adam_epsilon
+        denom = np.sqrt(v[k]) * inv_sqrt_corr2 + ADAM_EPSILON
         p -= m[k] / denom * step_scale
 
 
@@ -88,22 +89,22 @@ class TestInit:
 class TestForward:
     def test_symmetric_softmax(self):
         net = DenseNetwork([np.zeros((2, 2))], [np.zeros(2)], [SOFTMAX])
-        out, _ = forward(net, np.array([3.0, -1.0]))
-        npt.assert_allclose(out, [0.5, 0.5])
+        out, _ = forward(net, np.array([[3.0, -1.0]]))
+        npt.assert_allclose(out, [[0.5, 0.5]])
 
     def test_identity_linear_layer(self):
         net = DenseNetwork([np.eye(4)], [np.zeros(4)], [LINEAR])
-        x = np.array([1.0, -2.0, 3.5, 0.0])
+        x = np.array([[1.0, -2.0, 3.5, 0.0]])
         out, _ = forward(net, x)
         npt.assert_array_equal(out, x)
 
     def test_against_independent_reimplementation(self):
         rng = np.random.default_rng(8)
         net = small_net(seed=8)
-        x = rng.standard_normal(7)
+        x = rng.standard_normal((1, 7))
         out, _ = forward(net, x)
         # plain-loop oracle of the same arithmetic
-        a = x.copy()
+        a = x[0].copy()
         for w, b, act in zip(net.weights, net.biases, net.activations):
             z = np.array([float(np.dot(w[i], a)) + b[i] for i in range(w.shape[0])])
             if act == RELU:
@@ -113,7 +114,7 @@ class TestForward:
                 a = e / e.sum()
             else:
                 a = z
-        npt.assert_allclose(out, a, atol=1e-12)
+        npt.assert_allclose(out[0], a, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
@@ -124,17 +125,33 @@ class TestForward:
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            forward(small_net(), np.zeros(6))
+            forward(small_net(), np.zeros((1, 6)))
 
     def test_predict_matches_forward(self):
         rng = np.random.default_rng(2)
         for output in (SOFTMAX, LINEAR):
             net = init_network([7, 6, 5, 3], [RELU, RELU, output], rng=rng)
-            for shape in ((5, 7), (7,)):
+            for shape in ((5, 7), (1, 7)):
                 x = rng.standard_normal(shape)
                 before = x.copy()
                 npt.assert_array_equal(predict(net, x), forward(net, x)[0])
                 npt.assert_array_equal(x, before)
+
+
+class TestBatchOnly:
+    @pytest.mark.parametrize("fn", [forward, predict, backward, input_gradient,
+                                    cross_entropy_delta, cross_entropy],
+                             ids=lambda fn: fn.__name__)
+    def test_one_dimensional_input_is_refused_by_its_shape(self, fn):
+        # A single sample is one row; its 1-D array is refused.
+        net = small_net()
+        _, cache = forward(net, np.ones((1, 7)))
+        p, y = np.full(3, 1 / 3), np.eye(3)[0]
+        args = {forward: (net, np.ones(7)), predict: (net, np.ones(7)),
+                backward: (net, cache, np.zeros(3)), input_gradient: (net, cache, np.zeros(3)),
+                cross_entropy_delta: (p, y), cross_entropy: (p, y)}[fn]
+        with pytest.raises(ValueError, match=re.escape(str(args[-1].shape))):
+            fn(*args)
 
 
 def training_loss_gradient(out, label, output):
@@ -238,36 +255,36 @@ class TestWorkspace:
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        assert cross_entropy([1.0, 0.0], [1.0, 0.0]) == 0.0
+        assert cross_entropy([[1.0, 0.0]], [[1.0, 0.0]]) == 0.0
 
     def test_uniform_prediction(self):
-        npt.assert_allclose(cross_entropy([0.5, 0.5], [1.0, 0.0]), math.log(2),
+        npt.assert_allclose(cross_entropy([[0.5, 0.5]], [[1.0, 0.0]]), math.log(2),
                             rtol=1e-12)
 
     def test_confidently_wrong(self):
-        npt.assert_allclose(cross_entropy([0.9, 0.1], [0.0, 1.0]),
+        npt.assert_allclose(cross_entropy([[0.9, 0.1]], [[0.0, 1.0]]),
                             -math.log(0.1), rtol=1e-12)
 
     def test_nonnegative_and_zero_only_at_label(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            z = rng.standard_normal(4)
+            z = rng.standard_normal((1, 4))
             p = np.exp(z) / np.exp(z).sum()
-            y = np.zeros(4)
-            y[rng.integers(4)] = 1.0
+            y = np.zeros((1, 4))
+            y[0, rng.integers(4)] = 1.0
             assert cross_entropy(p, y) >= 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cross_entropy([0.5, 0.5], [1.0, 0.0, 0.0])
+            cross_entropy([[0.5, 0.5]], [[1.0, 0.0, 0.0]])
 
     def test_unnormalised_prediction_rejected(self):
         with pytest.raises(ValueError):
-            cross_entropy([0.6, 0.6], [1.0, 0.0])
+            cross_entropy([[0.6, 0.6]], [[1.0, 0.0]])
 
     def test_non_one_hot_label_rejected(self):
         with pytest.raises(ValueError):
-            cross_entropy([0.5, 0.5], [0.5, 0.5])
+            cross_entropy([[0.5, 0.5]], [[0.5, 0.5]])
 
     def test_batch_mean(self):
         p = np.array([[0.5, 0.5], [1.0, 0.0]])
@@ -281,11 +298,11 @@ def softmax_rows(z):
 
 
 class TestCrossEntropyDelta:
-    @pytest.mark.parametrize("shape", [(4, 3), (3,)], ids=["batch", "single"])
+    @pytest.mark.parametrize("shape", [(4, 3)], ids=["batch"])
     def test_matches_central_differences_through_the_softmax(self, shape):
         rng = np.random.default_rng(40)
         z = 2.0 * rng.standard_normal(shape)
-        y = np.eye(shape[-1])[rng.integers(0, shape[-1], shape[:-1])]
+        y = np.eye(shape[1])[rng.integers(0, shape[1], shape[0])]
         h = 1e-6
         numeric = np.zeros(shape)
         for idx in np.ndindex(shape):
@@ -327,8 +344,8 @@ class TestCrossEntropyDelta:
 class TestBackward:
     def test_zero_loss_gradient_gives_zero_parameter_gradients(self):
         net = small_net()
-        out, cache = forward(net, np.ones(7))
-        grads = backward(net, cache, np.zeros(3))
+        out, cache = forward(net, np.ones((1, 7)))
+        grads = backward(net, cache, np.zeros((1, 3)))
         assert all(np.all(g == 0) for g in grads.d_weights)
         assert all(np.all(g == 0) for g in grads.d_biases)
 
@@ -336,21 +353,21 @@ class TestBackward:
     def test_matches_finite_differences(self, sizes):
         rng = np.random.default_rng(sum(sizes))
         net = small_net(sizes, seed=sum(sizes))
-        x = rng.standard_normal(sizes[0])
-        label = np.zeros(sizes[-1])
-        label[0] = 1.0
+        x = rng.standard_normal((1, sizes[0]))
+        label = np.zeros((1, sizes[-1]))
+        label[0, 0] = 1.0
         assert finite_diff_check(net, x, label, h=1e-5) < 1e-4
 
     def test_softmax_cross_entropy_composite_equals_residual(self):
         rng = np.random.default_rng(4)
         net = small_net(seed=4)
-        x = rng.standard_normal(7)
-        label = np.array([0.0, 1.0, 0.0])
+        x = rng.standard_normal((1, 7))
+        label = np.array([[0.0, 1.0, 0.0]])
         out, cache = forward(net, x)
         grads = backward(net, cache, cross_entropy_delta(out, label))
         # with softmax + cross-entropy, d(loss)/d(last pre-activation) = p - y,
         # so the last bias gradient equals the residual directly
-        npt.assert_allclose(grads.d_biases[-1], out - label, atol=1e-12)
+        npt.assert_allclose(grads.d_biases[-1], (out - label)[0], atol=1e-12)
 
     def test_input_gradient_shape(self):
         net = small_net()
@@ -361,9 +378,9 @@ class TestBackward:
     def test_stale_cache_rejected(self):
         net = small_net()
         other = small_net((7, 4, 3))
-        _, cache = forward(other, np.ones(7))
+        _, cache = forward(other, np.ones((1, 7)))
         with pytest.raises(ValueError):
-            backward(net, cache, np.zeros(3))
+            backward(net, cache, np.zeros((1, 3)))
 
 
 class TestInputGradient:
@@ -394,7 +411,7 @@ class TestInputGradient:
         npt.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("output", [SOFTMAX, LINEAR])
-    @pytest.mark.parametrize("shape", [(5, 7), (7,)], ids=["batch", "single"])
+    @pytest.mark.parametrize("shape", [(5, 7)], ids=["batch"])
     def test_equals_full_backward(self, output, shape):
         rng = np.random.default_rng(14)
         net = init_network([7, 6, 5, 3], [RELU, RELU, output], rng=rng)
@@ -404,9 +421,9 @@ class TestInputGradient:
                                full_backward_d_input(net, cache, loss_gradient))
 
     def test_stale_cache_rejected(self):
-        _, cache = forward(small_net((7, 4, 3)), np.ones(7))
+        _, cache = forward(small_net((7, 4, 3)), np.ones((1, 7)))
         with pytest.raises(ValueError):
-            input_gradient(small_net(), cache, np.zeros(3))
+            input_gradient(small_net(), cache, np.zeros((1, 3)))
 
 
 class TestAdam:
@@ -509,20 +526,20 @@ class TestAdam:
 class TestFiniteDiffCheck:
     def test_subsampled_check_is_deterministic_and_small(self):
         net = init_network([30, 16, 8, 2], rng=np.random.default_rng(7))
-        x = np.random.default_rng(8).standard_normal(30)
-        label = np.array([1.0, 0.0])
+        x = np.random.default_rng(8).standard_normal((1, 30))
+        label = np.array([[1.0, 0.0]])
         err = finite_diff_check(net, x, label, h=1e-5, max_per_tensor=10,
                                 rng=np.random.default_rng(9))
         assert err < 1e-4
 
     def test_bad_h_rejected(self):
         with pytest.raises(ValueError):
-            finite_diff_check(small_net(), np.ones(7), np.array([1.0, 0, 0]), h=0)
+            finite_diff_check(small_net(), np.ones((1, 7)), np.array([[1.0, 0, 0]]), h=0)
 
     def test_float32_net_rejected(self):
         net = init_network([7, 3], rng=np.random.default_rng(0), dtype=np.float32)
         with pytest.raises(ValueError, match="float64"):
-            finite_diff_check(net, np.ones(7), np.array([1.0, 0, 0]))
+            finite_diff_check(net, np.ones((1, 7)), np.array([[1.0, 0, 0]]))
 
 
 class TestLayout:
