@@ -32,20 +32,20 @@ class AttackReport:
 
     n_trials: int
     n_success: int
-    success_prob: float
 
     def __post_init__(self):
         if self.n_trials < 1 or not (0 <= self.n_success <= self.n_trials):
             raise ValueError("success count must lie in [0, n_trials]")
-        if self.success_prob != self.n_success / self.n_trials:
-            raise ValueError("success_prob must equal n_success / n_trials exactly")
+
+    @property
+    def success_prob(self) -> float:
+        return self.n_success / self.n_trials
 
 
 def _report(classifier, rx) -> AttackReport:
     """Score received phasors (count, n_r, n_symbols) with the classifier."""
     decisions = classify(classifier, feature_rows(rx))
-    n_success = int((decisions == FROM_T).sum())
-    return AttackReport(len(decisions), n_success, n_success / len(decisions))
+    return AttackReport(len(decisions), int((decisions == FROM_T).sum()))
 
 
 def _check_feature_width(classifier: Authenticator, scenario: ScenarioConfig):
@@ -108,18 +108,18 @@ def run_gan_attack(classifier, generator, scenario, n_trials=500, rng=None,
 
 
 def train_spoofer(scenario, gan_config=None, rng=None, retries=3):
-    """Train the adversarial generator, retrying on non-convergence.
+    """Train the adversarial generator, retrying on non-convergence;
+    returns (generator, trace) of the run kept.
 
     Runs up to 1 + `retries` trainings with fresh randomness; the first
-    converged run wins, otherwise the last run is returned as-is.
+    converged run wins, otherwise the last run is kept.
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")
     if rng is None:
         rng = np.random.default_rng()
-    result = None
     for _ in range(1 + retries):
-        result = train_gan(scenario, gan_config, rng)
-        if result[2].converged:
+        generator, _, trace = train_gan(scenario, gan_config, rng)
+        if trace.converged:
             break
-    return result
+    return generator, trace

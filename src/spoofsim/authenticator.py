@@ -68,29 +68,26 @@ class LabeledDataset:
 
 @dataclass
 class ClassifierMetrics:
-    """Exact error counts and rates of one evaluation run."""
+    """Exact error counts of one evaluation run, and the rates they define."""
 
     n: int
     n_from_t: int
     n_md: int
     n_fa: int
-    e_md: float
-    e_fa: float
 
     def __post_init__(self):
         if not (0 < self.n_from_t < self.n):
             raise ValueError("evaluation needs both classes present")
         if not (0 <= self.n_md <= self.n_from_t and 0 <= self.n_fa <= self.n - self.n_from_t):
             raise ValueError("error counts exceed class sizes")
-        if self.e_md != self.n_md / self.n_from_t or \
-           self.e_fa != self.n_fa / (self.n - self.n_from_t):
-            raise ValueError("rates must equal their defining count ratios exactly")
 
-    @classmethod
-    def from_counts(cls, n, n_from_t, n_md, n_fa) -> "ClassifierMetrics":
-        if not (0 < n_from_t < n):
-            raise ValueError("evaluation needs both classes present")
-        return cls(n, n_from_t, n_md, n_fa, n_md / n_from_t, n_fa / (n - n_from_t))
+    @property
+    def e_md(self) -> float:
+        return self.n_md / self.n_from_t
+
+    @property
+    def e_fa(self) -> float:
+        return self.n_fa / (self.n - self.n_from_t)
 
 
 def _draw_sensing_bursts(scenario: ScenarioConfig, n_samples, positive_fraction, rng):
@@ -245,9 +242,7 @@ def evaluate(classifier: Authenticator, test_set: LabeledDataset) -> ClassifierM
         raise ValueError("test set is empty")
     labels = test_set.labels
     n_from_t = int((labels == FROM_T).sum())
-    if n_from_t == 0 or n_from_t == len(test_set):
-        raise ValueError("metrics are undefined on a single-class test set")
     preds = classify(classifier, test_set.features)
     n_md = int(((labels == FROM_T) & (preds != FROM_T)).sum())
     n_fa = int(((labels == NOT_T) & (preds == FROM_T)).sum())
-    return ClassifierMetrics.from_counts(len(test_set), n_from_t, n_md, n_fa)
+    return ClassifierMetrics(len(test_set), n_from_t, n_md, n_fa)

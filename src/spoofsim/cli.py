@@ -1,4 +1,5 @@
-"""Command-line front end: table sweeps, latency benchmarks, GAN training.
+"""Command-line front end: table sweeps and latency benchmarks. A sweep with
+`attack = gan` trains the GAN of each geometry and saves its generator.
 
 Exit codes: 0 full success, 1 configuration errors, 2 partial cell failures.
 """
@@ -7,17 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
-import numpy as np
-
-from .attacks import train_spoofer
 from .authenticator import Authenticator
 from .experiments import (MIN_REPEATS, ConfigError, benchmark_latency,
                           parse_config, run_experiment)
-from .gan import save_trace_csv, save_trace_summary
-from .nn import load_model, save_model
+from .nn import load_model
 from .waveform import SYMBOLS_PER_BURST
 
 
@@ -43,11 +38,6 @@ def _build_parser():
                        help=f"timed decisions, at least {MIN_REPEATS}")
     bench.add_argument("--sps", type=int, default=100,
                        help="samples per symbol of the raw bursts (S)")
-
-    tg = sub.add_parser("train-gan", help="train the adversarial generator once")
-    tg.add_argument("--config", help="key=value config file")
-    tg.add_argument("--out", required=True, help="output directory for models and trace")
-    tg.add_argument("--seed", type=int, default=None, help="override the first config seed")
     return parser
 
 
@@ -90,27 +80,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_train_gan(args) -> int:
-    spec = parse_config(args.config)
-    seed = args.seed if args.seed is not None else spec.seeds[0]
-    scenario = replace(spec.base, seed=seed)
-    rng = np.random.default_rng(seed)
-    generator, discriminator, trace = train_spoofer(scenario, spec.gan, rng,
-                                                    spec.gan_retries)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(generator, out / "generator.bin")
-    save_model(discriminator, out / "discriminator.bin")
-    save_trace_csv(trace, out / "trace.csv")
-    save_trace_summary(trace, out / "summary.json")
-    print(f"trained {trace.epochs_run} epochs "
-          f"({'converged' if trace.converged else 'not converged'}); models in {out}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"run": _cmd_run, "bench": _cmd_bench, "train-gan": _cmd_train_gan}
+    handlers = {"run": _cmd_run, "bench": _cmd_bench}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:

@@ -269,8 +269,9 @@ def parse_config(path=None, overrides=None) -> ExperimentSpec:
     """Build an ExperimentSpec from a key=value file plus override flags.
 
     Overrides win over file entries; table presets fill grid/position
-    defaults for keys the user did not set. Unknown keys and out-of-range
-    values raise ConfigError naming the offending key.
+    defaults for keys the user did not set. Unknown keys, out-of-range
+    values and `gan.*` keys on a sweep whose attack is not gan (no cell
+    reads them) raise ConfigError naming the offending key.
     """
     values = _read_config_file(path) if path else {}
     if overrides:
@@ -302,9 +303,13 @@ def parse_config(path=None, overrides=None) -> ExperimentSpec:
                                             if t == target})
         except ValueError as exc:
             raise ConfigError(f"{target}.{exc}") from exc
-    return ExperimentSpec(table=table, base=configs["scenario"],
+    spec = ExperimentSpec(table=table, base=configs["scenario"],
                           classifier=configs["classifier"], gan=configs["gan"],
                           **spec_kwargs)
+    unread = next((key for key in values if key.startswith("gan.")), None)
+    if unread and spec.attack != "gan":
+        raise ConfigError(f"{unread} is read only by a gan sweep, not a {spec.attack!r} one")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +446,7 @@ def _train_job(spec, kind, cell, seed):
     scenario = replace(cell.scenario, seed=scen_seed)
     try:
         if kind == "gan":
-            generator, _, trace = train_spoofer(scenario, spec.gan, gan_rng, spec.gan_retries)
-            return generator, trace
+            return train_spoofer(scenario, spec.gan, gan_rng, spec.gan_retries)
         train_set = build_phasor_dataset(scenario, spec.n_train, rng=data_rng)
         test_set = build_phasor_dataset(scenario, spec.n_test, rng=data_rng)
         clf = train_classifier(train_set, replace(spec.classifier, seed=scen_seed & 0x7FFFFFFF))

@@ -33,7 +33,6 @@ budget on samples no receiver sees.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -95,8 +94,8 @@ class GanConfig:
 class TrainingTrace:
     """Per-epoch record of one adversarial run: the losses g_loss and d_loss,
     which score epoch e's synthetic pool as `train_gan`'s phase (d) says, and
-    capped_bursts[e], the bursts of that pool the power cap scaled down;
-    epochs_run counts the recorded epochs."""
+    capped_bursts[e], the bursts of that pool the power cap scaled down
+    (`save_trace_csv` writes all three); epochs_run counts the epochs."""
 
     g_loss: list = field(default_factory=list)
     d_loss: list = field(default_factory=list)
@@ -354,12 +353,7 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
 def save_trace_csv(trace: TrainingTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "g_loss", "d_loss"])
-        for epoch, (g, d) in enumerate(zip(trace.g_loss, trace.d_loss)):
-            writer.writerow([epoch, repr(g), repr(d)])
-
-
-def save_trace_summary(trace: TrainingTrace, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"epochs_run": trace.epochs_run, "converged": trace.converged}, fh, indent=2)
-        fh.write("\n")
+        writer.writerow(["epoch", "g_loss", "d_loss", "capped_bursts"])
+        rows = zip(trace.g_loss, trace.d_loss, trace.capped_bursts)
+        for epoch, (g, d, capped) in enumerate(rows):
+            writer.writerow([epoch, repr(g), repr(d), capped])

@@ -23,24 +23,20 @@ def tiny_scenario(seed=0, **kw):
 
 class TestClassifierMetrics:
     def test_reference_counts(self):
-        m = ClassifierMetrics.from_counts(1000, 504, 37, 39)
+        m = ClassifierMetrics(1000, 504, 37, 39)
         assert m.e_md == 37 / 504
         assert m.e_fa == 39 / 496
         npt.assert_allclose([m.e_md, m.e_fa], [0.0734, 0.0786], atol=5e-5)
 
-    def test_rate_identities_enforced(self):
-        with pytest.raises(ValueError):
-            ClassifierMetrics(1000, 504, 37, 39, 0.08, 39 / 496)
-
     def test_counts_bounded_by_class_sizes(self):
         with pytest.raises(ValueError):
-            ClassifierMetrics.from_counts(10, 4, 5, 0)
+            ClassifierMetrics(10, 4, 5, 0)
         with pytest.raises(ValueError):
-            ClassifierMetrics.from_counts(10, 4, 0, 7)
+            ClassifierMetrics(10, 4, 0, 7)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            ClassifierMetrics.from_counts(10, 10, 0, 0)
+            ClassifierMetrics(10, 10, 0, 0)
 
 
 class TestBuildDataset:

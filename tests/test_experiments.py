@@ -9,9 +9,9 @@ import pytest
 
 from spoofsim import (Authenticator, ConfigError, ExperimentSpec,
                       benchmark_latency, build_version, init_network,
-                      parse_config, run_experiment, save_model)
+                      load_model, parse_config, run_experiment, save_model)
 from spoofsim.cli import main
-from spoofsim.experiments import CSV_COLUMNS, run_jobs, sweep_processes
+from spoofsim.experiments import CSV_COLUMNS, TABLE_ATTACKS, run_jobs, sweep_processes
 
 from helpers import job_failing_at
 
@@ -121,18 +121,37 @@ scenario.power = 500
         with pytest.raises(ConfigError, match="at_positions"):
             parse_config(overrides={"table": table, "at_positions": "0,5;0,7"})
 
+    @pytest.mark.parametrize("sweep", [{"table": "1"}, {"table": "2"},
+                                       {"attack": "none"}, {"attack": "random"}])
+    @pytest.mark.parametrize("key", ["gan.max_epochs", "gan.retries"])
+    def test_gan_keys_refused_where_no_cell_reads_them(self, sweep, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(overrides={**sweep, key: "2"})
+
+    @pytest.mark.parametrize("sweep", [{"table": "3"}, {"attack": "gan"}])
+    def test_gan_sweeps_read_gan_keys(self, sweep):
+        spec = parse_config(overrides={**sweep, "gan.max_epochs": "2", "gan.retries": "1"})
+        assert (spec.gan.max_epochs, spec.gan_retries) == (2, 1)
+
+
+FAST_GAN = {
+    "gan.noise_dim": "6", "gan.hidden_width": "8", "gan.hidden_depth": "2",
+    "gan.real_pool": "8", "gan.synth_per_epoch": "8", "gan.batch_size": "4",
+    "gan.max_epochs": "2", "gan.conv_window": "2", "gan.retries": "0",
+}
+
 
 def fast_spec(tmp_path, **overrides):
+    """A tiny sweep; the gan.* keys are set only where a GAN sweep reads them."""
     base = {
         "table": "custom", "seeds": "0", "trials": "10",
         "out": str(tmp_path / "out"),
         "scenario.samples_per_symbol": "5",
         "dataset.n_train": "40", "dataset.n_test": "40",
         "classifier.train_steps": "30",
-        "gan.noise_dim": "6", "gan.hidden_width": "8", "gan.hidden_depth": "2",
-        "gan.real_pool": "8", "gan.synth_per_epoch": "8", "gan.batch_size": "4",
-        "gan.max_epochs": "2", "gan.conv_window": "2", "gan.retries": "0",
     }
+    if TABLE_ATTACKS.get(overrides.get("table"), overrides.get("attack")) == "gan":
+        base.update(FAST_GAN)
     base.update(overrides)
     return parse_config(overrides=base)
 
@@ -175,12 +194,18 @@ class TestRunExperiment:
         assert result.rows[0]["success_prob"] != ""
 
     def test_gan_table_runs_and_saves_models(self, tmp_path):
-        spec = fast_spec(tmp_path, **{"attack": "gan"})
+        # each geometry's generator and classifier fit its own antennas: a
+        # classifier reads, and a generator emits, 8 values per antenna
+        spec = fast_spec(tmp_path, **{"attack": "gan", "n_r": "1,2", "n_a": "1,2"})
         result = run_experiment(spec)
+        assert not result.failures
         assert result.rows[0]["attack"] == "gan"
         assert result.rows[0]["gan_epochs"] == 2
-        models = list((tmp_path / "out" / "models").glob("*generator.bin"))
-        assert models
+        models = tmp_path / "out" / "models"
+        for n_r, n_a in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+            prefix = f"tcustom_nt1_nr{n_r}_na{n_a}_seed0"
+            assert load_model(models / f"{prefix}_generator.bin").layer_sizes[-1] == 8 * n_a
+            assert load_model(models / f"{prefix}_classifier.bin").layer_sizes[0] == 8 * n_r
 
     def test_mobility_table_shares_generator_across_positions(self, tmp_path):
         spec = fast_spec(tmp_path, **{"table": "5",
@@ -277,7 +302,7 @@ class TestRunExperiment:
         trace = tmp_path / "out" / "models" / "t5_trained_at_base_seed0_trace.csv"
         with open(trace) as fh:
             lines = list(csv.reader(fh))
-        assert lines[0] == ["epoch", "g_loss", "d_loss"]
+        assert lines[0] == ["epoch", "g_loss", "d_loss", "capped_bursts"]
         assert len(lines) - 1 == result.rows[0]["gan_epochs"] == 2
 
     def test_mobility_table_training_failure_drops_only_that_seed(self, tmp_path,
@@ -473,25 +498,9 @@ classifier.train_steps = 20
     def test_missing_model_exit_one(self, tmp_path):
         assert main(["bench", "--model", str(tmp_path / "nope.bin")]) == 1
 
-    def test_train_gan_subcommand(self, tmp_path, capsys):
-        cfg = tmp_path / "gan.cfg"
-        cfg.write_text("""
-seeds = 0
-scenario.samples_per_symbol = 5
-gan.noise_dim = 6
-gan.hidden_width = 8
-gan.hidden_depth = 2
-gan.real_pool = 8
-gan.synth_per_epoch = 8
-gan.batch_size = 4
-gan.max_epochs = 2
-gan.conv_window = 3
-gan.retries = 0
-""")
-        out = tmp_path / "gan_out"
-        assert main(["train-gan", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "generator.bin").exists()
-        assert (out / "discriminator.bin").exists()
-        assert (out / "trace.csv").exists()
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary == {"epochs_run": 2, "converged": False}
+    def test_train_gan_subcommand(self, capsys):
+        # gone: `run` with attack = gan is the one command that trains a GAN
+        with pytest.raises(SystemExit) as exc:
+            main(["train-gan", "--out", "unused"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'train-gan'" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from spoofsim.authenticator import FROM_T, one_hot
 from spoofsim.frontend import condition_phasors, condition_phasors_vjp, symbol_phasors
 from spoofsim.gan import (_generator_grads, _scale_backward, discriminator_layer_sizes,
                           from_t_probability, generator_layer_sizes, init_discriminator,
-                          init_generator, scale_to_budget)
+                          init_generator, save_trace_csv, scale_to_budget)
 from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, TrainConfig,
                          Workspace, adam_step, backward, cross_entropy, cross_entropy_delta,
                          forward, init_network, input_gradient, predict)
@@ -406,6 +407,20 @@ class TestTrainGan:
         assert trace.capped_bursts == [0, 0, 0]
         _, _, tiny_budget = train_gan(sc, replace(cfg, power_budget=1e-3), substream(7, 2))
         assert tiny_budget.capped_bursts == [cfg.synth_per_epoch] * 3
+
+    def test_trace_csv_round_trips_every_epoch_record(self, tmp_path):
+        sc = tiny_scenario(seed=7)
+        cfg = replace(TINY, synth_per_epoch=24, max_epochs=4, conv_window=5, power_budget=0.9)
+        _, _, trace = train_gan(sc, cfg, substream(7, 2))
+        save_trace_csv(trace, tmp_path / "trace.csv")
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["epoch", "g_loss", "d_loss", "capped_bursts"]
+        assert [int(r[0]) for r in rows] == list(range(trace.epochs_run))
+        assert [float(r[1]) for r in rows] == trace.g_loss
+        assert [float(r[2]) for r in rows] == trace.d_loss
+        assert [int(r[3]) for r in rows] == trace.capped_bursts
+        assert len(set(trace.capped_bursts)) > 1  # the column tells epochs apart
 
     def test_generator_gradient_matches_slot_replicated_discriminator(self):
         # The compact discriminator against the raw-width one that reads
