@@ -1,0 +1,156 @@
+"""Check that two checkouts write the same outputs for one benchmark workload.
+
+Run from anywhere; both trees need `src/spoofsim`, and the change needs
+`perfbench/workloads.py`:
+
+    python3 scripts/same_outputs.py --parent ../base --change . \
+        --workload gan_1x1 --seed 11
+
+Writes the workload's table-cell config (`config_text` in the change's
+`perfbench/workloads.py`) once per checkout and runs it there as
+`python3 -m spoofsim.cli run --config FILE` in a subprocess, with the
+checkout's `src` first on PYTHONPATH and OPENBLAS_NUM_THREADS=1. Then it
+compares the two output trees: every file under `models/` (classifier,
+generator, `trace.csv`) byte for byte, and the sweep's CSV table and
+summary JSON with their `version` entries dropped, since those name each
+checkout's git revision. It prints the first difference.
+
+Exit code: 0 when the outputs are identical, 1 when they differ, 2 when
+a run failed or the arguments are bad. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout to compare against")
+    parser.add_argument("--change", required=True, type=Path, help="checkout under test")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", required=True, type=int)
+    args = parser.parse_args(argv)
+    for side in ("parent", "change"):
+        tree = getattr(args, side).resolve()
+        if not (tree / "src" / "spoofsim" / "cli.py").is_file():
+            parser.error(f"--{side} {tree}: no src/spoofsim")
+        setattr(args, side, tree)
+    workloads = args.change / "perfbench" / "workloads.py"
+    if not workloads.is_file():
+        parser.error(f"--change {args.change}: no perfbench/workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", workloads)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
+    spec.loader.exec_module(module)
+    if args.workload not in module.WORKLOADS:
+        parser.error(f"--workload must be one of {sorted(module.WORKLOADS)}")
+    args.workload = module.WORKLOADS[args.workload]
+    return args
+
+
+def run_cell(tree: Path, config_text: str, config: Path) -> bool:
+    """One `spoofsim run` of config_text in tree; True when it exited 0."""
+    config.write_text(config_text)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(tree / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "spoofsim.cli", "run", "--config", str(config)],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(f"{tree}: exit {proc.returncode}\n{proc.stdout[-2000:]}"
+                         f"{proc.stderr[-2000:]}")
+    return proc.returncode == 0
+
+
+def without_version(value):
+    """value with every `version` key of its dicts dropped."""
+    if isinstance(value, dict):
+        return {k: without_version(v) for k, v in value.items() if k != "version"}
+    if isinstance(value, list):
+        return [without_version(v) for v in value]
+    return value
+
+
+def contents(path: Path, rel: Path):
+    """What is compared of one output file: its bytes under `models/`, else
+    a CSV table's header and rows or a JSON document, without `version`."""
+    if rel.parts[0] != "models" and path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            return {"header": [k for k in reader.fieldnames or [] if k != "version"],
+                    "rows": without_version(list(reader))}
+    if rel.parts[0] != "models" and path.suffix == ".json":
+        return without_version(json.loads(path.read_text()))
+    return path.read_bytes()
+
+
+def first_difference(a, b, where: str) -> str | None:
+    """Where a (the parent's) and b (the change's) first differ, or None."""
+    if isinstance(a, bytes) and isinstance(b, bytes):
+        if a == b:
+            return None
+        at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        return f"{where}: bytes differ from offset {at} ({len(a)} vs {len(b)} bytes)"
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            if key not in a or key not in b:
+                return f"{where}/{key}: only in the {'parent' if key in a else 'change'}"
+            found = first_difference(a[key], b[key], f"{where}/{key}")
+            if found:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, f"{where}[{i}]")
+            if found:
+                return found
+        if len(a) != len(b):
+            return f"{where}: {len(a)} entries in the parent, {len(b)} in the change"
+        return None
+    return None if repr(a) == repr(b) else f"{where}: parent {a!r}, change {b!r}"
+
+
+def compare_trees(parent: Path, change: Path) -> str | None:
+    """The first difference between two output trees, or None."""
+    files = {side: sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+             for side, root in (("parent", parent), ("change", change))}
+    unpaired = sorted(set(files["parent"]) ^ set(files["change"]))
+    if unpaired:
+        rel = unpaired[0]
+        return f"{rel}: only in the {'parent' if rel in files['parent'] else 'change'}"
+    for rel in files["parent"]:
+        found = first_difference(contents(parent / rel, rel), contents(change / rel, rel),
+                                 str(rel))
+        if found:
+            return found
+    return None
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        outs = {}
+        for side in ("parent", "change"):
+            outs[side] = Path(tmp) / side
+            text = args.workload.config_text(args.seed, str(outs[side]))
+            if not run_cell(getattr(args, side), text, Path(tmp) / f"{side}.cfg"):
+                return 2
+        found = compare_trees(outs["parent"], outs["change"])
+    name = f"{args.workload.name} seed {args.seed}"
+    if found:
+        print(f"{name}: outputs differ; first at {found}")
+        return 1
+    print(f"{name}: outputs identical (version entries aside)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

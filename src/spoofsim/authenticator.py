@@ -191,7 +191,7 @@ def _train_epoch(net, state, x, targets, cfg, rng, ws, max_steps=None) -> int:
     for start in starts:
         idx = order[start:start + cfg.batch_size]
         out, cache = forward(net, gather_rows(ws, x, idx), ws)
-        grads = backward(net, cache, cross_entropy_delta(out, targets[idx]))
+        grads = backward(net, cache, cross_entropy_delta(out, targets.take(idx, axis=0)))
         adam_step(net, grads, state, cfg)
     return len(starts)
 

@@ -270,8 +270,8 @@ def parse_config(path=None, overrides=None) -> ExperimentSpec:
 
     Overrides win over file entries; table presets fill grid/position
     defaults for keys the user did not set. Unknown keys, out-of-range
-    values and `gan.*` keys on a sweep whose attack is not gan (no cell
-    reads them) raise ConfigError naming the offending key.
+    values and keys no cell reads (`gan.*` off a gan sweep, `trials` on
+    one with no attack) raise ConfigError naming the offending key.
     """
     values = _read_config_file(path) if path else {}
     if overrides:
@@ -306,9 +306,10 @@ def parse_config(path=None, overrides=None) -> ExperimentSpec:
     spec = ExperimentSpec(table=table, base=configs["scenario"],
                           classifier=configs["classifier"], gan=configs["gan"],
                           **spec_kwargs)
-    unread = next((key for key in values if key.startswith("gan.")), None)
-    if unread and spec.attack != "gan":
-        raise ConfigError(f"{unread} is read only by a gan sweep, not a {spec.attack!r} one")
+    unread = next((key for key in values if key.startswith("gan.") and spec.attack != "gan"
+                   or key == "trials" and spec.attack == "none"), None)
+    if unread:
+        raise ConfigError(f"{unread} is not read by a sweep whose attack is {spec.attack!r}")
     return spec
 
 

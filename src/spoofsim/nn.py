@@ -19,9 +19,11 @@ Analytic gradients can be verified entry by entry against central finite
 differences.
 
 Passes write into a `Workspace` that the trainer builds once per network
-and owns (no module state). A forward pass's output and cache, and what
-`backward` and `input_gradient` return from it, are views into it, valid
-until its next forward pass, after which they are refused.
+and owns (no module state), in place: a layer's output in its one buffer,
+and a relu layer's gradient, masked where its output is zero, in the one
+it arrives in. A forward pass's output and cache, and what `backward` and
+`input_gradient` return from it, are views into it, valid until its next
+forward pass, after which they are refused.
 """
 
 from __future__ import annotations
@@ -166,19 +168,16 @@ class Gradients:
 class Workspace:
     """Buffers the passes of nets shaped like `net` write into, for up to
     `rows` rows, owned by its builder (a trainer: one per network, reused
-    each step). Per layer: input (`acts`; `acts[-1]` is the output),
-    pre-activation, its gradient (`d_pre`, zero-filled: only relu layers
-    write theirs, any other layer's being the gradient it receives) and the
-    gradient passed down; a ones vector whose product with a batch's rows
-    sums them into the bias gradients; one `Gradients`; all in the net's
-    dtype. Valid until the next forward or `gather_rows` (`passes`)."""
+    each step). Per layer: input (`acts`; `acts[-1]` is the output, each
+    formed in place) and the gradient passed down (`d_in`, relu-masked in
+    place); a ones vector whose product with a batch's rows sums them into
+    the bias gradients; one `Gradients`; all in the net's dtype. Valid
+    until the next forward or `gather_rows` (`passes`)."""
 
     def __init__(self, net: DenseNetwork, rows: int):
         self.layer_sizes, self.rows, self.passes = net.layer_sizes, int(rows), 0
         self.dtype = dtype = net.params.dtype
         self.acts = [np.empty((self.rows, n), dtype) for n in self.layer_sizes]
-        self.pre = [np.empty((self.rows, n), dtype) for n in self.layer_sizes[1:]]
-        self.d_pre = [np.zeros((self.rows, n), dtype) for n in self.layer_sizes[1:]]
         self.d_in = [np.empty((self.rows, n), dtype) for n in self.layer_sizes[:-1]]
         self.ones = np.ones(self.rows, dtype)
         self.grads = Gradients(net, np.empty(net.params.size, dtype))
@@ -192,11 +191,11 @@ class Workspace:
 
 @dataclass
 class ForwardCache:
-    """Per-layer inputs and pre-activations, and the output, of one forward
-    pass: views into the caller's `workspace`, valid until its next pass."""
+    """Per-layer inputs, and the output, of one forward pass: views into
+    the caller's `workspace`, valid until its next pass. A relu layer's
+    output is positive where its pre-activation is: its backward mask."""
 
     inputs: list
-    pre: list
     out: np.ndarray
     workspace: Workspace
     pass_id: int
@@ -218,21 +217,36 @@ def gather_rows(ws: Workspace, x, idx):
     return x.take(idx, axis=0, out=ws.acts[0][:len(idx)], mode="clip")
 
 
-def _softmax(z, out):
-    """Row-wise softmax of z, written into out (which may be z). Row maxima
-    and sums are taken column by column, because numpy's reductions along a
-    short last axis cost several times more; the maxima are the same, and
-    so are the sums of two columns."""
+def _softmax(z):
+    """Row-wise softmax of z, in place. Row maxima and sums are taken column
+    by column, because numpy's reductions along a short last axis cost
+    several times more; the maxima are the same, and so are the sums of
+    two columns."""
     top = z[:, :1]
     for j in range(1, z.shape[1]):
         top = np.maximum(top, z[:, j:j + 1])
-    np.subtract(z, top, out=out)
-    np.exp(out, out=out)
-    total = out[:, :1]
-    for j in range(1, out.shape[1]):
-        total = total + out[:, j:j + 1]
-    out /= total
-    return out
+    z -= top
+    np.exp(z, out=z)
+    total = z[:, :1]
+    for j in range(1, z.shape[1]):
+        total = total + z[:, j:j + 1]
+    z /= total
+
+
+def _run_layers(net, a, outs):
+    """Layer by layer: a's product with the weights written into that
+    layer's `outs` entry (a fresh array where it is None), then biased and
+    activated in place; returns the per-layer inputs and the output."""
+    inputs = []
+    for w, b, act, out in zip(net.weights, net.biases, net.activations, outs):
+        inputs.append(a)
+        a = np.dot(a, w.T, out=out)
+        a += b
+        if act == RELU:
+            np.maximum(a, 0.0, out=a)
+        elif act == SOFTMAX:
+            _softmax(a)
+    return inputs, a
 
 
 def forward(net: DenseNetwork, x, ws: Workspace | None = None):
@@ -246,33 +260,14 @@ def forward(net: DenseNetwork, x, ws: Workspace | None = None):
         raise ValueError(f"{n} {net.params.dtype} rows do not fit a {ws.rows}-row "
                          f"{ws.layer_sizes} {ws.dtype} workspace")
     ws.passes += 1
-    pres, acts = ws.rows_of(ws.pre, n), ws.rows_of(ws.acts, n)
-    inputs = []
-    for w, b, act, z, out in zip(net.weights, net.biases, net.activations, pres, acts[1:]):
-        inputs.append(a)
-        np.dot(a, w.T, out=z)
-        z += b
-        if act == RELU:
-            a = np.maximum(z, 0.0, out=out)
-        elif act == SOFTMAX:
-            a = _softmax(z, out)
-        else:
-            a = z
-    return a, ForwardCache(inputs, pres, a, ws, ws.passes)
+    inputs, out = _run_layers(net, a, ws.rows_of(ws.acts, n)[1:])
+    return out, ForwardCache(inputs, out, ws, ws.passes)
 
 
 def predict(net: DenseNetwork, x):
-    """Forward pass keeping nothing: one array per layer, biased and activated
-    in place, in the net's dtype."""
-    a = _as_batch(x, net.layer_sizes[0], net.params.dtype)
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        a = a @ w.T
-        a += b
-        if act == RELU:
-            np.maximum(a, 0.0, out=a)
-        elif act == SOFTMAX:
-            _softmax(a, a)
-    return a
+    """Forward pass keeping nothing: one fresh array per layer."""
+    return _run_layers(net, _as_batch(x, net.layer_sizes[0], net.params.dtype),
+                       [None] * net.n_layers)[1]
 
 
 def _output_gradient(net, cache, loss_gradient):
@@ -298,14 +293,13 @@ def backward(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> Gradients
     formed (see `input_gradient`)."""
     g = _output_gradient(net, cache, loss_gradient)
     ws = cache.workspace
-    n = g.shape[0]
-    d_pre, d_in = ws.rows_of(ws.d_pre, n), ws.rows_of(ws.d_in, n)
-    ones = ws.ones if n == ws.rows else ws.ones[:n]
+    *d_in, ones = ws.rows_of([*ws.d_in, ws.ones], g.shape[0])
     grads = ws.grads
     grads.pass_id = cache.pass_id
-    for i in range(net.n_layers - 1, -1, -1):
-        if net.activations[i] == RELU:
-            g = np.multiply(g, cache.pre[i] > 0.0, out=d_pre[i])
+    outs, last = cache.inputs[1:] + [cache.out], net.n_layers - 1
+    for i in range(last, -1, -1):
+        if net.activations[i] == RELU:  # in place, but never in the caller's array
+            g = np.multiply(g, outs[i] > 0.0, out=g if i < last else None)
         np.dot(g.T, cache.inputs[i], out=grads.d_weights[i])
         np.dot(ones, g, out=grads.d_biases[i])
         if i > 0:
@@ -319,11 +313,11 @@ def input_gradient(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> np.
     the cache's workspace."""
     g = _output_gradient(net, cache, loss_gradient)
     ws = cache.workspace
-    n = g.shape[0]
-    d_pre, d_in = ws.rows_of(ws.d_pre, n), ws.rows_of(ws.d_in, n)
-    for i in range(net.n_layers - 1, -1, -1):
-        if net.activations[i] == RELU:
-            g = np.multiply(g, cache.pre[i] > 0.0, out=d_pre[i])
+    d_in = ws.rows_of(ws.d_in, g.shape[0])
+    outs, last = cache.inputs[1:] + [cache.out], net.n_layers - 1
+    for i in range(last, -1, -1):
+        if net.activations[i] == RELU:  # as in `backward`
+            g = np.multiply(g, outs[i] > 0.0, out=g if i < last else None)
         g = np.dot(g, net.weights[i], out=d_in[i])
     return g
 
@@ -534,19 +528,23 @@ def save_model(net: DenseNetwork, path) -> None:
 
 
 def load_model(path) -> DenseNetwork:
-    """The network `save_model` wrote, always as float64."""
+    """The network `save_model` wrote, always as float64; a malformed file
+    raises ValueError naming it."""
     buf = Path(path).read_bytes()
     if len(buf) < 12 or buf[:8] != _MODEL_MAGIC:
         raise ValueError(f"{path}: not a serialized dense network")
     (n_layers,) = struct.unpack("<I", buf[8:12])
-    offset = 12
-    sizes = struct.unpack(f"<{n_layers + 1}I", buf[offset:offset + 4 * (n_layers + 1)])
-    offset += 4 * (n_layers + 1)
-    codes = buf[offset:offset + n_layers]
-    offset += n_layers
+    offset = 12 + 4 * (n_layers + 1) + n_layers  # past the sizes and activation codes
+    if len(buf) < offset:
+        raise ValueError(f"{path}: {n_layers} layers overrun the {len(buf)}-byte file")
+    sizes = struct.unpack(f"<{n_layers + 1}I", buf[12:offset - n_layers])
+    codes = buf[offset - n_layers:offset]
     n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
     if len(buf) != offset + 8 * n_params:
         raise ValueError(f"{path}: payload is {len(buf) - offset} bytes, "
                          f"its layer sizes need {8 * n_params}")
     params = np.frombuffer(buf, dtype="<f8", offset=offset)
-    return DenseNetwork(*_layer_views(params, sizes), [_CODE_ACT[c] for c in codes])
+    try:  # an unknown activation code is passed on for the constructor to refuse
+        return DenseNetwork(*_layer_views(params, sizes), [_CODE_ACT.get(c, c) for c in codes])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -40,8 +40,8 @@ class TestParseConfig:
                                      (0.0, 20.0))
 
     def test_negative_trials_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config(overrides={"trials": "-5"})
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            parse_config(overrides={"attack": "random", "trials": "-5"})
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="gan.widht"):
@@ -51,13 +51,13 @@ class TestParseConfig:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("""
 # comment line
-table = 1
+table = 2
 seeds = 3,4
 trials = 7
 scenario.power = 500
 """)
         spec = parse_config(cfg, overrides={"trials": "9"})
-        assert spec.table == "1"
+        assert spec.table == "2"
         assert spec.seeds == (3, 4)
         assert spec.n_trials == 9  # flag wins
         assert spec.base.power == 500.0
@@ -133,6 +133,20 @@ scenario.power = 500
         spec = parse_config(overrides={**sweep, "gan.max_epochs": "2", "gan.retries": "1"})
         assert (spec.gan.max_epochs, spec.gan_retries) == (2, 1)
 
+    @pytest.mark.parametrize("sweep", [{"table": "1"}, {}, {"attack": "none"}])
+    def test_trials_refused_where_no_attack_reads_them(self, sweep, tmp_path):
+        with pytest.raises(ConfigError, match="trials"):
+            parse_config(overrides={**sweep, "trials": "5"})
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("trials = 5\n")
+        with pytest.raises(ConfigError, match="trials"):
+            parse_config(cfg, overrides=sweep)
+
+    @pytest.mark.parametrize("sweep", [{"table": "2"}, {"attack": "random"},
+                                       {"attack": "gan"}])
+    def test_attack_sweeps_read_trials(self, sweep):
+        assert parse_config(overrides={**sweep, "trials": "5"}).n_trials == 5
+
 
 FAST_GAN = {
     "gan.noise_dim": "6", "gan.hidden_width": "8", "gan.hidden_depth": "2",
@@ -142,15 +156,19 @@ FAST_GAN = {
 
 
 def fast_spec(tmp_path, **overrides):
-    """A tiny sweep; the gan.* keys are set only where a GAN sweep reads them."""
+    """A tiny sweep; `trials` is set only where an attack reads it, and the
+    gan.* keys only where a GAN sweep does."""
     base = {
-        "table": "custom", "seeds": "0", "trials": "10",
+        "table": "custom", "seeds": "0",
         "out": str(tmp_path / "out"),
         "scenario.samples_per_symbol": "5",
         "dataset.n_train": "40", "dataset.n_test": "40",
         "classifier.train_steps": "30",
     }
-    if TABLE_ATTACKS.get(overrides.get("table"), overrides.get("attack")) == "gan":
+    attack = TABLE_ATTACKS.get(overrides.get("table"), overrides.get("attack", "none"))
+    if attack != "none":
+        base["trials"] = "10"
+    if attack == "gan":
         base.update(FAST_GAN)
     base.update(overrides)
     return parse_config(overrides=base)
@@ -451,6 +469,7 @@ class TestCli:
         cfg.write_text("""
 table = custom
 seeds = 0
+attack = random
 trials = 8
 scenario.samples_per_symbol = 5
 dataset.n_train = 30
@@ -486,6 +505,13 @@ classifier.train_steps = 20
         path.write_bytes(b"DNETV001" + path.read_bytes()[8:])
         assert main(["bench", "--model", str(path)]) == 1
         assert "not a serialized dense network" in capsys.readouterr().err
+        # so is a file whose activation byte no activation has: one error line
+        save_model(init_network([40, 8, 2], rng=np.random.default_rng(1)), path)
+        buf = path.read_bytes()  # the first activation byte follows three layer sizes
+        path.write_bytes(buf[:24] + b"\x07" + buf[25:])
+        assert main(["bench", "--model", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "activation" in err[0]
 
     @pytest.mark.parametrize("repeats", ["50", "99", "0", "-3"])
     def test_bench_too_few_repeats_is_a_configuration_error(self, tmp_path, capsys, repeats):

@@ -265,7 +265,7 @@ class TestTrainGan:
 
         def checked_step(net, grads, state, cfg):
             ws = grads.owner()
-            seen.append(subnormal_count(grads.flat) + sum(subnormal_count(a) for a in ws.d_pre))
+            seen.append(subnormal_count(grads.flat) + sum(subnormal_count(a) for a in ws.d_in[1:]))
             return adam_step(net, grads, state, cfg)
 
         monkeypatch.setattr("spoofsim.authenticator.adam_step", checked_step)

@@ -25,11 +25,13 @@ def small_net(sizes=(7, 6, 5, 3), seed=0):
 def full_backward_d_input(net, cache, loss_gradient):
     """d(loss)/d(input) as one backward pass that also formed every
     parameter gradient reached it: each layer's pre-activation gradient
-    times that layer's weights, down to the input. A softmax layer's loss
-    gradient is already its pre-activation gradient."""
+    times that layer's weights, down to the input. A relu layer's
+    pre-activation is positive exactly where its output is; a softmax
+    layer's loss gradient is already its pre-activation gradient."""
+    outputs = cache.inputs[1:] + [cache.out]
     g = loss_gradient
     for i in range(net.n_layers - 1, -1, -1):
-        dz = g * (cache.pre[i] > 0.0) if net.activations[i] == RELU else g
+        dz = g * (outputs[i] > 0.0) if net.activations[i] == RELU else g
         g = dz @ net.weights[i]
     return g
 
@@ -420,6 +422,21 @@ class TestInputGradient:
         npt.assert_array_equal(input_gradient(net, cache, loss_gradient),
                                full_backward_d_input(net, cache, loss_gradient))
 
+    def test_relu_output_layer_leaves_the_loss_gradient_unchanged(self):
+        # The one relu layer whose incoming gradient is the caller's array:
+        # its mask must not be applied in place.
+        rng = np.random.default_rng(16)
+        net = init_network([7, 6, 5, 3], [RELU, RELU, RELU], rng=rng)
+        out, cache = forward(net, rng.standard_normal((5, 7)))
+        assert 0 < np.count_nonzero(out) < out.size  # the mask zeroes some entries
+        loss_gradient = rng.standard_normal(out.shape)
+        kept = loss_gradient.copy()
+        backward(net, cache, loss_gradient)
+        npt.assert_array_equal(loss_gradient, kept)
+        npt.assert_array_equal(input_gradient(net, cache, loss_gradient),
+                               full_backward_d_input(net, cache, kept))
+        npt.assert_array_equal(loss_gradient, kept)
+
     def test_stale_cache_rejected(self):
         _, cache = forward(small_net((7, 4, 3)), np.ones((1, 7)))
         with pytest.raises(ValueError):
@@ -636,6 +653,21 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_model(path)
 
+    @pytest.mark.parametrize("flaw", ["activation code", "layer count", "no layers"])
+    def test_malformed_file_raises_value_error_naming_it(self, tmp_path, flaw):
+        path = tmp_path / "m.bin"
+        save_model(init_network([3, 2], rng=np.random.default_rng(12)), path)
+        buf = bytearray(path.read_bytes())
+        if flaw == "activation code":
+            buf[20] = 7  # past the magic, the layer count and the two sizes
+        elif flaw == "layer count":
+            buf[8:12] = struct.pack("<I", 1000)
+        else:
+            buf = buf[:8] + struct.pack("<2I", 0, 3)
+        path.write_bytes(bytes(buf))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_model(path)
+
 
 class TestDtype:
     def test_float32_arrays_make_a_float32_net(self):
@@ -645,7 +677,7 @@ class TestDtype:
         assert all(a.dtype == np.float32 for a in net.weights + net.biases)
         assert net.copy().params.dtype == np.float32
         ws = Workspace(net, 3)
-        assert {a.dtype for a in ws.acts + ws.pre + ws.d_pre + ws.d_in} == {np.dtype(np.float32)}
+        assert {a.dtype for a in ws.acts + ws.d_in} == {np.dtype(np.float32)}
         assert ws.grads.flat.dtype == np.float32
         state = AdamState.for_network(net)
         assert state.m.dtype == state.v.dtype == state.work.dtype == np.float32
@@ -733,9 +765,10 @@ class TestDtype:
         assert subnormal_count(delta) == 0
         grads = backward(net, cache, delta)
         assert subnormal_count(grads.flat) == 0
-        assert all(subnormal_count(d) == 0 for d in ws.d_pre)
+        # backward writes every layer's passed-down gradient but the input's
+        assert all(subnormal_count(d) == 0 for d in ws.d_in[1:])
         input_gradient(net, cache, delta)
-        assert all(subnormal_count(d) == 0 for d in ws.d_pre)
+        assert all(subnormal_count(d) == 0 for d in ws.d_in)
 
     def test_softmax_guard_leaves_float64_backprop_exact(self):
         # Outputs near e^-40 lie far above float64's subnormals (and below

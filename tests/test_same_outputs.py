@@ -1,0 +1,58 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "same_outputs", Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_outputs)
+
+
+def output_tree(root: Path, version: str) -> Path:
+    """A sweep's outputs as `spoofsim run` lays them out, stamped `version`."""
+    models = root / "models"
+    models.mkdir(parents=True)
+    (models / "t3_nt1_nr1_na1_seed11_classifier.bin").write_bytes(bytes(range(64)))
+    (models / "t3_nt1_nr1_na1_seed11_trace.csv").write_text(
+        "epoch,g_loss,d_loss,capped_bursts\n0,-0.5,1.25,3\n")
+    (root / "table3.csv").write_text(f"table,seed,e_md,version\n3,11,0.125,{version}\n")
+    (root / "table3_summary.json").write_text(json.dumps(
+        {"table": "3", "version": version, "rows": [{"seed": 11, "version": version}]}))
+    return root
+
+
+class TestCompareTrees:
+    def test_trees_that_differ_only_in_version_are_identical(self, tmp_path):
+        parent = output_tree(tmp_path / "parent", "abc123")
+        change = output_tree(tmp_path / "change", "def456-dirty")
+        assert same_outputs.compare_trees(parent, change) is None
+
+    def test_a_flipped_model_byte_is_the_first_difference(self, tmp_path):
+        parent = output_tree(tmp_path / "parent", "abc123")
+        change = output_tree(tmp_path / "change", "abc123")
+        model = change / "models" / "t3_nt1_nr1_na1_seed11_classifier.bin"
+        data = bytearray(model.read_bytes())
+        data[40] ^= 1
+        model.write_bytes(bytes(data))
+        found = same_outputs.compare_trees(parent, change)
+        assert found.startswith(str(model.relative_to(change))) and "offset 40" in found
+
+    @pytest.mark.parametrize("name, edit", [
+        ("table3.csv", lambda text: text.replace("0.125", "0.25")),
+        ("table3_summary.json", lambda text: text.replace('"seed": 11', '"seed": 12')),
+        ("models/t3_nt1_nr1_na1_seed11_trace.csv", lambda text: text.replace("-0.5", "-0.50")),
+    ])
+    def test_a_changed_value_is_found(self, tmp_path, name, edit):
+        parent = output_tree(tmp_path / "parent", "abc123")
+        change = output_tree(tmp_path / "change", "abc123")
+        (change / name).write_text(edit((change / name).read_text()))
+        assert same_outputs.compare_trees(parent, change).startswith(name)
+
+    def test_a_missing_file_is_found(self, tmp_path):
+        parent = output_tree(tmp_path / "parent", "abc123")
+        change = output_tree(tmp_path / "change", "abc123")
+        (change / "table3_summary.json").unlink()
+        assert same_outputs.compare_trees(parent, change) == \
+            "table3_summary.json: only in the parent"
