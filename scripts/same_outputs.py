@@ -13,7 +13,15 @@ checkout's `src` first on PYTHONPATH and OPENBLAS_NUM_THREADS=1. Then it
 compares the two output trees: every file under `models/` (classifier,
 generator, `trace.csv`) byte for byte, and the sweep's CSV table and
 summary JSON with their `version` entries dropped, since those name each
-checkout's git revision. It prints the first difference.
+checkout's git revision.
+
+The cell never builds a raw burst, so it cannot show a change to the raw
+path. So each checkout also draws the workload's raw probe set as
+`perfbench/run.py` `setup` draws it (`build_dataset`, 1000 bursts, 0.5,
+`numpy.random.default_rng(seed)`), conditions it with `condition_rows`,
+and prints the SHA-256 of the labels, the raw rows and the conditioned
+rows; those hashes must agree too. The script prints the first
+difference, cell outputs first.
 
 Exit code: 0 when the outputs are identical, 1 when they differ, 2 when
 a run failed or the arguments are bad. Standard library only.
@@ -56,18 +64,60 @@ def parse_args(argv):
     return args
 
 
-def run_cell(tree: Path, config_text: str, config: Path) -> bool:
-    """One `spoofsim run` of config_text in tree; True when it exited 0."""
-    config.write_text(config_text)
+PROBE_BURSTS = 1000
+# Run in a checkout with argv n_t, n_r, n_a, seed, burst count; prints one
+# JSON object of hashes, in the order they are compared.
+PROBE_CODE = """
+import hashlib, json, sys
+import numpy as np
+import spoofsim
+n_t, n_r, n_a, seed, count = map(int, sys.argv[1:])
+scenario = spoofsim.ScenarioConfig(n_t=n_t, n_r=n_r, n_a=n_a, seed=seed)
+probes = spoofsim.build_dataset(scenario, count, 0.5, np.random.default_rng(seed))
+conditioned = spoofsim.condition_rows(probes.features, n_r, scenario.samples_per_symbol)
+arrays = {"probe labels": probes.labels, "raw probe rows": probes.features,
+          "conditioned probe rows": conditioned}
+print(json.dumps({name: hashlib.sha256(f"{a.dtype} {a.shape} ".encode() + a.tobytes()).hexdigest()
+                  for name, a in arrays.items()}))
+"""
+
+
+def run_in(tree: Path, args: list[str]) -> subprocess.CompletedProcess | None:
+    """`python3 ARGS` in tree with its `src` first on PYTHONPATH and one
+    BLAS thread; None, with the run's output on stderr, when it failed."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(tree / "src"),
                                                         os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "spoofsim.cli", "run", "--config", str(config)],
-                          cwd=tree, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True,
+                          text=True)
     if proc.returncode != 0:
         sys.stderr.write(f"{tree}: exit {proc.returncode}\n{proc.stdout[-2000:]}"
                          f"{proc.stderr[-2000:]}")
-    return proc.returncode == 0
+        return None
+    return proc
+
+
+def run_cell(tree: Path, config_text: str, config: Path) -> bool:
+    """One `spoofsim run` of config_text in tree; True when it exited 0."""
+    config.write_text(config_text)
+    return run_in(tree, ["-m", "spoofsim.cli", "run", "--config", str(config)]) is not None
+
+
+def probe_hashes(tree: Path, workload, seed: int, count: int = PROBE_BURSTS) -> dict | None:
+    """The hashes PROBE_CODE prints in tree for the workload's geometry and
+    seed, or None when the run failed."""
+    proc = run_in(tree, ["-c", PROBE_CODE, *map(str, (workload.n_t, workload.n_r,
+                                                       workload.n_a, seed, count))])
+    return None if proc is None else json.loads(proc.stdout)
+
+
+def first_hash_mismatch(parent: dict, change: dict) -> str | None:
+    """The first array whose hash differs between the sides, or None."""
+    for name, digest in parent.items():
+        if change.get(name) != digest:
+            return (f"{name}: sha256 {digest[:16]} in the parent, "
+                    f"{str(change.get(name))[:16]} in the change")
+    return None
 
 
 def without_version(value):
@@ -137,18 +187,23 @@ def compare_trees(parent: Path, change: Path) -> str | None:
 def main(argv=None) -> int:
     args = parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        outs = {}
+        outs, hashes = {}, {}
         for side in ("parent", "change"):
+            tree = getattr(args, side)
             outs[side] = Path(tmp) / side
             text = args.workload.config_text(args.seed, str(outs[side]))
-            if not run_cell(getattr(args, side), text, Path(tmp) / f"{side}.cfg"):
+            if not run_cell(tree, text, Path(tmp) / f"{side}.cfg"):
                 return 2
-        found = compare_trees(outs["parent"], outs["change"])
+            hashes[side] = probe_hashes(tree, args.workload, args.seed)
+            if hashes[side] is None:
+                return 2
+        found = (compare_trees(outs["parent"], outs["change"])
+                 or first_hash_mismatch(hashes["parent"], hashes["change"]))
     name = f"{args.workload.name} seed {args.seed}"
     if found:
         print(f"{name}: outputs differ; first at {found}")
         return 1
-    print(f"{name}: outputs identical (version entries aside)")
+    print(f"{name}: outputs and probe hashes identical (version entries aside)")
     return 0
 
 

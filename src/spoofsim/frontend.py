@@ -36,12 +36,13 @@ first-layer weights.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .nn import DenseNetwork, init_network
-from .waveform import SYMBOLS_PER_BURST, feature_rows, rows_to_streams
+from .waveform import _BLOCK_BURSTS, SYMBOLS_PER_BURST, feature_rows, rows_to_streams
 
 # Phasors this far above the per-symbol noise floor are phase-normalised.
 PHASOR_LIMIT = 1.0
@@ -49,9 +50,12 @@ PHASOR_LIMIT = 1.0
 GRID_POWER = 2
 
 
+@functools.lru_cache(maxsize=8)
 def _derotation(samples_per_symbol) -> np.ndarray:
     k = np.arange(samples_per_symbol)
-    return np.exp(-1j * k * (math.pi / (samples_per_symbol / 2.0)))
+    derotation = np.exp(-1j * k * (math.pi / (samples_per_symbol / 2.0)))
+    derotation.flags.writeable = False
+    return derotation
 
 
 def symbol_phasors(rows, n_antennas, samples_per_symbol) -> np.ndarray:
@@ -59,13 +63,28 @@ def symbol_phasors(rows, n_antennas, samples_per_symbol) -> np.ndarray:
 
     rows has shape (..., 2 * n_antennas * n_points); the result is complex,
     shape (..., n_antennas, n_symbols). The map is real-linear in the rows.
+
+    Memory: up to `_BLOCK_BURSTS` rows are derotated and averaged at once;
+    more rows go one block at a time into the preallocated result, so the
+    S-fold derotated product never exists for the whole input. Each row's
+    mean is the same either way.
     """
     z = rows_to_streams(rows, n_antennas)
     n_points = z.shape[-1]
     s = samples_per_symbol
     if n_points % s != 0:
         raise ValueError(f"{n_points} points per stream do not split into symbols of {s}")
-    return (z.reshape(*z.shape[:-1], n_points // s, s) * _derotation(s)).mean(axis=-1)
+    z = z.reshape(*z.shape[:-1], n_points // s, s)
+    derotation = _derotation(s)
+    lead = z.shape[:-3]
+    if math.prod(lead) <= _BLOCK_BURSTS:
+        return (z * derotation).mean(axis=-1)
+    z = z.reshape(-1, *z.shape[-3:])
+    out = np.empty(z.shape[:-1], dtype=np.complex128)
+    for start in range(0, z.shape[0], _BLOCK_BURSTS):
+        stop = start + _BLOCK_BURSTS
+        np.mean(z[start:stop] * derotation, axis=-1, out=out[start:stop])
+    return out.reshape(*lead, *out.shape[1:])
 
 
 def condition_phasors(phasors) -> np.ndarray:

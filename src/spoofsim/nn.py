@@ -88,6 +88,8 @@ class DenseNetwork:
         for i, (w, b, act) in enumerate(zip(weights, biases, self.activations)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight/bias shapes {w.shape}/{b.shape} disagree")
+            if w.size == 0:
+                raise ValueError(f"layer {i}: weight shape {w.shape} has a zero width")
             if act not in _ACTIVATIONS:
                 raise ValueError(f"layer {i}: unknown activation {act!r}")
             if act == SOFTMAX and i != len(weights) - 1:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -75,6 +77,43 @@ class TestBuildDataset:
         b = build_dataset(sc, 50, 0.5, substream(3, 1))
         npt.assert_array_equal(a.features, b.features)
         npt.assert_array_equal(a.labels, b.labels)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the most memory tracemalloc saw allocated during the
+    call beyond what was allocated before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - before
+
+
+class TestRawPathMemory:
+    """The raw path builds no full-width temporary: drawing bursts peaks
+    near its output, and conditioning them far below its input (both were
+    more than double these bounds with one-shot products and filters)."""
+
+    SCENARIO = ScenarioConfig(n_t=4, n_r=4, n_a=1, seed=11)
+
+    def test_build_dataset_peaks_near_its_output(self):
+        sc = self.SCENARIO
+        ds, peak = traced_peak(build_dataset, sc, 1000, 0.5, np.random.default_rng(11))
+        assert ds.features.shape == (1000, 2 * 4 * 4 * sc.samples_per_symbol)
+        assert peak <= 1.25 * ds.features.nbytes
+
+    def test_conditioning_peaks_far_below_its_input(self):
+        sc = self.SCENARIO
+        rows = build_dataset(sc, 1000, 0.5, np.random.default_rng(11)).features
+        _, peak = traced_peak(condition_rows, rows, 4, sc.samples_per_symbol)
+        assert peak <= 0.15 * rows.nbytes
 
 
 class TestBuildPhasorDataset:

@@ -6,7 +6,7 @@ from spoofsim import condition_rows, init_network, qpsk_phases
 from spoofsim.frontend import (GRID_POWER, PHASOR_LIMIT, condition_phasors,
                                condition_phasors_vjp, init_conditioned_network,
                                symbol_phasors)
-from spoofsim.waveform import carrier_tracks, feature_rows
+from spoofsim.waveform import _BLOCK_BURSTS, carrier_tracks, feature_rows
 
 
 def clean_burst_rows(amplitude, bits=(0,) * 8, sps=100):
@@ -90,6 +90,28 @@ def test_rows_of_phasor_width_are_taken_as_matched_filter_output():
     # at S = 1 a raw row is its own phasors, so the two readings agree
     one = rng.standard_normal((5, 2 * 3 * 4))
     npt.assert_allclose(condition_rows(one, 3, 1), condition_rows(one, 3, 7), rtol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(), (_BLOCK_BURSTS - 1,), (_BLOCK_BURSTS,),
+                                   (_BLOCK_BURSTS + 1,), (1000,), (3, 50), (2, _BLOCK_BURSTS)])
+def test_symbol_phasors_equal_the_one_shot_matched_filter(shape):
+    # 1-D, 2-D and 3-D inputs, blocked or not, give the one-shot
+    # derotate-and-average result bit for bit
+    s, n_ant = 10, 2
+    rows = np.random.default_rng(len(shape)).standard_normal((*shape, 2 * n_ant * 4 * s))
+    z = rows.view(np.complex128).reshape(*shape, n_ant, 4, s)
+    derotation = np.exp(-1j * np.arange(s) * (np.pi / (s / 2.0)))
+    want = (z * derotation).mean(axis=-1)
+    got = symbol_phasors(rows, n_ant, s)
+    assert got.shape == (*shape, n_ant, 4)
+    npt.assert_array_equal(got, want)
+
+
+def test_symbol_phasors_refuse_rows_that_do_not_split_into_symbols():
+    with pytest.raises(ValueError):
+        symbol_phasors(np.zeros((_BLOCK_BURSTS + 1, 2 * 2 * 30)), 2, 7)
+    with pytest.raises(ValueError):
+        symbol_phasors(np.zeros((_BLOCK_BURSTS + 1, 2 * 2 * 30 + 2)), 2, 10)
 
 
 def test_single_row_round_trips_shape():

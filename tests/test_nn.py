@@ -87,6 +87,13 @@ class TestInit:
             DenseNetwork([np.ones((4, 3)), np.ones((2, 5))],
                          [np.zeros(4), np.zeros(2)], [RELU, LINEAR])
 
+    @pytest.mark.parametrize("sizes", [[8, 0, 2], [0, 4, 2], [8, 4, 0]])
+    def test_zero_width_layer_rejected(self, sizes):
+        weights = [np.ones((n_out, n_in)) for n_in, n_out in zip(sizes, sizes[1:])]
+        biases = [np.zeros(n_out) for n_out in sizes[1:]]
+        with pytest.raises(ValueError, match="zero width"):
+            DenseNetwork(weights, biases, [RELU, SOFTMAX])
+
 
 class TestForward:
     def test_symmetric_softmax(self):
@@ -666,6 +673,14 @@ class TestPersistence:
             buf = buf[:8] + struct.pack("<2I", 0, 3)
         path.write_bytes(bytes(buf))
         with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_model(path)
+
+    def test_file_with_a_zero_width_layer_rejected(self, tmp_path):
+        # sizes [8, 0, 2]: the payload is the output layer's 2 biases alone
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"DNETV002" + struct.pack("<I", 2) + struct.pack("<3I", 8, 0, 2)
+                         + bytes([0, 1]) + struct.pack("<2d", 1.0, 0.0))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*zero width"):
             load_model(path)
 
 

@@ -1,8 +1,12 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import spoofsim
 
 _SPEC = importlib.util.spec_from_file_location(
     "same_outputs", Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py")
@@ -56,3 +60,48 @@ class TestCompareTrees:
         (change / "table3_summary.json").unlink()
         assert same_outputs.compare_trees(parent, change) == \
             "table3_summary.json: only in the parent"
+
+
+REPO = Path(__file__).resolve().parents[1]
+HASHES = {"probe labels": "a" * 64, "raw probe rows": "b" * 64,
+          "conditioned probe rows": "c" * 64}
+
+
+class TestProbeHashes:
+    def test_hashes_are_those_of_the_benchmark_probe_set(self):
+        # the checkout's run draws the probe set as the benchmark's setup does
+        workload = type("Geometry", (), {"n_t": 2, "n_r": 3, "n_a": 1})
+        got = same_outputs.probe_hashes(REPO, workload, 11, count=30)
+        scenario = spoofsim.ScenarioConfig(n_t=2, n_r=3, n_a=1, seed=11)
+        probes = spoofsim.build_dataset(scenario, 30, 0.5, np.random.default_rng(11))
+        conditioned = spoofsim.condition_rows(probes.features, 3, scenario.samples_per_symbol)
+        want = {name: hashlib.sha256(f"{a.dtype} {a.shape} ".encode() + a.tobytes()).hexdigest()
+                for name, a in (("probe labels", probes.labels),
+                                ("raw probe rows", probes.features),
+                                ("conditioned probe rows", conditioned))}
+        assert list(got) == list(want) and got == want
+
+    def test_first_mismatch_is_reported_in_order(self):
+        assert same_outputs.first_hash_mismatch(HASHES, dict(HASHES)) is None
+        change = dict(HASHES, **{"raw probe rows": "d" * 64, "conditioned probe rows": "e" * 64})
+        assert same_outputs.first_hash_mismatch(HASHES, change) == \
+            f"raw probe rows: sha256 {'b' * 16} in the parent, {'d' * 16} in the change"
+
+    @pytest.mark.parametrize("change, code, said", [
+        (HASHES, 0, "outputs and probe hashes identical"),
+        (dict(HASHES, **{"conditioned probe rows": "d" * 64}), 1,
+         "outputs differ; first at conditioned probe rows"),
+        (None, 2, None),
+    ])
+    def test_main_exit_code_follows_the_probe_hashes(self, monkeypatch, capsys, change, code,
+                                                     said):
+        # identical cell outputs, so the probe hashes decide
+        monkeypatch.setattr(same_outputs, "run_cell", lambda tree, text, config: True)
+        monkeypatch.setattr(same_outputs, "compare_trees", lambda parent, change: None)
+        sides = iter([HASHES, change])
+        monkeypatch.setattr(same_outputs, "probe_hashes", lambda *args: next(sides))
+        argv = ["--parent", str(REPO), "--change", str(REPO), "--workload", "gan_1x1",
+                "--seed", "11"]
+        assert same_outputs.main(argv) == code
+        if said:
+            assert said in capsys.readouterr().out

@@ -7,7 +7,8 @@ import pytest
 from spoofsim import (qpsk_phases, receive_phasors, receive_rows, receive_waveform,
                       receive_waveform_phasors, relay_phasors)
 from spoofsim.frontend import symbol_phasors
-from spoofsim.waveform import carrier_tracks, feature_rows, rows_to_streams, stream_rms
+from spoofsim.waveform import (_BLOCK_BURSTS, carrier_tracks, feature_rows, rows_to_streams,
+                               stream_rms)
 
 PI = math.pi
 
@@ -318,6 +319,68 @@ class TestApplyChannel:
         tx = np.ones((1, 2, 8), dtype=complex)
         with pytest.raises(ValueError):
             receive_rows(identity_mixing(), tx, np.random.default_rng(0))
+
+
+BLOCK_COUNTS = [1, _BLOCK_BURSTS - 1, _BLOCK_BURSTS, _BLOCK_BURSTS + 1, 1000]
+
+
+def one_shot_rows(mixing, tx, seed):
+    """receive_rows' rows formed in one go: the noise draw, then the whole
+    batch's link products added at once."""
+    count, n_rx, _ = mixing.shape
+    rows = np.random.default_rng(seed).standard_normal((count, 2 * n_rx * tx.shape[-1]))
+    rows *= math.sqrt(0.5)
+    rows.view(np.complex128).reshape(count, n_rx, -1)[...] += mixing @ tx
+    return rows
+
+
+class TestBlocks:
+    """The raw receive path adds its products one block of bursts at a time,
+    and gives the rows of the one-shot computation bit for bit."""
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_receive_rows_equals_one_shot(self, count):
+        rng = np.random.default_rng(count)
+        mixing = rng.standard_normal((count, 3, 2)) + 1j * rng.standard_normal((count, 3, 2))
+        tx = rng.standard_normal((count, 2, 12)) + 1j * rng.standard_normal((count, 2, 12))
+        got = receive_rows(mixing, tx, np.random.default_rng(5))
+        npt.assert_array_equal(got, one_shot_rows(mixing, tx, 5))
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_receive_waveform_equals_one_shot(self, count):
+        rng = np.random.default_rng(count)
+        mixing = rng.standard_normal((count, 2, 3)) + 1j * rng.standard_normal((count, 2, 3))
+        phases = rng.uniform(0, 2 * PI, (count, 4))
+        got = receive_waveform(mixing, phases, 30.0, 5, np.random.default_rng(6))
+        weights = 30.0 * mixing.mean(axis=-1, keepdims=True)
+        want = one_shot_rows(weights, carrier_tracks(phases, 5)[:, None, :], 6)
+        npt.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mixing_shape, tx_shape", [
+        ((3, 2, 2), (3, 1, 8)),  # antenna mismatch
+        ((3, 2, 2), (4, 2, 8)),  # tx batch count other than mixing's
+        ((3, 2, 2), (1, 2, 8)),
+        ((1, 2, 2), (3, 2, 8)),
+    ])
+    def test_receive_rows_refuses_before_any_draw(self, mixing_shape, tx_shape):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            receive_rows(np.ones(mixing_shape, dtype=complex), np.ones(tx_shape, dtype=complex),
+                         rng)
+        assert rng.bit_generator.state == state
+
+    def test_receive_waveform_refuses_a_phase_count_other_than_mixing_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            receive_waveform(identity_mixing(_BLOCK_BURSTS + 1), np.zeros((_BLOCK_BURSTS, 4)),
+                             1.0, 10, rng)
+        with pytest.raises(ValueError):
+            receive_waveform(identity_mixing(2), np.zeros((2, 4)), 1.0, 0, rng)
+        with pytest.raises(ValueError):
+            receive_waveform(identity_mixing(4), np.zeros(4), 1.0, 10, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestFeatures:
