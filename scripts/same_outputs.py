@@ -103,11 +103,11 @@ def run_cell(tree: Path, config_text: str, config: Path) -> bool:
     return run_in(tree, ["-m", "spoofsim.cli", "run", "--config", str(config)]) is not None
 
 
-def probe_hashes(tree: Path, workload, seed: int, count: int = PROBE_BURSTS) -> dict | None:
+def probe_hashes(tree: Path, workload, seed: int) -> dict | None:
     """The hashes PROBE_CODE prints in tree for the workload's geometry and
     seed, or None when the run failed."""
     proc = run_in(tree, ["-c", PROBE_CODE, *map(str, (workload.n_t, workload.n_r,
-                                                       workload.n_a, seed, count))])
+                                                       workload.n_a, seed, PROBE_BURSTS))])
     return None if proc is None else json.loads(proc.stdout)
 
 

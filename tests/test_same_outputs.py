@@ -70,11 +70,11 @@ HASHES = {"probe labels": "a" * 64, "raw probe rows": "b" * 64,
 class TestProbeHashes:
     def test_hashes_are_those_of_the_benchmark_probe_set(self):
         # the checkout's run draws the probe set as the benchmark's setup does
-        workload = type("Geometry", (), {"n_t": 2, "n_r": 3, "n_a": 1})
-        got = same_outputs.probe_hashes(REPO, workload, 11, count=30)
-        scenario = spoofsim.ScenarioConfig(n_t=2, n_r=3, n_a=1, seed=11)
-        probes = spoofsim.build_dataset(scenario, 30, 0.5, np.random.default_rng(11))
-        conditioned = spoofsim.condition_rows(probes.features, 3, scenario.samples_per_symbol)
+        workload = type("Geometry", (), {"n_t": 2, "n_r": 1, "n_a": 1})
+        got = same_outputs.probe_hashes(REPO, workload, 11)
+        scenario = spoofsim.ScenarioConfig(n_t=2, n_r=1, n_a=1, seed=11)
+        probes = spoofsim.build_dataset(scenario, 1000, 0.5, np.random.default_rng(11))
+        conditioned = spoofsim.condition_rows(probes.features, 1, scenario.samples_per_symbol)
         want = {name: hashlib.sha256(f"{a.dtype} {a.shape} ".encode() + a.tobytes()).hexdigest()
                 for name, a in (("probe labels", probes.labels),
                                 ("raw probe rows", probes.features),
