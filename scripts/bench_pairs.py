@@ -1,7 +1,11 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
-Run from anywhere; both trees need `perfbench/run.py` and `src/spoofsim`:
+Run from anywhere; both trees need `perfbench/run.py` and `src/spoofsim`,
+and each must be the top level of a git checkout, so that its revision can
+be recorded (an exported tree has none, and one nested in another checkout
+would report the enclosing one's). `git worktree add` makes such a tree:
 
+    git worktree add ../base HEAD~1
     python3 scripts/bench_pairs.py --parent ../base --change . \
         --workload gan_1x1 --seed 11 --pairs 10
 
@@ -60,6 +64,9 @@ def parse_args(argv):
         tree = getattr(args, side)
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {tree}: no perfbench/run.py")
+        if git_toplevel(tree) != tree.resolve():
+            parser.error(f"--{side} {tree}: not the top level of a git checkout, so its "
+                         "revision cannot be recorded; make one with `git worktree add`")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     return args
@@ -76,6 +83,13 @@ def run_once(tree: Path, args) -> dict | None:
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         return None
+
+
+def git_toplevel(tree: Path) -> Path | None:
+    """The top level of the git checkout that holds `tree`, or None."""
+    out = subprocess.run(["git", "-C", str(tree), "rev-parse", "--show-toplevel"],
+                         capture_output=True, text=True)
+    return Path(out.stdout.strip()).resolve() if out.returncode == 0 else None
 
 
 def git_revision(tree: Path) -> dict | None:

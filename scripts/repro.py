@@ -1,22 +1,29 @@
 """Seed-pooled reproduction check of the paper's headline ordering.
 
-For every seed and table-2 geometry (n_t x n_r x n_a) the script trains
-the defender's classifier on paper-size datasets (1000 training and 1000
-test bursts), measures its error rates, and mounts the random and replay
-attacks; at 1x1x1 it also trains the GAN for a fixed number of epochs (no
-early stop, no retries) and mounts the GAN attack. Counts are pooled over
-seeds and reported with Wilson 95% intervals, and every (geometry,
+Each (geometry, seed) job is the one cell of a custom sweep: an
+`ExperimentSpec` of that n_t x n_r x n_a and seed, with paper-size datasets
+(1000 training and 1000 test bursts). The job trains and scores the cell
+with the sweep's own code (`spoofsim.experiments`), so its streams are the
+sweep's keyed ones, and its rates for a seed equal the row `spoofsim run`
+writes for that custom cell and seed. Per cell it measures the defender's
+classifier error rates and mounts the random and replay attacks. At 1x1x1
+it also trains the GAN for a fixed number of epochs and mounts the GAN
+attack: `gan.max_epochs = E`, `gan.conv_window = E + 1` (no early stop)
+and `gan.retries = 0`. A cell's random, replay and GAN attacks each draw
+from that cell's one attack stream, as their sweeps do. Counts are pooled
+over seeds and reported with Wilson 95% intervals, and every (geometry,
 metric) keeps its per-seed rates.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
         python3 scripts/repro.py --seeds 1,2,3,4,5,6 --trials 1000
 
 prints one JSON document and exits 1 unless the pooled success rates at
-1x1x1 order as GAN > replay > random. The (geometry, seed) cells are
-independent jobs for `spoofsim.experiments.run_jobs`, GAN cells first, so
-they run on as many processes as the usable cores allow at the BLAS thread
-count set (one BLAS thread per process above uses every core); the
-document does not depend on which process ran which cell.
+1x1x1 order as GAN > replay > random. Seeds and geometries must not
+repeat. The (geometry, seed) cells are independent jobs for
+`spoofsim.experiments.run_jobs`, GAN cells first, so they run on as many
+processes as the usable cores allow at the BLAS thread count set (one BLAS
+thread per process above uses every core); the document does not depend on
+which process ran which cell.
 
 `--compare FILE` (a document an earlier run printed, of the same seeds)
 gates a change that moves results. Each seed trains its own classifier,
@@ -30,8 +37,8 @@ reading it as a difference. Whether the two pooled Wilson intervals hold
 each other's estimates is reported as information only. The script
 exits 1 when a metric is flagged.
 
-The script is not part of the test suite: at paper size it runs for
-minutes per seed.
+At paper size the script runs for minutes; the test suite runs its cells
+at small sizes only.
 """
 
 from __future__ import annotations
@@ -40,15 +47,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from spoofsim import (GanConfig, ScenarioConfig, TrainConfig, build_phasor_dataset,
-                      evaluate, run_gan_attack, run_random_attack,
-                      run_replay_attack, train_classifier, train_gan)
-from spoofsim.experiments import run_jobs
-from spoofsim.scenario import substream
+from spoofsim import ExperimentSpec, GanConfig
+from spoofsim.experiments import _cells, _score, _train_job, _Trained, run_jobs
 
 Z95 = 1.959963984540054
 N_TRAIN = 1000
@@ -82,26 +87,34 @@ def name_of(geometry) -> str:
     return "x".join(str(v) for v in geometry)
 
 
+def train(spec, kind, cell, seed):
+    """The models of one `_train_job`, raising the cell error it returns."""
+    result = _train_job(spec, kind, cell, seed)
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
 def run_cell(seed, geometry, args, with_gan):
-    """Counts of one (seed, geometry) cell."""
+    """Counts of one (seed, geometry) cell, trained and scored as the one
+    cell of a custom sweep."""
     n_t, n_r, n_a = geometry
-    sc = ScenarioConfig(n_t=n_t, n_r=n_r, n_a=n_a, seed=seed)
-    data_rng = substream(seed, *geometry, 1)
-    train = build_phasor_dataset(sc, N_TRAIN, 0.5, data_rng)
-    test = build_phasor_dataset(sc, N_TEST, 0.5, data_rng)
-    clf = train_classifier(train, TrainConfig(seed=seed))
-    m = evaluate(clf, test)
+    # A window longer than the run disables the early stop, and with no
+    # retries every seed trains exactly gan_epochs epochs.
+    spec = ExperimentSpec(seeds=(seed,), n_trials=args.trials, n_t_grid=(n_t,),
+                          n_r_grid=(n_r,), n_a_grid=(n_a,), n_train=N_TRAIN, n_test=N_TEST,
+                          gan=GanConfig(max_epochs=args.gan_epochs,
+                                        conv_window=args.gan_epochs + 1),
+                          gan_retries=0)
+    (cell,) = _cells(spec)
+    clf, m = train(spec, "classifier", cell, seed)
+    generator, trace = train(spec, "gan", cell, seed) if with_gan else (None, None)
+    models = _Trained(clf, m, generator, trace)
     counts = {"e_md": (m.n_md, m.n_from_t), "e_fa": (m.n_fa, m.n - m.n_from_t)}
-    for kind, attack, key in (("random", run_random_attack, 3), ("replay", run_replay_attack, 4)):
-        report = attack(clf, sc, args.trials, substream(seed, *geometry, key))
-        counts[kind] = (report.n_success, report.n_trials)
-    if with_gan:
-        # A window longer than the run disables the early stop: every seed
-        # trains exactly gan_epochs epochs.
-        cfg = GanConfig(max_epochs=args.gan_epochs, conv_window=args.gan_epochs + 1)
-        generator, _, _ = train_gan(sc, cfg, substream(seed, *geometry, 2))
-        report = run_gan_attack(clf, generator, sc, args.trials, substream(seed, *geometry, 5))
-        counts["gan"] = (report.n_success, report.n_trials)
+    attacks = ("random", "replay", "gan") if with_gan else ("random", "replay")
+    for attack in attacks:
+        row = _score(replace(spec, attack=attack), cell, seed, models, version="")
+        counts[attack] = (round(row["success_prob"] * spec.n_trials), spec.n_trials)
     return counts
 
 
@@ -157,8 +170,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     geometries = args.geometries
+    if not seeds:
+        parser.error("--seeds must name at least one seed")
+    if len(set(seeds)) != len(seeds):
+        parser.error(f"--seeds must not repeat, got {seeds}")
+    if len(set(geometries)) != len(geometries):
+        parser.error("--geometries must not repeat, got "
+                     + ",".join(name_of(g) for g in geometries))
     if GAN_GEOMETRY not in geometries:
         parser.error("--geometries must include 1x1x1, the GAN cell")
+    for flag, value in (("--trials", args.trials), ("--gan-epochs", args.gan_epochs)):
+        if value < 1:
+            parser.error(f"{flag} must be >= 1, got {value}")
 
     earlier = None
     if args.compare:

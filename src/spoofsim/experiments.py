@@ -457,11 +457,13 @@ def _train_job(spec, kind, cell, seed):
 
 
 class _Trained(NamedTuple):
-    scen_seed: int
+    """A training tag's models for one seed: the classifier with its test
+    metrics and, for a GAN attack, the generator with its trace."""
+
     clf: Authenticator
     metrics: ClassifierMetrics
-    generator: DenseNetwork | None
-    trace: TrainingTrace | None
+    generator: DenseNetwork | None = None
+    trace: TrainingTrace | None = None
 
 
 def _output_path(out_dir, spec, tag, seed, what):
@@ -481,22 +483,21 @@ def _train(spec, tag, seed, jobs_done, out_dir):
         raise clf
     clf, metrics = clf
     save_model(clf.net, _output_path(out_dir, spec, tag, seed, "classifier.bin"))
-    scen_seed = _cell_rngs(seed, spec.table, tag)[0]
     if spec.attack != "gan":
-        return _Trained(scen_seed, clf, metrics, None, None)
+        return _Trained(clf, metrics)
     gan = jobs_done.pop(("gan", tag, seed))
     if isinstance(gan, BaseException):
         raise gan
     generator, trace = gan
     save_model(generator, _output_path(out_dir, spec, tag, seed, "generator.bin"))
     save_trace_csv(trace, _output_path(out_dir, spec, tag, seed, "trace.csv"))
-    return _Trained(scen_seed, clf, metrics, generator, trace)
+    return _Trained(clf, metrics, generator, trace)
 
 
 def _score(spec, cell, seed, trained, version):
     """The cell's row for one seed: the trained classifier's error rates plus
     the sweep's attack, drawn from the cell's own attack stream."""
-    scenario = replace(cell.scenario, seed=trained.scen_seed)
+    scenario = replace(cell.scenario, seed=_cell_rngs(seed, spec.table, cell.trained_at)[0])
     row = {
         "table": spec.table, "seed": seed,
         "n_t": scenario.n_t, "n_r": scenario.n_r, "n_a": scenario.n_a,

@@ -155,22 +155,6 @@ def _losses(p_real, p_synth) -> tuple[float, float]:
     return g_loss - float(_clamped_log(p_real).mean()), g_loss
 
 
-def discriminator_loss(d_net: DenseNetwork, real_batch, synth_batch) -> float:
-    """E_synth[log(1 - D(x))] - E_real[log D(x)] on the given batches."""
-    if len(real_batch) == 0 or len(synth_batch) == 0:
-        raise ValueError("both batches must be non-empty")
-    return _losses(from_t_probability(d_net, real_batch),
-                   from_t_probability(d_net, synth_batch))[0]
-
-
-def generator_loss(d_net: DenseNetwork, synth_batch) -> float:
-    """E_synth[log(1 - D(x))] on the given batch."""
-    if len(synth_batch) == 0:
-        raise ValueError("batch must be non-empty")
-    # The generator loss ignores p_real; a certain real batch stands in.
-    return _losses(np.ones(1), from_t_probability(d_net, synth_batch))[1]
-
-
 def scale_to_budget(streams, power_budget):
     """Uniformly shrink streams (..., n_antennas, n_points) whose summed
     per-antenna RMS exceeds the budget; the generator's are its phasors.

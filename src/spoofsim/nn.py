@@ -15,8 +15,8 @@ and passes it straight through (`cross_entropy_delta` forms it for the
 cross-entropy), so no softmax Jacobian is ever applied.
 Every function that takes rows takes them as a (rows, features) array and
 refuses a 1-D one; a single sample is one row.
-Analytic gradients can be verified entry by entry against central finite
-differences.
+The tests verify the analytic gradients entry by entry against central
+finite differences.
 
 Passes write into a `Workspace` that the trainer builds once per network
 and owns (no module state), in place: a layer's output in its one buffer,
@@ -324,35 +324,12 @@ def input_gradient(net: DenseNetwork, cache: ForwardCache, loss_gradient) -> np.
     return g
 
 
-def _one_hot_ok(label):
-    return np.all((label == 0.0) | (label == 1.0)) and np.all(label.sum(axis=1) == 1.0)
-
-
-def cross_entropy(pred, label) -> float:
-    """Mean -sum(label * log(pred)) with the log clamped at 1e-12.
-
-    `pred` and `label` are (rows, classes); `pred` rows must sum to 1 within
-    1e-9 and `label` rows must be one-hot.
-    """
-    p = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(label, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValueError(f"prediction shape {p.shape} != label shape {y.shape}")
-    if p.ndim != 2:
-        raise ValueError(f"predictions of shape {p.shape} are not (rows, classes)")
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("predictions must sum to 1")
-    if not _one_hot_ok(y):
-        raise ValueError("labels must be one-hot")
-    losses = -(y * np.log(np.maximum(p, LOG_EPS))).sum(axis=1)
-    return float(losses.mean())
-
-
 def cross_entropy_delta(pred, targets) -> np.ndarray:
-    """d(`cross_entropy`)/d(logits) of softmax outputs `pred` against one-hot
-    `targets`: (pred - targets) / batch, in pred's dtype (cast the targets
-    to it once, outside a training loop). It is what `backward` and
-    `input_gradient` take at a softmax output layer.
+    """d(loss)/d(logits) of softmax outputs `pred` against one-hot `targets`,
+    where the loss is the batch mean of -sum(targets * log(pred)) with the
+    log clamped at LOG_EPS: (pred - targets) / batch, in pred's dtype (cast
+    the targets to it once, outside a training loop). It is what `backward`
+    and `input_gradient` take at a softmax output layer.
 
     Two rules zero entries:
     - a row whose target probability is below LOG_EPS, where the clamped
@@ -472,47 +449,6 @@ def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
         for moment in (state.m, state.v):
             np.copyto(moment, 0.0, where=np.abs(moment, out=step) < tiny)
     return state
-
-
-def finite_diff_check(net: DenseNetwork, x, label, h=1e-5, max_per_tensor=None,
-                      rng=None) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Checks every parameter by default; for wide networks `max_per_tensor`
-    limits the check to that many randomly chosen entries per tensor
-    (seeded through `rng`) so the sweep stays fast. The net must be float64:
-    float32 would round a step of h away.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if net.params.dtype != np.float64:
-        raise ValueError("finite differences need a float64 net")
-    out, cache = forward(net, x)
-    grads = backward(net, cache, cross_entropy_delta(out, label))
-    tensors = []
-    for i in range(net.n_layers):
-        tensors.append((net.weights[i], grads.d_weights[i]))
-        tensors.append((net.biases[i], grads.d_biases[i]))
-    worst = 0.0
-    for params, analytic in tensors:
-        if max_per_tensor is None or params.size <= max_per_tensor:
-            flat_indices = range(params.size)
-        else:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            flat_indices = rng.choice(params.size, size=max_per_tensor, replace=False)
-        for flat in flat_indices:
-            orig = params.flat[flat]
-            params.flat[flat] = orig + h
-            loss_plus = cross_entropy(predict(net, x), label)
-            params.flat[flat] = orig - h
-            loss_minus = cross_entropy(predict(net, x), label)
-            params.flat[flat] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * h)
-            a = analytic.flat[flat]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-            worst = max(worst, rel)
-    return worst
 
 
 def save_model(net: DenseNetwork, path) -> None:

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,45 @@ class TestNoWorseVerdict:
     def test_gain_rule_unchanged(self):
         v = bench_pairs.verdict(QUIET, [v - 0.1 for v in QUIET], True, 0.1)
         assert (v["wins"], v["gain"], v["no_worse"]) == (10, True, "no worse")
+
+
+def bench_tree(path, git_init=False):
+    """A directory holding perfbench/run.py, made a git checkout on request."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text("")
+    if git_init:
+        subprocess.run(["git", "init", "-q", str(path)], check=True)
+    return path
+
+
+def parse(parent, change):
+    return bench_pairs.parse_args(["--parent", str(parent), "--change", str(change),
+                                   "--workload", "gan_1x1", "--seed", "11"])
+
+
+class TestTrees:
+    def test_checkout_top_levels_are_accepted(self, tmp_path):
+        parent = bench_tree(tmp_path / "parent", git_init=True)
+        change = bench_tree(tmp_path / "change", git_init=True)
+        args = parse(parent, change)
+        assert (args.parent, args.change) == (parent, change)
+
+    def test_plain_directory_is_refused(self, tmp_path, capsys):
+        # e.g. a `git archive` export, which has no revision to record
+        export = bench_tree(tmp_path / "export")
+        change = bench_tree(tmp_path / "change", git_init=True)
+        with pytest.raises(SystemExit) as exit_info:
+            parse(export, change)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--parent" in err and "git worktree add" in err
+
+    def test_directory_nested_in_a_checkout_is_refused(self, tmp_path, capsys):
+        # it would report the enclosing checkout's HEAD as its own
+        parent = bench_tree(tmp_path / "parent", git_init=True)
+        nested = bench_tree(parent / "scratch" / "change")
+        with pytest.raises(SystemExit) as exit_info:
+            parse(parent, nested)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--change" in err and "git worktree add" in err

@@ -7,20 +7,19 @@ import numpy.testing as npt
 import pytest
 
 import spoofsim.gan
-from spoofsim import (GanConfig, ScenarioConfig, check_convergence, discriminator_loss,
-                      generator_loss, generator_phasors, train_gan)
+from spoofsim import GanConfig, ScenarioConfig, check_convergence, generator_phasors, train_gan
 from spoofsim.authenticator import FROM_T, one_hot
 from spoofsim.frontend import condition_phasors, condition_phasors_vjp, symbol_phasors
-from spoofsim.gan import (_generator_grads, _scale_backward, discriminator_layer_sizes,
+from spoofsim.gan import (_generator_grads, _losses, _scale_backward, discriminator_layer_sizes,
                           from_t_probability, generator_layer_sizes, init_discriminator,
                           init_generator, save_trace_csv, scale_to_budget)
 from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, TrainConfig,
-                         Workspace, adam_step, backward, cross_entropy, cross_entropy_delta,
-                         forward, init_network, input_gradient, predict)
+                         Workspace, adam_step, backward, cross_entropy_delta, forward,
+                         init_network, input_gradient, predict)
 from spoofsim.scenario import substream
 from spoofsim.waveform import carrier_tracks, feature_rows, rows_to_streams, stream_rms
 
-from helpers import as_float64, subnormal_count, sure_rows
+from helpers import as_float64, cross_entropy, subnormal_count, sure_rows
 
 TINY = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=12,
                  synth_per_epoch=12, batch_size=6, max_epochs=2,
@@ -83,20 +82,27 @@ def reference_generator_grads(sc, g, z, mats, noise, budget, phasor_grad):
     return backward(g, g_cache, feature_rows(_scale_backward(grad_tx, raw, budget)))
 
 
+def losses(d, real_batch, synth_batch):
+    """(discriminator loss, generator loss) of d on the batches, scored as
+    `train_gan`'s phase (d) scores them."""
+    return _losses(from_t_probability(d, real_batch), from_t_probability(d, synth_batch))
+
+
 class TestLosses:
     def test_uncertain_discriminator_has_zero_loss(self):
         d = constant_discriminator(4, 0.5)
         batch = np.ones((3, 4))
-        npt.assert_allclose(discriminator_loss(d, batch, batch), 0.0, atol=1e-12)
+        npt.assert_allclose(losses(d, batch, batch)[0], 0.0, atol=1e-12)
 
     def test_generator_loss_at_half(self):
         d = constant_discriminator(4, 0.5)
-        npt.assert_allclose(generator_loss(d, np.ones((5, 4))), math.log(0.5),
-                            rtol=1e-12)
+        batch = np.ones((5, 4))
+        npt.assert_allclose(losses(d, batch, batch)[1], math.log(0.5), rtol=1e-12)
 
     def test_generator_loss_approaches_zero_when_fooled_never(self):
         d = constant_discriminator(4, 1e-9)
-        loss = generator_loss(d, np.ones((5, 4)))
+        batch = np.ones((5, 4))
+        loss = losses(d, batch, batch)[1]
         assert -1e-8 < loss < 0.0
 
     def test_losses_match_independent_expression(self):
@@ -110,16 +116,9 @@ class TestLosses:
         p_synth = predict(d, synth)[:, 1].astype(np.float64)
         expected_d = np.mean(np.log(1 - p_synth)) - np.mean(np.log(p_real))
         expected_g = np.mean(np.log(1 - p_synth))
-        npt.assert_allclose(discriminator_loss(d, real, synth), expected_d,
-                            atol=1e-12)
-        npt.assert_allclose(generator_loss(d, synth), expected_g, atol=1e-12)
-
-    def test_empty_batch_rejected(self):
-        d = constant_discriminator(4, 0.5)
-        with pytest.raises(ValueError):
-            discriminator_loss(d, np.empty((0, 4)), np.ones((2, 4)))
-        with pytest.raises(ValueError):
-            generator_loss(d, np.empty((0, 4)))
+        d_loss, g_loss = losses(d, real, synth)
+        npt.assert_allclose(d_loss, expected_d, atol=1e-12)
+        npt.assert_allclose(g_loss, expected_g, atol=1e-12)
 
 
 class TestCheckConvergence:
@@ -339,10 +338,9 @@ class TestTrainGan:
             assert grads is g_ws.grads
             npt.assert_array_equal(grads.flat, one_shot)
 
-    def test_trace_losses_are_the_exported_losses_on_the_epoch_pool(self, monkeypatch):
-        # Phase (d) and the exported loss functions share one formula: on
-        # the pool the discriminator trained on, the returned discriminator
-        # must reproduce the trace's losses exactly.
+    def test_trace_losses_are_the_losses_on_the_epoch_pool(self, monkeypatch):
+        # Phase (d) scores the pool the discriminator trained on: there the
+        # returned discriminator must reproduce the trace's losses exactly.
         pools = []
 
         def epoch_spy(net, state, x, targets, *args):
@@ -356,8 +354,9 @@ class TestTrainGan:
         [(x, targets)] = pools
         n = cfg.real_pool
         assert np.all(targets[:n, FROM_T] == 1) and not np.any(targets[n:, FROM_T])
-        assert trace.d_loss[0] == discriminator_loss(d, x[:n], x[n:])
-        assert trace.g_loss[0] == generator_loss(d, x[n:])
+        d_loss, g_loss = losses(d, x[:n], x[n:])
+        assert trace.d_loss[0] == d_loss
+        assert trace.g_loss[0] == g_loss
 
     def test_capped_burst_counts(self, monkeypatch):
         # Each epoch counts the bursts of its synthetic pool that the cap

@@ -10,12 +10,11 @@ import numpy.testing as npt
 import pytest
 
 from spoofsim import (AdamState, DenseNetwork, Gradients, TrainConfig, Workspace,
-                      adam_step, backward, cross_entropy, cross_entropy_delta,
-                      finite_diff_check, forward, gather_rows, init_network,
-                      input_gradient, load_model, predict, save_model)
+                      adam_step, backward, cross_entropy_delta, forward, gather_rows,
+                      init_network, input_gradient, load_model, predict, save_model)
 from spoofsim.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, LINEAR, RELU, SOFTMAX
 
-from helpers import as_float64, subnormal_count, sure_rows
+from helpers import as_float64, cross_entropy, finite_diff_check, subnormal_count, sure_rows
 
 
 def small_net(sizes=(7, 6, 5, 3), seed=0):
