@@ -18,25 +18,19 @@ pools and all three attacks use this path, and the GAN's generator emits
 transmit phasors itself, one per (antenna, symbol), capped in that domain
 (see `gan`). Raw rows of 4 * S samples per antenna remain only where a raw
 burst enters: `build_dataset` (the same draws up to the receiver, received
-at full width through `receive_rows`) and an `Authenticator` or
+at full width through `receive_waveform`) and an `Authenticator` or
 `spoofsim bench` fed a raw row.
+
+The package namespace holds only the names that callers outside it read
+through the package (the benchmark and the scripts); everything else is
+imported from its own module.
 """
 
 __version__ = "0.1.0"
 
-from .attacks import (AttackReport, run_gan_attack, run_random_attack,
-                      run_replay_attack, train_spoofer)
-from .authenticator import (FROM_T, NOT_T, Authenticator, ClassifierMetrics,
-                            LabeledDataset, build_dataset, build_phasor_dataset,
-                            classify, evaluate, train_classifier)
-from .experiments import (ConfigError, ExperimentResult, ExperimentSpec,
-                          benchmark_latency, build_version, parse_config,
-                          run_experiment)
+from .authenticator import Authenticator, build_dataset, classify
+from .experiments import ExperimentSpec
 from .frontend import condition_rows
-from .gan import GanConfig, TrainingTrace, check_convergence, generator_phasors, train_gan
-from .nn import (AdamState, DenseNetwork, Gradients, TrainConfig, Workspace, adam_step,
-                 backward, cross_entropy_delta, forward, gather_rows, init_network,
-                 input_gradient, load_model, predict, save_model)
-from .scenario import Position, ScenarioConfig, substream
-from .waveform import (qpsk_phases, receive_phasors, receive_rows, receive_waveform,
-                       receive_waveform_phasors, relay_phasors)
+from .gan import GanConfig
+from .nn import load_model, predict
+from .scenario import ScenarioConfig

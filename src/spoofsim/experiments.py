@@ -32,8 +32,13 @@ order, and the parent then saves models and traces and scores the cells in
 row order; outputs are the same whichever process trained what. The
 process count (`sweep_processes`) is the usable cores over the BLAS threads
 each process runs (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one
-per core), so a process pool never oversubscribes the cores; below two
-processes, or with one job, every job runs inline. Workers are spawned,
+per core); below two processes, or with one job, every job runs inline.
+The pool's workers alone fill the cores, and the parent runs job 0 beside
+them, so a sweep with more jobs than processes runs processes + 1 busy
+processes until job 0 ends (3 on a 2-core host at one BLAS thread). That
+is kept on purpose: job 0 hides the workers' start (0.13-0.23 s of
+interpreter, numpy and spoofsim imports), which a two-job sweep such as
+one table-3 cell would otherwise wait for. Workers are spawned,
 and spawning re-imports the main module: a script that calls
 `run_experiment` (or `run_jobs`) at import time needs an
 `if __name__ == "__main__":` guard, and a main program read from standard
@@ -394,11 +399,14 @@ def run_jobs(job, args) -> list:
     Below two processes (`sweep_processes`), or with one job, the jobs run
     inline in order. Otherwise a spawned pool of min(processes, jobs - 1)
     workers takes jobs 1 onward while this process runs job 0, so list the
-    longest job first. `job` must be a module-level function (workers import
-    it by name) and each argument tuple picklable. When a job raises, the
-    jobs not yet started are cancelled and, once the running ones have
-    ended, the first failed job's exception is raised; no worker outlives
-    the call.
+    longest job first. With more jobs than processes that is processes + 1
+    busy processes on cores sized for processes, until job 0 ends; running
+    job 0 here rather than in the pool hides the workers' start, which a
+    two-job call would otherwise wait for. `job` must be a module-level
+    function (workers import it by name) and each argument tuple
+    picklable. When a job raises, the jobs not yet started are cancelled
+    and, once the running ones have ended, the first failed job's
+    exception is raised; no worker outlives the call.
     """
     args = list(args)
     processes = sweep_processes()

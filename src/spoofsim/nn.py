@@ -109,9 +109,6 @@ class DenseNetwork:
     def n_parameters(self) -> int:
         return self.params.size
 
-    def copy(self) -> "DenseNetwork":
-        return DenseNetwork(self.weights, self.biases, self.activations)
-
     def __getstate__(self):
         # Pickle the flat vector alone: pickled one by one, the layer views
         # would come back as copies that no longer share memory with it.

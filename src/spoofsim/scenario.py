@@ -15,9 +15,9 @@ pair observes during training matches what the defender sees, up to the
 one complex mixing matrix per burst, shape (count, n_rx, n_tx), so that a
 batch of transmit phasors (count, n_tx, n_symbols) reaches the receive
 antennas' matched filters as `mixing @ phasors` (see
-`waveform.receive_phasors`), and a batch of raw transmit streams
-(count, n_tx, n_points), which only `authenticator.build_dataset` builds,
-as `mixing @ streams` (see `waveform.receive_rows`).
+`waveform.receive_phasors`); `authenticator.build_dataset`'s raw bursts
+reach the receive antennas as `mixing @ streams` (see
+`waveform.receive_waveform`).
 """
 
 from __future__ import annotations

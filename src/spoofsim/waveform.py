@@ -22,13 +22,13 @@ phasors directly, with the distribution the filter would give:
   full-width RMS.
 
 Raw feature rows (count, 2 * n_rx * n_points) remain where a raw burst
-enters the program: `receive_rows` and `receive_waveform` build them for
+enters the program: `receive_waveform` builds them for
 `authenticator.build_dataset`, whose draws before the receiver are the
-same as those of its phasor twin. The rows they return are the only
-full-width array they build: the receiver noise is drawn straight into
-them, and the received signal (link products, and `receive_waveform`'s
-carrier tracks) is formed and added one block of `_BLOCK_BURSTS` bursts at
-a time, so the temporaries stay near 1.6 MB whatever the burst count.
+same as those of its phasor twin. The rows it returns are the only
+full-width array it builds: the receiver noise is drawn straight into
+them, and the received signal (carrier tracks and their link products)
+is formed and added one block of `_BLOCK_BURSTS` bursts at a time, so the
+temporaries stay near 1.6 MB whatever the burst count.
 
 All powers are normalised to the receiver noise floor: additive noise is
 a unit-variance circularly-symmetric complex Gaussian per sample point,
@@ -83,48 +83,6 @@ def carrier_tracks(symbol_phases, samples_per_symbol) -> np.ndarray:
     return tracks.reshape(*phases.shape[:-1], -1)
 
 
-def _receive_blocks(mixing, tx_shape, tx_block, rng) -> np.ndarray:
-    """Rows of bursts `mixing[b] @ tx[b]` plus unit complex AWGN, where
-    tx has shape tx_shape and tx_block(start, stop) returns tx[start:stop].
-
-    The shapes are checked before anything is drawn. The noise is one
-    `standard_normal` draw straight into the output rows; each block's
-    product is then added in place, so no full-width temporary is built.
-    """
-    count, n_rx, n_tx = mixing.shape
-    if tuple(tx_shape[:2]) != (count, n_tx):
-        raise ValueError(f"transmit bursts {tuple(tx_shape)} do not fit "
-                         f"link matrices {mixing.shape}")
-    rows = rng.standard_normal((count, 2 * n_rx * tx_shape[-1]))
-    rows *= math.sqrt(0.5)
-    streams = rows.view(np.complex128).reshape(count, n_rx, -1)
-    for start in range(0, count, _BLOCK_BURSTS):
-        stop = start + _BLOCK_BURSTS
-        block = streams[start:stop]
-        block += mixing[start:stop] @ tx_block(start, stop)
-    return rows
-
-
-def receive_rows(mixing, tx, rng) -> np.ndarray:
-    """Feature rows of bursts received through link matrices, with receiver noise.
-
-    mixing has shape (count, n_rx, n_tx) and tx (count, n_tx, n_points);
-    row b is `mixing[b] @ tx[b]` plus unit complex AWGN, I/Q interleaved
-    antenna-major, shape (count, 2 * n_rx * n_points). A tx of another
-    burst or antenna count is refused before any draw.
-
-    Memory: the rows are the only full-width array built. The noise is
-    drawn straight into them (their float64 layout is that of complex128
-    (count, n_rx, n_points)), and the products are added one block of
-    bursts at a time.
-    """
-    mixing = np.asarray(mixing)
-    tx = np.asarray(tx)
-    if tx.ndim != 3:
-        raise ValueError(f"tx must be (count, n_tx, n_points), got shape {tx.shape}")
-    return _receive_blocks(mixing, tx.shape, lambda start, stop: tx[start:stop], rng)
-
-
 def receive_waveform(mixing, symbol_phases, power, samples_per_symbol, rng) -> np.ndarray:
     """Feature rows of bursts whose transmit antennas all send one phase track.
 
@@ -136,8 +94,14 @@ def receive_waveform(mixing, symbol_phases, power, samples_per_symbol, rng) -> n
         power * mixing[b, j, :].mean() * exp(1j * (phi + k*pi/(S/2)))
 
     at sample k of a symbol with phase phi, plus unit complex AWGN. The
-    rows are drawn as `receive_rows` draws them, with the carrier tracks
-    formed one block of bursts at a time.
+    rows, I/Q interleaved antenna-major, have shape
+    (count, 2 * n_rx * n_symbols * S). Arguments that do not fit are
+    refused before any draw.
+
+    Memory: the rows are the only full-width array built. The noise is
+    one `standard_normal` draw straight into them (their float64 layout is
+    that of complex128 (count, n_rx, n_points)); each block's carrier
+    tracks and received signal are then formed and added in place.
     """
     if power <= 0:
         raise ValueError("power must be positive")
@@ -148,9 +112,18 @@ def receive_waveform(mixing, symbol_phases, power, samples_per_symbol, rng) -> n
     if phases.ndim != 2:
         raise ValueError(f"symbol_phases must be (count, n_symbols), got shape {phases.shape}")
     weights = float(power) * np.asarray(mixing).mean(axis=-1, keepdims=True)
-    return _receive_blocks(
-        weights, (phases.shape[0], 1, phases.shape[-1] * s),
-        lambda start, stop: carrier_tracks(phases[start:stop], s)[:, None, :], rng)
+    count, n_rx, _ = weights.shape
+    if phases.shape[0] != count:
+        raise ValueError(f"{phases.shape[0]} bursts of symbol phases do not fit "
+                         f"{count} link matrices")
+    rows = rng.standard_normal((count, 2 * n_rx * phases.shape[-1] * s))
+    rows *= math.sqrt(0.5)
+    streams = rows.view(np.complex128).reshape(count, n_rx, -1)
+    for start in range(0, count, _BLOCK_BURSTS):
+        stop = start + _BLOCK_BURSTS
+        block = streams[start:stop]
+        block += weights[start:stop] @ carrier_tracks(phases[start:stop], s)[:, None, :]
+    return rows
 
 
 def receive_phasors(mixing, tx_phasors, samples_per_symbol, rng) -> np.ndarray:

@@ -4,15 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import (FROM_T, Authenticator, GanConfig,
-                      ScenarioConfig, TrainConfig, build_phasor_dataset, classify,
-                      qpsk_phases, receive_phasors, receive_waveform_phasors,
-                      relay_phasors, run_gan_attack, run_random_attack,
-                      run_replay_attack, train_classifier, train_gan, train_spoofer)
-from spoofsim.gan import init_generator
-from spoofsim.nn import DenseNetwork, init_network
-from spoofsim.scenario import substream
-from spoofsim.waveform import feature_rows
+from spoofsim.attacks import run_gan_attack, run_random_attack, run_replay_attack, train_spoofer
+from spoofsim.authenticator import (FROM_T, Authenticator, build_phasor_dataset, classify,
+                                    train_classifier)
+from spoofsim.gan import GanConfig, init_generator, train_gan
+from spoofsim.nn import DenseNetwork, TrainConfig, init_network
+from spoofsim.scenario import ScenarioConfig, substream
+from spoofsim.waveform import (feature_rows, qpsk_phases, receive_phasors,
+                               receive_waveform_phasors, relay_phasors)
 
 TINY_GAN = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=8,
                      synth_per_epoch=8, batch_size=4, max_epochs=2, conv_window=2)

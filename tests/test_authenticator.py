@@ -4,17 +4,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import (FROM_T, NOT_T, AdamState, Authenticator, ClassifierMetrics,
-                      LabeledDataset, ScenarioConfig, TrainConfig, adam_step,
-                      backward, build_dataset, build_phasor_dataset, classify,
-                      condition_rows,
-                      cross_entropy_delta, evaluate, forward, init_network,
-                      predict, train_classifier)
-from spoofsim.authenticator import CLASSIFIER_HIDDEN, one_hot
-from spoofsim.frontend import symbol_phasors
+from spoofsim.authenticator import (CLASSIFIER_HIDDEN, FROM_T, NOT_T, Authenticator,
+                                    ClassifierMetrics, LabeledDataset, build_dataset,
+                                    build_phasor_dataset, classify, evaluate, one_hot,
+                                    train_classifier)
+from spoofsim.frontend import condition_rows, symbol_phasors
+from spoofsim.nn import (AdamState, DenseNetwork, TrainConfig, adam_step, backward,
+                         cross_entropy_delta, forward, init_network, predict)
+from spoofsim.scenario import ScenarioConfig, substream
 from spoofsim.waveform import feature_rows
-from spoofsim.nn import DenseNetwork
-from spoofsim.scenario import substream
 
 TINY = dict(samples_per_symbol=10)  # fast bursts for unit-level checks
 

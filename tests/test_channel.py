@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import ScenarioConfig
+from spoofsim.scenario import ScenarioConfig
 
 # chi-square critical value, 15 degrees of freedom, alpha = 0.01
 CHI2_CRIT_15_001 = 30.5779

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spoofsim import (Authenticator, ConfigError, ExperimentSpec,
-                      benchmark_latency, build_version, init_network,
-                      load_model, parse_config, run_experiment, save_model)
+from spoofsim.authenticator import Authenticator
 from spoofsim.cli import main
-from spoofsim.experiments import CSV_COLUMNS, TABLE_ATTACKS, run_jobs, sweep_processes
+from spoofsim.experiments import (CSV_COLUMNS, TABLE_ATTACKS, ConfigError, ExperimentSpec,
+                                  benchmark_latency, build_version, parse_config, run_experiment,
+                                  run_jobs, sweep_processes)
+from spoofsim.nn import init_network, load_model, save_model
 
 from helpers import job_failing_at
 

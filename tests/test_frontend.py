@@ -2,11 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import condition_rows, init_network, qpsk_phases
-from spoofsim.frontend import (GRID_POWER, PHASOR_LIMIT, condition_phasors,
-                               condition_phasors_vjp, init_conditioned_network,
-                               symbol_phasors)
-from spoofsim.waveform import _BLOCK_BURSTS, carrier_tracks, feature_rows
+from spoofsim.frontend import (GRID_POWER, PHASOR_LIMIT, condition_phasors, condition_phasors_vjp,
+                               condition_rows, init_conditioned_network, symbol_phasors)
+from spoofsim.nn import init_network
+from spoofsim.waveform import _BLOCK_BURSTS, carrier_tracks, feature_rows, qpsk_phases
 
 
 def clean_burst_rows(amplitude, bits=(0,) * 8, sps=100):

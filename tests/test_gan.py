@@ -7,16 +7,16 @@ import numpy.testing as npt
 import pytest
 
 import spoofsim.gan
-from spoofsim import GanConfig, ScenarioConfig, check_convergence, generator_phasors, train_gan
 from spoofsim.authenticator import FROM_T, one_hot
 from spoofsim.frontend import condition_phasors, condition_phasors_vjp, symbol_phasors
-from spoofsim.gan import (_generator_grads, _losses, _scale_backward, discriminator_layer_sizes,
-                          from_t_probability, generator_layer_sizes, init_discriminator,
-                          init_generator, save_trace_csv, scale_to_budget)
-from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, TrainConfig,
-                         Workspace, adam_step, backward, cross_entropy_delta, forward,
-                         init_network, input_gradient, predict)
-from spoofsim.scenario import substream
+from spoofsim.gan import (GanConfig, _generator_grads, _losses, _scale_backward, check_convergence,
+                          discriminator_layer_sizes, from_t_probability, generator_layer_sizes,
+                          generator_phasors, init_discriminator, init_generator, save_trace_csv,
+                          scale_to_budget, train_gan)
+from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, TrainConfig, Workspace, adam_step,
+                         backward, cross_entropy_delta, forward, init_network, input_gradient,
+                         predict)
+from spoofsim.scenario import ScenarioConfig, substream
 from spoofsim.waveform import carrier_tracks, feature_rows, rows_to_streams, stream_rms
 
 from helpers import as_float64, cross_entropy, subnormal_count, sure_rows

@@ -9,10 +9,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import (AdamState, DenseNetwork, Gradients, TrainConfig, Workspace,
-                      adam_step, backward, cross_entropy_delta, forward, gather_rows,
-                      init_network, input_gradient, load_model, predict, save_model)
-from spoofsim.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, LINEAR, RELU, SOFTMAX
+from spoofsim.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, LINEAR, RELU, SOFTMAX, AdamState,
+                         DenseNetwork, Gradients, TrainConfig, Workspace, adam_step, backward,
+                         cross_entropy_delta, forward, gather_rows, init_network, input_gradient,
+                         load_model, predict, save_model)
 
 from helpers import as_float64, cross_entropy, finite_diff_check, subnormal_count, sure_rows
 
@@ -177,7 +177,7 @@ class TestWorkspace:
         # 47 rows in batches of 10: every epoch ends with a batch of 7
         rng = np.random.default_rng(17)
         net = init_network([7, 6, 5, 3], [RELU, RELU, output], rng=rng)
-        ref = net.copy()
+        ref = DenseNetwork(net.weights, net.biases, net.activations)
         x = rng.standard_normal((47, 7))
         y = np.eye(3)[rng.integers(0, 3, 47)]
         ws = Workspace(net, 10)
@@ -590,7 +590,7 @@ class TestLayout:
     def test_copy_shares_no_memory(self):
         net = small_net()
         before = net.params.copy()
-        twin = net.copy()
+        twin = DenseNetwork(net.weights, net.biases, net.activations)
         npt.assert_array_equal(twin.params, net.params)
         for a in [twin.params] + twin.weights + twin.biases:
             assert not np.shares_memory(a, net.params)
@@ -689,7 +689,7 @@ class TestDtype:
         net = init_network([5, 4, 2], rng=rng, dtype=np.float32)
         assert net.params.dtype == np.float32
         assert all(a.dtype == np.float32 for a in net.weights + net.biases)
-        assert net.copy().params.dtype == np.float32
+        assert DenseNetwork(net.weights, net.biases, net.activations).params.dtype == np.float32
         ws = Workspace(net, 3)
         assert {a.dtype for a in ws.acts + ws.d_in} == {np.dtype(np.float32)}
         assert ws.grads.flat.dtype == np.float32

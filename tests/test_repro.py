@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from spoofsim import parse_config, run_experiment
+from spoofsim.experiments import parse_config, run_experiment
 
 _SPEC = importlib.util.spec_from_file_location(
     "repro", Path(__file__).resolve().parents[1] / "scripts" / "repro.py")

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim import ScenarioConfig, substream
+from spoofsim.scenario import ScenarioConfig, substream
 
 
 def test_defaults_match_reference_geometry():
