@@ -133,11 +133,15 @@ def receive_phasors(mixing, tx_phasors, samples_per_symbol, rng) -> np.ndarray:
     bursts' own matched-filter phasors, (count, n_tx, n_symbols); the
     result (count, n_rx, n_symbols) is `mixing @ tx_phasors` plus the
     filtered receiver noise: the mean of S unit complex Gaussians, so
-    CN(0, 1/S), independent across bursts, antennas and symbols.
+    CN(0, 1/S), independent across bursts, antennas and symbols. A
+    tx_phasors of another burst or antenna count is refused before any draw.
     """
     mixing = np.asarray(mixing)
     tx_phasors = np.asarray(tx_phasors)
-    count, n_rx, _ = mixing.shape
+    count, n_rx, n_tx = mixing.shape
+    if tx_phasors.ndim != 3 or tx_phasors.shape[:2] != (count, n_tx):
+        raise ValueError(f"transmit phasors {tx_phasors.shape} do not fit "
+                         f"link matrices {mixing.shape}")
     s = int(samples_per_symbol)
     if s < 1:
         raise ValueError("samples_per_symbol must be >= 1")

@@ -277,6 +277,62 @@ class TestReceivePhasors:
                                      np.random.default_rng(0))
 
 
+class TestApplyChannel:
+    """The general link path: receive_phasors applies `mixing @ tx_phasors`
+    burst by burst, whatever the transmit phasors."""
+
+    def test_identity_channel_returns_input(self):
+        rng = np.random.default_rng(0)
+        tx = rng.standard_normal((1, 1, 4)) + 1j * rng.standard_normal((1, 1, 4))
+        npt.assert_allclose(received_phasors(identity_mixing(), tx), tx, atol=1e-14)
+
+    def test_superposition(self):
+        rng = np.random.default_rng(1)
+        mixing = (rng.exponential(1.0, (2, 2, 3))
+                  * np.exp(1j * rng.uniform(0, 2 * PI, (2, 2, 3))))
+        x = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        y = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        a, b = 1.7, -0.4 + 0.9j
+        combined = received_phasors(mixing, a * x + b * y)
+        separate = a * received_phasors(mixing, x) + b * received_phasors(mixing, y)
+        npt.assert_allclose(combined, separate, atol=1e-12)
+
+    def test_matches_dense_matrix_oracle(self):
+        rng = np.random.default_rng(2)
+        gains = rng.exponential(0.3, (3, 2, 2))
+        phases = rng.uniform(0, 2 * PI, (3, 2, 2))
+        tx = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        rx = received_phasors(gains * np.exp(1j * phases), tx)
+        # independent oracle: sum each receive antenna's inputs symbol by symbol
+        expected = np.zeros((3, 2, 4), dtype=complex)
+        for b in range(3):
+            for j in range(2):
+                for h in range(2):
+                    expected[b, j] += gains[b, j, h] * np.exp(1j * phases[b, j, h]) * tx[b, h]
+        npt.assert_allclose(rx, expected, atol=1e-12)
+
+    def test_antenna_mismatch_rejected(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            receive_phasors(identity_mixing(), np.ones((1, 2, 4), dtype=complex), 10, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("mixing_shape, tx_shape", [
+        ((3, 2, 2), (4, 2, 4)),  # tx batch count other than mixing's
+        ((3, 2, 2), (1, 2, 4)),  # one tx burst would broadcast over the batch
+        ((1, 2, 2), (3, 2, 4)),
+        ((3, 2, 2), (2, 4)),  # no batch axis
+    ])
+    def test_receive_phasors_refuses_before_any_draw(self, mixing_shape, tx_shape):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            receive_phasors(np.ones(mixing_shape, dtype=complex),
+                            np.ones(tx_shape, dtype=complex), 10, rng)
+        assert rng.bit_generator.state == state
+
+
 BLOCK_COUNTS = [1, _BLOCK_BURSTS - 1, _BLOCK_BURSTS, _BLOCK_BURSTS + 1, 1000]
 
 
@@ -303,6 +359,20 @@ class TestBlocks:
         weights = 30.0 * mixing.mean(axis=-1, keepdims=True)
         want = one_shot_rows(weights, carrier_tracks(phases, 5)[:, None, :], 6)
         npt.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_matched_filter_of_blocked_rows_is_the_phasor_twin(self, count):
+        # both the raw rows and their matched filter go one block at a time;
+        # a block given another block's links or phases would not match
+        rng = np.random.default_rng(count)
+        mixing = rng.standard_normal((count, 2, 3)) + 1j * rng.standard_normal((count, 2, 3))
+        phases = rng.uniform(0, 2 * PI, (count, 4))
+        rows = receive_waveform(mixing, phases, 30.0, 5, np.random.default_rng(3))
+        rows -= noise_rows(count, 2, 5, 3)
+        got = symbol_phasors(rows, 2, 5)
+        want = receive_waveform_phasors(mixing, phases, 30.0, 5, np.random.default_rng(4))
+        want -= noise_phasors(count, 2, 5, 4)
+        npt.assert_allclose(got, want, atol=1e-9)
 
     def test_receive_waveform_refuses_a_phase_count_other_than_mixing_before_any_draw(self):
         rng = np.random.default_rng(0)
