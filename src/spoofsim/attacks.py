@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .authenticator import FROM_T, Authenticator, classify
 from .gan import generator_phasors, train_gan
 from .scenario import TWO_PI, ScenarioConfig
@@ -56,11 +54,10 @@ def _check_feature_width(classifier: Authenticator, scenario: ScenarioConfig):
             f"delivers {scenario.conditioned_length}")
 
 
-def run_random_attack(classifier, scenario, n_trials=500, rng=None) -> AttackReport:
-    """Transmit structureless random-phase bursts at full power."""
+def run_random_attack(classifier, scenario, n_trials, rng) -> AttackReport:
+    """Transmit `n_trials` structureless random-phase bursts at full power,
+    drawn from the generator `rng`."""
     _check_feature_width(classifier, scenario)
-    if rng is None:
-        rng = np.random.default_rng()
     sc = scenario
     phases = rng.uniform(0.0, TWO_PI, size=(n_trials, SYMBOLS_PER_BURST))
     mixing = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
@@ -68,11 +65,10 @@ def run_random_attack(classifier, scenario, n_trials=500, rng=None) -> AttackRep
     return _report(classifier, rx)
 
 
-def run_replay_attack(classifier, scenario, n_trials=500, rng=None) -> AttackReport:
-    """Record a fresh legitimate burst each trial, amplify, and forward it."""
+def run_replay_attack(classifier, scenario, n_trials, rng) -> AttackReport:
+    """Record a fresh legitimate burst in each of `n_trials` trials, amplify,
+    and forward it, every draw from the generator `rng`."""
     _check_feature_width(classifier, scenario)
-    if rng is None:
-        rng = np.random.default_rng()
     sc = scenario
     bits = rng.integers(0, 2, size=(n_trials, BITS_PER_BURST))
     hop1 = sc.draw_mixing("t", "at", n_trials, rng, at_position=sc.attack_position)
@@ -86,10 +82,11 @@ def run_replay_attack(classifier, scenario, n_trials=500, rng=None) -> AttackRep
     return _report(classifier, rx)
 
 
-def run_gan_attack(classifier, generator, scenario, n_trials=500, rng=None,
+def run_gan_attack(classifier, generator, scenario, n_trials, rng,
                    power_budget=None) -> AttackReport:
-    """Spoof with a trained generator from the attack-time position, its
-    bursts capped at `power_budget` (default: the scenario's power)."""
+    """Spoof `n_trials` times with a trained generator from the attack-time
+    position, every draw from the generator `rng`, its bursts capped at
+    `power_budget` (default: the scenario's power)."""
     _check_feature_width(classifier, scenario)
     sc = scenario
     width = generator.layer_sizes[-1]
@@ -97,8 +94,6 @@ def run_gan_attack(classifier, generator, scenario, n_trials=500, rng=None,
     if width != expected_out:
         raise ValueError(f"generator emits {width} values, scenario needs {expected_out} "
                          f"for {sc.n_a} transmit antennas")
-    if rng is None:
-        rng = np.random.default_rng()
     budget = float(power_budget) if power_budget is not None else sc.power
     z = rng.standard_normal((n_trials, generator.layer_sizes[0]))
     tx, _ = generator_phasors(generator, z, sc.n_a, budget)
@@ -107,17 +102,15 @@ def run_gan_attack(classifier, generator, scenario, n_trials=500, rng=None,
     return _report(classifier, rx)
 
 
-def train_spoofer(scenario, gan_config=None, rng=None, retries=3):
-    """Train the adversarial generator, retrying on non-convergence;
-    returns (generator, trace) of the run kept.
+def train_spoofer(scenario, gan_config, rng, retries):
+    """Train the adversarial generator under `gan_config`, retrying on
+    non-convergence; returns (generator, trace) of the run kept.
 
-    Runs up to 1 + `retries` trainings with fresh randomness; the first
-    converged run wins, otherwise the last run is kept.
+    Runs up to 1 + `retries` trainings, one after another on the generator
+    `rng`; the first converged run wins, otherwise the last run is kept.
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")
-    if rng is None:
-        rng = np.random.default_rng()
     for _ in range(1 + retries):
         generator, _, trace = train_gan(scenario, gan_config, rng)
         if trace.converged:

@@ -119,10 +119,10 @@ def _draw_sensing_bursts(scenario: ScenarioConfig, n_samples, positive_fraction,
     return labels, weights, phases
 
 
-def build_dataset(scenario: ScenarioConfig, n_samples, positive_fraction=0.5,
-                  rng=None) -> LabeledDataset:
+def build_dataset(scenario: ScenarioConfig, n_samples, positive_fraction,
+                  rng) -> LabeledDataset:
     """Generate labelled sensing bursts at R with fresh fading per burst,
-    as raw feature rows.
+    as raw feature rows, every draw from the generator `rng`.
 
     Each sample is positive with probability `positive_fraction`
     (independently, then adjusted so both classes occur at least once).
@@ -130,21 +130,18 @@ def build_dataset(scenario: ScenarioConfig, n_samples, positive_fraction=0.5,
     i.i.d. uniform symbol phases transmitted at full power from the
     adversary training position.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     sc = scenario
     labels, weights, phases = _draw_sensing_bursts(sc, n_samples, positive_fraction, rng)
     x = receive_waveform(weights, phases, sc.power, sc.samples_per_symbol, rng)
     return LabeledDataset(x, labels, sc.n_r, sc.samples_per_symbol)
 
 
-def build_phasor_dataset(scenario: ScenarioConfig, n_samples, positive_fraction=0.5,
-                         rng=None) -> LabeledDataset:
+def build_phasor_dataset(scenario: ScenarioConfig, n_samples, positive_fraction,
+                         rng) -> LabeledDataset:
     """`build_dataset`'s bursts as their matched-filter phasors, one I/Q
-    pair per (antenna, symbol): the same draws up to the receiver, then
-    the filtered receiver noise in place of the full-width one."""
-    if rng is None:
-        rng = np.random.default_rng()
+    pair per (antenna, symbol): the same draws from `rng` up to the
+    receiver, then the filtered receiver noise in place of the full-width
+    one."""
     sc = scenario
     labels, weights, phases = _draw_sensing_bursts(sc, n_samples, positive_fraction, rng)
     rx = receive_waveform_phasors(weights, phases, sc.power, sc.samples_per_symbol, rng)
@@ -196,11 +193,11 @@ def _train_epoch(net, state, x, targets, cfg, rng, ws, max_steps=None) -> int:
     return len(starts)
 
 
-def train_classifier(train_set: LabeledDataset,
-                     config: TrainConfig | None = None) -> Authenticator:
+def train_classifier(train_set: LabeledDataset, config: TrainConfig) -> Authenticator:
     """Train the authentication network: front-end conditioning, then a
     float32 net of shape [2 * SYMBOLS_PER_BURST * n_antennas, 50, 50, 50, 2]
-    with relu hidden layers, softmax output, cross-entropy and Adam.
+    with relu hidden layers, softmax output, cross-entropy and Adam, its
+    draws seeded by `config.seed`.
 
     The net is initialised and stepped as the one raw-width net that would
     read each conditioned phasor copied into all of its symbol's S sample
@@ -212,8 +209,7 @@ def train_classifier(train_set: LabeledDataset,
     n_ant, sps = train_set.n_antennas, train_set.samples_per_symbol
     if n_ant is None or sps is None:
         raise ValueError("burst geometry (n_antennas, samples_per_symbol) is required")
-    cfg = config if config is not None else TrainConfig()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(config.seed)
     x = condition_rows(train_set.features, n_ant, sps)
     net = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None, sps, rng)
     # Cast once: `gather_rows` copies batches out of x, and the loss takes
@@ -221,10 +217,11 @@ def train_classifier(train_set: LabeledDataset,
     x = x.astype(net.params.dtype)
     targets = one_hot(train_set.labels).astype(net.params.dtype)
     state = AdamState.for_network(net, first_weight_scale=sps)
-    ws = Workspace(net, min(cfg.batch_size, len(train_set)))
+    ws = Workspace(net, min(config.batch_size, len(train_set)))
     steps = 0
-    while steps < cfg.train_steps:
-        steps += _train_epoch(net, state, x, targets, cfg, rng, ws, cfg.train_steps - steps)
+    while steps < config.train_steps:
+        steps += _train_epoch(net, state, x, targets, config, rng, ws,
+                              config.train_steps - steps)
     return Authenticator(net, n_ant, sps)
 
 

@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory where a file goes, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

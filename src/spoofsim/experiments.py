@@ -258,15 +258,17 @@ _KEYS = {
 
 
 def _read_config_file(path):
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 
@@ -274,9 +276,10 @@ def parse_config(path=None, overrides=None) -> ExperimentSpec:
     """Build an ExperimentSpec from a key=value file plus override flags.
 
     Overrides win over file entries; table presets fill grid/position
-    defaults for keys the user did not set. Unknown keys, out-of-range
-    values and keys no cell reads (`gan.*` off a gan sweep, `trials` on
-    one with no attack) raise ConfigError naming the offending key.
+    defaults for keys the user did not set. Unknown keys, keys the file
+    sets twice, out-of-range values and keys no cell reads (`gan.*` off a
+    gan sweep, `trials` on one with no attack) raise ConfigError naming
+    the offending key.
     """
     values = _read_config_file(path) if path else {}
     if overrides:
@@ -456,8 +459,8 @@ def _train_job(spec, kind, cell, seed):
     try:
         if kind == "gan":
             return train_spoofer(scenario, spec.gan, gan_rng, spec.gan_retries)
-        train_set = build_phasor_dataset(scenario, spec.n_train, rng=data_rng)
-        test_set = build_phasor_dataset(scenario, spec.n_test, rng=data_rng)
+        train_set = build_phasor_dataset(scenario, spec.n_train, 0.5, data_rng)
+        test_set = build_phasor_dataset(scenario, spec.n_test, 0.5, data_rng)
         clf = train_classifier(train_set, replace(spec.classifier, seed=scen_seed & 0x7FFFFFFF))
         return clf, evaluate(clf, test_set)
     except CELL_ERRORS as exc:
@@ -616,20 +619,20 @@ class Latency(NamedTuple):
     n_timed: int
 
 
-def benchmark_latency(classifier: Authenticator, n_repeats=1000, rng=None) -> Latency:
+def benchmark_latency(classifier: Authenticator, n_repeats) -> Latency:
     """Wall time in microseconds to authenticate one raw burst, front end
     plus network, from a raw feature row to a decision: mean, median and
     99th percentile over the decisions, each timed on its own.
 
-    Runs `n_repeats` decisions on one random raw row and discards the first
-    tenth as warm-up. A hundredth of the timed decisions lie beyond p99, so
-    it reads a tail from about 1000 timed decisions up.
+    Runs `n_repeats` decisions on one random raw row, the same row on every
+    call (drawn from `default_rng(0)`), and discards the first tenth as
+    warm-up. A hundredth of the timed decisions lie beyond p99, so it reads
+    a tail from about 1000 timed decisions up.
     """
     if n_repeats < MIN_REPEATS:
         raise ValueError(f"n_repeats must be >= {MIN_REPEATS}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    x = rng.standard_normal(classifier.net.layer_sizes[0] * classifier.samples_per_symbol)
+    width = classifier.net.layer_sizes[0] * classifier.samples_per_symbol
+    x = np.random.default_rng(0).standard_normal(width)
     seconds = np.empty(n_repeats)
     for i in range(n_repeats):
         start = time.perf_counter()

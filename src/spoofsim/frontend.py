@@ -148,7 +148,7 @@ def init_conditioned_network(layer_sizes, activations, samples_per_symbol,
     """
     s = int(samples_per_symbol)
     sizes = [int(n) for n in layer_sizes]
-    raw = init_network([sizes[0] * s, *sizes[1:]], activations, rng)
+    raw = init_network([sizes[0] * s, *sizes[1:]], activations, rng=rng)
     w = raw.weights[0]
     folded = w.reshape(w.shape[0], sizes[0] // 2, s, 2).sum(axis=2).reshape(w.shape[0], -1)
     return DenseNetwork([a.astype(np.float32) for a in (folded, *raw.weights[1:])],

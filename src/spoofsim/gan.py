@@ -124,7 +124,8 @@ def discriminator_layer_sizes(scenario: ScenarioConfig, config: GanConfig) -> li
 def init_generator(scenario, config, rng) -> DenseNetwork:
     """A float32 net; its phasors leave it as float64 (see `rows_to_streams`)."""
     sizes = generator_layer_sizes(scenario, config)
-    return init_network(sizes, [RELU] * config.hidden_depth + [LINEAR], rng, np.float32)
+    return init_network(sizes, [RELU] * config.hidden_depth + [LINEAR], rng=rng,
+                        dtype=np.float32)
 
 
 def init_discriminator(scenario, config, rng) -> DenseNetwork:
@@ -198,7 +199,7 @@ def generator_phasors(g_net: DenseNetwork, z, n_adv, power_budget):
 
 
 def _generator_grads(g_net, d_net, z, mixing, rx_phasors, tx_phasors, targets,
-                     power_budget, g_ws=None, d_ws=None) -> Gradients:
+                     power_budget, g_ws, d_ws) -> Gradients:
     """Generator gradients of the discriminator's cross-entropy against
     `targets` on bursts re-sent by the generator's current output for z,
     passes written into g_ws and d_ws.
@@ -240,8 +241,9 @@ def check_convergence(loss_series, window, threshold) -> bool:
     return bool(np.max(np.abs(tail - now)) < threshold * abs(now))
 
 
-def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=None):
-    """Adversarial training loop; returns (generator, discriminator, trace).
+def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
+    """Adversarial training loop under `config`, every draw from the
+    generator `rng`; returns (generator, discriminator, trace).
 
     The real pool is drawn once at the start: `real_pool` legitimate QPSK
     bursts from T with fresh payload bits, each over its own T-to-surrogate
@@ -265,10 +267,7 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig | None = None, rng=Non
     Training stops early once both loss series pass the perturbation
     convergence test; otherwise the trace reports converged=False.
     """
-    cfg = config if config is not None else GanConfig()
-    if rng is None:
-        rng = np.random.default_rng()
-    sc = scenario
+    cfg, sc = config, scenario
     budget = float(cfg.power_budget) if cfg.power_budget is not None else sc.power
 
     g_net = init_generator(sc, cfg, rng)

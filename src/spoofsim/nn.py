@@ -120,8 +120,10 @@ class DenseNetwork:
         self.weights, self.biases = _layer_views(self.params, self.layer_sizes)
 
 
-def init_network(layer_sizes, activations=None, rng=None, dtype=np.float64) -> DenseNetwork:
-    """He-uniform weights for relu layers, Xavier-uniform elsewhere, zero biases.
+def init_network(layer_sizes, activations=None, *, rng,
+                 dtype=np.float64) -> DenseNetwork:
+    """He-uniform weights for relu layers, Xavier-uniform elsewhere, zero
+    biases, drawn from the generator `rng`.
 
     `activations` defaults to relu on hidden layers and softmax at the output.
     The weights are drawn in float64 whatever `dtype` is (same random stream
@@ -137,8 +139,6 @@ def init_network(layer_sizes, activations=None, rng=None, dtype=np.float64) -> D
         activations = [RELU] * (n_layers - 1) + [SOFTMAX]
     if len(activations) != n_layers:
         raise ValueError(f"expected {n_layers} activations, got {len(activations)}")
-    if rng is None:
-        rng = np.random.default_rng()
     weights, biases = [], []
     for i in range(n_layers):
         fan_in, fan_out = sizes[i], sizes[i + 1]
@@ -248,13 +248,11 @@ def _run_layers(net, a, outs):
     return inputs, a
 
 
-def forward(net: DenseNetwork, x, ws: Workspace | None = None):
+def forward(net: DenseNetwork, x, ws: Workspace):
     """Run the network, returning (output, cache) for a later backward pass;
-    both are views into ws, a one-shot workspace when None."""
+    both are views into ws."""
     a = _as_batch(x, net.layer_sizes[0], net.params.dtype)
     n = a.shape[0]
-    if ws is None:
-        ws = Workspace(net, n)
     if ws.layer_sizes != net.layer_sizes or ws.dtype != net.params.dtype or n > ws.rows:
         raise ValueError(f"{n} {net.params.dtype} rows do not fit a {ws.rows}-row "
                          f"{ws.layer_sizes} {ws.dtype} workspace")

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from spoofsim.nn import (LINEAR, LOG_EPS, DenseNetwork, backward, cross_entropy_delta, forward,
-                         predict)
+from spoofsim.nn import (LINEAR, LOG_EPS, DenseNetwork, Workspace, backward, cross_entropy_delta,
+                         forward, predict)
 
 
 def subnormal_count(a) -> int:
@@ -70,7 +70,7 @@ def finite_diff_check(net: DenseNetwork, x, label, h=1e-5, max_per_tensor=None,
         raise ValueError("h must be positive")
     if net.params.dtype != np.float64:
         raise ValueError("finite differences need a float64 net")
-    out, cache = forward(net, x)
+    out, cache = forward(net, x, Workspace(net, len(x)))
     grads = backward(net, cache, cross_entropy_delta(out, label))
     tensors = []
     for i in range(net.n_layers):

@@ -9,7 +9,7 @@ from spoofsim.authenticator import (CLASSIFIER_HIDDEN, FROM_T, NOT_T, Authentica
                                     build_phasor_dataset, classify, evaluate, one_hot,
                                     train_classifier)
 from spoofsim.frontend import condition_rows, symbol_phasors
-from spoofsim.nn import (AdamState, DenseNetwork, TrainConfig, adam_step, backward,
+from spoofsim.nn import (AdamState, DenseNetwork, TrainConfig, Workspace, adam_step, backward,
                          cross_entropy_delta, forward, init_network, predict)
 from spoofsim.scenario import ScenarioConfig, substream
 from spoofsim.waveform import feature_rows
@@ -245,13 +245,14 @@ class TestTrainClassifier:
         x = replicated(train.features).astype(dtype)
         ref = init_network([x.shape[1], *CLASSIFIER_HIDDEN, 2], rng=rng, dtype=dtype)
         state = AdamState.for_network(ref)
+        ws = Workspace(ref, cfg.batch_size)
         targets = one_hot(train.labels)
         steps = 0
         while steps < cfg.train_steps:
             order = rng.permutation(len(train))
             for start in range(0, len(train), cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                out, cache = forward(ref, x[idx])
+                out, cache = forward(ref, x[idx], ws)
                 adam_step(ref, backward(ref, cache, cross_entropy_delta(out, targets[idx])),
                           state, cfg)
                 steps += 1

@@ -9,9 +9,9 @@ import pytest
 
 from spoofsim.authenticator import Authenticator
 from spoofsim.cli import main
-from spoofsim.experiments import (CSV_COLUMNS, TABLE_ATTACKS, ConfigError, ExperimentSpec,
-                                  benchmark_latency, build_version, parse_config, run_experiment,
-                                  run_jobs, sweep_processes)
+from spoofsim.experiments import (CSV_COLUMNS, TABLE_ATTACKS, ConfigError, benchmark_latency,
+                                  build_version, parse_config, run_experiment, run_jobs,
+                                  sweep_processes)
 from spoofsim.nn import init_network, load_model, save_model
 
 from helpers import job_failing_at
@@ -62,6 +62,15 @@ scenario.power = 500
         assert spec.seeds == (3, 4)
         assert spec.n_trials == 9  # flag wins
         assert spec.base.power == 500.0
+
+    def test_key_set_twice_in_a_file_rejected(self, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("seeds = 1\ntrials = 3\n\nseeds = 2  # the last would have won\n")
+        with pytest.raises(ConfigError, match=r"twice.cfg:4: seeds is already set on line 1"):
+            parse_config(cfg, overrides={"attack": "random"})
+        # a flag still overrides the file's one value
+        cfg.write_text("seeds = 1\ntrials = 3\n")
+        assert parse_config(cfg, overrides={"attack": "random", "seeds": "2"}).seeds == (2,)
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -524,6 +533,18 @@ classifier.train_steps = 20
 
     def test_missing_model_exit_one(self, tmp_path):
         assert main(["bench", "--model", str(tmp_path / "nope.bin")]) == 1
+
+    @pytest.mark.parametrize("argv, error", [
+        (["bench", "--model", "{dir}"], "Is a directory"),
+        (["run", "--config", "{dir}"], "Is a directory"),
+        (["run", "--out", "{file}/res"], "Not a directory"),
+    ], ids=["bench_model_directory", "run_config_directory", "run_out_under_a_file"])
+    def test_path_of_the_wrong_kind_exit_one(self, tmp_path, capsys, argv, error):
+        (tmp_path / "file").write_text("")
+        paths = {"dir": tmp_path, "file": tmp_path / "file"}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and error in err[0]
 
     def test_train_gan_subcommand(self, capsys):
         # gone: `run` with attack = gan is the one command that trains a GAN

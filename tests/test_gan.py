@@ -65,16 +65,17 @@ def channel_case(sc):
 def production_generator_grads(g, d, z, mats, noise, targets, budget):
     """The generator epoch's per-batch gradients on channel_case's bursts:
     the received phasors of the noise alone, moved by mats @ (transmit
-    phasors - 0)."""
+    phasors - 0), through workspaces built for them."""
     tx_zero = np.zeros((len(z), mats.shape[-1], noise.shape[-1]), dtype=complex)
-    return _generator_grads(g, d, z, mats, noise, tx_zero, targets, budget)
+    return _generator_grads(g, d, z, mats, noise, tx_zero, targets, budget,
+                            Workspace(g, len(z)), Workspace(d, len(z)))
 
 
 def reference_generator_grads(sc, g, z, mats, noise, budget, phasor_grad):
     """Generator gradients written out step by step: through the output
     layer, the power cap and the channel, given `phasor_grad(rx)`, the loss
     gradient w.r.t. the received phasors."""
-    out, g_cache = forward(g, z)
+    out, g_cache = forward(g, z, Workspace(g, len(z)))
     raw = rows_to_streams(out, sc.n_a)
     tx, _ = scale_to_budget(raw, budget)
     rx = np.einsum("bij,bjk->bik", mats, tx) + noise
@@ -358,6 +359,29 @@ class TestTrainGan:
         assert trace.d_loss[0] == d_loss
         assert trace.g_loss[0] == g_loss
 
+    def test_epoch_calls_keep_the_order_the_benchmark_splits_phases_by(self, monkeypatch):
+        # perfbench/layers.py `gan_phases` finds each epoch's phases from the
+        # order of these calls: the discriminator epoch is (b), the first
+        # loss probability after it ends (c) and starts (d), and the
+        # convergence check ends (d). Below the window one check runs.
+        calls = []
+
+        def spy(name):
+            real = getattr(spoofsim.gan, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("_train_epoch", "from_t_probability", "check_convergence"):
+            monkeypatch.setattr(f"spoofsim.gan.{name}", spy(name))
+        cfg = replace(TINY, max_epochs=3, conv_window=4)
+        _, _, trace = train_gan(tiny_scenario(seed=9), cfg, substream(9, 2))
+        assert trace.epochs_run == 3
+        assert calls == ["_train_epoch", "from_t_probability", "from_t_probability",
+                         "check_convergence"] * 3
+
     def test_capped_burst_counts(self, monkeypatch):
         # Each epoch counts the bursts of its synthetic pool that the cap
         # scaled: the scales below one that scale_to_budget returns in (a),
@@ -437,7 +461,7 @@ class TestTrainGan:
         def replicated_phasor_grad(rx):
             cond = condition_phasors(rx)
             x = np.repeat(cond.reshape(len(cond), -1, 1, 2), s, axis=2).reshape(len(cond), -1)
-            out, cache = forward(d_raw, x)
+            out, cache = forward(d_raw, x, Workspace(d_raw, len(x)))
             g_x = input_gradient(d_raw, cache, cross_entropy_delta(out, targets))
             # replication adjoint: each phasor collects its slots' gradients
             g_cond = g_x.reshape(len(cond), -1, s, 2).sum(axis=2).reshape(len(cond), -1)
@@ -473,7 +497,8 @@ class TestTrainGan:
         def raw_discriminator(scenario, config, rng):
             sizes = discriminator_layer_sizes(scenario, config)
             return init_network([sizes[0] * s, *sizes[1:]],
-                                [RELU] * config.hidden_depth + [SOFTMAX], rng, d.params.dtype)
+                                [RELU] * config.hidden_depth + [SOFTMAX], rng=rng,
+                                dtype=d.params.dtype)
 
         monkeypatch.setattr("spoofsim.gan.AdamState", PlainAdam)
         monkeypatch.setattr("spoofsim.gan.init_discriminator", raw_discriminator)

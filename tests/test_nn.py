@@ -97,20 +97,20 @@ class TestInit:
 class TestForward:
     def test_symmetric_softmax(self):
         net = DenseNetwork([np.zeros((2, 2))], [np.zeros(2)], [SOFTMAX])
-        out, _ = forward(net, np.array([[3.0, -1.0]]))
+        out, _ = forward(net, np.array([[3.0, -1.0]]), Workspace(net, 1))
         npt.assert_allclose(out, [[0.5, 0.5]])
 
     def test_identity_linear_layer(self):
         net = DenseNetwork([np.eye(4)], [np.zeros(4)], [LINEAR])
         x = np.array([[1.0, -2.0, 3.5, 0.0]])
-        out, _ = forward(net, x)
+        out, _ = forward(net, x, Workspace(net, 1))
         npt.assert_array_equal(out, x)
 
     def test_against_independent_reimplementation(self):
         rng = np.random.default_rng(8)
         net = small_net(seed=8)
         x = rng.standard_normal((1, 7))
-        out, _ = forward(net, x)
+        out, _ = forward(net, x, Workspace(net, 1))
         # plain-loop oracle of the same arithmetic
         a = x[0].copy()
         for w, b, act in zip(net.weights, net.biases, net.activations):
@@ -127,13 +127,14 @@ class TestForward:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         net = small_net(seed=1)
-        out, _ = forward(net, rng.standard_normal((40, 7)) * 100)
+        out, _ = forward(net, rng.standard_normal((40, 7)) * 100, Workspace(net, 40))
         npt.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(out > 0)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            forward(small_net(), np.zeros((1, 6)))
+            net = small_net()
+            forward(net, np.zeros((1, 6)), Workspace(net, 1))
 
     def test_predict_matches_forward(self):
         rng = np.random.default_rng(2)
@@ -142,7 +143,7 @@ class TestForward:
             for shape in ((5, 7), (1, 7)):
                 x = rng.standard_normal(shape)
                 before = x.copy()
-                npt.assert_array_equal(predict(net, x), forward(net, x)[0])
+                npt.assert_array_equal(predict(net, x), forward(net, x, Workspace(net, len(x)))[0])
                 npt.assert_array_equal(x, before)
 
 
@@ -153,12 +154,14 @@ class TestBatchOnly:
     def test_one_dimensional_input_is_refused_by_its_shape(self, fn):
         # A single sample is one row; its 1-D array is refused.
         net = small_net()
-        _, cache = forward(net, np.ones((1, 7)))
+        ws = Workspace(net, 1)
+        _, cache = forward(net, np.ones((1, 7)), ws)
         p, y = np.full(3, 1 / 3), np.eye(3)[0]
-        args = {forward: (net, np.ones(7)), predict: (net, np.ones(7)),
+        args = {forward: (net, np.ones(7), ws), predict: (net, np.ones(7)),
                 backward: (net, cache, np.zeros(3)), input_gradient: (net, cache, np.zeros(3)),
                 cross_entropy_delta: (p, y), cross_entropy: (p, y)}[fn]
-        with pytest.raises(ValueError, match=re.escape(str(args[-1].shape))):
+        refused = args[1] if fn is forward else args[-1]  # forward's last is its workspace
+        with pytest.raises(ValueError, match=re.escape(str(refused.shape))):
             fn(*args)
 
 
@@ -190,7 +193,7 @@ class TestWorkspace:
                 out, cache = forward(net, gather_rows(ws, x, idx), ws)
                 loss_gradient = training_loss_gradient(out, y[idx], output)
                 adam_step(net, backward(net, cache, loss_gradient), state, TrainConfig())
-                out, cache = forward(ref, x[idx])
+                out, cache = forward(ref, x[idx], Workspace(ref, len(idx)))
                 loss_gradient = training_loss_gradient(out, y[idx], output)
                 adam_step(ref, backward(ref, cache, loss_gradient), ref_state, TrainConfig())
                 steps += 1
@@ -202,7 +205,7 @@ class TestWorkspace:
     def test_one_shot_gradients_survive_later_passes(self):
         rng = np.random.default_rng(18)
         net = small_net(seed=18)
-        out, cache = forward(net, rng.standard_normal((4, 7)))
+        out, cache = forward(net, rng.standard_normal((4, 7)), Workspace(net, 4))
         grads = backward(net, cache, rng.standard_normal(out.shape))
         kept = grads.flat.copy()
         ws = Workspace(net, 6)
@@ -210,7 +213,7 @@ class TestWorkspace:
             out, other = forward(net, rng.standard_normal((6, 7)), ws)
             backward(net, other, rng.standard_normal(out.shape))
             input_gradient(net, other, rng.standard_normal(out.shape))
-            out, other = forward(net, rng.standard_normal((4, 7)))
+            out, other = forward(net, rng.standard_normal((4, 7)), Workspace(net, 4))
             backward(net, other, rng.standard_normal(out.shape))
         npt.assert_array_equal(grads.flat, kept)
         adam_step(net, grads, AdamState.for_network(net), TrainConfig())
@@ -352,7 +355,7 @@ class TestCrossEntropyDelta:
 class TestBackward:
     def test_zero_loss_gradient_gives_zero_parameter_gradients(self):
         net = small_net()
-        out, cache = forward(net, np.ones((1, 7)))
+        out, cache = forward(net, np.ones((1, 7)), Workspace(net, 1))
         grads = backward(net, cache, np.zeros((1, 3)))
         assert all(np.all(g == 0) for g in grads.d_weights)
         assert all(np.all(g == 0) for g in grads.d_biases)
@@ -371,7 +374,7 @@ class TestBackward:
         net = small_net(seed=4)
         x = rng.standard_normal((1, 7))
         label = np.array([[0.0, 1.0, 0.0]])
-        out, cache = forward(net, x)
+        out, cache = forward(net, x, Workspace(net, 1))
         grads = backward(net, cache, cross_entropy_delta(out, label))
         # with softmax + cross-entropy, d(loss)/d(last pre-activation) = p - y,
         # so the last bias gradient equals the residual directly
@@ -380,13 +383,13 @@ class TestBackward:
     def test_input_gradient_shape(self):
         net = small_net()
         x = np.ones((4, 7))
-        out, cache = forward(net, x)
+        out, cache = forward(net, x, Workspace(net, 4))
         assert input_gradient(net, cache, np.ones_like(out)).shape == x.shape
 
     def test_stale_cache_rejected(self):
         net = small_net()
         other = small_net((7, 4, 3))
-        _, cache = forward(other, np.ones((1, 7)))
+        _, cache = forward(other, np.ones((1, 7)), Workspace(other, 1))
         with pytest.raises(ValueError):
             backward(net, cache, np.zeros((1, 3)))
 
@@ -397,7 +400,7 @@ class TestInputGradient:
         rng = np.random.default_rng(13)
         net = init_network([6, 5, 4, 3], [RELU, RELU, output], rng=rng)
         x = rng.standard_normal((4, 6))
-        out, cache = forward(net, x)
+        out, cache = forward(net, x, Workspace(net, 4))
         if output == SOFTMAX:
             label = np.eye(3)[rng.integers(0, 3, 4)]
             loss_gradient = cross_entropy_delta(out, label)
@@ -423,7 +426,7 @@ class TestInputGradient:
     def test_equals_full_backward(self, output, shape):
         rng = np.random.default_rng(14)
         net = init_network([7, 6, 5, 3], [RELU, RELU, output], rng=rng)
-        out, cache = forward(net, rng.standard_normal(shape))
+        out, cache = forward(net, rng.standard_normal(shape), Workspace(net, shape[0]))
         loss_gradient = rng.standard_normal(out.shape)
         npt.assert_array_equal(input_gradient(net, cache, loss_gradient),
                                full_backward_d_input(net, cache, loss_gradient))
@@ -433,7 +436,7 @@ class TestInputGradient:
         # its mask must not be applied in place.
         rng = np.random.default_rng(16)
         net = init_network([7, 6, 5, 3], [RELU, RELU, RELU], rng=rng)
-        out, cache = forward(net, rng.standard_normal((5, 7)))
+        out, cache = forward(net, rng.standard_normal((5, 7)), Workspace(net, 5))
         assert 0 < np.count_nonzero(out) < out.size  # the mask zeroes some entries
         loss_gradient = rng.standard_normal(out.shape)
         kept = loss_gradient.copy()
@@ -444,7 +447,8 @@ class TestInputGradient:
         npt.assert_array_equal(loss_gradient, kept)
 
     def test_stale_cache_rejected(self):
-        _, cache = forward(small_net((7, 4, 3)), np.ones((1, 7)))
+        other = small_net((7, 4, 3))
+        _, cache = forward(other, np.ones((1, 7)), Workspace(other, 1))
         with pytest.raises(ValueError):
             input_gradient(small_net(), cache, np.zeros((1, 3)))
 
@@ -505,8 +509,9 @@ class TestAdam:
             x = rng.standard_normal((20, 7))
             y = np.zeros((20, 3))
             y[np.arange(20), rng.integers(0, 3, 20)] = 1.0
+            ws = Workspace(net, 20)
             for _ in range(50):
-                out, cache = forward(net, x)
+                out, cache = forward(net, x, ws)
                 adam_step(net, backward(net, cache, cross_entropy_delta(out, y)),
                           state, TrainConfig())
             return net
@@ -539,8 +544,9 @@ class TestAdam:
         net = init_network([2, 8, 2], rng=rng)
         state = AdamState.for_network(net)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=100)
+        ws = Workspace(net, 100)
         for _ in range(500):
-            out, cache = forward(net, x)
+            out, cache = forward(net, x, ws)
             adam_step(net, backward(net, cache, cross_entropy_delta(out, y)),
                       state, cfg)
         assert np.all(np.argmax(predict(net, x), axis=1) == labels)
@@ -580,7 +586,7 @@ class TestLayout:
 
     def test_gradient_views_share_memory_with_flat(self):
         net = small_net()
-        out, cache = forward(net, np.ones((3, 7)))
+        out, cache = forward(net, np.ones((3, 7)), Workspace(net, 3))
         grads = backward(net, cache, np.ones_like(out))
         assert grads.flat.shape == net.params.shape
         for a in grads.d_weights + grads.d_biases:
@@ -711,7 +717,7 @@ class TestDtype:
     def test_passes_cast_inputs_and_loss_gradients_to_the_net_dtype(self):
         net = init_network([5, 4, 3], rng=np.random.default_rng(22), dtype=np.float32)
         x = np.random.default_rng(23).standard_normal((6, 5))
-        out, cache = forward(net, x)
+        out, cache = forward(net, x, Workspace(net, 6))
         assert out.dtype == predict(net, x).dtype == np.float32
         npt.assert_array_equal(out, predict(net, x.astype(np.float32)))
         label = np.eye(3)[[0, 1, 2, 0, 1, 2]]
@@ -744,7 +750,7 @@ class TestDtype:
         # in one run and off in the other, a gap of order one that says
         # nothing about how either dtype is handled.
         rng = np.random.default_rng(26)
-        n32 = init_network([8, 32, 32, 2], [LINEAR, LINEAR, SOFTMAX], rng, np.float32)
+        n32 = init_network([8, 32, 32, 2], [LINEAR, LINEAR, SOFTMAX], rng=rng, dtype=np.float32)
         n64 = as_float64(n32)
         x = rng.standard_normal((200, 8))
         targets = np.eye(2)[(x[:, :4].sum(axis=1) > x[:, 4:].sum(axis=1)).astype(int)]
@@ -771,7 +777,7 @@ class TestDtype:
         # layer's gradients.
         net = init_network([6, 16, 16, 2], rng=np.random.default_rng(28), dtype=np.float32)
         x = sure_rows(net, np.random.default_rng(29).standard_normal((10, 6)))
-        out, cache = forward(net, x)
+        out, cache = forward(net, x, Workspace(net, len(x)))
         assert subnormal_count(out) == len(x)
         sure = np.eye(2)[np.argmax(out, axis=1)]
         ws = cache.workspace
@@ -790,7 +796,7 @@ class TestDtype:
         # exactly (out - y) / B, and backward forms its gradients from it
         net = init_network([6, 16, 16, 2], rng=np.random.default_rng(28))
         x = sure_rows(net, np.random.default_rng(29).standard_normal((10, 6)), gap=40.0)
-        out, cache = forward(net, x)
+        out, cache = forward(net, x, Workspace(net, len(x)))
         assert np.all(out.min(axis=1) < 1e-17)
         y = np.eye(2)[np.argmax(out, axis=1)]
         dz = cross_entropy_delta(out, y)

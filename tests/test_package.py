@@ -2,7 +2,14 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import spoofsim
+from spoofsim.attacks import run_gan_attack, run_random_attack, run_replay_attack, train_spoofer
+from spoofsim.authenticator import build_dataset, build_phasor_dataset
+from spoofsim.gan import GanConfig, train_gan
+from spoofsim.nn import init_network
+from spoofsim.scenario import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +48,26 @@ def test_every_name_the_benchmark_and_scripts_read_through_the_package_resolves(
     missing = sorted(f"{reader}: spoofsim.{name}" for reader, names in reads.items()
                      for name in names if not hasattr(spoofsim, name))
     assert missing == []
+
+
+# Every call of a function that draws with all its other arguments but the
+# generator. Binding the call fails before its body runs, so the classifier
+# and generator arguments are never read.
+WITHOUT_RNG = {
+    "build_dataset": lambda sc: build_dataset(sc, 10, 0.5),
+    "build_phasor_dataset": lambda sc: build_phasor_dataset(sc, 10, 0.5),
+    "run_random_attack": lambda sc: run_random_attack(None, sc, 10),
+    "run_replay_attack": lambda sc: run_replay_attack(None, sc, 10),
+    "run_gan_attack": lambda sc: run_gan_attack(None, None, sc, 10, power_budget=1.0),
+    "train_spoofer": lambda sc: train_spoofer(sc, GanConfig(), retries=0),
+    "train_gan": lambda sc: train_gan(sc, GanConfig()),
+    "init_network": lambda sc: init_network([3, 2]),
+}
+
+
+@pytest.mark.parametrize("name", WITHOUT_RNG)
+def test_a_left_out_random_generator_is_refused_at_the_call(name):
+    # A stream seeded from fresh entropy would leave the cell that drew from
+    # it irreproducible, so no function seeds one: each caller names its own.
+    with pytest.raises(TypeError, match="rng"):
+        WITHOUT_RNG[name](ScenarioConfig())
