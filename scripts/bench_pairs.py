@@ -16,12 +16,15 @@ not favour either side. For every end-to-end metric that the change's
 BENCHMARK.json lists, the script prints each side's median and quartiles,
 how many pairs the change won, and whether the gain rule holds: the
 change wins at least 9 in 10 pairs and its median beats the parent's by
-more than the parent's interquartile range. It also prints a "no worse"
-verdict against the metric's `bound`, a fraction of the parent's median:
-"worse" when the change's median is worse than the parent's by more than
-the bound; else "unresolved" when the parent's interquartile range is
-wider than the bound, unless every change run beats every parent run;
-else "no worse". A closing JSON line holds the
+more than the parent's interquartile range. The gain rule is applied only
+to runs of at least `run_seconds`: shorter runs have shown gains that a
+full-length rerun refuted, so with a smaller `--seconds` every metric
+reports "gain": false and the closing JSON "short_runs": true. It also
+prints a "no worse" verdict against the metric's `bound`, a fraction of
+the parent's median: "worse" when the change's median is worse than the
+parent's by more than the bound; else "unresolved" when the parent's
+interquartile range is wider than the bound, unless every change run
+beats every parent run; else "no worse". A closing JSON line holds the
 same figures, with both trees' git revisions (HEAD commit, and whether
 tracked files differ from it). `--out PATH` also stores that closing
 object in a JSON file under "workloads", keyed by workload, so runs on
@@ -145,8 +148,10 @@ def verdict(parent, change, lower_better, bound):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    run_seconds = float(spec.get("run_seconds", 45))
     if args.seconds is None:
-        args.seconds = float(spec.get("run_seconds", 45))
+        args.seconds = run_seconds
+    short_runs = args.seconds < run_seconds
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     values = {side: {name: [] for name in metrics} for side in ("parent", "change")}
     all_correct = True
@@ -166,6 +171,9 @@ def main(argv=None) -> int:
             print(f"pair {pair + 1}/{args.pairs} {side:6s} correct={correct} "
                   + " ".join(shown), file=sys.stderr, flush=True)
     summary = {}
+    if short_runs:
+        print(f"gain rule not applied: {args.seconds:g}-s runs are shorter than run_seconds "
+              f"({run_seconds:g} s)")
     for name, m in metrics.items():
         parent, change = values["parent"][name], values["change"][name]
         if not parent or len(parent) != len(change):
@@ -173,17 +181,19 @@ def main(argv=None) -> int:
             print(f"{name}: missing values (parent {len(parent)}, change {len(change)})")
             continue
         v = verdict(parent, change, m["better"] == "lower", float(m["bound"]))
+        v["gain"] = v["gain"] and not short_runs
         summary[name] = v
         p, c = v["parent"], v["change"]
+        gain_rule = "not applied" if short_runs else "holds" if v["gain"] else "fails"
         print(f"{name} [{m['unit']}, {m['better']} is better]: "
               f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
               f"wins {v['wins']}/{v['pairs']}  gap {v['gap']:.4g} vs parent IQR "
-              f"{v['parent_iqr']:.4g}  gain rule {'holds' if v['gain'] else 'fails'}  "
+              f"{v['parent_iqr']:.4g}  gain rule {gain_rule}  "
               f"bound {v['bound']:.3g}: {v['no_worse']}")
     closing = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-               "seconds": args.seconds, "correct": all_correct, "metrics": summary,
-               "runs": values,
+               "seconds": args.seconds, "short_runs": short_runs, "correct": all_correct,
+               "metrics": summary, "runs": values,
                "revisions": {side: git_revision(getattr(args, side))
                              for side in ("parent", "change")}}
     print(json.dumps(closing))

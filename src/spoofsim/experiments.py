@@ -251,7 +251,6 @@ _KEYS = {
     "gan.batch_size": ("gan", "batch_size", int),
     "gan.max_epochs": ("gan", "max_epochs", int),
     "gan.conv_window": ("gan", "conv_window", int),
-    "gan.conv_threshold": ("gan", "conv_threshold", float),
     "gan.power_budget": ("gan", "power_budget", float),
     "gan.retries": ("spec", "gan_retries", int),
 }

@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows, qpsk_pha
                        receive_phasors, receive_waveform_phasors, rows_to_streams,
                        stream_rms)
 
+CONV_THRESHOLD = 0.05
+
 
 @dataclass
 class GanConfig:
@@ -58,10 +61,10 @@ class GanConfig:
     which for the generator's constant-envelope bursts is the summed
     per-antenna RMS of their phasors.
 
-    conv_window and conv_threshold set the stopping rule (see
-    check_convergence): training stops once the last conv_window values of
-    both loss series lie within conv_threshold times the latest value of
-    that series. A run with max_epochs < conv_window never converges.
+    conv_window sets the stopping rule (see check_convergence): training
+    stops once the last conv_window values of both loss series lie within
+    CONV_THRESHOLD times the latest value of that series. A run with
+    max_epochs < conv_window never converges.
     """
 
     noise_dim: int = 100
@@ -72,15 +75,12 @@ class GanConfig:
     batch_size: int = 100
     max_epochs: int = 2000
     conv_window: int = 100
-    conv_threshold: float = 0.05
     power_budget: float | None = None
 
     def __post_init__(self):
         # Each message starts with the field name (`parse_config` relies on it).
         if self.conv_window < 2:
             raise ValueError("conv_window must be >= 2")
-        if not (0.0 < self.conv_threshold < 1.0):
-            raise ValueError("conv_threshold must lie in (0, 1)")
         for name in ("noise_dim", "hidden_width", "hidden_depth", "real_pool",
                      "synth_per_epoch", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
@@ -143,17 +143,13 @@ def from_t_probability(d_net: DenseNetwork, batch) -> np.ndarray:
     return predict(d_net, batch)[:, FROM_T].astype(np.float64)
 
 
-def _clamped_log(p):
-    return np.log(np.maximum(p, LOG_EPS))
-
-
 def _losses(p_real, p_synth) -> tuple[float, float]:
     """(discriminator loss, generator loss) from the discriminator's
     probabilities p_real and p_synth that real and synthetic bursts are
     legitimate: E_synth[log(1 - D(x))] - E_real[log D(x)], and its first
     term alone, which does not depend on p_real."""
-    g_loss = float(_clamped_log(1.0 - p_synth).mean())
-    return g_loss - float(_clamped_log(p_real).mean()), g_loss
+    g_loss = float(np.log(np.maximum(1.0 - p_synth, LOG_EPS)).mean())
+    return g_loss - float(np.log(np.maximum(p_real, LOG_EPS)).mean()), g_loss
 
 
 def scale_to_budget(streams, power_budget):
@@ -241,6 +237,39 @@ def check_convergence(loss_series, window, threshold) -> bool:
     return bool(np.max(np.abs(tail - now)) < threshold * abs(now))
 
 
+class SynthPool(NamedTuple):
+    """Phase (a)'s pool: noise rows, capped transmit phasors, link matrices,
+    received phasors and the count of bursts the power cap scaled."""
+
+    z: np.ndarray
+    tx: np.ndarray
+    mixing: np.ndarray
+    rx: np.ndarray
+    capped: int
+
+
+def _synth_pool(g_net, scenario, config, budget, rng) -> SynthPool:
+    """Phase (a): the generator's fresh pool, sent through fresh channel
+    draws and received as matched-filter phasors."""
+    z = rng.standard_normal((config.synth_per_epoch, config.noise_dim)).astype(g_net.params.dtype)
+    tx, scale = generator_phasors(g_net, z, scenario.n_a, budget)
+    mixing = scenario.draw_mixing("at", "ar", config.synth_per_epoch, rng)
+    rx = receive_phasors(mixing, tx, scenario.samples_per_symbol, rng)
+    return SynthPool(z, tx, mixing, rx, int(np.count_nonzero(scale < 1.0)))
+
+
+def _generator_epoch(g_net, d_net, g_state, pool, spoof_targets, budget, opt_cfg, g_ws, d_ws):
+    """Phase (c): each batch re-sends its bursts of the pool with the updated
+    generator over the same links and noise (see `_generator_grads`), then
+    takes one Adam step toward the discriminator's "legitimate" verdict."""
+    for start in range(0, len(pool.z), opt_cfg.batch_size):
+        sl = slice(start, start + opt_cfg.batch_size)
+        z = pool.z[sl]
+        grads = _generator_grads(g_net, d_net, z, pool.mixing[sl], pool.rx[sl], pool.tx[sl],
+                                 spoof_targets[: len(z)], budget, g_ws, d_ws)
+        adam_step(g_net, grads, g_state, opt_cfg)
+
+
 def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
     """Adversarial training loop under `config`, every draw from the
     generator `rng`; returns (generator, discriminator, trace).
@@ -250,17 +279,14 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
     link matrix with receiver noise, drawn as one batch of matched-filter
     phasors.
     Per epoch:
-    (a) the generator emits a fresh pool of synthetic bursts, each sent
-        through its own adversary-to-surrogate link matrix with receiver
-        noise, all as matched-filter phasors; the trace counts the bursts
-        the power cap scaled;
-    (b) the discriminator runs one cross-entropy epoch over the shuffled
-        real plus synthetic pool;
-    (c) the generator runs one epoch driving the discriminator's verdict on
-        its bursts toward "legitimate", re-sending (a)'s bursts over the
-        same links and noise, with gradients flowing through the
-        discriminator, the front end, the link matrices and the power cap,
-        all on phasors;
+    (a) `_synth_pool` sends a fresh pool of synthetic bursts, each over its
+        own adversary-to-surrogate link matrix with receiver noise; the
+        trace counts the bursts the power cap scaled;
+    (b) `_train_epoch` runs the discriminator over the shuffled real plus
+        synthetic pool;
+    (c) `_generator_epoch` drives the discriminator's verdict on (a)'s
+        bursts toward "legitimate", with gradients flowing through the
+        discriminator, the front end, the link matrices and the power cap;
     (d) the losses are recorded. They score (a)'s pool, sent before (c)
         moved the generator, with the discriminator (b) just trained on it,
         so g_loss and d_loss never show (c)'s update.
@@ -275,59 +301,34 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
     g_state = AdamState.for_network(g_net)
     d_state = AdamState.for_network(d_net, first_weight_scale=sc.samples_per_symbol)
     opt_cfg = TrainConfig(batch_size=cfg.batch_size)
-    n_synth = cfg.synth_per_epoch
-    g_ws = Workspace(g_net, min(cfg.batch_size, n_synth))
-    d_ws = Workspace(d_net, min(cfg.batch_size, cfg.real_pool + n_synth))
+    g_ws = Workspace(g_net, min(cfg.batch_size, cfg.synth_per_epoch))
+    d_ws = Workspace(d_net, min(cfg.batch_size, cfg.real_pool + cfg.synth_per_epoch))
 
     bits = rng.integers(0, 2, size=(cfg.real_pool, BITS_PER_BURST))
     mixing = sc.draw_mixing("t", "ar", cfg.real_pool, rng)
-    # Conditioned rows and targets are cast to the discriminator's dtype
-    # once, where they enter it: `gather_rows` copies batches out of the
-    # rows into its workspace.
+    # Rows and targets are cast to the discriminator's dtype once, where they
+    # enter it: `gather_rows` copies its batches out of them.
     d_dtype = d_net.params.dtype
     real_xc = condition_phasors(receive_waveform_phasors(
         mixing, qpsk_phases(bits), sc.power, sc.samples_per_symbol, rng)).astype(d_dtype)
-
-    real_targets = one_hot(np.full(cfg.real_pool, FROM_T)).astype(d_dtype)
-    synth_targets = one_hot(np.zeros(n_synth, dtype=np.int64)).astype(d_dtype)
+    labels = np.repeat([FROM_T, 1 - FROM_T], [cfg.real_pool, cfg.synth_per_epoch])
+    pool_targets = one_hot(labels).astype(d_dtype)
     spoof_targets = one_hot(np.full(cfg.batch_size, FROM_T)).astype(d_dtype)
 
     trace = TrainingTrace()
     for _ in range(cfg.max_epochs):
-        # (a) transmit a fresh synthetic pool through fresh channel draws, as
-        # matched-filter phasors.
-        z = rng.standard_normal((n_synth, cfg.noise_dim)).astype(g_net.params.dtype)
-        tx, scale = generator_phasors(g_net, z, sc.n_a, budget)
-        mixing = sc.draw_mixing("at", "ar", n_synth, rng)
-        rx = receive_phasors(mixing, tx, sc.samples_per_symbol, rng)
-        trace.capped_bursts.append(int(np.count_nonzero(scale < 1.0)))
-
-        # (b) one discriminator epoch over real + synthetic
-        pool_x = np.concatenate([real_xc, condition_phasors(rx)], dtype=d_dtype)
-        synth_xc = pool_x[cfg.real_pool:]
-        pool_targets = np.concatenate([real_targets, synth_targets])
+        pool = _synth_pool(g_net, sc, cfg, budget, rng)
+        trace.capped_bursts.append(pool.capped)
+        pool_x = np.concatenate([real_xc, condition_phasors(pool.rx)], dtype=d_dtype)
         _train_epoch(d_net, d_state, pool_x, pool_targets, opt_cfg, rng, d_ws)
-
-        # (c) one generator epoch against the updated discriminator, in
-        # phasors: each batch re-sends its bursts of (a) with the updated
-        # generator over the same link matrices and receiver noise, so the
-        # received phasors move by mixing @ (new - old transmit phasors), and
-        # the gradient returns through the front end's VJP, the channel's
-        # adjoint and the power cap's.
-        for start in range(0, n_synth, cfg.batch_size):
-            sl = slice(start, start + cfg.batch_size)
-            targets = spoof_targets[: len(z[sl])]
-            grads = _generator_grads(g_net, d_net, z[sl], mixing[sl], rx[sl], tx[sl],
-                                     targets, budget, g_ws, d_ws)
-            adam_step(g_net, grads, g_state, opt_cfg)
-
-        # (d) epoch bookkeeping: losses, convergence
+        _generator_epoch(g_net, d_net, g_state, pool, spoof_targets, budget, opt_cfg, g_ws, d_ws)
+        # (d) losses on (a)'s pool, then the stopping rule
         d_loss, g_loss = _losses(from_t_probability(d_net, real_xc),
-                                 from_t_probability(d_net, synth_xc))
+                                 from_t_probability(d_net, pool_x[cfg.real_pool:]))
         trace.d_loss.append(d_loss)
         trace.g_loss.append(g_loss)
-        if check_convergence(trace.g_loss, cfg.conv_window, cfg.conv_threshold) and \
-           check_convergence(trace.d_loss, cfg.conv_window, cfg.conv_threshold):
+        if check_convergence(trace.g_loss, cfg.conv_window, CONV_THRESHOLD) and \
+           check_convergence(trace.d_loss, cfg.conv_window, CONV_THRESHOLD):
             trace.converged = True
             break
     return g_net, d_net, trace

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -84,3 +85,41 @@ class TestTrees:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "--change" in err and "git worktree add" in err
+
+
+class TestShortRuns:
+    """The gain rule reads only runs of the benchmark's own length."""
+
+    def run_main(self, tmp_path, monkeypatch, seconds):
+        parent = bench_tree(tmp_path / "parent", git_init=True)
+        change = bench_tree(tmp_path / "change", git_init=True)
+        (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 45, "end_to_end": [
+            {"name": "cell_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+        runs = {parent: iter(QUIET), change: iter([v - 0.1 for v in QUIET])}
+
+        def run_once(tree, args):
+            return {"correct": True, "metrics": {"cell_s": {"value": next(runs[tree])}}}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        argv = ["--parent", str(parent), "--change", str(change), "--workload", "gan_1x1",
+                "--seed", "11"] + (["--seconds", str(seconds)] if seconds else [])
+        assert bench_pairs.main(argv) == 0
+
+    def test_shorter_runs_claim_no_gain_but_keep_the_no_worse_verdict(
+            self, tmp_path, monkeypatch, capsys):
+        # the change wins every pair by far more than the parent's IQR
+        self.run_main(tmp_path, monkeypatch, 20)
+        out = capsys.readouterr().out
+        assert "gain rule not applied: 20-s runs are shorter than run_seconds (45 s)" in out
+        closing = json.loads(out.strip().splitlines()[-1])
+        assert closing["short_runs"] is True
+        v = closing["metrics"]["cell_s"]
+        assert (v["wins"], v["gain"], v["no_worse"]) == (10, False, "no worse")
+
+    def test_full_length_runs_apply_the_gain_rule(self, tmp_path, monkeypatch, capsys):
+        self.run_main(tmp_path, monkeypatch, None)
+        out = capsys.readouterr().out
+        assert "not applied" not in out
+        closing = json.loads(out.strip().splitlines()[-1])
+        assert closing["short_runs"] is False and closing["seconds"] == 45
+        assert closing["metrics"]["cell_s"]["gain"] is True

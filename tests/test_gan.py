@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import spoofsim.authenticator
 import spoofsim.gan
 from spoofsim.authenticator import FROM_T, one_hot
 from spoofsim.frontend import condition_phasors, condition_phasors_vjp, symbol_phasors
@@ -22,8 +23,7 @@ from spoofsim.waveform import carrier_tracks, feature_rows, rows_to_streams, str
 from helpers import as_float64, cross_entropy, subnormal_count, sure_rows
 
 TINY = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=12,
-                 synth_per_epoch=12, batch_size=6, max_epochs=2,
-                 conv_window=2, conv_threshold=0.05)
+                 synth_per_epoch=12, batch_size=6, max_epochs=2, conv_window=2)
 
 
 def tiny_scenario(seed=0, **kw):
@@ -242,8 +242,6 @@ class TestArchitectures:
         with pytest.raises(ValueError):
             GanConfig(conv_window=1)
         with pytest.raises(ValueError):
-            GanConfig(conv_threshold=1.0)
-        with pytest.raises(ValueError):
             GanConfig(real_pool=0)
 
 
@@ -360,9 +358,10 @@ class TestTrainGan:
         assert trace.g_loss[0] == g_loss
 
     def test_epoch_calls_keep_the_order_the_benchmark_splits_phases_by(self, monkeypatch):
+        # Each epoch runs its four phases as named calls, (a) to (d).
         # perfbench/layers.py `gan_phases` finds each epoch's phases from the
-        # order of these calls: the discriminator epoch is (b), the first
-        # loss probability after it ends (c) and starts (d), and the
+        # order of the last three names: the discriminator epoch is (b), the
+        # first loss probability after it ends (c) and starts (d), and the
         # convergence check ends (d). Below the window one check runs.
         calls = []
 
@@ -374,13 +373,53 @@ class TestTrainGan:
                 return real(*args, **kwargs)
             return call
 
-        for name in ("_train_epoch", "from_t_probability", "check_convergence"):
+        markers = ("_train_epoch", "from_t_probability", "check_convergence")
+        for name in ("_synth_pool", "_generator_epoch", *markers):
             monkeypatch.setattr(f"spoofsim.gan.{name}", spy(name))
         cfg = replace(TINY, max_epochs=3, conv_window=4)
         _, _, trace = train_gan(tiny_scenario(seed=9), cfg, substream(9, 2))
         assert trace.epochs_run == 3
-        assert calls == ["_train_epoch", "from_t_probability", "from_t_probability",
-                         "check_convergence"] * 3
+        assert calls == ["_synth_pool", "_train_epoch", "_generator_epoch", "from_t_probability",
+                         "from_t_probability", "check_convergence"] * 3
+        assert [name for name in calls if name in markers] == [
+            "_train_epoch", "from_t_probability", "from_t_probability", "check_convergence"] * 3
+
+    @pytest.mark.parametrize("real_pool, synth_per_epoch, batch_size, g_rows, d_rows", [
+        (12, 10, 4, [4, 4, 2], [4, 4, 4, 4, 4, 2]),
+        (7, 10, 20, [10], [17]),
+    ])
+    def test_pools_that_do_not_split_into_whole_batches(self, monkeypatch, real_pool,
+                                                        synth_per_epoch, batch_size,
+                                                        g_rows, d_rows):
+        # A batch size that does not divide a pool leaves a short last batch,
+        # and one larger than the pool makes one batch of the whole pool. Each
+        # generator batch drives all its rows toward "legitimate".
+        epochs = []
+
+        def epoch_spy(*args):
+            epochs.append(([], []))
+            return train_epoch(*args)
+
+        def gather_spy(ws, x, idx):
+            epochs[-1][1].append(len(idx))
+            return gather_rows(ws, x, idx)
+
+        def grads_spy(g, d, z, mixing, rx, tx, targets, *args):
+            assert len(z) == len(mixing) == len(rx) == len(tx) == len(targets)
+            assert np.all(targets[:, FROM_T] == 1)
+            epochs[-1][0].append(len(z))
+            return generator_grads(g, d, z, mixing, rx, tx, targets, *args)
+
+        train_epoch, generator_grads = spoofsim.gan._train_epoch, spoofsim.gan._generator_grads
+        gather_rows = spoofsim.authenticator.gather_rows
+        monkeypatch.setattr("spoofsim.gan._train_epoch", epoch_spy)
+        monkeypatch.setattr("spoofsim.gan._generator_grads", grads_spy)
+        monkeypatch.setattr("spoofsim.authenticator.gather_rows", gather_spy)
+        cfg = replace(TINY, real_pool=real_pool, synth_per_epoch=synth_per_epoch,
+                      batch_size=batch_size, max_epochs=3, conv_window=4)
+        _, _, trace = train_gan(tiny_scenario(seed=5), cfg, substream(5, 2))
+        assert trace.epochs_run == 3
+        assert epochs == [(g_rows, d_rows)] * 3
 
     def test_capped_burst_counts(self, monkeypatch):
         # Each epoch counts the bursts of its synthetic pool that the cap
