@@ -20,7 +20,10 @@ path. So each checkout also draws the workload's raw probe set as
 `perfbench/run.py` `setup` draws it (`build_dataset`, 1000 bursts, 0.5,
 `numpy.random.default_rng(seed)`), conditions it with `condition_rows`,
 and prints the SHA-256 of the labels, the raw rows and the conditioned
-rows; those hashes must agree too. The script prints the first
+rows. The cell trains one GAN config only, so each checkout also runs
+`train_gan` on the small configs of GAN_PROBES and prints one SHA-256 per
+run, over both nets' params, both loss curves, the capped counts and
+`converged`. All these hashes must agree too. The script prints the first
 difference, cell outputs first.
 
 Exit code: 0 when the outputs are identical, 1 when they differ, 2 when
@@ -65,20 +68,45 @@ def parse_args(argv):
 
 
 PROBE_BURSTS = 1000
-# Run in a checkout with argv n_t, n_r, n_a, seed, burst count; prints one
-# JSON object of hashes, in the order they are compared.
+_SMALL_GAN = {"noise_dim": 6, "hidden_width": 16, "hidden_depth": 2}
+# name: (seed, (n_t, n_r, n_a), GanConfig fields) of each `train_gan` run
+# the probe makes. The seeds are fixed, not the workload's, so that each
+# run keeps the property its name states (tests/test_same_outputs.py).
+GAN_PROBES = {
+    "train_gan 2x2, uneven batches": (11, (1, 2, 2), {
+        **_SMALL_GAN, "real_pool": 13, "synth_per_epoch": 10, "batch_size": 4,
+        "max_epochs": 120, "conv_window": 200}),
+    "train_gan binding power budget": (11, (1, 1, 1), {
+        **_SMALL_GAN, "real_pool": 12, "synth_per_epoch": 12, "batch_size": 6,
+        "max_epochs": 40, "power_budget": 0.01}),
+    "train_gan converged": (2, (1, 1, 1), {
+        **_SMALL_GAN, "real_pool": 12, "synth_per_epoch": 12, "batch_size": 6,
+        "max_epochs": 100, "conv_window": 4}),
+}
+# Run in a checkout with argv n_t, n_r, n_a, seed, burst count and
+# GAN_PROBES as JSON; prints one JSON object of hashes, in the order they
+# are compared.
 PROBE_CODE = """
 import hashlib, json, sys
 import numpy as np
 import spoofsim
-n_t, n_r, n_a, seed, count = map(int, sys.argv[1:])
+from spoofsim.gan import GanConfig, train_gan
+n_t, n_r, n_a, seed, count = map(int, sys.argv[1:6])
 scenario = spoofsim.ScenarioConfig(n_t=n_t, n_r=n_r, n_a=n_a, seed=seed)
 probes = spoofsim.build_dataset(scenario, count, 0.5, np.random.default_rng(seed))
 conditioned = spoofsim.condition_rows(probes.features, n_r, scenario.samples_per_symbol)
 arrays = {"probe labels": probes.labels, "raw probe rows": probes.features,
           "conditioned probe rows": conditioned}
-print(json.dumps({name: hashlib.sha256(f"{a.dtype} {a.shape} ".encode() + a.tobytes()).hexdigest()
-                  for name, a in arrays.items()}))
+hashes = {name: hashlib.sha256(f"{a.dtype} {a.shape} ".encode() + a.tobytes()).hexdigest()
+          for name, a in arrays.items()}
+for name, (gan_seed, (t, r, a), fields) in json.loads(sys.argv[6]).items():
+    g_net, d_net, trace = train_gan(spoofsim.ScenarioConfig(n_t=t, n_r=r, n_a=a, seed=gan_seed),
+                                    GanConfig(**fields), np.random.default_rng(gan_seed))
+    curves = np.array([trace.g_loss, trace.d_loss, trace.capped_bursts], dtype=np.float64)
+    parts = [g_net.params.tobytes(), d_net.params.tobytes(), curves.tobytes(),
+             bytes([trace.converged])]
+    hashes[name] = hashlib.sha256(b"".join(parts)).hexdigest()
+print(json.dumps(hashes))
 """
 
 
@@ -105,9 +133,10 @@ def run_cell(tree: Path, config_text: str, config: Path) -> bool:
 
 def probe_hashes(tree: Path, workload, seed: int) -> dict | None:
     """The hashes PROBE_CODE prints in tree for the workload's geometry and
-    seed, or None when the run failed."""
+    seed and for GAN_PROBES, or None when the run failed."""
     proc = run_in(tree, ["-c", PROBE_CODE, *map(str, (workload.n_t, workload.n_r,
-                                                       workload.n_a, seed, PROBE_BURSTS))])
+                                                       workload.n_a, seed, PROBE_BURSTS)),
+                         json.dumps(GAN_PROBES)])
     return None if proc is None else json.loads(proc.stdout)
 
 

@@ -83,10 +83,10 @@ def run_replay_attack(classifier, scenario, n_trials, rng) -> AttackReport:
 
 
 def run_gan_attack(classifier, generator, scenario, n_trials, rng,
-                   power_budget=None) -> AttackReport:
+                   power_budget) -> AttackReport:
     """Spoof `n_trials` times with a trained generator from the attack-time
     position, every draw from the generator `rng`, its bursts capped at
-    `power_budget` (default: the scenario's power)."""
+    `power_budget` (None: the scenario's power)."""
     _check_feature_width(classifier, scenario)
     sc = scenario
     width = generator.layer_sizes[-1]

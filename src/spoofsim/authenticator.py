@@ -178,26 +178,26 @@ class Authenticator:
         return condition_rows(rows, self.n_antennas, self.samples_per_symbol)
 
 
-def _train_epoch(net, state, x, targets, cfg, rng, ws, max_steps=None) -> int:
+def _train_epoch(net, state, x, targets, batch_size, rng, ws, max_steps=None) -> int:
     """One shuffled cross-entropy pass over (x, targets) in batches of
-    cfg.batch_size through workspace ws, stopped after max_steps batches
-    when given; returns the batches run. Both the classifier and the GAN's
+    batch_size through workspace ws, stopped after max_steps batches when
+    given; returns the batches run. Both the classifier and the GAN's
     discriminator train here."""
     order = rng.permutation(x.shape[0])
-    starts = range(0, x.shape[0], cfg.batch_size)[:max_steps]
+    starts = range(0, x.shape[0], batch_size)[:max_steps]
     for start in starts:
-        idx = order[start:start + cfg.batch_size]
+        idx = order[start:start + batch_size]
         out, cache = forward(net, gather_rows(ws, x, idx), ws)
         grads = backward(net, cache, cross_entropy_delta(out, targets.take(idx, axis=0)))
-        adam_step(net, grads, state, cfg)
+        adam_step(net, grads, state)
     return len(starts)
 
 
-def train_classifier(train_set: LabeledDataset, config: TrainConfig) -> Authenticator:
+def train_classifier(train_set: LabeledDataset, config: TrainConfig, rng) -> Authenticator:
     """Train the authentication network: front-end conditioning, then a
     float32 net of shape [2 * SYMBOLS_PER_BURST * n_antennas, 50, 50, 50, 2]
-    with relu hidden layers, softmax output, cross-entropy and Adam, its
-    draws seeded by `config.seed`.
+    with relu hidden layers, softmax output, cross-entropy and Adam, every
+    draw from the generator `rng`.
 
     The net is initialised and stepped as the one raw-width net that would
     read each conditioned phasor copied into all of its symbol's S sample
@@ -209,18 +209,17 @@ def train_classifier(train_set: LabeledDataset, config: TrainConfig) -> Authenti
     n_ant, sps = train_set.n_antennas, train_set.samples_per_symbol
     if n_ant is None or sps is None:
         raise ValueError("burst geometry (n_antennas, samples_per_symbol) is required")
-    rng = np.random.default_rng(config.seed)
     x = condition_rows(train_set.features, n_ant, sps)
     net = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None, sps, rng)
     # Cast once: `gather_rows` copies batches out of x, and the loss takes
     # targets in the net's dtype.
     x = x.astype(net.params.dtype)
     targets = one_hot(train_set.labels).astype(net.params.dtype)
-    state = AdamState.for_network(net, first_weight_scale=sps)
+    state = AdamState.for_network(net, config.learning_rate, first_weight_scale=sps)
     ws = Workspace(net, min(config.batch_size, len(train_set)))
     steps = 0
     while steps < config.train_steps:
-        steps += _train_epoch(net, state, x, targets, config, rng, ws,
+        steps += _train_epoch(net, state, x, targets, config.batch_size, rng, ws,
                               config.train_steps - steps)
     return Authenticator(net, n_ant, sps)
 

@@ -460,7 +460,8 @@ def _train_job(spec, kind, cell, seed):
             return train_spoofer(scenario, spec.gan, gan_rng, spec.gan_retries)
         train_set = build_phasor_dataset(scenario, spec.n_train, 0.5, data_rng)
         test_set = build_phasor_dataset(scenario, spec.n_test, 0.5, data_rng)
-        clf = train_classifier(train_set, replace(spec.classifier, seed=scen_seed & 0x7FFFFFFF))
+        clf = train_classifier(train_set, spec.classifier,
+                               np.random.default_rng(scen_seed & 0x7FFFFFFF))
         return clf, evaluate(clf, test_set)
     except CELL_ERRORS as exc:
         return exc.with_traceback(None)  # whose frames would hold the datasets

@@ -42,14 +42,15 @@ import numpy as np
 from .authenticator import FROM_T, _train_epoch, one_hot
 from .frontend import condition_phasors, condition_phasors_vjp, init_conditioned_network
 from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork, Gradients,
-                 TrainConfig, Workspace, adam_step, backward, cross_entropy_delta, forward,
-                 init_network, input_gradient, predict)
+                 Workspace, adam_step, backward, cross_entropy_delta, forward, init_network,
+                 input_gradient, predict)
 from .scenario import ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows, qpsk_phases,
                        receive_phasors, receive_waveform_phasors, rows_to_streams,
                        stream_rms)
 
 CONV_THRESHOLD = 0.05
+LEARNING_RATE = 1e-3  # Adam's, for both nets
 
 
 @dataclass
@@ -217,16 +218,14 @@ def _generator_grads(g_net, d_net, z, mixing, rx_phasors, tx_phasors, targets,
     return backward(g_net, cache, feature_rows(_scale_backward(q, raw, power_budget)))
 
 
-def check_convergence(loss_series, window, threshold) -> bool:
-    """True when the last `window` values stay within `threshold` of the
+def check_convergence(loss_series, window) -> bool:
+    """True when the last `window` values stay within CONV_THRESHOLD of the
     current loss, relatively; a near-zero current loss only converges if
     the whole window is near zero too.
 
     A series shorter than `window` never converges; one of exactly `window`
     values can, so `window=2` judges from two epochs alone.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     series = np.asarray(loss_series, dtype=np.float64)
     if series.size < window:
         return False
@@ -234,7 +233,7 @@ def check_convergence(loss_series, window, threshold) -> bool:
     now = tail[-1]
     if abs(now) < 1e-9:
         return bool(np.all(np.abs(tail) < 1e-9))
-    return bool(np.max(np.abs(tail - now)) < threshold * abs(now))
+    return bool(np.max(np.abs(tail - now)) < CONV_THRESHOLD * abs(now))
 
 
 class SynthPool(NamedTuple):
@@ -258,16 +257,16 @@ def _synth_pool(g_net, scenario, config, budget, rng) -> SynthPool:
     return SynthPool(z, tx, mixing, rx, int(np.count_nonzero(scale < 1.0)))
 
 
-def _generator_epoch(g_net, d_net, g_state, pool, spoof_targets, budget, opt_cfg, g_ws, d_ws):
+def _generator_epoch(g_net, d_net, g_state, pool, spoof_targets, budget, batch_size, g_ws, d_ws):
     """Phase (c): each batch re-sends its bursts of the pool with the updated
     generator over the same links and noise (see `_generator_grads`), then
     takes one Adam step toward the discriminator's "legitimate" verdict."""
-    for start in range(0, len(pool.z), opt_cfg.batch_size):
-        sl = slice(start, start + opt_cfg.batch_size)
+    for start in range(0, len(pool.z), batch_size):
+        sl = slice(start, start + batch_size)
         z = pool.z[sl]
         grads = _generator_grads(g_net, d_net, z, pool.mixing[sl], pool.rx[sl], pool.tx[sl],
                                  spoof_targets[: len(z)], budget, g_ws, d_ws)
-        adam_step(g_net, grads, g_state, opt_cfg)
+        adam_step(g_net, grads, g_state)
 
 
 def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
@@ -298,9 +297,8 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
 
     g_net = init_generator(sc, cfg, rng)
     d_net = init_discriminator(sc, cfg, rng)
-    g_state = AdamState.for_network(g_net)
-    d_state = AdamState.for_network(d_net, first_weight_scale=sc.samples_per_symbol)
-    opt_cfg = TrainConfig(batch_size=cfg.batch_size)
+    g_state = AdamState.for_network(g_net, LEARNING_RATE)
+    d_state = AdamState.for_network(d_net, LEARNING_RATE, sc.samples_per_symbol)
     g_ws = Workspace(g_net, min(cfg.batch_size, cfg.synth_per_epoch))
     d_ws = Workspace(d_net, min(cfg.batch_size, cfg.real_pool + cfg.synth_per_epoch))
 
@@ -320,15 +318,16 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
         pool = _synth_pool(g_net, sc, cfg, budget, rng)
         trace.capped_bursts.append(pool.capped)
         pool_x = np.concatenate([real_xc, condition_phasors(pool.rx)], dtype=d_dtype)
-        _train_epoch(d_net, d_state, pool_x, pool_targets, opt_cfg, rng, d_ws)
-        _generator_epoch(g_net, d_net, g_state, pool, spoof_targets, budget, opt_cfg, g_ws, d_ws)
+        _train_epoch(d_net, d_state, pool_x, pool_targets, cfg.batch_size, rng, d_ws)
+        _generator_epoch(g_net, d_net, g_state, pool, spoof_targets, budget, cfg.batch_size,
+                         g_ws, d_ws)
         # (d) losses on (a)'s pool, then the stopping rule
         d_loss, g_loss = _losses(from_t_probability(d_net, real_xc),
                                  from_t_probability(d_net, pool_x[cfg.real_pool:]))
         trace.d_loss.append(d_loss)
         trace.g_loss.append(g_loss)
-        if check_convergence(trace.g_loss, cfg.conv_window, CONV_THRESHOLD) and \
-           check_convergence(trace.d_loss, cfg.conv_window, CONV_THRESHOLD):
+        if check_convergence(trace.g_loss, cfg.conv_window) and \
+           check_convergence(trace.d_loss, cfg.conv_window):
             trace.converged = True
             break
     return g_net, d_net, trace

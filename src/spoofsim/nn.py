@@ -356,14 +356,12 @@ def cross_entropy_delta(pred, targets) -> np.ndarray:
 
 @dataclass
 class TrainConfig:
-    """Adam's learning rate plus batching (its other settings are the
-    ADAM_* constants); defaults match the training recipes used throughout
-    this package."""
+    """The authentication classifier's settings: Adam's learning rate (its
+    other settings are the ADAM_* constants), batch size and step count."""
 
     learning_rate: float = 1e-3
     batch_size: int = 100
     train_steps: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         # Each message starts with the field name (`parse_config` relies on it).
@@ -377,8 +375,9 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, each one flat vector laid out like
-    the `params` of the network whose `layer_sizes` they record, in its dtype.
+    """Adam's state for one network: its learning rate and first/second
+    moment accumulators, each one flat vector laid out like the `params` of
+    the network whose `layer_sizes` they record, in its dtype.
 
     first_weight_scale multiplies the first layer's weight step (not its
     bias step): a first-layer weight that stands for that many tied
@@ -395,6 +394,7 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     layer_sizes: list
+    learning_rate: float
     step: int = 0
     first_weight_scale: float = 1.0
     work: np.ndarray = field(init=False, repr=False)  # the step's scratch vector
@@ -403,14 +403,14 @@ class AdamState:
         self.work = np.empty_like(self.m)
 
     @classmethod
-    def for_network(cls, net: DenseNetwork, first_weight_scale=1.0) -> "AdamState":
+    def for_network(cls, net: DenseNetwork, learning_rate, first_weight_scale=1.0) -> "AdamState":
         dtype = net.params.dtype
         return cls(np.zeros(net.params.size, dtype), np.zeros(net.params.size, dtype),
-                   net.layer_sizes, first_weight_scale=float(first_weight_scale))
+                   net.layer_sizes, float(learning_rate),
+                   first_weight_scale=float(first_weight_scale))
 
 
-def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
-              config: TrainConfig) -> AdamState:
+def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState) -> AdamState:
     """One bias-corrected Adam update of the whole parameter vector; mutates
     `net` and `state` in place."""
     if state.layer_sizes != net.layer_sizes or grads.flat.shape != net.params.shape or \
@@ -423,7 +423,7 @@ def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState,
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** state.step
     inv_sqrt_corr2 = 1.0 / math.sqrt(1.0 - b2 ** state.step)
-    scale = config.learning_rate / corr1
+    scale = state.learning_rate / corr1
     g, step = grads.flat, state.work
     state.m *= b1
     state.m += np.multiply(g, 1.0 - b1, out=step)

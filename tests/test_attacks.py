@@ -24,7 +24,7 @@ def tiny_scenario(seed=0, **kw):
 def tiny_classifier(seed=0):
     sc = tiny_scenario(seed)
     ds = build_phasor_dataset(sc, 60, 0.5, substream(seed, 1))
-    return sc, train_classifier(ds, TrainConfig(seed=seed, train_steps=40))
+    return sc, train_classifier(ds, TrainConfig(train_steps=40), np.random.default_rng(seed))
 
 
 def always_not_t(sc, width):
@@ -84,7 +84,7 @@ class TestGanAttack:
     def test_runs_with_trained_generator(self):
         sc, clf = tiny_classifier(5)
         g, _ = train_spoofer(sc, TINY_GAN, substream(5, 2), retries=0)
-        report = run_gan_attack(clf, g, sc, 20, substream(5, 4))
+        report = run_gan_attack(clf, g, sc, 20, substream(5, 4), None)
         assert report.n_trials == 20
         assert report.success_prob == report.n_success / 20
 
@@ -93,7 +93,7 @@ class TestGanAttack:
         wrong = init_generator(tiny_scenario(6, n_a=2), TINY_GAN,
                                np.random.default_rng(0))
         with pytest.raises(ValueError, match="emits 16 values, scenario needs 8"):
-            run_gan_attack(clf, wrong, sc, 5, substream(6, 4))
+            run_gan_attack(clf, wrong, sc, 5, substream(6, 4), None)
 
     def test_raw_sample_generator_refused(self):
         # a generator of the raw-sample width, 2 * n_points * n_a (one I/Q
@@ -102,7 +102,7 @@ class TestGanAttack:
         raw = init_network([TINY_GAN.noise_dim, 8, 2 * sc.n_points * sc.n_a],
                            rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="emits 40 values, scenario needs 8"):
-            run_gan_attack(clf, raw, sc, 5, substream(6, 4))
+            run_gan_attack(clf, raw, sc, 5, substream(6, 4), None)
 
     def test_mobility_uses_attack_time_position(self, monkeypatch):
         # the attack's links into R are drawn from where A_T stands at attack
@@ -118,8 +118,8 @@ class TestGanAttack:
         g = init_generator(sc, TINY_GAN, np.random.default_rng(1))
         monkeypatch.setattr(ScenarioConfig, "draw_mixing", spy)
         run_gan_attack(clf, g, replace(sc, attack_time_at_pos=(0.0, 20.0)), 30,
-                       substream(7, 4))
-        run_gan_attack(clf, g, sc, 30, substream(7, 4))
+                       substream(7, 4), None)
+        run_gan_attack(clf, g, sc, 30, substream(7, 4), None)
         assert positions == [("at", "r", (0.0, 20.0)), ("at", "r", (0.0, 10.0))]
 
 

@@ -267,6 +267,22 @@ class TestRunExperiment:
         assert not result.failures
         assert budgets == [0.25] * (2 if table == "5" else 1)
 
+    def test_classifier_settings_never_reach_the_gan(self, tmp_path):
+        # the GAN's nets step at their own learning rate, so a classifier
+        # setting moves the classifier alone
+        def models(name, **overrides):
+            spec = fast_spec(tmp_path / name, **{"table": "3", "n_t": "1", "n_r": "1",
+                                                 "n_a": "1", **overrides})
+            assert not run_experiment(spec).failures
+            return sweep_outputs(Path(spec.out_dir) / "models")
+
+        default = models("default")
+        faster = models("faster", **{"classifier.learning_rate": "0.01"})
+        prefix = "t3_nt1_nr1_na1_seed0"
+        for what in ("generator.bin", "trace.csv"):
+            assert faster[f"{prefix}_{what}"] == default[f"{prefix}_{what}"]
+        assert faster[f"{prefix}_classifier.bin"] != default[f"{prefix}_classifier.bin"]
+
     def test_mean_row_averages_the_cell_seeds(self, tmp_path):
         spec = fast_spec(tmp_path, **{"seeds": "0,1", "n_r": "1,2", "attack": "replay"})
         result = run_experiment(spec)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spoofsim
+from spoofsim.gan import GanConfig, train_gan
 
 _SPEC = importlib.util.spec_from_file_location(
     "same_outputs", Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py")
@@ -67,9 +68,17 @@ HASHES = {"probe labels": "a" * 64, "raw probe rows": "b" * 64,
           "conditioned probe rows": "c" * 64}
 
 
+def gan_probe_run(name):
+    """(generator, discriminator, trace) of the GAN_PROBES run `name`."""
+    seed, (n_t, n_r, n_a), fields = same_outputs.GAN_PROBES[name]
+    scenario = spoofsim.ScenarioConfig(n_t=n_t, n_r=n_r, n_a=n_a, seed=seed)
+    return train_gan(scenario, GanConfig(**fields), np.random.default_rng(seed))
+
+
 class TestProbeHashes:
     def test_hashes_are_those_of_the_benchmark_probe_set(self):
-        # the checkout's run draws the probe set as the benchmark's setup does
+        # the checkout's run draws the probe set as the benchmark's setup
+        # does, then trains each GAN_PROBES config
         workload = type("Geometry", (), {"n_t": 2, "n_r": 1, "n_a": 1})
         got = same_outputs.probe_hashes(REPO, workload, 11)
         scenario = spoofsim.ScenarioConfig(n_t=2, n_r=1, n_a=1, seed=11)
@@ -79,7 +88,22 @@ class TestProbeHashes:
                 for name, a in (("probe labels", probes.labels),
                                 ("raw probe rows", probes.features),
                                 ("conditioned probe rows", conditioned))}
+        for name in same_outputs.GAN_PROBES:
+            g_net, d_net, trace = gan_probe_run(name)
+            curves = np.array([trace.g_loss, trace.d_loss, trace.capped_bursts])
+            want[name] = hashlib.sha256(g_net.params.tobytes() + d_net.params.tobytes()
+                                        + curves.tobytes() + bytes([trace.converged])).hexdigest()
         assert list(got) == list(want) and got == want
+
+    def test_gan_runs_cover_uneven_batches_a_binding_budget_and_convergence(self):
+        fields = same_outputs.GAN_PROBES["train_gan 2x2, uneven batches"][2]
+        assert fields["synth_per_epoch"] % fields["batch_size"] != 0
+        assert (fields["real_pool"] + fields["synth_per_epoch"]) % fields["batch_size"] != 0
+        assert gan_probe_run("train_gan 2x2, uneven batches")[2].epochs_run == 120
+        trace = gan_probe_run("train_gan binding power budget")[2]
+        assert set(trace.capped_bursts) == {12}
+        trace = gan_probe_run("train_gan converged")[2]
+        assert trace.converged and trace.epochs_run > 4
 
     def test_first_mismatch_is_reported_in_order(self):
         assert same_outputs.first_hash_mismatch(HASHES, dict(HASHES)) is None
