@@ -3,10 +3,11 @@
 Each (geometry, seed) job is the one cell of a custom sweep: an
 `ExperimentSpec` of that n_t x n_r x n_a and seed, with paper-size datasets
 (1000 training and 1000 test bursts). The job trains and scores the cell
-with the sweep's own code (`spoofsim.experiments`), so its streams are the
-sweep's keyed ones, and its rates for a seed equal the row `spoofsim run`
-writes for that custom cell and seed. Per cell it measures the defender's
-classifier error rates and mounts the random and replay attacks. At 1x1x1
+with the sweep's own calls (`cells`, `train_job` and `score` in
+`spoofsim.experiments`), so its streams are the sweep's keyed ones, and
+its rates for a seed equal the row `spoofsim run` writes for that custom
+cell and seed. Per cell it measures the defender's classifier error rates
+and mounts the random and replay attacks. At 1x1x1
 it also trains the GAN for a fixed number of epochs and mounts the GAN
 attack: `gan.max_epochs = E`, `gan.conv_window = E + 1` (no early stop)
 and `gan.retries = 0`. A cell's random, replay and GAN attacks each draw
@@ -53,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from spoofsim import ExperimentSpec, GanConfig
-from spoofsim.experiments import _cells, _score, _train_job, _Trained, run_jobs
+from spoofsim.experiments import Trained, cells, run_jobs, score, train_job
 
 Z95 = 1.959963984540054
 N_TRAIN = 1000
@@ -88,8 +89,8 @@ def name_of(geometry) -> str:
 
 
 def train(spec, kind, cell, seed):
-    """The models of one `_train_job`, raising the cell error it returns."""
-    result = _train_job(spec, kind, cell, seed)
+    """The models of one `train_job`, raising the cell error it returns."""
+    result = train_job(spec, kind, cell, seed)
     if isinstance(result, BaseException):
         raise result
     return result
@@ -106,15 +107,15 @@ def run_cell(seed, geometry, args, with_gan):
                           gan=GanConfig(max_epochs=args.gan_epochs,
                                         conv_window=args.gan_epochs + 1),
                           gan_retries=0)
-    (cell,) = _cells(spec)
+    (cell,) = cells(spec)
     clf, m = train(spec, "classifier", cell, seed)
     generator, trace = train(spec, "gan", cell, seed) if with_gan else (None, None)
-    models = _Trained(clf, m, generator, trace)
+    models = Trained(clf, m, generator, trace)
     counts = {"e_md": (m.n_md, m.n_from_t), "e_fa": (m.n_fa, m.n - m.n_from_t)}
     attacks = ("random", "replay", "gan") if with_gan else ("random", "replay")
     for attack in attacks:
-        row = _score(replace(spec, attack=attack), cell, seed, models, version="")
-        counts[attack] = (round(row["success_prob"] * spec.n_trials), spec.n_trials)
+        _, report = score(replace(spec, attack=attack), cell, seed, models, version="")
+        counts[attack] = (report.n_success, report.n_trials)
     return counts
 
 

@@ -1,4 +1,5 @@
-"""Experiment sweeps over antenna grids, positions, and seeds.
+"""Experiment sweeps over antenna grids, positions, and seeds: an
+`ExperimentSpec` (which `cli.parse_config` builds) and its execution.
 
 Five canned table layouts mirror the headline result families:
 
@@ -16,6 +17,11 @@ one per attack-time position, all sharing the classifier and generator
 trained once per seed under `trained_at_base`. Every cell runs the sweep's
 attack, which tables 1-5 fix (`TABLE_ATTACKS`).
 
+`run_experiment` loops over three public calls, which scripts may call on
+their own: `cells(spec)` lists the cells, `train_job` trains a cell's
+classifier or GAN (see `Trained`), and `score` gives a cell's row for one
+seed with its attack's `AttackReport`.
+
 Every emitted row carries the seed, the full scenario, and the build
 version (read once per sweep); each cell adds one row of seed means. Random
 streams are keyed by (seed, table, tag), so a cell's rows do not depend on
@@ -28,21 +34,13 @@ A sweep first lists its training jobs: per (training tag, seed) one GAN
 job in a GAN sweep, then one classifier job (both datasets, training and
 test metrics), GAN jobs first since they run longest. Each reads only its
 own keyed streams, so `run_jobs` may run them on worker processes in any
-order, and the parent then saves models and traces and scores the cells in
-row order; outputs are the same whichever process trained what. The
-process count (`sweep_processes`) is the usable cores over the BLAS threads
-each process runs (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one
-per core); below two processes, or with one job, every job runs inline.
-The pool's workers alone fill the cores, and the parent runs job 0 beside
-them, so a sweep with more jobs than processes runs processes + 1 busy
-processes until job 0 ends (3 on a 2-core host at one BLAS thread). That
-is kept on purpose: job 0 hides the workers' start (0.13-0.23 s of
-interpreter, numpy and spoofsim imports), which a two-job sweep such as
-one table-3 cell would otherwise wait for. Workers are spawned,
-and spawning re-imports the main module: a script that calls
-`run_experiment` (or `run_jobs`) at import time needs an
-`if __name__ == "__main__":` guard, and a main program read from standard
-input (`python -`) cannot be re-imported, so its pooled sweeps fail.
+order (`sweep_processes` sizes the pool), and the parent then saves models
+and traces and scores the cells in row order; outputs are the same
+whichever process trained what. Workers are spawned, and spawning
+re-imports the main module: a script that calls `run_experiment` (or
+`run_jobs`) at import time needs an `if __name__ == "__main__":` guard,
+and a main program read from standard input (`python -`) cannot be
+re-imported, so its pooled sweeps fail.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ import csv
 import json
 import os
 import subprocess
-import time
 import zlib
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -62,10 +59,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .attacks import (run_gan_attack, run_random_attack, run_replay_attack,
-                      train_spoofer)
+from .attacks import (AttackReport, run_gan_attack, run_random_attack,
+                      run_replay_attack, train_spoofer)
 from .authenticator import (Authenticator, ClassifierMetrics, build_phasor_dataset,
-                            classify, evaluate, train_classifier)
+                            evaluate, train_classifier)
 from .gan import GanConfig, TrainingTrace, save_trace_csv
 from .nn import DenseNetwork, TrainConfig, save_model
 from .scenario import ScenarioConfig, substream
@@ -154,8 +151,10 @@ class ExperimentSpec:
             if getattr(self.base, a) == getattr(self.base, b):
                 raise ConfigError(f"scenario.{a} and scenario.{b} share a link but coincide "
                                   f"at {getattr(self.base, a)}")
-        # Each entry stands in for A_T, so it links to T, R and A_R.
+        # Each entry stands in for A_T: a finite position linked to T, R and A_R.
         for pos in self.at_positions:
+            if not np.isfinite(pos).all():
+                raise ConfigError(f"at_positions entry {pos} is not a finite position")
             for b in ("t_pos", "r_pos", "ar_pos"):
                 if tuple(pos) == getattr(self.base, b):
                     raise ConfigError(f"at_positions entry {pos} stands in for A_T but "
@@ -188,141 +187,6 @@ def build_version() -> str:
     return f"spoofsim-{__version__}"
 
 
-# ---------------------------------------------------------------------------
-# config file / flag parsing
-
-_TABLE_GRID_DEFAULTS = {
-    "1": dict(n_t_grid=(1, 2, 3, 4), n_r_grid=(1, 2, 3, 4), n_a_grid=(1,)),
-    "2": dict(n_t_grid=(1, 2, 3, 4), n_r_grid=(1, 2, 3, 4), n_a_grid=(1, 2, 3, 4)),
-    "3": dict(n_t_grid=(1, 2, 3, 4), n_r_grid=(1, 2, 3, 4), n_a_grid=(1, 2, 3, 4)),
-    "4": dict(at_positions=((0.0, 5.0), (0.0, 10.0), (0.0, 15.0), (0.0, 20.0))),
-    "5": dict(at_positions=((0.0, 10.0), (0.0, 11.0), (0.0, 15.0), (0.0, 20.0))),
-}
-
-
-def _parse_int_list(text):
-    items = [t for t in text.replace(" ", "").split(",") if t]
-    if not items:
-        raise ConfigError("empty list")
-    return tuple(int(t) for t in items)
-
-
-def _parse_position(text):
-    parts = [t for t in text.replace(" ", "").split(",") if t]
-    if len(parts) != 2:
-        raise ConfigError(f"position needs two coordinates, got {text!r}")
-    return (float(parts[0]), float(parts[1]))
-
-
-def _parse_positions(text):
-    chunks = [c for c in text.split(";") if c.strip()]
-    if not chunks:
-        raise ConfigError("empty position list")
-    return tuple(_parse_position(c) for c in chunks)
-
-
-# key -> (target, field, parser); targets name sub-configs of ExperimentSpec
-_KEYS = {
-    "table": ("spec", "table", str.strip),
-    "seeds": ("spec", "seeds", _parse_int_list),
-    "trials": ("spec", "n_trials", int),
-    "out": ("spec", "out_dir", str.strip),
-    "attack": ("spec", "attack", str.strip),
-    "n_t": ("spec", "n_t_grid", _parse_int_list),
-    "n_r": ("spec", "n_r_grid", _parse_int_list),
-    "n_a": ("spec", "n_a_grid", _parse_int_list),
-    "at_positions": ("spec", "at_positions", _parse_positions),
-    "scenario.t_pos": ("scenario", "t_pos", _parse_position),
-    "scenario.r_pos": ("scenario", "r_pos", _parse_position),
-    "scenario.at_pos": ("scenario", "at_pos", _parse_position),
-    "scenario.ar_pos": ("scenario", "ar_pos", _parse_position),
-    "scenario.power": ("scenario", "power", float),
-    "scenario.samples_per_symbol": ("scenario", "samples_per_symbol", int),
-    "dataset.n_train": ("spec", "n_train", int),
-    "dataset.n_test": ("spec", "n_test", int),
-    "classifier.learning_rate": ("classifier", "learning_rate", float),
-    "classifier.batch_size": ("classifier", "batch_size", int),
-    "classifier.train_steps": ("classifier", "train_steps", int),
-    "gan.noise_dim": ("gan", "noise_dim", int),
-    "gan.hidden_width": ("gan", "hidden_width", int),
-    "gan.hidden_depth": ("gan", "hidden_depth", int),
-    "gan.real_pool": ("gan", "real_pool", int),
-    "gan.synth_per_epoch": ("gan", "synth_per_epoch", int),
-    "gan.batch_size": ("gan", "batch_size", int),
-    "gan.max_epochs": ("gan", "max_epochs", int),
-    "gan.conv_window": ("gan", "conv_window", int),
-    "gan.power_budget": ("gan", "power_budget", float),
-    "gan.retries": ("spec", "gan_retries", int),
-}
-
-
-def _read_config_file(path):
-    values, lines = {}, {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key in lines:
-            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
-        values[key], lines[key] = value, lineno
-    return values
-
-
-def parse_config(path=None, overrides=None) -> ExperimentSpec:
-    """Build an ExperimentSpec from a key=value file plus override flags.
-
-    Overrides win over file entries; table presets fill grid/position
-    defaults for keys the user did not set. Unknown keys, keys the file
-    sets twice, out-of-range values and keys no cell reads (`gan.*` off a
-    gan sweep, `trials` on one with no attack) raise ConfigError naming
-    the offending key.
-    """
-    values = _read_config_file(path) if path else {}
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-
-    parsed = {}
-    for key, raw in values.items():
-        if key not in _KEYS:
-            raise ConfigError(f"unknown config key: {key}")
-        target, fieldname, parser = _KEYS[key]
-        try:
-            parsed[(target, fieldname)] = parser(str(raw))
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
-
-    table = parsed.get(("spec", "table"), "custom")
-    spec_kwargs = {f: v for (t, f), v in parsed.items() if t == "spec"}
-    spec_kwargs.pop("table", None)
-    for fieldname, value in _TABLE_GRID_DEFAULTS.get(table, {}).items():
-        spec_kwargs.setdefault(fieldname, value)
-
-    # A sub-config's range errors start with the field name, so the section
-    # prefix turns them into the offending key.
-    configs = {}
-    for target, config_cls in (("scenario", ScenarioConfig), ("classifier", TrainConfig),
-                               ("gan", GanConfig)):
-        try:
-            configs[target] = config_cls(**{f: v for (t, f), v in parsed.items()
-                                            if t == target})
-        except ValueError as exc:
-            raise ConfigError(f"{target}.{exc}") from exc
-    spec = ExperimentSpec(table=table, base=configs["scenario"],
-                          classifier=configs["classifier"], gan=configs["gan"],
-                          **spec_kwargs)
-    unread = next((key for key in values if key.startswith("gan.") and spec.attack != "gan"
-                   or key == "trials" and spec.attack == "none"), None)
-    if unread:
-        raise ConfigError(f"{unread} is not read by a sweep whose attack is {spec.attack!r}")
-    return spec
-
-
-# ---------------------------------------------------------------------------
-# sweep execution
-
 def _cell_rngs(seed, table, cell_tag):
     cid = zlib.crc32(f"{table}|{cell_tag}".encode())
     scen_seed = int(np.random.SeedSequence([seed & ((1 << 63) - 1), cid])
@@ -345,23 +209,23 @@ class Cell(NamedTuple):
     trained_at: str
 
 
-def _cells(spec):
+def cells(spec) -> list:
     """The sweep's cells, in row order; cells sharing a training tag are adjacent."""
-    cells = []
+    listed = []
     # Tables 4 and 5 hold one geometry (ExperimentSpec checks), so their tags stay unique.
     for n_t, n_r, n_a in product(spec.n_t_grid, spec.n_r_grid, spec.n_a_grid):
         geometry = replace(spec.base, n_t=n_t, n_r=n_r, n_a=n_a)
         if spec.table == "4":
-            cells += [Cell(f"at{x}_{y}", replace(geometry, at_pos=(x, y)), f"at{x}_{y}")
+            listed += [Cell(f"at{x}_{y}", replace(geometry, at_pos=(x, y)), f"at{x}_{y}")
                       for x, y in spec.at_positions]
         elif spec.table == "5":
-            cells += [Cell(f"attack_from_{x}_{y}", replace(geometry, attack_time_at_pos=(x, y)),
+            listed += [Cell(f"attack_from_{x}_{y}", replace(geometry, attack_time_at_pos=(x, y)),
                            "trained_at_base")
                       for x, y in spec.at_positions]
         else:
             tag = f"nt{n_t}_nr{n_r}_na{n_a}"
-            cells.append(Cell(tag, geometry, tag))
-    return cells
+            listed.append(Cell(tag, geometry, tag))
+    return listed
 
 
 # BLAS thread variables in the order OpenBLAS reads them.
@@ -403,8 +267,9 @@ def run_jobs(job, args) -> list:
     workers takes jobs 1 onward while this process runs job 0, so list the
     longest job first. With more jobs than processes that is processes + 1
     busy processes on cores sized for processes, until job 0 ends; running
-    job 0 here rather than in the pool hides the workers' start, which a
-    two-job call would otherwise wait for. `job` must be a module-level
+    job 0 here rather than in the pool hides the workers' start (0.13-0.23 s
+    of interpreter, numpy and spoofsim imports), which a two-job call such as
+    one table-3 cell would otherwise wait for. `job` must be a module-level
     function (workers import it by name) and each argument tuple
     picklable. When a job raises, the jobs not yet started are cancelled
     and, once the running ones have ended, the first failed job's
@@ -434,25 +299,25 @@ def run_jobs(job, args) -> list:
     return [first] + [f.result() for f in futures]
 
 
-def _jobs(spec, cells):
-    """The sweep's training jobs as `_train_job` arguments: per training tag
+def _jobs(spec, sweep_cells):
+    """The sweep's training jobs as `train_job` arguments: per training tag
     and seed, a GAN job in a GAN sweep, then a classifier job. GAN jobs run
     longest, so they come first. A tag's jobs train on its first cell, since
     training never reads the attack-time position, the only field in which
     cells sharing a tag differ."""
     first_cells = {}
-    for cell in cells:
+    for cell in sweep_cells:
         first_cells.setdefault(cell.trained_at, cell)
     kinds = ("gan", "classifier") if spec.attack == "gan" else ("classifier",)
     return [(spec, kind, cell, seed)
             for kind in kinds for cell in first_cells.values() for seed in spec.seeds]
 
 
-def _train_job(spec, kind, cell, seed):
-    """One training job, in a worker or inline: the classifier of the cell's
-    training tag with its test metrics, or its GAN generator and trace. A
-    CELL_ERRORS exception is returned, not raised, so that the parent
-    records it in row order; any other propagates."""
+def train_job(spec, kind, cell, seed):
+    """One training job (`kind` "classifier" or "gan"), in a worker or inline:
+    the classifier of the cell's training tag with its test metrics, or its
+    GAN generator and trace. A CELL_ERRORS exception is returned, not raised,
+    so that a sweep records it in row order; any other propagates."""
     scen_seed, data_rng, gan_rng, _ = _cell_rngs(seed, spec.table, cell.trained_at)
     scenario = replace(cell.scenario, seed=scen_seed)
     try:
@@ -467,7 +332,7 @@ def _train_job(spec, kind, cell, seed):
         return exc.with_traceback(None)  # whose frames would hold the datasets
 
 
-class _Trained(NamedTuple):
+class Trained(NamedTuple):
     """A training tag's models for one seed: the classifier with its test
     metrics and, for a GAN attack, the generator with its trace."""
 
@@ -495,19 +360,20 @@ def _train(spec, tag, seed, jobs_done, out_dir):
     clf, metrics = clf
     save_model(clf.net, _output_path(out_dir, spec, tag, seed, "classifier.bin"))
     if spec.attack != "gan":
-        return _Trained(clf, metrics)
+        return Trained(clf, metrics)
     gan = jobs_done.pop(("gan", tag, seed))
     if isinstance(gan, BaseException):
         raise gan
     generator, trace = gan
     save_model(generator, _output_path(out_dir, spec, tag, seed, "generator.bin"))
     save_trace_csv(trace, _output_path(out_dir, spec, tag, seed, "trace.csv"))
-    return _Trained(clf, metrics, generator, trace)
+    return Trained(clf, metrics, generator, trace)
 
 
-def _score(spec, cell, seed, trained, version):
-    """The cell's row for one seed: the trained classifier's error rates plus
-    the sweep's attack, drawn from the cell's own attack stream."""
+def score(spec, cell, seed, trained, version) -> tuple[dict, AttackReport | None]:
+    """The cell's row for one seed, the trained classifier's error rates plus
+    the sweep's attack drawn from the cell's own attack stream, and that
+    attack's report (None when `spec.attack` is "none")."""
     scenario = replace(cell.scenario, seed=_cell_rngs(seed, spec.table, cell.trained_at)[0])
     row = {
         "table": spec.table, "seed": seed,
@@ -524,7 +390,7 @@ def _score(spec, cell, seed, trained, version):
         "gan_converged": "", "version": version,
     }
     if spec.attack == "none":
-        return row
+        return row, None
     attack_rng = _cell_rngs(seed, spec.table, cell.tag)[3]
     if spec.attack == "gan":
         report = run_gan_attack(trained.clf, trained.generator, scenario, spec.n_trials,
@@ -535,7 +401,7 @@ def _score(spec, cell, seed, trained, version):
         report = runner(trained.clf, scenario, spec.n_trials, attack_rng)
     row.update(attack=spec.attack, n_trials=report.n_trials,
                success_prob=report.success_prob)
-    return row
+    return row, report
 
 
 def _mean_row(cell_rows):
@@ -550,26 +416,23 @@ def _mean_row(cell_rows):
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute a sweep and write its CSV table plus JSON summary.
 
-    Runs the sweep's training jobs (see the module docstring) through
-    `run_jobs`: on min(processes, jobs - 1) spawned workers beside this
-    process, where `sweep_processes` gives the processes, or inline when
-    that is below two or there is one job. Spawning re-imports the main
-    module, so a script calling this at import time needs an
-    `if __name__ == "__main__":` guard. Then, cell by cell in row order,
+    Runs the sweep's `train_job`s through `run_jobs` (see the module
+    docstring: a script calling this at import time needs an
+    `if __name__ == "__main__":` guard). Then, cell by cell in row order,
     saves the models of the cell's training tag where an earlier cell did
-    not, and scores the cell for each seed. A failed job is recorded once
+    not, and `score`s the cell for each seed. A failed job is recorded once
     per (training tag, seed), where its first cell is scored."""
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, failures = [], []
     version = build_version()
-    cells = _cells(spec)
-    jobs = _jobs(spec, cells)
+    sweep_cells = cells(spec)
+    jobs = _jobs(spec, sweep_cells)
     jobs_done = {(kind, cell.trained_at, seed): result
-                 for (_, kind, cell, seed), result in zip(jobs, run_jobs(_train_job, jobs))}
+                 for (_, kind, cell, seed), result in zip(jobs, run_jobs(train_job, jobs))}
 
     trained_at, trained = None, {}
-    for cell in cells:
+    for cell in sweep_cells:
         if cell.trained_at != trained_at:
             trained_at, trained = cell.trained_at, {}
         cell_rows = []
@@ -583,7 +446,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             if trained[seed] is None:
                 continue
             try:
-                cell_rows.append(_score(spec, cell, seed, trained[seed], version))
+                cell_rows.append(score(spec, cell, seed, trained[seed], version)[0])
             except CELL_ERRORS as exc:
                 failures.append({"cell": cell.tag, "seed": seed, "error": str(exc)})
         rows += cell_rows
@@ -603,41 +466,3 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                    "rows": rows, "failures": failures}, fh, indent=2)
         fh.write("\n")
     return ExperimentResult(rows, failures, csv_path, json_path)
-
-
-# Fewest decisions benchmark_latency times (a tenth of them are warm-up).
-MIN_REPEATS = 100
-
-
-class Latency(NamedTuple):
-    """Wall time per decision of `benchmark_latency`, in microseconds, over
-    its n_timed timed decisions."""
-
-    mean_us: float
-    p50_us: float
-    p99_us: float
-    n_timed: int
-
-
-def benchmark_latency(classifier: Authenticator, n_repeats) -> Latency:
-    """Wall time in microseconds to authenticate one raw burst, front end
-    plus network, from a raw feature row to a decision: mean, median and
-    99th percentile over the decisions, each timed on its own.
-
-    Runs `n_repeats` decisions on one random raw row, the same row on every
-    call (drawn from `default_rng(0)`), and discards the first tenth as
-    warm-up. A hundredth of the timed decisions lie beyond p99, so it reads
-    a tail from about 1000 timed decisions up.
-    """
-    if n_repeats < MIN_REPEATS:
-        raise ValueError(f"n_repeats must be >= {MIN_REPEATS}")
-    width = classifier.net.layer_sizes[0] * classifier.samples_per_symbol
-    x = np.random.default_rng(0).standard_normal(width)
-    seconds = np.empty(n_repeats)
-    for i in range(n_repeats):
-        start = time.perf_counter()
-        classify(classifier, x)
-        seconds[i] = time.perf_counter() - start
-    micros = seconds[n_repeats // 10:] * 1e6
-    p50, p99 = np.percentile(micros, [50, 99])
-    return Latency(float(micros.mean()), float(p50), float(p99), micros.size)

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from spoofsim.authenticator import Authenticator
-from spoofsim.cli import main
-from spoofsim.experiments import (CSV_COLUMNS, TABLE_ATTACKS, ConfigError, benchmark_latency,
-                                  build_version, parse_config, run_experiment, run_jobs,
-                                  sweep_processes)
+from spoofsim.cli import benchmark_latency, main, parse_config
+from spoofsim.experiments import (CSV_COLUMNS, TABLE_ATTACKS, ConfigError, build_version,
+                                  run_experiment, run_jobs, sweep_processes)
 from spoofsim.nn import init_network, load_model, save_model
 
 from helpers import job_failing_at
@@ -72,6 +71,19 @@ scenario.power = 500
         cfg.write_text("seeds = 1\ntrials = 3\n")
         assert parse_config(cfg, overrides={"attack": "random", "seeds": "2"}).seeds == (2,)
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # a `#` opens a comment only at a line's start or after whitespace
+        out = tmp_path / "run#2"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"out = {out}  # where the sweep goes\nscenario.samples_per_symbol = 5\n"
+                       "dataset.n_train = 20\ndataset.n_test = 20\n"
+                       "classifier.train_steps = 5\n")
+        spec = parse_config(cfg)
+        assert spec.out_dir == str(out)
+        result = run_experiment(spec)
+        assert result.csv_path == out / "custom.csv" and result.csv_path.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "run#2"]
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
@@ -104,9 +116,11 @@ scenario.power = 500
             parse_config(overrides={key: value})
 
     @pytest.mark.parametrize("table", ["4", "5"])
-    @pytest.mark.parametrize("positions", ["0,5;0,5", "0,5;0,0", "0,5;10,0", "0,5;10,0.1"])
+    @pytest.mark.parametrize("positions", ["0,5;0,5", "0,5;0,0", "0,5;10,0", "0,5;10,0.1",
+                                           "nan,0;0,5", "0,5;0,inf"])
     def test_repeated_or_linked_node_mobility_position_names_key(self, table, positions):
-        # an entry stands in for A_T: repeated, or on T, R or A_R, it is refused
+        # an entry stands in for A_T: repeated, on T, R or A_R, or not finite,
+        # it is refused
         with pytest.raises(ConfigError, match="at_positions"):
             parse_config(overrides={"table": table, "at_positions": positions})
 

@@ -18,16 +18,23 @@ ROOT = Path(__file__).resolve().parents[1]
 READERS = ["perfbench/run.py", "scripts/same_outputs.py", "scripts/repro.py"]
 
 
-def package_reads(source):
-    """Names Python source reads through the package: `from spoofsim import X`,
-    and X in `spoofsim.X`, `pkg.X` or `self.pkg.X`, also in a string of code
-    that imports spoofsim (a script's subprocess code)."""
-    names = set()
+def nodes(source):
+    """The AST nodes of Python source, and of each string of code in it that
+    imports spoofsim (a script's subprocess code)."""
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and "import spoofsim" in node.value):
-            names |= package_reads(node.value)
-        elif isinstance(node, ast.ImportFrom) and node.module == "spoofsim" and not node.level:
+            yield from nodes(node.value)
+        else:
+            yield node
+
+
+def package_reads(source):
+    """Names Python source reads through the package: `from spoofsim import X`,
+    and X in `spoofsim.X`, `pkg.X` or `self.pkg.X`."""
+    names = set()
+    for node in nodes(source):
+        if isinstance(node, ast.ImportFrom) and node.module == "spoofsim" and not node.level:
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Attribute):
             holder = node.value
@@ -48,6 +55,46 @@ def test_every_name_the_benchmark_and_scripts_read_through_the_package_resolves(
     missing = sorted(f"{reader}: spoofsim.{name}" for reader, names in reads.items()
                      for name in names if not hasattr(spoofsim, name))
     assert missing == []
+
+
+def private_imports(source):
+    """`_`-prefixed names that Python source imports from spoofsim or one of
+    its modules."""
+    return {f"{node.module}.{alias.name}" for node in nodes(source)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "spoofsim"
+            for alias in node.names if alias.name.startswith("_")}
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_no_script_imports_a_private_name(script):
+    # scripts use the package's public names only, so a private one may move
+    assert private_imports((ROOT / "scripts" / script).read_text()) == set()
+
+
+# The benchmark's span targets that name code deleted since it was written.
+# They resolve to nothing, so their spans read 0; the benchmark PR that
+# retargets the spans empties this list.
+STALE_TARGETS = {
+    "spoofsim.experiments:build_dataset", "spoofsim.scenario:ScenarioConfig.draw_link",
+    *[f"spoofsim.authenticator:{name}" for name in (
+        "sample_intended_burst", "sample_waveform_burst", "random_symbol_phases", "features")],
+    *[f"spoofsim.attacks:{name}" for name in (
+        "sample_replay_burst", "sample_waveform_burst", "random_symbol_phases",
+        "generate_spoof_burst", "apply_channel", "features")],
+    *[f"spoofsim.gan:{name}" for name in (
+        "sample_intended_burst", "features", "_draw_link_batch", "complex_awgn",
+        "condition_rows", "condition_rows_vjp")],
+}
+
+
+def test_the_benchmark_span_targets_resolve_but_the_known_stale_ones(monkeypatch):
+    # perfbench/run.py puts its own directory on sys.path to import these
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    tracing = importlib.import_module("tracing")
+    assert len(STALE_TARGETS) == 18
+    unresolved = {target for target, _, _ in layers.TARGETS if tracing.resolve(target) is None}
+    assert unresolved == STALE_TARGETS
 
 
 # Every call of a function that draws with all its other arguments but the

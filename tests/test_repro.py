@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from spoofsim.experiments import parse_config, run_experiment
+from spoofsim.cli import parse_config
+from spoofsim.experiments import run_experiment
 
 _SPEC = importlib.util.spec_from_file_location(
     "repro", Path(__file__).resolve().parents[1] / "scripts" / "repro.py")
