@@ -9,8 +9,8 @@ its rates for a seed equal the row `spoofsim run` writes for that custom
 cell and seed. Per cell it measures the defender's classifier error rates
 and mounts the random and replay attacks. At 1x1x1
 it also trains the GAN for a fixed number of epochs and mounts the GAN
-attack: `gan.max_epochs = E`, `gan.conv_window = E + 1` (no early stop)
-and `gan.retries = 0`. A cell's random, replay and GAN attacks each draw
+attack: `gan.max_epochs = E` and `gan.conv_window = E + 1` (no early
+stop). A cell's random, replay and GAN attacks each draw
 from that cell's one attack stream, as their sweeps do. Counts are pooled
 over seeds and reported with Wilson 95% intervals, and every (geometry,
 metric) keeps its per-seed rates.
@@ -100,13 +100,12 @@ def run_cell(seed, geometry, args, with_gan):
     """Counts of one (seed, geometry) cell, trained and scored as the one
     cell of a custom sweep."""
     n_t, n_r, n_a = geometry
-    # A window longer than the run disables the early stop, and with no
-    # retries every seed trains exactly gan_epochs epochs.
+    # A window longer than the run disables the early stop, so every seed
+    # trains exactly gan_epochs epochs.
     spec = ExperimentSpec(seeds=(seed,), n_trials=args.trials, n_t_grid=(n_t,),
                           n_r_grid=(n_r,), n_a_grid=(n_a,), n_train=N_TRAIN, n_test=N_TEST,
                           gan=GanConfig(max_epochs=args.gan_epochs,
-                                        conv_window=args.gan_epochs + 1),
-                          gan_retries=0)
+                                        conv_window=args.gan_epochs + 1))
     (cell,) = cells(spec)
     clf, m = train(spec, "classifier", cell, seed)
     generator, trace = train(spec, "gan", cell, seed) if with_gan else (None, None)

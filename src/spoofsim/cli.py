@@ -54,12 +54,27 @@ def _parse_positions(text):
     return tuple(_parse_position(c) for c in chunks)
 
 
+def _parse_out_dir(text):
+    text = text.strip()
+    if not text:
+        raise ConfigError("empty, which would write into the working directory")
+    return text
+
+
+def _parse_retries(text):
+    # Kept so that configs written for zero retries still parse.
+    if int(text) != 0:
+        raise ConfigError("retries were removed (a GAN trains once); only 0 is accepted")
+    return 0
+
+
 # key -> (target, field, parser); targets name sub-configs of ExperimentSpec
+# (None: the key sets nothing)
 _KEYS = {
     "table": ("spec", "table", str.strip),
     "seeds": ("spec", "seeds", _parse_int_list),
     "trials": ("spec", "n_trials", int),
-    "out": ("spec", "out_dir", str.strip),
+    "out": ("spec", "out_dir", _parse_out_dir),
     "attack": ("spec", "attack", str.strip),
     "n_t": ("spec", "n_t_grid", _parse_int_list),
     "n_r": ("spec", "n_r_grid", _parse_int_list),
@@ -85,7 +100,7 @@ _KEYS = {
     "gan.max_epochs": ("gan", "max_epochs", int),
     "gan.conv_window": ("gan", "conv_window", int),
     "gan.power_budget": ("gan", "power_budget", float),
-    "gan.retries": ("spec", "gan_retries", int),
+    "gan.retries": (None, None, _parse_retries),
 }
 
 

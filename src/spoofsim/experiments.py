@@ -108,7 +108,6 @@ class ExperimentSpec:
     n_test: int = 1000
     classifier: TrainConfig = field(default_factory=TrainConfig)
     gan: GanConfig = field(default_factory=GanConfig)
-    gan_retries: int = 3
 
     def __post_init__(self):
         if self.table not in TABLES:
@@ -161,8 +160,6 @@ class ExperimentSpec:
                                       f"coincides with scenario.{b}")
         if self.n_train < 2 or self.n_test < 2:
             raise ConfigError("dataset sizes must be >= 2")
-        if self.gan_retries < 0:
-            raise ConfigError("gan retries must be >= 0")
 
 
 @dataclass
@@ -322,7 +319,7 @@ def train_job(spec, kind, cell, seed):
     scenario = replace(cell.scenario, seed=scen_seed)
     try:
         if kind == "gan":
-            return train_spoofer(scenario, spec.gan, gan_rng, spec.gan_retries)
+            return train_spoofer(scenario, spec.gan, gan_rng)
         train_set = build_phasor_dataset(scenario, spec.n_train, 0.5, data_rng)
         test_set = build_phasor_dataset(scenario, spec.n_test, 0.5, data_rng)
         clf = train_classifier(train_set, spec.classifier,

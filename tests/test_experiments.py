@@ -84,6 +84,14 @@ scenario.power = 500
         assert result.csv_path == out / "custom.csv" and result.csv_path.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "run#2"]
 
+    @pytest.mark.parametrize("value", ["", "   "])
+    def test_empty_out_in_a_file_names_key(self, tmp_path, value):
+        # an empty directory would put the outputs in the working directory
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"out ={value}\n")
+        with pytest.raises(ConfigError, match="bad value for out: empty"):
+            parse_config(cfg)
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
@@ -154,8 +162,19 @@ scenario.power = 500
 
     @pytest.mark.parametrize("sweep", [{"table": "3"}, {"attack": "gan"}])
     def test_gan_sweeps_read_gan_keys(self, sweep):
-        spec = parse_config(overrides={**sweep, "gan.max_epochs": "2", "gan.retries": "1"})
-        assert (spec.gan.max_epochs, spec.gan_retries) == (2, 1)
+        spec = parse_config(overrides={**sweep, "gan.max_epochs": "2"})
+        assert spec.gan.max_epochs == 2
+
+    @pytest.mark.parametrize("sweep", [{"table": "3"}, {"attack": "gan"}])
+    def test_zero_retries_key_parses_and_sets_nothing(self, sweep):
+        # kept so that configs written for zero retries still parse
+        assert parse_config(overrides={**sweep, "gan.retries": "0"}) == parse_config(
+            overrides=sweep)
+
+    @pytest.mark.parametrize("retries", ["1", "3"])
+    def test_other_retries_values_refused_by_name(self, retries):
+        with pytest.raises(ConfigError, match=r"gan\.retries.*retries were removed"):
+            parse_config(overrides={"attack": "gan", "gan.retries": retries})
 
     @pytest.mark.parametrize("sweep", [{"table": "1"}, {}, {"attack": "none"}])
     def test_trials_refused_where_no_attack_reads_them(self, sweep, tmp_path):
@@ -175,7 +194,7 @@ scenario.power = 500
 FAST_GAN = {
     "gan.noise_dim": "6", "gan.hidden_width": "8", "gan.hidden_depth": "2",
     "gan.real_pool": "8", "gan.synth_per_epoch": "8", "gan.batch_size": "4",
-    "gan.max_epochs": "2", "gan.conv_window": "2", "gan.retries": "0",
+    "gan.max_epochs": "2", "gan.conv_window": "2",
 }
 
 
@@ -575,6 +594,15 @@ classifier.train_steps = 20
         assert main([arg.format(**paths) for arg in argv]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and error in err[0]
+
+    @pytest.mark.parametrize("out", ["", "  "])
+    def test_empty_out_flag_exit_one_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                        out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: bad value for out: empty" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_gan_subcommand(self, capsys):
         # gone: `run` with attack = gan is the one command that trains a GAN

@@ -106,7 +106,7 @@ WITHOUT_RNG = {
     "run_random_attack": lambda sc: run_random_attack(None, sc, 10),
     "run_replay_attack": lambda sc: run_replay_attack(None, sc, 10),
     "run_gan_attack": lambda sc: run_gan_attack(None, None, sc, 10, power_budget=1.0),
-    "train_spoofer": lambda sc: train_spoofer(sc, GanConfig(), retries=0),
+    "train_spoofer": lambda sc: train_spoofer(sc, GanConfig()),
     "train_gan": lambda sc: train_gan(sc, GanConfig()),
     "train_classifier": lambda sc: train_classifier(None, TrainConfig()),
     "init_network": lambda sc: init_network([3, 2]),
