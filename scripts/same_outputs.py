@@ -15,6 +15,11 @@ generator, `trace.csv`) byte for byte, and the sweep's CSV table and
 summary JSON with their `version` entries dropped, since those name each
 checkout's git revision.
 
+The workload cell never moves A_T after training, so it cannot show a
+change to tables 4 and 5. So each checkout also runs the tiny table-5
+sweep of MOBILITY_CONFIG (two attack positions, the workload's seed), and
+its output trees are compared the same way.
+
 The cell never builds a raw burst, so it cannot show a change to the raw
 path. So each checkout also draws the workload's raw probe set as
 `perfbench/run.py` `setup` draws it (`build_dataset`, 1000 bursts, 0.5,
@@ -66,6 +71,29 @@ def parse_args(argv):
     args.workload = module.WORKLOADS[args.workload]
     return args
 
+
+# A tiny table-5 sweep, formatted with the seed and the output directory:
+# A_T trains at the base (0, 10), then attacks from there and from within
+# 1 of R.
+MOBILITY_CONFIG = """\
+table = 5
+seeds = {seed}
+out = {out}
+at_positions = 0,10; 9,0
+trials = 40
+scenario.samples_per_symbol = 5
+dataset.n_train = 40
+dataset.n_test = 40
+classifier.train_steps = 30
+gan.noise_dim = 6
+gan.hidden_width = 8
+gan.hidden_depth = 2
+gan.real_pool = 8
+gan.synth_per_epoch = 8
+gan.batch_size = 4
+gan.max_epochs = 3
+gan.conv_window = 2
+"""
 
 PROBE_BURSTS = 1000
 _SMALL_GAN = {"noise_dim": 6, "hidden_width": 16, "hidden_depth": 2}
@@ -216,17 +244,20 @@ def compare_trees(parent: Path, change: Path) -> str | None:
 def main(argv=None) -> int:
     args = parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        outs, hashes = {}, {}
+        outs, moved, hashes = {}, {}, {}
         for side in ("parent", "change"):
             tree = getattr(args, side)
-            outs[side] = Path(tmp) / side
+            outs[side], moved[side] = Path(tmp) / side, Path(tmp) / f"{side}-table5"
             text = args.workload.config_text(args.seed, str(outs[side]))
-            if not run_cell(tree, text, Path(tmp) / f"{side}.cfg"):
+            moved_text = MOBILITY_CONFIG.format(seed=args.seed, out=moved[side])
+            if not (run_cell(tree, text, Path(tmp) / f"{side}.cfg")
+                    and run_cell(tree, moved_text, Path(tmp) / f"{side}-table5.cfg")):
                 return 2
             hashes[side] = probe_hashes(tree, args.workload, args.seed)
             if hashes[side] is None:
                 return 2
         found = (compare_trees(outs["parent"], outs["change"])
+                 or compare_trees(moved["parent"], moved["change"])
                  or first_hash_mismatch(hashes["parent"], hashes["change"]))
     name = f"{args.workload.name} seed {args.seed}"
     if found:

@@ -6,7 +6,8 @@ defender's classifier labels as the legitimate transmitter:
 - random: structureless uniform-phase bursts at full power,
 - replay: amplify-and-forward copies of fresh legitimate transmissions,
 - gan: bursts from a trained generator, sent through a fresh fading draw
-  from the adversary's current (possibly moved) position.
+  from A_T's position in the scenario the attack is given (after a move,
+  that is the moved scenario; see `experiments.Cell`).
 
 `train_spoofer` trains that generator: one `train_gan` run, kept whether
 or not its losses converged.
@@ -63,7 +64,7 @@ def run_random_attack(classifier, scenario, n_trials, rng) -> AttackReport:
     _check_feature_width(classifier, scenario)
     sc = scenario
     phases = rng.uniform(0.0, TWO_PI, size=(n_trials, SYMBOLS_PER_BURST))
-    mixing = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
+    mixing = sc.draw_mixing("at", "r", n_trials, rng)
     rx = receive_waveform_phasors(mixing, phases, sc.power, sc.samples_per_symbol, rng)
     return _report(classifier, rx)
 
@@ -74,21 +75,21 @@ def run_replay_attack(classifier, scenario, n_trials, rng) -> AttackReport:
     _check_feature_width(classifier, scenario)
     sc = scenario
     bits = rng.integers(0, 2, size=(n_trials, BITS_PER_BURST))
-    hop1 = sc.draw_mixing("t", "at", n_trials, rng, at_position=sc.attack_position)
+    hop1 = sc.draw_mixing("t", "at", n_trials, rng)
     recorded = receive_waveform_phasors(hop1, qpsk_phases(bits), sc.power,
                                         sc.samples_per_symbol, rng)
     forwarded = relay_phasors(recorded, sc.power, sc.samples_per_symbol, rng)
     # The second hop's matrices carry A_T's carrier wander; the relay's
     # uniform per-burst phase offset already absorbs any such phase.
-    hop2 = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
+    hop2 = sc.draw_mixing("at", "r", n_trials, rng)
     rx = receive_phasors(hop2, forwarded, sc.samples_per_symbol, rng)
     return _report(classifier, rx)
 
 
 def run_gan_attack(classifier, generator, scenario, n_trials, rng,
                    power_budget) -> AttackReport:
-    """Spoof `n_trials` times with a trained generator from the attack-time
-    position, every draw from the generator `rng`, its bursts capped at
+    """Spoof `n_trials` times with a trained generator from the scenario's
+    A_T position, every draw from the generator `rng`, its bursts capped at
     `power_budget` (None: the scenario's power)."""
     _check_feature_width(classifier, scenario)
     sc = scenario
@@ -100,7 +101,7 @@ def run_gan_attack(classifier, generator, scenario, n_trials, rng,
     budget = float(power_budget) if power_budget is not None else sc.power
     z = rng.standard_normal((n_trials, generator.layer_sizes[0]))
     tx, _ = generator_phasors(generator, z, sc.n_a, budget)
-    mixing = sc.draw_mixing("at", "r", n_trials, rng, at_position=sc.attack_position)
+    mixing = sc.draw_mixing("at", "r", n_trials, rng)
     rx = receive_phasors(mixing, tx, sc.samples_per_symbol, rng)
     return _report(classifier, rx)
 

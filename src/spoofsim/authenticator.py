@@ -42,15 +42,13 @@ class LabeledDataset:
     2 * n_antennas * n_symbols, from build_phasor_dataset) or its raw
     samples (width 2 * n_antennas * n_points, from build_dataset).
     n_antennas and samples_per_symbol describe the burst geometry behind
-    the feature layout; both dataset functions fill them, and training a
-    classifier needs them (a caller that builds a dataset by hand sets
-    them here).
+    the feature layout, which a classifier trained on the rows reads.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    n_antennas: int | None = None
-    samples_per_symbol: int | None = None
+    n_antennas: int
+    samples_per_symbol: int
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -207,8 +205,6 @@ def train_classifier(train_set: LabeledDataset, config: TrainConfig, rng) -> Aut
     if len(train_set) == 0:
         raise ValueError("training set is empty")
     n_ant, sps = train_set.n_antennas, train_set.samples_per_symbol
-    if n_ant is None or sps is None:
-        raise ValueError("burst geometry (n_antennas, samples_per_symbol) is required")
     x = condition_rows(train_set.features, n_ant, sps)
     net = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None, sps, rng)
     # Cast once: `gather_rows` copies batches out of x, and the loss takes

@@ -18,19 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .authenticator import Authenticator, classify
-from .experiments import ConfigError, ExperimentSpec, run_experiment
+from .experiments import (TABLE_GRID_DEFAULTS, TABLES, ConfigError, ExperimentSpec,
+                          run_experiment)
 from .gan import GanConfig
 from .nn import TrainConfig, load_model
 from .scenario import ScenarioConfig
 from .waveform import SYMBOLS_PER_BURST
-
-_TABLE_GRID_DEFAULTS = {
-    "1": dict(n_t_grid=(1, 2, 3, 4), n_r_grid=(1, 2, 3, 4), n_a_grid=(1,)),
-    "2": dict(n_t_grid=(1, 2, 3, 4), n_r_grid=(1, 2, 3, 4), n_a_grid=(1, 2, 3, 4)),
-    "3": dict(n_t_grid=(1, 2, 3, 4), n_r_grid=(1, 2, 3, 4), n_a_grid=(1, 2, 3, 4)),
-    "4": dict(at_positions=((0.0, 5.0), (0.0, 10.0), (0.0, 15.0), (0.0, 20.0))),
-    "5": dict(at_positions=((0.0, 10.0), (0.0, 11.0), (0.0, 15.0), (0.0, 20.0))),
-}
 
 
 def _parse_int_list(text):
@@ -146,7 +139,7 @@ def parse_config(path=None, overrides=None) -> ExperimentSpec:
     table = parsed.get(("spec", "table"), "custom")
     spec_kwargs = {f: v for (t, f), v in parsed.items() if t == "spec"}
     spec_kwargs.pop("table", None)
-    for fieldname, value in _TABLE_GRID_DEFAULTS.get(table, {}).items():
+    for fieldname, value in TABLE_GRID_DEFAULTS.get(table, {}).items():
         spec_kwargs.setdefault(fieldname, value)
 
     # A sub-config's range errors start with the field name, so the section
@@ -216,7 +209,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a table sweep")
-    run.add_argument("--table", choices=["1", "2", "3", "4", "5", "custom"])
+    run.add_argument("--table", choices=TABLES)
     run.add_argument("--config", help="key=value config file")
     run.add_argument("--seeds", help="comma-separated seed list")
     run.add_argument("--trials", type=int, help="spoofed bursts per attack evaluation")

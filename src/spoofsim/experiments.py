@@ -9,13 +9,16 @@ Five canned table layouts mirror the headline result families:
 4. generator-attack success versus the adversary's training position,
 5. generator-attack success when the adversary moves after training.
 
-A sweep is one list of cells. A cell has a tag, a scenario, and the
-training tag whose classifier (and GAN generator) it is scored with.
-Tables 1-3 and custom sweeps hold one cell per (n_t, n_r, n_a), table 4 one
-per A_T training position, each trained under its own tag; table 5 holds
-one per attack-time position, all sharing the classifier and generator
-trained once per seed under `trained_at_base`. Every cell runs the sweep's
-attack, which tables 1-5 fix (`TABLE_ATTACKS`).
+A sweep is one list of cells. A cell has a tag, a scenario, the training
+tag whose classifier (and GAN generator) it is scored with, and where A_T
+attacks from. Tables 1-3 and custom sweeps hold one cell per (n_t, n_r,
+n_a), table 4 one per A_T training position, each trained under its own
+tag and attacking from where it trained; table 5 holds one per
+attack-time position, all sharing the base scenario and the classifier
+and generator trained once per seed under `trained_at_base`. Every cell
+runs the sweep's attack, which tables 1-5 fix (`TABLE_ATTACKS`), and the
+grids and positions a canned table sweeps by default are its
+`TABLE_GRID_DEFAULTS`.
 
 `run_experiment` loops over three public calls, which scripts may call on
 their own: `cells(spec)` lists the cells, `train_job` trains a cell's
@@ -65,7 +68,7 @@ from .authenticator import (Authenticator, ClassifierMetrics, build_phasor_datas
                             evaluate, train_classifier)
 from .gan import GanConfig, TrainingTrace, save_trace_csv
 from .nn import DenseNetwork, TrainConfig, save_model
-from .scenario import ScenarioConfig, substream
+from .scenario import Position, ScenarioConfig, substream
 
 
 class ConfigError(ValueError):
@@ -76,6 +79,14 @@ TABLES = ("1", "2", "3", "4", "5", "custom")
 ATTACKS = ("none", "random", "replay", "gan")
 # The attack each canned table runs; a custom sweep runs the configured one.
 TABLE_ATTACKS = {"1": "none", "2": "replay", "3": "gan", "4": "gan", "5": "gan"}
+# The ExperimentSpec fields each canned table sweeps when a config leaves them out.
+TABLE_GRID_DEFAULTS = {
+    "1": dict(n_t_grid=(1, 2, 3, 4), n_r_grid=(1, 2, 3, 4), n_a_grid=(1,)),
+    "2": dict(n_t_grid=(1, 2, 3, 4), n_r_grid=(1, 2, 3, 4), n_a_grid=(1, 2, 3, 4)),
+    "3": dict(n_t_grid=(1, 2, 3, 4), n_r_grid=(1, 2, 3, 4), n_a_grid=(1, 2, 3, 4)),
+    "4": dict(at_positions=((0.0, 5.0), (0.0, 10.0), (0.0, 15.0), (0.0, 20.0))),
+    "5": dict(at_positions=((0.0, 10.0), (0.0, 11.0), (0.0, 15.0), (0.0, 20.0))),
+}
 
 # Node pairs that share a link, as ScenarioConfig position fields: their
 # positions must differ (`link_mean_gain` needs a distance above zero).
@@ -199,11 +210,14 @@ CELL_ERRORS = (ValueError, FloatingPointError)
 
 
 class Cell(NamedTuple):
-    """A sweep cell: scored under `tag` with the models trained under `trained_at`."""
+    """A sweep cell: scored under `tag` with the models trained under
+    `trained_at` on `scenario`, attacking with A_T moved to `attack_at`.
+    Cells that share a training tag share their scenario too."""
 
     tag: str
     scenario: ScenarioConfig
     trained_at: str
+    attack_at: Position
 
 
 def cells(spec) -> list:
@@ -213,15 +227,14 @@ def cells(spec) -> list:
     for n_t, n_r, n_a in product(spec.n_t_grid, spec.n_r_grid, spec.n_a_grid):
         geometry = replace(spec.base, n_t=n_t, n_r=n_r, n_a=n_a)
         if spec.table == "4":
-            listed += [Cell(f"at{x}_{y}", replace(geometry, at_pos=(x, y)), f"at{x}_{y}")
-                      for x, y in spec.at_positions]
+            listed += [Cell(f"at{x}_{y}", replace(geometry, at_pos=(x, y)), f"at{x}_{y}", (x, y))
+                       for x, y in spec.at_positions]
         elif spec.table == "5":
-            listed += [Cell(f"attack_from_{x}_{y}", replace(geometry, attack_time_at_pos=(x, y)),
-                           "trained_at_base")
-                      for x, y in spec.at_positions]
+            listed += [Cell(f"attack_from_{x}_{y}", geometry, "trained_at_base", (x, y))
+                       for x, y in spec.at_positions]
         else:
             tag = f"nt{n_t}_nr{n_r}_na{n_a}"
-            listed.append(Cell(tag, geometry, tag))
+            listed.append(Cell(tag, geometry, tag, geometry.at_pos))
     return listed
 
 
@@ -299,9 +312,8 @@ def run_jobs(job, args) -> list:
 def _jobs(spec, sweep_cells):
     """The sweep's training jobs as `train_job` arguments: per training tag
     and seed, a GAN job in a GAN sweep, then a classifier job. GAN jobs run
-    longest, so they come first. A tag's jobs train on its first cell, since
-    training never reads the attack-time position, the only field in which
-    cells sharing a tag differ."""
+    longest, so they come first. A tag's jobs train on the scenario its
+    cells share."""
     first_cells = {}
     for cell in sweep_cells:
         first_cells.setdefault(cell.trained_at, cell)
@@ -369,9 +381,11 @@ def _train(spec, tag, seed, jobs_done, out_dir):
 
 def score(spec, cell, seed, trained, version) -> tuple[dict, AttackReport | None]:
     """The cell's row for one seed, the trained classifier's error rates plus
-    the sweep's attack drawn from the cell's own attack stream, and that
-    attack's report (None when `spec.attack` is "none")."""
+    the sweep's attack drawn from the cell's own attack stream with A_T at
+    `cell.attack_at`, and that attack's report (None when `spec.attack` is
+    "none")."""
     scenario = replace(cell.scenario, seed=_cell_rngs(seed, spec.table, cell.trained_at)[0])
+    attacked = replace(scenario, at_pos=cell.attack_at)
     row = {
         "table": spec.table, "seed": seed,
         "n_t": scenario.n_t, "n_r": scenario.n_r, "n_a": scenario.n_a,
@@ -379,8 +393,7 @@ def score(spec, cell, seed, trained, version) -> tuple[dict, AttackReport | None
         "r_x": scenario.r_pos[0], "r_y": scenario.r_pos[1],
         "at_x": scenario.at_pos[0], "at_y": scenario.at_pos[1],
         "ar_x": scenario.ar_pos[0], "ar_y": scenario.ar_pos[1],
-        "attack_at_x": scenario.attack_position[0],
-        "attack_at_y": scenario.attack_position[1],
+        "attack_at_x": attacked.at_pos[0], "attack_at_y": attacked.at_pos[1],
         "p": scenario.power, "s": scenario.samples_per_symbol,
         "n_trials": "", "attack": "", "e_md": trained.metrics.e_md,
         "e_fa": trained.metrics.e_fa, "success_prob": "", "gan_epochs": "",
@@ -390,12 +403,12 @@ def score(spec, cell, seed, trained, version) -> tuple[dict, AttackReport | None
         return row, None
     attack_rng = _cell_rngs(seed, spec.table, cell.tag)[3]
     if spec.attack == "gan":
-        report = run_gan_attack(trained.clf, trained.generator, scenario, spec.n_trials,
+        report = run_gan_attack(trained.clf, trained.generator, attacked, spec.n_trials,
                                 attack_rng, spec.gan.power_budget)
         row.update(gan_epochs=trained.trace.epochs_run, gan_converged=trained.trace.converged)
     else:
         runner = {"random": run_random_attack, "replay": run_replay_attack}[spec.attack]
-        report = runner(trained.clf, scenario, spec.n_trials, attack_rng)
+        report = runner(trained.clf, attacked, spec.n_trials, attack_rng)
     row.update(attack=spec.attack, n_trials=report.n_trials,
                success_prob=report.success_prob)
     return row, report

@@ -9,7 +9,14 @@ exponential gains with mean d**-2 for node distance d). The surrogate
 receiver is modelled as a faithful stand-in for the defender receiver:
 links into it reuse the defender-side phase tables, so what the adversary
 pair observes during training matches what the defender sees, up to the
-(slightly different) link distances and fresh fading.
+(slightly different) link distances and fresh fading. Moving a node moves
+its fading distance, never its phase fingerprint: the phase tables are
+keyed by the seed alone. Every live transmit chain also wanders in
+carrier phase from burst to burst, by CARRIER_JITTER radians (std dev).
+
+A scenario is one topology. Where A_T attacks from after training (the
+mobility table) is a second scenario, `replace(scenario, at_pos=...)`,
+which the sweep cell builds (see `experiments.Cell`).
 
 `ScenarioConfig.draw_mixing` is the one place a link is drawn: it returns
 one complex mixing matrix per burst, shape (count, n_rx, n_tx), so that a
@@ -40,6 +47,9 @@ TX_ROLES = ("t", "at")
 RX_ROLES = ("r", "ar", "at")
 
 TWO_PI = 2.0 * math.pi
+
+# Burst-to-burst carrier phase wander (radians, std dev) of a transmit chain.
+CARRIER_JITTER = 0.15
 
 
 def link_mean_gain(tx_pos, rx_pos) -> float:
@@ -77,8 +87,7 @@ class ScenarioConfig:
     Nodes: legitimate transmitter T and its receiver R, plus the adversary
     pair of transmitter A_T and surrogate receiver A_R. A_R always carries
     the same antenna count as R. Powers are noise-normalised; the transmit
-    power default is 1000. carrier_jitter is the burst-to-burst carrier
-    phase wander (radians, std dev) of any live transmit chain.
+    power default is 1000.
     """
 
     t_pos: Position = (0.0, 0.0)
@@ -90,22 +99,17 @@ class ScenarioConfig:
     n_a: int = 1
     power: float = 1000.0
     samples_per_symbol: int = 100
-    carrier_jitter: float = 0.15
     seed: int = 0
-    attack_time_at_pos: Position | None = None
 
     def __post_init__(self):
         # Each message starts with the field name (`parse_config` relies on it).
-        for name in ("t_pos", "r_pos", "at_pos", "ar_pos", "attack_time_at_pos"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _check_position(name, getattr(self, name)))
+        for name in ("t_pos", "r_pos", "at_pos", "ar_pos"):
+            object.__setattr__(self, name, _check_position(name, getattr(self, name)))
         for name in ("n_t", "n_r", "n_a", "samples_per_symbol"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not (0.0 < self.power < math.inf):
             raise ValueError(f"power must be finite and above zero, got {self.power}")
-        if not (0.0 <= self.carrier_jitter < math.inf):
-            raise ValueError(f"carrier_jitter must be finite and >= 0, got {self.carrier_jitter}")
 
     @property
     def n_points(self) -> int:
@@ -122,11 +126,6 @@ class ScenarioConfig:
         (antenna, symbol), samples_per_symbol times narrower than the raw row."""
         return self.feature_length // self.samples_per_symbol
 
-    @property
-    def attack_position(self) -> Position:
-        """Where A_T transmits from at attack time (mobility override aware)."""
-        return self.attack_time_at_pos if self.attack_time_at_pos is not None else self.at_pos
-
     def t_device_phases(self) -> np.ndarray:
         """Fixed per-antenna hardware phase offsets of T, derived from the seed."""
         return substream(self.seed, _KEY_T_PHASES).uniform(0.0, TWO_PI, self.n_t)
@@ -138,9 +137,7 @@ class ScenarioConfig:
     def _antennas(self, role) -> int:
         return {"t": self.n_t, "at": self.n_a, "r": self.n_r, "ar": self.n_r}[role]
 
-    def _position(self, role, at_position=None) -> Position:
-        if role == "at" and at_position is not None:
-            return _check_position("at_position", at_position)
+    def _position(self, role) -> Position:
         return {"t": self.t_pos, "at": self.at_pos,
                 "r": self.r_pos, "ar": self.ar_pos}[role]
 
@@ -158,30 +155,27 @@ class ScenarioConfig:
                                   self._antennas(rx_role))
         return table.copy()
 
-    def link_mean(self, tx_role, rx_role, at_position=None) -> float:
-        """Mean link power gain d**-2 at the current node positions."""
-        return link_mean_gain(self._position(tx_role, at_position),
-                              self._position(rx_role, at_position))
+    def link_mean(self, tx_role, rx_role) -> float:
+        """Mean link power gain d**-2 at the node positions."""
+        return link_mean_gain(self._position(tx_role), self._position(rx_role))
 
-    def draw_mixing(self, tx_role, rx_role, count, rng, at_position=None) -> np.ndarray:
+    def draw_mixing(self, tx_role, rx_role, count, rng) -> np.ndarray:
         """Fresh link matrices of `count` bursts, shape (count, n_rx, n_tx).
 
         Entry [b, j, i] is g * exp(1j * (device[i] + link[i, j])): a fresh
         exponential gain g (mean d**-2) over the transmitter's device
-        phases and the link's static phase table. With carrier_jitter > 0
-        each burst's matrix also carries one carrier-wander phasor
-        exp(1j * carrier_jitter * N(0, 1)) of the transmit chain.
-
-        `at_position` overrides where A_T currently stands (attack-time
-        mobility); it moves the fading distance, not the phase fingerprint.
+        phases and the link's static phase table, times one carrier-wander
+        phasor exp(1j * CARRIER_JITTER * N(0, 1)) per burst, that of the
+        transmit chain. Moving a node moves its fading distance, never its
+        phase fingerprint: the same `rng` state gives the same phases and
+        the gains scaled by the ratio of the link means.
         """
         device = self.t_device_phases() if tx_role == "t" else self.at_device_phases()
         static = np.exp(1j * (device[:, None] + self.link_phases(tx_role, rx_role))).T
-        gains = rng.exponential(self.link_mean(tx_role, rx_role, at_position),
+        gains = rng.exponential(self.link_mean(tx_role, rx_role),
                                 size=(count, *static.shape))
         mixing = gains * static
-        if self.carrier_jitter > 0.0:
-            mixing *= np.exp(1j * self.carrier_jitter * rng.standard_normal(count))[:, None, None]
+        mixing *= np.exp(1j * CARRIER_JITTER * rng.standard_normal(count))[:, None, None]
         return mixing
 
 

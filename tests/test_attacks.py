@@ -105,20 +105,19 @@ class TestGanAttack:
             run_gan_attack(clf, raw, sc, 5, substream(6, 4), None)
 
     def test_mobility_uses_attack_time_position(self, monkeypatch):
-        # the attack's links into R are drawn from where A_T stands at attack
-        # time, not from its training position
+        # the attack's links into R are drawn from where A_T stands in the
+        # scenario the attack is given: after a move, the moved one
         positions = []
         draw_mixing = ScenarioConfig.draw_mixing
 
-        def spy(self, tx_role, rx_role, count, rng, at_position=None):
-            positions.append((tx_role, rx_role, at_position))
-            return draw_mixing(self, tx_role, rx_role, count, rng, at_position)
+        def spy(self, tx_role, rx_role, count, rng):
+            positions.append((tx_role, rx_role, self.at_pos))
+            return draw_mixing(self, tx_role, rx_role, count, rng)
 
         sc, clf = tiny_classifier(7)
         g = init_generator(sc, TINY_GAN, np.random.default_rng(1))
         monkeypatch.setattr(ScenarioConfig, "draw_mixing", spy)
-        run_gan_attack(clf, g, replace(sc, attack_time_at_pos=(0.0, 20.0)), 30,
-                       substream(7, 4), None)
+        run_gan_attack(clf, g, replace(sc, at_pos=(0.0, 20.0)), 30, substream(7, 4), None)
         run_gan_attack(clf, g, sc, 30, substream(7, 4), None)
         assert positions == [("at", "r", (0.0, 20.0)), ("at", "r", (0.0, 10.0))]
 

@@ -208,9 +208,9 @@ class TestTrainClassifier:
         assert sc.conditioned_length == 2 * 4 * sc.n_r
 
     def test_geometry_required(self):
-        ds = LabeledDataset(np.zeros((4, 80)), np.array([0, 1, 0, 1]))
-        with pytest.raises(ValueError):
-            train_classifier(ds, TrainConfig(train_steps=1), np.random.default_rng(0))
+        # a dataset carries the burst geometry its classifier will read
+        with pytest.raises(TypeError, match="n_antennas"):
+            LabeledDataset(np.zeros((4, 80)), np.array([0, 1, 0, 1]))
 
     def test_matches_raw_width_net_on_slot_replicated_features(self):
         self.check_matches_raw_width_net(TrainConfig(train_steps=150, batch_size=20), 4)
@@ -302,7 +302,7 @@ class TestEvaluate:
         w = np.zeros((2, 8))
         w[:, 0] = [-1.0, 1.0]
         stub = Authenticator(DenseNetwork([w], [np.zeros(2)], ["linear"]), 1, 1)
-        m = evaluate(stub, LabeledDataset(feats, labels))
+        m = evaluate(stub, LabeledDataset(feats, labels, 1, 1))
         assert (m.n, m.n_from_t, m.n_md, m.n_fa) == (1000, 504, 37, 39)
         assert m.e_md == 37 / 504 and m.e_fa == 39 / 496
         npt.assert_allclose([m.e_md, m.e_fa], [0.0734, 0.0786], atol=5e-5)

@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 
 from spoofsim.authenticator import Authenticator
 from spoofsim.cli import benchmark_latency, main, parse_config
-from spoofsim.experiments import (CSV_COLUMNS, TABLE_ATTACKS, ConfigError, build_version,
-                                  run_experiment, run_jobs, sweep_processes)
+from spoofsim.attacks import run_gan_attack
+from spoofsim.experiments import (CSV_COLUMNS, TABLE_ATTACKS, TABLE_GRID_DEFAULTS, TABLES,
+                                  ConfigError, _cell_rngs, build_version, cells,
+                                  run_experiment, run_jobs, sweep_processes, train_job)
 from spoofsim.nn import init_network, load_model, save_model
 
 from helpers import job_failing_at
@@ -33,6 +36,10 @@ class TestParseConfig:
         assert spec.n_r_grid == (1, 2, 3, 4)
         assert spec.n_a_grid == (1, 2, 3, 4)
         assert spec.attack == "gan"
+
+    def test_every_canned_table_has_grid_defaults(self):
+        assert list(TABLE_GRID_DEFAULTS) == list(TABLE_ATTACKS) == list(TABLES[:-1])
+        assert TABLES[-1] == "custom"
 
     def test_table4_positions_default(self):
         spec = parse_config(overrides={"table": "4"})
@@ -277,6 +284,34 @@ class TestRunExperiment:
         assert len(attack_rows) == 2
         assert {r["attack_at_y"] for r in attack_rows} == {10.0, 20.0}
         assert all(r["at_y"] == 10.0 for r in attack_rows)
+
+    def test_mobility_table_cells_share_one_scenario(self, tmp_path):
+        # one topology per training tag: only where A_T attacks from differs
+        spec = fast_spec(tmp_path, **{"table": "5", "at_positions": "0,10;0,20;3,15"})
+        listed = cells(spec)
+        assert {cell.trained_at for cell in listed} == {"trained_at_base"}
+        assert all(cell.scenario == spec.base for cell in listed)
+        assert [cell.attack_at for cell in listed] == [(0.0, 10.0), (0.0, 20.0), (3.0, 15.0)]
+
+    def test_mobility_row_is_the_gan_attack_from_the_moved_scenario(self, tmp_path):
+        # A_T moves from (0, 10) to within 1 of R, so its bursts arrive far
+        # stronger than in training and the attack's outcome moves with it
+        spec = fast_spec(tmp_path, **{"table": "5", "at_positions": "0,10;9,0",
+                                      "trials": "40"})
+        row = run_experiment(spec).rows[2]
+        moved = cells(spec)[1]
+        assert (row["attack_at_x"], row["attack_at_y"]) == moved.attack_at == (9.0, 0.0)
+        clf, _ = train_job(spec, "classifier", moved, 0)
+        generator, _ = train_job(spec, "gan", moved, 0)
+        scenario = replace(moved.scenario, seed=_cell_rngs(0, "5", "trained_at_base")[0])
+
+        def attack_from(at_pos):
+            return run_gan_attack(clf, generator, replace(scenario, at_pos=at_pos), 40,
+                                  _cell_rngs(0, "5", moved.tag)[3], spec.gan.power_budget)
+
+        assert row["n_trials"] == 40
+        assert row["success_prob"] == attack_from((9.0, 0.0)).success_prob
+        assert row["success_prob"] != attack_from(scenario.at_pos).success_prob
 
     @pytest.mark.parametrize("table", ["custom", "5"])
     def test_gan_attack_applies_the_configured_power_budget(self, tmp_path, monkeypatch,

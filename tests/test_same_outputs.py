@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spoofsim
+from spoofsim.cli import parse_config
 from spoofsim.gan import GanConfig, train_gan
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -129,3 +130,41 @@ class TestProbeHashes:
         assert same_outputs.main(argv) == code
         if said:
             assert said in capsys.readouterr().out
+
+
+class TestMobilitySweep:
+    def test_config_is_a_tiny_two_position_table5_sweep(self, tmp_path):
+        cfg = tmp_path / "table5.cfg"
+        cfg.write_text(same_outputs.MOBILITY_CONFIG.format(seed=29, out=tmp_path / "out"))
+        spec = parse_config(cfg)
+        assert (spec.table, spec.seeds, spec.out_dir) == ("5", (29,), str(tmp_path / "out"))
+        assert len(spec.at_positions) == 2 and spec.base.at_pos in spec.at_positions
+        assert spec.n_train <= 40 and spec.gan.max_epochs <= 3
+
+    def test_two_runs_in_one_checkout_write_the_same_tree(self, tmp_path):
+        for name in ("a", "b"):
+            text = same_outputs.MOBILITY_CONFIG.format(seed=11, out=tmp_path / name)
+            assert same_outputs.run_cell(REPO, text, tmp_path / f"{name}.cfg")
+        assert (tmp_path / "a" / "table5.csv").is_file()
+        assert same_outputs.compare_trees(tmp_path / "a", tmp_path / "b") is None
+
+    def test_main_compares_the_table5_trees_after_the_cells(self, monkeypatch, capsys):
+        configs = []
+
+        def run_cell(tree, text, config):
+            configs.append(config.name)
+            return True
+
+        def compare_trees(parent, change):
+            # the cell trees agree, the table-5 trees differ
+            return f"table5.csv: {parent.name}" if parent.name.endswith("table5") else None
+
+        monkeypatch.setattr(same_outputs, "run_cell", run_cell)
+        monkeypatch.setattr(same_outputs, "compare_trees", compare_trees)
+        monkeypatch.setattr(same_outputs, "probe_hashes", lambda *args: HASHES)
+        argv = ["--parent", str(REPO), "--change", str(REPO), "--workload", "gan_1x1",
+                "--seed", "11"]
+        assert same_outputs.main(argv) == 1
+        assert configs == ["parent.cfg", "parent-table5.cfg", "change.cfg",
+                           "change-table5.cfg"]
+        assert "first at table5.csv: parent-table5" in capsys.readouterr().out

@@ -1,8 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from spoofsim import scenario
 from spoofsim.scenario import ScenarioConfig, substream
+
+
+@pytest.fixture
+def no_jitter(monkeypatch):
+    """Draw links without carrier wander, so their phases are exact."""
+    monkeypatch.setattr(scenario, "CARRIER_JITTER", 0.0)
 
 
 def test_defaults_match_reference_geometry():
@@ -22,19 +31,20 @@ def test_feature_length_scales_with_receive_antennas():
     assert ScenarioConfig(n_r=4).feature_length == 3200
 
 
-def test_attack_position_override():
-    sc = ScenarioConfig()
-    assert sc.attack_position == (0.0, 10.0)
-    moved = ScenarioConfig(attack_time_at_pos=(0.0, 20.0))
-    assert moved.attack_position == (0.0, 20.0)
-    assert moved.at_pos == (0.0, 10.0)
+def test_moved_adversary_keeps_its_fingerprint():
+    # a move is a scenario of its own, alike in all but A_T's position
+    sc = ScenarioConfig(seed=3, n_a=2)
+    moved = replace(sc, at_pos=(0, 20))
+    assert moved.at_pos == (0.0, 20.0)
+    assert replace(moved, at_pos=sc.at_pos) == sc
+    npt.assert_array_equal(moved.at_device_phases(), sc.at_device_phases())
+    npt.assert_array_equal(moved.link_phases("at", "r"), sc.link_phases("at", "r"))
 
 
 @pytest.mark.parametrize("kwargs", [
     {"n_t": 0}, {"power": 0.0}, {"power": -5.0}, {"samples_per_symbol": 0},
-    {"carrier_jitter": -0.1}, {"t_pos": (np.inf, 0.0)},
-    {"power": np.nan}, {"power": np.inf}, {"carrier_jitter": np.nan},
-    {"attack_time_at_pos": (0.0, np.nan)},
+    {"t_pos": (np.inf, 0.0)}, {"power": np.nan}, {"power": np.inf},
+    {"at_pos": (0.0, np.nan)},
 ])
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -71,8 +81,8 @@ def test_unknown_link_rejected():
         sc.link_phases("r", "t")
 
 
-def test_draw_link_gains_fresh_but_phases_static():
-    sc = ScenarioConfig(seed=4, n_t=2, n_r=2, carrier_jitter=0.0)
+def test_draw_link_gains_fresh_but_phases_static(no_jitter):
+    sc = ScenarioConfig(seed=4, n_t=2, n_r=2)
     mixing = sc.draw_mixing("t", "r", 2, np.random.default_rng(0))
     npt.assert_allclose(np.angle(mixing[0]), np.angle(mixing[1]), atol=1e-12)
     assert not np.allclose(np.abs(mixing[0]), np.abs(mixing[1]))
@@ -87,13 +97,14 @@ def test_draw_link_mean_gain_tracks_distance():
     assert abs(gains.mean() - mean) / mean < 0.05
 
 
-def test_draw_link_attack_position_changes_distance_only():
-    sc = ScenarioConfig(seed=6, n_a=2, n_r=2, carrier_jitter=0.0)
+def test_draw_link_moved_adversary_changes_distance_only(no_jitter):
+    sc = ScenarioConfig(seed=6, n_a=2, n_r=2)
+    moved_sc = replace(sc, at_pos=(0.0, 20.0))
     home = sc.draw_mixing("at", "r", 1, np.random.default_rng(2))
-    moved = sc.draw_mixing("at", "r", 1, np.random.default_rng(2), at_position=(0.0, 20.0))
+    moved = moved_sc.draw_mixing("at", "r", 1, np.random.default_rng(2))
     npt.assert_allclose(np.angle(home), np.angle(moved), atol=1e-12)
     # (0,20) -> (10,0) is farther than (0,10) -> (10,0): same draws, scaled means
-    ratio = sc.link_mean("at", "r", (0.0, 20.0)) / sc.link_mean("at", "r")
+    ratio = moved_sc.link_mean("at", "r") / sc.link_mean("at", "r")
     assert ratio < 1.0
     npt.assert_allclose(np.abs(moved), ratio * np.abs(home), rtol=1e-12)
 
