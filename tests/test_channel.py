@@ -31,7 +31,7 @@ def test_mean_gain_follows_inverse_square_distance():
         assert abs(gains.mean() - mean) / mean < 0.05
 
 
-def test_unit_distance_identity_mean(no_jitter):
+def test_unit_distance_identity_mean():
     rng = np.random.default_rng(1)
     gains = np.abs(link((1.0, 0.0)).draw_mixing("t", "r", 20_000, rng))
     assert abs(gains.mean() - 1.0) < 0.05
@@ -57,7 +57,7 @@ def test_pair_shapes():
     assert sc.draw_mixing("t", "at", 1, rng).shape == (1, 4, 3)
 
 
-def test_coincident_positions_rejected(no_jitter):
+def test_coincident_positions_rejected():
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError):
         link((0.0, 0.0)).draw_mixing("t", "r", 1, rng)
