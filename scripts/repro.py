@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from spoofsim import ExperimentSpec, GanConfig
-from spoofsim.experiments import Trained, cells, run_jobs, score, train_job
+from spoofsim.experiments import SEED_BOUND, Trained, cells, run_jobs, score, train_job
 
 Z95 = 1.959963984540054
 N_TRAIN = 1000
@@ -174,6 +174,9 @@ def main(argv=None) -> int:
         parser.error("--seeds must name at least one seed")
     if len(set(seeds)) != len(seeds):
         parser.error(f"--seeds must not repeat, got {seeds}")
+    for seed in seeds:
+        if not 0 <= seed < SEED_BOUND:
+            parser.error(f"--seeds must lie in [0, 2**63), got {seed}")
     if len(set(geometries)) != len(geometries):
         parser.error("--geometries must not repeat, got "
                      + ",".join(name_of(g) for g in geometries))

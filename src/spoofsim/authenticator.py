@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontend import condition_rows, init_conditioned_network
-from .nn import (AdamState, DenseNetwork, TrainConfig, Workspace, adam_step, backward,
-                 cross_entropy_delta, forward, gather_rows, predict)
+from .nn import (AdamState, DenseNetwork, Workspace, adam_step, backward, cross_entropy_delta,
+                 forward, gather_rows, predict)
 from .scenario import TWO_PI, ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows,
                        qpsk_phases, receive_waveform, receive_waveform_phasors)
@@ -31,6 +31,7 @@ NOT_T = 0
 FROM_T = 1
 
 CLASSIFIER_HIDDEN = (50, 50, 50)
+CLASSIFIER_BATCH = 100
 N_CLASSES = 2
 
 
@@ -191,11 +192,13 @@ def _train_epoch(net, state, x, targets, batch_size, rng, ws, max_steps=None) ->
     return len(starts)
 
 
-def train_classifier(train_set: LabeledDataset, config: TrainConfig, rng) -> Authenticator:
-    """Train the authentication network: front-end conditioning, then a
-    float32 net of shape [2 * SYMBOLS_PER_BURST * n_antennas, 50, 50, 50, 2]
-    with relu hidden layers, softmax output, cross-entropy and Adam, every
-    draw from the generator `rng`.
+def train_classifier(train_set: LabeledDataset, train_steps, rng) -> Authenticator:
+    """Train the authentication network for `train_steps` Adam steps:
+    front-end conditioning, then a float32 net of shape
+    [2 * SYMBOLS_PER_BURST * n_antennas, 50, 50, 50, 2] with relu hidden
+    layers, softmax output and cross-entropy, in shuffled batches of
+    CLASSIFIER_BATCH rows, Adam at the `nn` constants, every draw from the
+    generator `rng`.
 
     The net is initialised and stepped as the one raw-width net that would
     read each conditioned phasor copied into all of its symbol's S sample
@@ -204,6 +207,8 @@ def train_classifier(train_set: LabeledDataset, config: TrainConfig, rng) -> Aut
     """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
+    if train_steps < 1:
+        raise ValueError("train_steps must be >= 1")
     n_ant, sps = train_set.n_antennas, train_set.samples_per_symbol
     x = condition_rows(train_set.features, n_ant, sps)
     net = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None, sps, rng)
@@ -211,12 +216,12 @@ def train_classifier(train_set: LabeledDataset, config: TrainConfig, rng) -> Aut
     # targets in the net's dtype.
     x = x.astype(net.params.dtype)
     targets = one_hot(train_set.labels).astype(net.params.dtype)
-    state = AdamState.for_network(net, config.learning_rate, first_weight_scale=sps)
-    ws = Workspace(net, min(config.batch_size, len(train_set)))
+    state = AdamState.for_network(net, first_weight_scale=sps)
+    ws = Workspace(net, min(CLASSIFIER_BATCH, len(train_set)))
     steps = 0
-    while steps < config.train_steps:
-        steps += _train_epoch(net, state, x, targets, config.batch_size, rng, ws,
-                              config.train_steps - steps)
+    while steps < train_steps:
+        steps += _train_epoch(net, state, x, targets, CLASSIFIER_BATCH, rng, ws,
+                              train_steps - steps)
     return Authenticator(net, n_ant, sps)
 
 

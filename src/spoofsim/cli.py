@@ -1,7 +1,9 @@
 """Command-line front end: `run` builds a sweep's `ExperimentSpec` from a
 key = value file plus flags (`parse_config`) and runs it; `bench` times a
 saved classifier (`benchmark_latency`). A sweep with `attack = gan` trains
-the GAN of each geometry and saves its generator.
+the GAN of each geometry and saves its generator. The classifier's one key
+is `classifier.train_steps`: its batch (`authenticator.CLASSIFIER_BATCH`)
+and Adam's learning rate (`nn.ADAM_LEARNING_RATE`) are constants.
 
 Exit codes: 0 full success, 1 configuration errors, 2 partial cell failures.
 """
@@ -21,7 +23,7 @@ from .authenticator import Authenticator, classify
 from .experiments import (TABLE_GRID_DEFAULTS, TABLES, ConfigError, ExperimentSpec,
                           run_experiment)
 from .gan import GanConfig
-from .nn import TrainConfig, load_model
+from .nn import load_model
 from .scenario import ScenarioConfig
 from .waveform import SYMBOLS_PER_BURST
 
@@ -61,8 +63,8 @@ def _parse_retries(text):
     return 0
 
 
-# key -> (target, field, parser); targets name sub-configs of ExperimentSpec
-# (None: the key sets nothing)
+# key -> (target, field, parser); target "spec" sets an ExperimentSpec field,
+# "scenario" and "gan" a field of its sub-config (None: the key sets nothing)
 _KEYS = {
     "table": ("spec", "table", str.strip),
     "seeds": ("spec", "seeds", _parse_int_list),
@@ -81,9 +83,7 @@ _KEYS = {
     "scenario.samples_per_symbol": ("scenario", "samples_per_symbol", int),
     "dataset.n_train": ("spec", "n_train", int),
     "dataset.n_test": ("spec", "n_test", int),
-    "classifier.learning_rate": ("classifier", "learning_rate", float),
-    "classifier.batch_size": ("classifier", "batch_size", int),
-    "classifier.train_steps": ("classifier", "train_steps", int),
+    "classifier.train_steps": ("spec", "classifier_steps", int),
     "gan.noise_dim": ("gan", "noise_dim", int),
     "gan.hidden_width": ("gan", "hidden_width", int),
     "gan.hidden_depth": ("gan", "hidden_depth", int),
@@ -145,15 +145,13 @@ def parse_config(path=None, overrides=None) -> ExperimentSpec:
     # A sub-config's range errors start with the field name, so the section
     # prefix turns them into the offending key.
     configs = {}
-    for target, config_cls in (("scenario", ScenarioConfig), ("classifier", TrainConfig),
-                               ("gan", GanConfig)):
+    for target, config_cls in (("scenario", ScenarioConfig), ("gan", GanConfig)):
         try:
             configs[target] = config_cls(**{f: v for (t, f), v in parsed.items()
                                             if t == target})
         except ValueError as exc:
             raise ConfigError(f"{target}.{exc}") from exc
-    spec = ExperimentSpec(table=table, base=configs["scenario"],
-                          classifier=configs["classifier"], gan=configs["gan"],
+    spec = ExperimentSpec(table=table, base=configs["scenario"], gan=configs["gan"],
                           **spec_kwargs)
     unread = next((key for key in values if key.startswith("gan.") and spec.attack != "gan"
                    or key == "trials" and spec.attack == "none"), None)

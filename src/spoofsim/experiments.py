@@ -67,7 +67,7 @@ from .attacks import (AttackReport, run_gan_attack, run_random_attack,
 from .authenticator import (Authenticator, ClassifierMetrics, build_phasor_dataset,
                             evaluate, train_classifier)
 from .gan import GanConfig, TrainingTrace, save_trace_csv
-from .nn import DenseNetwork, TrainConfig, save_model
+from .nn import DenseNetwork, save_model
 from .scenario import Position, ScenarioConfig, substream
 
 
@@ -87,6 +87,10 @@ TABLE_GRID_DEFAULTS = {
     "4": dict(at_positions=((0.0, 5.0), (0.0, 10.0), (0.0, 15.0), (0.0, 20.0))),
     "5": dict(at_positions=((0.0, 10.0), (0.0, 11.0), (0.0, 15.0), (0.0, 20.0))),
 }
+
+# Seeds lie in [0, SEED_BOUND): the cell streams key on a seed's low 63 bits,
+# so a wider seed would draw the streams of another.
+SEED_BOUND = 1 << 63
 
 # Node pairs that share a link, as ScenarioConfig position fields: their
 # positions must differ (`link_mean_gain` needs a distance above zero).
@@ -117,7 +121,7 @@ class ExperimentSpec:
     base: ScenarioConfig = field(default_factory=ScenarioConfig)
     n_train: int = 1000
     n_test: int = 1000
-    classifier: TrainConfig = field(default_factory=TrainConfig)
+    classifier_steps: int = 1000  # config key classifier.train_steps
     gan: GanConfig = field(default_factory=GanConfig)
 
     def __post_init__(self):
@@ -135,6 +139,9 @@ class ExperimentSpec:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
+        for seed in self.seeds:
+            if not 0 <= seed < SEED_BOUND:
+                raise ConfigError(f"seeds must lie in [0, 2**63), got {seed}")
         if self.n_trials < 1:
             raise ConfigError("trials must be >= 1")
         for name in ("n_t_grid", "n_r_grid", "n_a_grid"):
@@ -171,6 +178,8 @@ class ExperimentSpec:
                                       f"coincides with scenario.{b}")
         if self.n_train < 2 or self.n_test < 2:
             raise ConfigError("dataset sizes must be >= 2")
+        if self.classifier_steps < 1:
+            raise ConfigError("classifier.train_steps must be >= 1")
 
 
 @dataclass
@@ -334,7 +343,7 @@ def train_job(spec, kind, cell, seed):
             return train_spoofer(scenario, spec.gan, gan_rng)
         train_set = build_phasor_dataset(scenario, spec.n_train, 0.5, data_rng)
         test_set = build_phasor_dataset(scenario, spec.n_test, 0.5, data_rng)
-        clf = train_classifier(train_set, spec.classifier,
+        clf = train_classifier(train_set, spec.classifier_steps,
                                np.random.default_rng(scen_seed & 0x7FFFFFFF))
         return clf, evaluate(clf, test_set)
     except CELL_ERRORS as exc:

@@ -50,7 +50,6 @@ from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows, qpsk_pha
                        stream_rms)
 
 CONV_THRESHOLD = 0.05
-LEARNING_RATE = 1e-3  # Adam's, for both nets
 
 
 @dataclass
@@ -226,10 +225,9 @@ def check_convergence(loss_series, window) -> bool:
     A series shorter than `window` never converges; one of exactly `window`
     values can, so `window=2` judges from two epochs alone.
     """
-    series = np.asarray(loss_series, dtype=np.float64)
-    if series.size < window:
+    if len(loss_series) < window:
         return False
-    tail = series[-window:]
+    tail = np.asarray(loss_series[-window:], dtype=np.float64)
     now = tail[-1]
     if abs(now) < 1e-9:
         return bool(np.all(np.abs(tail) < 1e-9))
@@ -289,16 +287,19 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
     (d) the losses are recorded. They score (a)'s pool, sent before (c)
         moved the generator, with the discriminator (b) just trained on it,
         so g_loss and d_loss never show (c)'s update.
-    Training stops early once both loss series pass the perturbation
-    convergence test; otherwise the trace reports converged=False.
+    Both nets step with Adam at the `nn` constants (ADAM_LEARNING_RATE and
+    the rest), the discriminator's first-layer weights scaled by
+    samples_per_symbol. Training stops early once both loss series pass the
+    perturbation convergence test; otherwise the trace reports
+    converged=False.
     """
     cfg, sc = config, scenario
     budget = float(cfg.power_budget) if cfg.power_budget is not None else sc.power
 
     g_net = init_generator(sc, cfg, rng)
     d_net = init_discriminator(sc, cfg, rng)
-    g_state = AdamState.for_network(g_net, LEARNING_RATE)
-    d_state = AdamState.for_network(d_net, LEARNING_RATE, sc.samples_per_symbol)
+    g_state = AdamState.for_network(g_net)
+    d_state = AdamState.for_network(d_net, sc.samples_per_symbol)
     g_ws = Workspace(g_net, min(cfg.batch_size, cfg.synth_per_epoch))
     d_ws = Workspace(d_net, min(cfg.batch_size, cfg.real_pool + cfg.synth_per_epoch))
 

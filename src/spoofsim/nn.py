@@ -7,7 +7,9 @@ vector at once. The vector's dtype is the network's: float32 when it was
 built from float32 arrays, float64 otherwise. Workspaces, gradients and
 Adam state follow it, and inputs and loss gradients are cast to it, so a
 float32 network trains in float32 throughout. The trainers build float32
-networks; the finite-difference checks need float64 ones. `backward` forms
+networks; the finite-difference checks need float64 ones. Adam steps every
+network at the module's constants: learning rate ADAM_LEARNING_RATE, decay
+rates ADAM_BETA1 and ADAM_BETA2, and ADAM_EPSILON. `backward` forms
 only the parameter gradients and `input_gradient` only d(loss)/d(input).
 The loss gradient both take is d(loss)/d(output), except at a softmax
 output layer: that takes d(loss)/d(logits), its pre-activation gradient,
@@ -46,6 +48,7 @@ LOG_EPS = 1e-12
 # `cross_entropy_delta` zeroes an entry.
 _SQRT_TINY = {np.dtype(t): math.sqrt(np.finfo(t).tiny) for t in (np.float32, np.float64)}
 
+ADAM_LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -355,29 +358,11 @@ def cross_entropy_delta(pred, targets) -> np.ndarray:
 
 
 @dataclass
-class TrainConfig:
-    """The authentication classifier's settings: Adam's learning rate (its
-    other settings are the ADAM_* constants), batch size and step count."""
-
-    learning_rate: float = 1e-3
-    batch_size: int = 100
-    train_steps: int = 1000
-
-    def __post_init__(self):
-        # Each message starts with the field name (`parse_config` relies on it).
-        if not (0.0 < self.learning_rate < math.inf):
-            raise ValueError(f"learning_rate must be finite and above zero, "
-                             f"got {self.learning_rate}")
-        for name in ("batch_size", "train_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-
-@dataclass
 class AdamState:
-    """Adam's state for one network: its learning rate and first/second
-    moment accumulators, each one flat vector laid out like the `params` of
-    the network whose `layer_sizes` they record, in its dtype.
+    """Adam's state for one network: its first/second moment accumulators,
+    each one flat vector laid out like the `params` of the network whose
+    `layer_sizes` they record, in its dtype. Every net steps at the ADAM_*
+    constants.
 
     first_weight_scale multiplies the first layer's weight step (not its
     bias step): a first-layer weight that stands for that many tied
@@ -388,13 +373,12 @@ class AdamState:
     hundred steps and, rounding back onto themselves, stay there, slowing
     every later step many times over; `adam_step` zeroes them long before
     (see FLUSH_EVERY). A flushed first moment moved its parameter by less
-    than 1e-20 times the learning rate per step.
+    than 1e-20 times ADAM_LEARNING_RATE per step.
     """
 
     m: np.ndarray
     v: np.ndarray
     layer_sizes: list
-    learning_rate: float
     step: int = 0
     first_weight_scale: float = 1.0
     work: np.ndarray = field(init=False, repr=False)  # the step's scratch vector
@@ -403,11 +387,10 @@ class AdamState:
         self.work = np.empty_like(self.m)
 
     @classmethod
-    def for_network(cls, net: DenseNetwork, learning_rate, first_weight_scale=1.0) -> "AdamState":
+    def for_network(cls, net: DenseNetwork, first_weight_scale=1.0) -> "AdamState":
         dtype = net.params.dtype
         return cls(np.zeros(net.params.size, dtype), np.zeros(net.params.size, dtype),
-                   net.layer_sizes, float(learning_rate),
-                   first_weight_scale=float(first_weight_scale))
+                   net.layer_sizes, first_weight_scale=float(first_weight_scale))
 
 
 def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState) -> AdamState:
@@ -423,7 +406,7 @@ def adam_step(net: DenseNetwork, grads: Gradients, state: AdamState) -> AdamStat
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** state.step
     inv_sqrt_corr2 = 1.0 / math.sqrt(1.0 - b2 ** state.step)
-    scale = state.learning_rate / corr1
+    scale = ADAM_LEARNING_RATE / corr1
     g, step = grads.flat, state.work
     state.m *= b1
     state.m += np.multiply(g, 1.0 - b1, out=step)

@@ -8,7 +8,7 @@ from spoofsim.attacks import run_gan_attack, run_random_attack, run_replay_attac
 from spoofsim.authenticator import (FROM_T, Authenticator, build_phasor_dataset, classify,
                                     train_classifier)
 from spoofsim.gan import GanConfig, init_generator, train_gan
-from spoofsim.nn import DenseNetwork, TrainConfig, init_network
+from spoofsim.nn import DenseNetwork, init_network
 from spoofsim.scenario import ScenarioConfig, substream
 from spoofsim.waveform import (feature_rows, qpsk_phases, receive_phasors,
                                receive_waveform_phasors, relay_phasors)
@@ -24,7 +24,7 @@ def tiny_scenario(seed=0, **kw):
 def tiny_classifier(seed=0):
     sc = tiny_scenario(seed)
     ds = build_phasor_dataset(sc, 60, 0.5, substream(seed, 1))
-    return sc, train_classifier(ds, TrainConfig(train_steps=40), np.random.default_rng(seed))
+    return sc, train_classifier(ds, 40, np.random.default_rng(seed))
 
 
 def always_not_t(sc, width):

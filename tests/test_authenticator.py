@@ -4,12 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim.authenticator import (CLASSIFIER_HIDDEN, FROM_T, NOT_T, Authenticator,
+from spoofsim.authenticator import (CLASSIFIER_BATCH, CLASSIFIER_HIDDEN, FROM_T, NOT_T,
+                                    Authenticator,
                                     ClassifierMetrics, LabeledDataset, build_dataset,
                                     build_phasor_dataset, classify, evaluate, one_hot,
                                     train_classifier)
 from spoofsim.frontend import condition_rows, symbol_phasors
-from spoofsim.nn import (AdamState, DenseNetwork, TrainConfig, Workspace, adam_step, backward,
+from spoofsim.nn import (AdamState, DenseNetwork, Workspace, adam_step, backward,
                          cross_entropy_delta, forward, init_network, predict)
 from spoofsim.scenario import ScenarioConfig, substream
 from spoofsim.waveform import feature_rows
@@ -155,9 +156,8 @@ class TestBuildPhasorDataset:
         raw = build_dataset(sc, 60, 0.5, substream(5, 1))
         rows = feature_rows(symbol_phasors(raw.features, 1, 10))
         twin = LabeledDataset(rows, raw.labels, 1, 10)
-        cfg = TrainConfig(train_steps=40)
-        a = train_classifier(raw, cfg, np.random.default_rng(9))
-        b = train_classifier(twin, cfg, np.random.default_rng(9))
+        a = train_classifier(raw, 40, np.random.default_rng(9))
+        b = train_classifier(twin, 40, np.random.default_rng(9))
         for wa, wb in zip(a.net.weights, b.net.weights):
             npt.assert_array_equal(wa, wb)
         npt.assert_array_equal(classify(a, raw.features), classify(b, rows))
@@ -168,7 +168,7 @@ class TestBuildPhasorDataset:
         # the phasor width (4 points per antenna) is read without the filter
         sc = tiny_scenario(seed=6, n_r=2)
         clf = train_classifier(build_phasor_dataset(sc, 20, 0.5, substream(6, 1)),
-                               TrainConfig(train_steps=2), np.random.default_rng(1))
+                               2, np.random.default_rng(1))
         rng = np.random.default_rng(0)
         for points in (6, 38, 41):
             row = rng.standard_normal(2 * 2 * points)
@@ -185,24 +185,22 @@ class TestTrainClassifier:
         base = build_dataset(sc, 2, 0.5, substream(4, 1))
         reps = LabeledDataset(np.tile(base.features, (10, 1)),
                               np.tile(base.labels, 10), 1, 10)
-        clf = train_classifier(reps, TrainConfig(train_steps=300, batch_size=10),
-                               np.random.default_rng(0))
+        clf = train_classifier(reps, 300, np.random.default_rng(0))
         preds = classify(clf, reps.features)
         assert np.all(preds == reps.labels)
 
     def test_same_seed_gives_identical_networks(self):
         sc = tiny_scenario(seed=5)
         ds = build_dataset(sc, 60, 0.5, substream(5, 1))
-        cfg = TrainConfig(train_steps=40)
-        a = train_classifier(ds, cfg, np.random.default_rng(9))
-        b = train_classifier(ds, cfg, np.random.default_rng(9))
+        a = train_classifier(ds, 40, np.random.default_rng(9))
+        b = train_classifier(ds, 40, np.random.default_rng(9))
         for wa, wb in zip(a.net.weights, b.net.weights):
             npt.assert_array_equal(wa, wb)
 
     def test_network_shape_contract(self):
         sc = tiny_scenario(seed=6)
         ds = build_dataset(sc, 30, 0.5, substream(6, 1))
-        clf = train_classifier(ds, TrainConfig(train_steps=5), np.random.default_rng(0))
+        clf = train_classifier(ds, 5, np.random.default_rng(0))
         assert clf.net.layer_sizes == [sc.conditioned_length, 50, 50, 50, 2]
         assert clf.net.params.dtype == np.float32
         assert sc.conditioned_length == 2 * 4 * sc.n_r
@@ -213,14 +211,14 @@ class TestTrainClassifier:
             LabeledDataset(np.zeros((4, 80)), np.array([0, 1, 0, 1]))
 
     def test_matches_raw_width_net_on_slot_replicated_features(self):
-        self.check_matches_raw_width_net(TrainConfig(train_steps=150, batch_size=20), 4)
+        # 250 rows make 3 steps an epoch, the last of 50 rows: 50 epochs
+        self.check_matches_raw_width_net(150, 250, 4)
 
     def test_matches_raw_width_net_when_steps_end_mid_epoch(self):
-        # 200 rows in batches of 30 make 7 steps an epoch, the last of 20
-        # rows; the 10th step is the 3rd of the second epoch.
-        self.check_matches_raw_width_net(TrainConfig(train_steps=10, batch_size=30), 4)
+        # 200 rows make 2 steps an epoch; the 7th step is the 1st of the 4th
+        self.check_matches_raw_width_net(7, 200, 4)
 
-    def check_matches_raw_width_net(self, cfg, seed):
+    def check_matches_raw_width_net(self, train_steps, n_train, seed):
         # Reference: the raw-width net that reads every conditioned phasor
         # copied into all S sample slots of its symbol, trained with plain
         # Adam from the same seed, in the trainer's dtype. Its S tied
@@ -229,14 +227,14 @@ class TestTrainClassifier:
         # the same decisions.
         sc = tiny_scenario(seed=13, n_r=2)
         s = sc.samples_per_symbol
-        train = build_dataset(sc, 200, 0.5, substream(13, 1))
+        train = build_dataset(sc, n_train, 0.5, substream(13, 1))
         test = build_dataset(sc, 300, 0.5, substream(13, 2))
-        clf = train_classifier(train, cfg, np.random.default_rng(seed))
+        clf = train_classifier(train, train_steps, np.random.default_rng(seed))
         dtype = clf.net.params.dtype
         # The two nets round the first-layer sum and every step differently.
         # Independent rounding errors of size eps add up like a random walk
         # over the Adam steps; allow four times that on the probabilities.
-        tol = 4 * np.sqrt(cfg.train_steps) * np.finfo(dtype).eps
+        tol = 4 * np.sqrt(train_steps) * np.finfo(dtype).eps
 
         def replicated(rows):
             cond = condition_rows(rows, sc.n_r, s)
@@ -245,19 +243,19 @@ class TestTrainClassifier:
         rng = np.random.default_rng(seed)
         x = replicated(train.features).astype(dtype)
         ref = init_network([x.shape[1], *CLASSIFIER_HIDDEN, 2], rng=rng, dtype=dtype)
-        state = AdamState.for_network(ref, cfg.learning_rate)
-        ws = Workspace(ref, cfg.batch_size)
+        state = AdamState.for_network(ref)
+        ws = Workspace(ref, CLASSIFIER_BATCH)
         targets = one_hot(train.labels)
         steps = 0
-        while steps < cfg.train_steps:
+        while steps < train_steps:
             order = rng.permutation(len(train))
-            for start in range(0, len(train), cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
+            for start in range(0, len(train), CLASSIFIER_BATCH):
+                idx = order[start:start + CLASSIFIER_BATCH]
                 out, cache = forward(ref, x[idx], ws)
                 adam_step(ref, backward(ref, cache, cross_entropy_delta(out, targets[idx])),
                           state)
                 steps += 1
-                if steps >= cfg.train_steps:
+                if steps >= train_steps:
                     break
 
         assert dtype == np.float32
@@ -272,7 +270,7 @@ class TestClassify:
     def test_one_raw_row_gets_the_batched_decision(self):
         sc = tiny_scenario(seed=11)
         ds = build_dataset(sc, 40, 0.5, substream(11, 1))
-        clf = train_classifier(ds, TrainConfig(train_steps=20), np.random.default_rng(0))
+        clf = train_classifier(ds, 20, np.random.default_rng(0))
         batched = classify(clf, ds.features)
         for row, want in zip(ds.features, batched):
             decision = classify(clf, row)
@@ -283,7 +281,7 @@ class TestEvaluate:
     def test_perfect_predictor(self):
         sc = tiny_scenario(seed=7)
         ds = build_dataset(sc, 200, 0.5, substream(7, 1))
-        clf = train_classifier(ds, TrainConfig(train_steps=400), np.random.default_rng(1))
+        clf = train_classifier(ds, 400, np.random.default_rng(1))
         m = evaluate(clf, ds)
         assert m.e_md <= 0.05 and m.e_fa <= 0.05  # near-memorization
 
@@ -310,7 +308,7 @@ class TestEvaluate:
     def test_permutation_invariance(self):
         sc = tiny_scenario(seed=8)
         ds = build_dataset(sc, 120, 0.5, substream(8, 1))
-        clf = train_classifier(ds, TrainConfig(train_steps=30), np.random.default_rng(0))
+        clf = train_classifier(ds, 30, np.random.default_rng(0))
         m1 = evaluate(clf, ds)
         perm = np.random.default_rng(0).permutation(len(ds))
         m2 = evaluate(clf, LabeledDataset(ds.features[perm], ds.labels[perm],
@@ -320,7 +318,7 @@ class TestEvaluate:
     def test_counts_bounded(self):
         sc = tiny_scenario(seed=9)
         ds = build_dataset(sc, 80, 0.5, substream(9, 1))
-        clf = train_classifier(ds, TrainConfig(train_steps=10), np.random.default_rng(0))
+        clf = train_classifier(ds, 10, np.random.default_rng(0))
         m = evaluate(clf, ds)
         assert m.n_md <= m.n_from_t
         assert m.n_fa <= m.n - m.n_from_t
@@ -328,7 +326,7 @@ class TestEvaluate:
     def test_single_class_test_set_rejected(self):
         sc = tiny_scenario(seed=10)
         ds = build_dataset(sc, 40, 0.5, substream(10, 1))
-        clf = train_classifier(ds, TrainConfig(train_steps=5), np.random.default_rng(0))
+        clf = train_classifier(ds, 5, np.random.default_rng(0))
         only_pos = LabeledDataset(ds.features[:4], np.full(4, FROM_T), 1, 10)
         with pytest.raises(ValueError):
             evaluate(clf, only_pos)

@@ -116,10 +116,9 @@ scenario.power = 500
 
     @pytest.mark.parametrize("key,value", [
         ("scenario.power", "nan"), ("scenario.power", "inf"), ("scenario.power", "0"),
-        ("classifier.learning_rate", "nan"), ("classifier.learning_rate", "inf"),
         ("gan.power_budget", "-1"), ("gan.power_budget", "0"), ("gan.power_budget", "nan"),
         ("gan.power_budget", "inf"), ("scenario.t_pos", "inf,0"),
-        ("scenario.samples_per_symbol", "0"), ("classifier.batch_size", "0"),
+        ("scenario.samples_per_symbol", "0"),
         ("classifier.train_steps", "0"), ("gan.conv_window", "1"),
         ("seeds", "0,0"), ("seeds", "3,1,3"), ("n_t", "1,1"), ("n_a", "2,1,2"),
         # nodes that share a link may not coincide: T-R, T-A_R, T-A_T, A_T-R, A_T-A_R
@@ -129,6 +128,14 @@ scenario.power = 500
     def test_out_of_range_value_names_key(self, key, value):
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(overrides={key: value})
+
+    @pytest.mark.parametrize("bad, good", [(-1, 0), (2**63, 2**63 - 1)])
+    def test_seeds_beyond_63_bits_are_refused_by_value(self, bad, good):
+        # the cell streams key on a seed's low 63 bits: 2**63 would draw seed
+        # 0's streams, and -1 those of 2**63 - 1
+        with pytest.raises(ConfigError, match=rf"seeds must lie in .*, got {bad}$"):
+            parse_config(overrides={"seeds": f"{good},{bad}"})
+        assert parse_config(overrides={"seeds": str(good)}).seeds == (good,)
 
     @pytest.mark.parametrize("table", ["4", "5"])
     @pytest.mark.parametrize("positions", ["0,5;0,5", "0,5;0,0", "0,5;10,0", "0,5;10,0.1",
@@ -336,7 +343,7 @@ class TestRunExperiment:
         assert budgets == [0.25] * (2 if table == "5" else 1)
 
     def test_classifier_settings_never_reach_the_gan(self, tmp_path):
-        # the GAN's nets step at their own learning rate, so a classifier
+        # the GAN trains on its own stream and settings, so a classifier
         # setting moves the classifier alone
         def models(name, **overrides):
             spec = fast_spec(tmp_path / name, **{"table": "3", "n_t": "1", "n_r": "1",
@@ -345,11 +352,11 @@ class TestRunExperiment:
             return sweep_outputs(Path(spec.out_dir) / "models")
 
         default = models("default")
-        faster = models("faster", **{"classifier.learning_rate": "0.01"})
+        longer = models("longer", **{"classifier.train_steps": "60"})
         prefix = "t3_nt1_nr1_na1_seed0"
         for what in ("generator.bin", "trace.csv"):
-            assert faster[f"{prefix}_{what}"] == default[f"{prefix}_{what}"]
-        assert faster[f"{prefix}_classifier.bin"] != default[f"{prefix}_classifier.bin"]
+            assert longer[f"{prefix}_{what}"] == default[f"{prefix}_{what}"]
+        assert longer[f"{prefix}_classifier.bin"] != default[f"{prefix}_classifier.bin"]
 
     def test_mean_row_averages_the_cell_seeds(self, tmp_path):
         spec = fast_spec(tmp_path, **{"seeds": "0,1", "n_r": "1,2", "attack": "replay"})

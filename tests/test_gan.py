@@ -129,6 +129,9 @@ class TestCheckConvergence:
     def test_short_series_does_not(self):
         assert not check_convergence([1.5] * 9, 10)
 
+    def test_values_before_the_window_do_not_count(self):
+        assert check_convergence([1e9] + [1.5] * 10, 10)
+
     def test_full_perturbation_fails(self):
         series = [1.0] * 99 + [1.0, 2.0]
         assert not check_convergence(series, 100)
@@ -263,7 +266,7 @@ class TestTrainGan:
             return adam_step(net, grads, state)
 
         monkeypatch.setattr("spoofsim.authenticator.adam_step", checked_step)
-        spoofsim.gan._train_epoch(d, AdamState.for_network(d, 1e-3), x,
+        spoofsim.gan._train_epoch(d, AdamState.for_network(d), x,
                                   one_hot(np.argmax(out, axis=1)), TINY.batch_size, rng,
                                   Workspace(d, TINY.batch_size))
         assert seen == [0, 0]
@@ -526,8 +529,8 @@ class TestTrainGan:
 
         class PlainAdam(AdamState):
             @classmethod
-            def for_network(cls, net, learning_rate, first_weight_scale=1.0):
-                return AdamState.for_network(net, learning_rate)
+            def for_network(cls, net, first_weight_scale=1.0):
+                return AdamState.for_network(net)
 
         def raw_discriminator(scenario, config, rng):
             sizes = discriminator_layer_sizes(scenario, config)

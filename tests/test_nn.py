@@ -9,10 +9,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, LINEAR, RELU, SOFTMAX, AdamState,
-                         DenseNetwork, Gradients, Workspace, adam_step, backward,
-                         cross_entropy_delta, forward, gather_rows, init_network, input_gradient,
-                         load_model, predict, save_model)
+from spoofsim.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, ADAM_LEARNING_RATE, LINEAR, RELU,
+                         SOFTMAX, AdamState, DenseNetwork, Gradients, Workspace, adam_step,
+                         backward, cross_entropy_delta, forward, gather_rows, init_network,
+                         input_gradient, load_model, predict, save_model)
 
 from helpers import as_float64, cross_entropy, finite_diff_check, subnormal_count, sure_rows
 
@@ -35,14 +35,13 @@ def full_backward_d_input(net, cache, loss_gradient):
     return g
 
 
-def per_tensor_adam(weights, biases, d_weights, d_biases, m, v, step, learning_rate,
-                    first_weight_scale):
+def per_tensor_adam(weights, biases, d_weights, d_biases, m, v, step, first_weight_scale):
     """Adam updated one parameter tensor at a time, weights then biases, with
     m and v holding one array per tensor in that order."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** step
     inv_sqrt_corr2 = 1.0 / math.sqrt(1.0 - b2 ** step)
-    scale = learning_rate / corr1
+    scale = ADAM_LEARNING_RATE / corr1
     for k, (p, g) in enumerate(zip(weights + biases, d_weights + d_biases)):
         step_scale = scale * first_weight_scale if k == 0 else scale
         m[k] *= b1
@@ -184,7 +183,7 @@ class TestWorkspace:
         x = rng.standard_normal((47, 7))
         y = np.eye(3)[rng.integers(0, 3, 47)]
         ws = Workspace(net, 10)
-        state, ref_state = AdamState.for_network(net, 1e-3), AdamState.for_network(ref, 1e-3)
+        state, ref_state = AdamState.for_network(net), AdamState.for_network(ref)
         steps = 0
         for epoch in range(5):
             order = np.random.default_rng(epoch).permutation(47)
@@ -216,7 +215,7 @@ class TestWorkspace:
             out, other = forward(net, rng.standard_normal((4, 7)), Workspace(net, 4))
             backward(net, other, rng.standard_normal(out.shape))
         npt.assert_array_equal(grads.flat, kept)
-        adam_step(net, grads, AdamState.for_network(net, 1e-3))
+        adam_step(net, grads, AdamState.for_network(net))
 
     @pytest.mark.parametrize("later", ["forward", "gather_rows"])
     def test_later_pass_makes_cache_and_gradients_stale(self, later):
@@ -235,7 +234,7 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="stale"):
             input_gradient(net, cache, np.ones_like(out))
         with pytest.raises(ValueError, match="stale"):
-            adam_step(net, grads, AdamState.for_network(net, 1e-3))
+            adam_step(net, grads, AdamState.for_network(net))
 
     def test_workspace_is_freed_without_the_cycle_collector(self):
         # Its Gradients point back at it weakly, so dropping the last cache
@@ -252,7 +251,7 @@ class TestWorkspace:
         finally:
             if collector_was_on:
                 gc.enable()
-        adam_step(net, grads, AdamState.for_network(net, 1e-3))
+        adam_step(net, grads, AdamState.for_network(net))
 
     def test_batch_wider_than_rows_rejected(self):
         net = small_net()
@@ -460,7 +459,7 @@ class TestAdam:
     def test_flat_step_equals_per_tensor_reference(self, sizes, first_weight_scale):
         rng = np.random.default_rng(15)
         net = init_network(list(sizes), rng=rng)
-        state = AdamState.for_network(net, 1e-3, first_weight_scale=first_weight_scale)
+        state = AdamState.for_network(net, first_weight_scale=first_weight_scale)
         ref_w = [w.copy() for w in net.weights]
         ref_b = [b.copy() for b in net.biases]
         m = [np.zeros_like(p) for p in ref_w + ref_b]
@@ -470,7 +469,7 @@ class TestAdam:
                               * 10.0 ** rng.integers(-4, 3))
             adam_step(net, grads, state)
             per_tensor_adam(ref_w, ref_b, grads.d_weights, grads.d_biases, m, v, step,
-                            state.learning_rate, first_weight_scale)
+                            first_weight_scale)
         assert state.step == 60
         for got, want in zip(net.weights + net.biases, ref_w + ref_b):
             npt.assert_array_equal(got, want)
@@ -484,25 +483,25 @@ class TestAdam:
         net = small_net()
         before = [w.copy() for w in net.weights]
         adam_step(net, Gradients(net, np.zeros(net.n_parameters())),
-                  AdamState.for_network(net, 1e-3))
+                  AdamState.for_network(net))
         for w0, w1 in zip(before, net.weights):
             npt.assert_array_equal(w0, w1)
 
     def test_constant_gradient_step_approaches_learning_rate(self):
         net = DenseNetwork([np.zeros((1, 1))], [np.zeros(1)], [LINEAR])
-        state = AdamState.for_network(net, 1e-3)
+        state = AdamState.for_network(net)
         grads = Gradients(net, np.full(2, 0.37))
         for _ in range(2000):
             adam_step(net, grads, state)
         last = net.weights[0][0, 0]
         adam_step(net, grads, state)
-        npt.assert_allclose(last - net.weights[0][0, 0], 1e-3, rtol=1e-4)
+        npt.assert_allclose(last - net.weights[0][0, 0], ADAM_LEARNING_RATE, rtol=1e-4)
 
     def test_same_seed_same_trajectory(self):
         def run():
             rng = np.random.default_rng(5)
             net = small_net(seed=5)
-            state = AdamState.for_network(net, 1e-3)
+            state = AdamState.for_network(net)
             x = rng.standard_normal((20, 7))
             y = np.zeros((20, 3))
             y[np.arange(20), rng.integers(0, 3, 20)] = 1.0
@@ -520,7 +519,7 @@ class TestAdam:
         other = small_net((7, 4, 3))
         with pytest.raises(ValueError):
             adam_step(net, Gradients(net, np.zeros(net.n_parameters())),
-                      AdamState.for_network(other, 1e-3))
+                      AdamState.for_network(other))
 
     def test_state_of_same_size_net_with_other_layers_rejected(self):
         net = init_network([3, 2, 2], rng=np.random.default_rng(0))
@@ -528,7 +527,7 @@ class TestAdam:
         assert net.n_parameters() == other.n_parameters()
         with pytest.raises(ValueError):
             adam_step(net, Gradients(net, np.zeros(net.n_parameters())),
-                      AdamState.for_network(other, 1e-3))
+                      AdamState.for_network(other))
 
     def test_linearly_separable_toy_set_reaches_full_accuracy(self):
         rng = np.random.default_rng(6)
@@ -538,7 +537,7 @@ class TestAdam:
         y = np.zeros((100, 2))
         y[np.arange(100), labels] = 1.0
         net = init_network([2, 8, 2], rng=rng)
-        state = AdamState.for_network(net, 1e-2)
+        state = AdamState.for_network(net)
         ws = Workspace(net, 100)
         for _ in range(500):
             out, cache = forward(net, x, ws)
@@ -693,7 +692,7 @@ class TestDtype:
         ws = Workspace(net, 3)
         assert {a.dtype for a in ws.acts + ws.d_in} == {np.dtype(np.float32)}
         assert ws.grads.flat.dtype == np.float32
-        state = AdamState.for_network(net, 1e-3)
+        state = AdamState.for_network(net)
         assert state.m.dtype == state.v.dtype == state.work.dtype == np.float32
 
     def test_anything_else_makes_a_float64_net(self):
@@ -730,7 +729,7 @@ class TestDtype:
 
     def test_adam_refuses_state_of_another_dtype(self):
         net = init_network([3, 2], rng=np.random.default_rng(25), dtype=np.float32)
-        state = AdamState.for_network(as_float64(net), 1e-3)
+        state = AdamState.for_network(as_float64(net))
         grads = Gradients(net, np.zeros(net.n_parameters(), np.float32))
         with pytest.raises(ValueError, match="does not match"):
             adam_step(net, grads, state)
@@ -748,7 +747,7 @@ class TestDtype:
         n64 = as_float64(n32)
         x = rng.standard_normal((200, 8))
         targets = np.eye(2)[(x[:, :4].sum(axis=1) > x[:, 4:].sum(axis=1)).astype(int)]
-        runs = [(net, AdamState.for_network(net, 1e-3), Workspace(net, 20),
+        runs = [(net, AdamState.for_network(net), Workspace(net, 20),
                  x.astype(net.params.dtype)) for net in (n32, n64)]
         eps = np.finfo(np.float32).eps
         order = np.random.default_rng(27)
@@ -804,7 +803,7 @@ class TestDtype:
         # first moments decay by 0.9 a step, and in float32 would go
         # subnormal near step 850 and stay so
         net = init_network([20, 30, 2], rng=np.random.default_rng(30), dtype=np.float32)
-        state = AdamState.for_network(net, 1e-3)
+        state = AdamState.for_network(net)
         rng = np.random.default_rng(31)
         dead = rng.random(net.n_parameters()) < 0.5
         for k in range(1500):

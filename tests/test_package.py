@@ -8,7 +8,7 @@ import spoofsim
 from spoofsim.attacks import run_gan_attack, run_random_attack, run_replay_attack, train_spoofer
 from spoofsim.authenticator import build_dataset, build_phasor_dataset, train_classifier
 from spoofsim.gan import GanConfig, train_gan
-from spoofsim.nn import TrainConfig, init_network
+from spoofsim.nn import init_network
 from spoofsim.scenario import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,7 +108,7 @@ WITHOUT_RNG = {
     "run_gan_attack": lambda sc: run_gan_attack(None, None, sc, 10, power_budget=1.0),
     "train_spoofer": lambda sc: train_spoofer(sc, GanConfig()),
     "train_gan": lambda sc: train_gan(sc, GanConfig()),
-    "train_classifier": lambda sc: train_classifier(None, TrainConfig()),
+    "train_classifier": lambda sc: train_classifier(None, 1000),
     "init_network": lambda sc: init_network([3, 2]),
 }
 

@@ -79,6 +79,8 @@ class TestArguments:
         ("--seeds", "1,2,1", "--seeds must not repeat"),
         ("--geometries", "1x1x1,2x2x1,1X1X1", "--geometries must not repeat"),
         ("--seeds", ",", "--seeds must name at least one seed"),
+        # the cell streams key on a seed's low 63 bits, so 2**63 would alias seed 0
+        ("--seeds", f"0,{2**63}", f"--seeds must lie in [0, 2**63), got {2**63}"),
         ("--trials", "0", "--trials must be >= 1"),
         ("--gan-epochs", "0", "--gan-epochs must be >= 1"),
     ])
