@@ -72,6 +72,17 @@ def wilson(k, n, z=Z95) -> dict:
     return {"k": k, "n": n, "p": p, "ci": [centre - half, centre + half]}
 
 
+def parse_seeds(text) -> list:
+    """Comma-separated integer seeds, e.g. "1,2,3"."""
+    seeds = []
+    for entry in filter(None, (s.strip() for s in text.split(","))):
+        try:
+            seeds.append(int(entry))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"seed must be an integer, got {entry!r}") from None
+    return seeds
+
+
 def parse_geometries(text) -> list:
     """Comma-separated n_t x n_r x n_a cells, e.g. "1x1x1,4x4x1"."""
     geometries = []
@@ -160,7 +171,7 @@ def compare(earlier, pooled, per_seed) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="1,2,3,4,5,6",
+    parser.add_argument("--seeds", type=parse_seeds, default="1,2,3,4,5,6",
                         help="comma-separated seed list")
     parser.add_argument("--geometries", type=parse_geometries, default="1x1x1,2x2x1,4x4x1",
                         help="comma-separated n_t x n_r x n_a cells, 1x1x1 among them")
@@ -168,8 +179,7 @@ def main(argv=None) -> int:
     parser.add_argument("--gan-epochs", type=int, default=200)
     parser.add_argument("--compare", help="JSON document of an earlier run")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    geometries = args.geometries
+    seeds, geometries = args.seeds, args.geometries
     if not seeds:
         parser.error("--seeds must name at least one seed")
     if len(set(seeds)) != len(seeds):

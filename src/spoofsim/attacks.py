@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .authenticator import FROM_T, Authenticator, classify
 from .gan import generator_phasors, train_gan
 from .scenario import TWO_PI, ScenarioConfig
-from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows,
+from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows, phasor_width,
                        qpsk_phases, receive_phasors, receive_waveform_phasors,
                        relay_phasors)
 
@@ -51,11 +51,10 @@ def _report(classifier, rx) -> AttackReport:
 
 
 def _check_feature_width(classifier: Authenticator, scenario: ScenarioConfig):
-    width = classifier.net.layer_sizes[0]
-    if width != scenario.conditioned_length:
-        raise ValueError(
-            f"classifier expects {width} conditioned features, scenario "
-            f"delivers {scenario.conditioned_length}")
+    width, delivered = classifier.net.layer_sizes[0], phasor_width(scenario.n_r)
+    if width != delivered:
+        raise ValueError(f"classifier expects {width} conditioned features, scenario "
+                         f"delivers {delivered}")
 
 
 def run_random_attack(classifier, scenario, n_trials, rng) -> AttackReport:
@@ -93,8 +92,7 @@ def run_gan_attack(classifier, generator, scenario, n_trials, rng,
     `power_budget` (None: the scenario's power)."""
     _check_feature_width(classifier, scenario)
     sc = scenario
-    width = generator.layer_sizes[-1]
-    expected_out = 2 * SYMBOLS_PER_BURST * sc.n_a
+    width, expected_out = generator.layer_sizes[-1], phasor_width(sc.n_a)
     if width != expected_out:
         raise ValueError(f"generator emits {width} values, scenario needs {expected_out} "
                          f"for {sc.n_a} transmit antennas")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontend import condition_rows, init_conditioned_network
-from .nn import (AdamState, DenseNetwork, Workspace, adam_step, backward, cross_entropy_delta,
-                 forward, gather_rows, predict)
+from .nn import (DenseNetwork, Workspace, adam_step, backward, cross_entropy_delta, forward,
+                 gather_rows, predict)
 from .scenario import TWO_PI, ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows,
                        qpsk_phases, receive_waveform, receive_waveform_phasors)
@@ -158,7 +158,7 @@ class Authenticator:
     """A trained authentication network plus the front-end geometry it expects.
 
     The network reads conditioned rows (see `frontend`), so its input width
-    is 2 * SYMBOLS_PER_BURST * n_antennas whatever samples_per_symbol is.
+    is `waveform.phasor_width(n_antennas)` whatever samples_per_symbol is.
     """
 
     net: DenseNetwork
@@ -168,7 +168,7 @@ class Authenticator:
     def condition(self, rows) -> np.ndarray:
         """Conditioned network input for feature rows of either kind.
 
-        A row of width 2 * n_antennas * SYMBOLS_PER_BURST is read as
+        A row of width `waveform.phasor_width(n_antennas)` is read as
         matched-filter phasors; any other width as a raw burst, which must
         split into SYMBOLS_PER_BURST symbols of samples_per_symbol points
         or a ValueError is raised. So a raw burst of only SYMBOLS_PER_BURST
@@ -195,15 +195,16 @@ def _train_epoch(net, state, x, targets, batch_size, rng, ws, max_steps=None) ->
 def train_classifier(train_set: LabeledDataset, train_steps, rng) -> Authenticator:
     """Train the authentication network for `train_steps` Adam steps:
     front-end conditioning, then a float32 net of shape
-    [2 * SYMBOLS_PER_BURST * n_antennas, 50, 50, 50, 2] with relu hidden
+    [phasor_width(n_antennas), 50, 50, 50, 2] with relu hidden
     layers, softmax output and cross-entropy, in shuffled batches of
     CLASSIFIER_BATCH rows, Adam at the `nn` constants, every draw from the
     generator `rng`.
 
     The net is initialised and stepped as the one raw-width net that would
     read each conditioned phasor copied into all of its symbol's S sample
-    slots (see `frontend.init_conditioned_network`), so it makes that net's
-    decisions while holding S times fewer first-layer weights.
+    slots (see `frontend.init_conditioned_network`, which also builds its
+    Adam state), so it makes that net's decisions while holding S times
+    fewer first-layer weights.
     """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
@@ -211,12 +212,12 @@ def train_classifier(train_set: LabeledDataset, train_steps, rng) -> Authenticat
         raise ValueError("train_steps must be >= 1")
     n_ant, sps = train_set.n_antennas, train_set.samples_per_symbol
     x = condition_rows(train_set.features, n_ant, sps)
-    net = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None, sps, rng)
+    net, state = init_conditioned_network([x.shape[1], *CLASSIFIER_HIDDEN, N_CLASSES], None,
+                                          sps, rng)
     # Cast once: `gather_rows` copies batches out of x, and the loss takes
     # targets in the net's dtype.
     x = x.astype(net.params.dtype)
     targets = one_hot(train_set.labels).astype(net.params.dtype)
-    state = AdamState.for_network(net, first_weight_scale=sps)
     ws = Workspace(net, min(CLASSIFIER_BATCH, len(train_set)))
     steps = 0
     while steps < train_steps:

@@ -25,7 +25,7 @@ from .experiments import (TABLE_GRID_DEFAULTS, TABLES, ConfigError, ExperimentSp
 from .gan import GanConfig
 from .nn import load_model
 from .scenario import ScenarioConfig
-from .waveform import SYMBOLS_PER_BURST
+from .waveform import phasor_width
 
 
 def _parse_int_list(text):
@@ -245,11 +245,11 @@ def _cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # A classifier reads one I/Q pair per (antenna, symbol).
-    n_r, rest = divmod(net.layer_sizes[0], 2 * SYMBOLS_PER_BURST)
+    n_r, rest = divmod(net.layer_sizes[0], phasor_width(1))
     if rest or n_r < 1:
         raise ConfigError(
             f"{args.model}: input width {net.layer_sizes[0]} is not "
-            f"{2 * SYMBOLS_PER_BURST} x antennas, so not a classifier's")
+            f"{phasor_width(1)} x antennas, so not a classifier's")
     latency = benchmark_latency(Authenticator(net, n_r, args.sps), args.repeats)
     sizes = "x".join(str(s) for s in net.layer_sizes)
     print(f"{args.model}: {latency.mean_us:.1f} us per sample (one raw burst, n_r={n_r}, "

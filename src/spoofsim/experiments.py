@@ -68,7 +68,7 @@ from .authenticator import (Authenticator, ClassifierMetrics, build_phasor_datas
                             evaluate, train_classifier)
 from .gan import GanConfig, TrainingTrace, save_trace_csv
 from .nn import DenseNetwork, save_model
-from .scenario import Position, ScenarioConfig, substream
+from .scenario import LINKED_NODES, SEED_BOUND, Position, ScenarioConfig, substream
 
 
 class ConfigError(ValueError):
@@ -87,15 +87,6 @@ TABLE_GRID_DEFAULTS = {
     "4": dict(at_positions=((0.0, 5.0), (0.0, 10.0), (0.0, 15.0), (0.0, 20.0))),
     "5": dict(at_positions=((0.0, 10.0), (0.0, 11.0), (0.0, 15.0), (0.0, 20.0))),
 }
-
-# Seeds lie in [0, SEED_BOUND): the cell streams key on a seed's low 63 bits,
-# so a wider seed would draw the streams of another.
-SEED_BOUND = 1 << 63
-
-# Node pairs that share a link, as ScenarioConfig position fields: their
-# positions must differ (`link_mean_gain` needs a distance above zero).
-LINKED_NODES = (("t_pos", "r_pos"), ("t_pos", "ar_pos"), ("t_pos", "at_pos"),
-                ("at_pos", "r_pos"), ("at_pos", "ar_pos"))
 
 CSV_COLUMNS = [
     "table", "seed", "n_t", "n_r", "n_a",
@@ -206,7 +197,7 @@ def build_version() -> str:
 
 def _cell_rngs(seed, table, cell_tag):
     cid = zlib.crc32(f"{table}|{cell_tag}".encode())
-    scen_seed = int(np.random.SeedSequence([seed & ((1 << 63) - 1), cid])
+    scen_seed = int(np.random.SeedSequence([seed & (SEED_BOUND - 1), cid])
                     .generate_state(1)[0])
     return (scen_seed,
             substream(seed, cid, 1),   # datasets

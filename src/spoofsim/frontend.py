@@ -28,10 +28,10 @@ runs on phasors and never builds a burst at full width (see `gan`).
 
 A network fed by the front end starts from `init_conditioned_network`: the
 net a raw-width input of S identical copies of each phasor would get, with
-each phasor's S tied first-layer weights summed into one. Trained with its
-first-layer weight step scaled by S (`AdamState.first_weight_scale`), it
-follows that raw-width net's trajectory while holding S times fewer
-first-layer weights.
+each phasor's S tied first-layer weights summed into one, and the Adam
+state that scales its first-layer weight step by S
+(`AdamState.first_weight_scale`). Trained with that state, it follows that
+raw-width net's trajectory while holding S times fewer first-layer weights.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import math
 
 import numpy as np
 
-from .nn import DenseNetwork, init_network
-from .waveform import _BLOCK_BURSTS, SYMBOLS_PER_BURST, feature_rows, rows_to_streams
+from .nn import AdamState, DenseNetwork, init_network
+from .waveform import _BLOCK_BURSTS, feature_rows, phasor_width, rows_to_streams
 
 # Phasors this far above the per-symbol noise floor are phase-normalised.
 PHASOR_LIMIT = 1.0
@@ -131,25 +131,28 @@ def condition_rows(rows, n_antennas, samples_per_symbol) -> np.ndarray:
     in that compact layout.
     """
     rows = np.asarray(rows)
-    if rows.shape[-1] == 2 * n_antennas * SYMBOLS_PER_BURST:
+    if rows.shape[-1] == phasor_width(n_antennas):
         return condition_phasors(rows_to_streams(rows, n_antennas))
     return condition_phasors(symbol_phasors(rows, n_antennas, samples_per_symbol))
 
 
 def init_conditioned_network(layer_sizes, activations, samples_per_symbol,
-                             rng) -> DenseNetwork:
-    """Float32 network for conditioned rows of width layer_sizes[0].
+                             rng) -> tuple[DenseNetwork, AdamState]:
+    """Float32 network for conditioned rows of width layer_sizes[0], and the
+    Adam state to train it with.
 
     The weights are drawn as `init_network` draws them for a raw-width
     input of S = samples_per_symbol copies of each conditioned value (same
     random stream use); each value's S first-layer weights are then summed
     into one, in float64 before the cast, which gives He variance 2/F for
-    the compact fan-in F.
+    the compact fan-in F. The state steps the first-layer weights S times
+    as far, as the raw-width net's S tied weights would move together.
     """
     s = int(samples_per_symbol)
     sizes = [int(n) for n in layer_sizes]
     raw = init_network([sizes[0] * s, *sizes[1:]], activations, rng=rng)
     w = raw.weights[0]
     folded = w.reshape(w.shape[0], sizes[0] // 2, s, 2).sum(axis=2).reshape(w.shape[0], -1)
-    return DenseNetwork([a.astype(np.float32) for a in (folded, *raw.weights[1:])],
-                        [b.astype(np.float32) for b in raw.biases], raw.activations)
+    net = DenseNetwork([a.astype(np.float32) for a in (folded, *raw.weights[1:])],
+                       [b.astype(np.float32) for b in raw.biases], raw.activations)
+    return net, AdamState.for_network(net, first_weight_scale=s)

@@ -39,13 +39,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .authenticator import FROM_T, _train_epoch, one_hot
+from .authenticator import FROM_T, N_CLASSES, _train_epoch, one_hot
 from .frontend import condition_phasors, condition_phasors_vjp, init_conditioned_network
 from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork, Gradients,
                  Workspace, adam_step, backward, cross_entropy_delta, forward, init_network,
                  input_gradient, predict)
 from .scenario import ScenarioConfig
-from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows, qpsk_phases,
+from .waveform import (BITS_PER_BURST, feature_rows, phasor_width, qpsk_phases,
                        receive_phasors, receive_waveform_phasors, rows_to_streams,
                        stream_rms)
 
@@ -110,15 +110,15 @@ class TrainingTrace:
 def generator_layer_sizes(scenario: ScenarioConfig, config: GanConfig) -> list[int]:
     """Noise in, one I/Q transmit phasor per (adversary antenna, symbol) out,
     antenna-major: 8 * n_a values whatever samples_per_symbol is."""
-    out = 2 * SYMBOLS_PER_BURST * scenario.n_a
-    return [config.noise_dim] + [config.hidden_width] * config.hidden_depth + [out]
+    return ([config.noise_dim] + [config.hidden_width] * config.hidden_depth
+            + [phasor_width(scenario.n_a)])
 
 
 def discriminator_layer_sizes(scenario: ScenarioConfig, config: GanConfig) -> list[int]:
     """Conditioned received-burst features in (one I/Q phasor per surrogate
     antenna and symbol, see `frontend`), two-class softmax out."""
-    inp = scenario.conditioned_length
-    return [inp] + [config.hidden_width] * config.hidden_depth + [2]
+    return ([phasor_width(scenario.n_r)] + [config.hidden_width] * config.hidden_depth
+            + [N_CLASSES])
 
 
 def init_generator(scenario, config, rng) -> DenseNetwork:
@@ -128,10 +128,10 @@ def init_generator(scenario, config, rng) -> DenseNetwork:
                         dtype=np.float32)
 
 
-def init_discriminator(scenario, config, rng) -> DenseNetwork:
+def init_discriminator(scenario, config, rng) -> tuple[DenseNetwork, AdamState]:
     """A float32 net, initialised as the raw-width net on slot-replicated
-    features would be (see `frontend.init_conditioned_network`); train it
-    with the first-layer weight step scaled by samples_per_symbol."""
+    features would be, and its Adam state, which scales the first-layer
+    weight step by samples_per_symbol (see `frontend.init_conditioned_network`)."""
     sizes = discriminator_layer_sizes(scenario, config)
     return init_conditioned_network(sizes, [RELU] * config.hidden_depth + [SOFTMAX],
                                     scenario.samples_per_symbol, rng)
@@ -156,11 +156,14 @@ def scale_to_budget(streams, power_budget):
     """Uniformly shrink streams (..., n_antennas, n_points) whose summed
     per-antenna RMS exceeds the budget; the generator's are its phasors.
 
-    Returns (scaled streams, scale factors). Never scales up.
+    Returns (scaled streams, scale factors). Never scales up, and returns
+    the streams themselves when no row exceeds the budget.
     """
-    rms = stream_rms(streams)
-    total = rms.sum(axis=-1)
-    scale = np.where(total > power_budget, power_budget / np.maximum(total, LOG_EPS), 1.0)
+    total = stream_rms(streams).sum(axis=-1)
+    over = total > power_budget
+    if not over.any():
+        return streams, np.ones_like(total)
+    scale = np.where(over, power_budget / np.maximum(total, LOG_EPS), 1.0)
     return streams * scale[..., None, None], scale
 
 
@@ -203,18 +206,21 @@ def _generator_grads(g_net, d_net, z, mixing, rx_phasors, tx_phasors, targets,
     The bursts were received as rx_phasors (count, n_rx, n_symbols) when
     sent as tx_phasors (count, n_tx, n_symbols); the same link matrices and
     receiver noise carry the new transmit phasors, so the received ones move
-    by mixing @ (new - old).
+    by mixing @ (new - old). The cap's adjoint runs only when the cap
+    scaled a row of the batch.
     """
     out, cache = forward(g_net, z, g_ws)
     raw = rows_to_streams(out, mixing.shape[-1])
-    tx, _ = scale_to_budget(raw, power_budget)
+    tx, scale = scale_to_budget(raw, power_budget)
     rx = rx_phasors + mixing @ (tx - tx_phasors)
     d_out, d_cache = forward(d_net, condition_phasors(rx), d_ws)
     d_x = input_gradient(d_net, d_cache, cross_entropy_delta(d_out, targets))
     # The channel's adjoint carries the received-phasor gradient back to the
     # transmit phasors, and the cap's adjoint to the generator's output.
     q = np.conj(mixing).swapaxes(-1, -2) @ condition_phasors_vjp(d_x, rx)
-    return backward(g_net, cache, feature_rows(_scale_backward(q, raw, power_budget)))
+    if (scale < 1.0).any():
+        q = _scale_backward(q, raw, power_budget)
+    return backward(g_net, cache, feature_rows(q))
 
 
 def check_convergence(loss_series, window) -> bool:
@@ -297,9 +303,8 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
     budget = float(cfg.power_budget) if cfg.power_budget is not None else sc.power
 
     g_net = init_generator(sc, cfg, rng)
-    d_net = init_discriminator(sc, cfg, rng)
+    d_net, d_state = init_discriminator(sc, cfg, rng)
     g_state = AdamState.for_network(g_net)
-    d_state = AdamState.for_network(d_net, sc.samples_per_symbol)
     g_ws = Workspace(g_net, min(cfg.batch_size, cfg.synth_per_epoch))
     d_ws = Workspace(d_net, min(cfg.batch_size, cfg.real_pool + cfg.synth_per_epoch))
 

@@ -32,12 +32,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 Position = tuple[float, float]
 
-_MASK = (1 << 63) - 1
+# Seeds lie in [0, SEED_BOUND): every stream keys on a seed's low 63 bits,
+# so a wider seed would draw the streams of another.
+SEED_BOUND = 1 << 63
 _KEY_T_PHASES = 0x54
 _KEY_AT_PHASES = 0x41
 _KEY_LINK = 0x4C
@@ -45,6 +48,10 @@ _LINK_IDS = {("t", "r"): 0, ("t", "at"): 1, ("at", "r"): 2}
 
 TX_ROLES = ("t", "at")
 RX_ROLES = ("r", "ar", "at")
+# Node pairs that share a link, as ScenarioConfig position fields: their
+# positions must differ (`link_mean_gain` needs a distance above zero).
+LINKED_NODES = tuple((f"{tx}_pos", f"{rx}_pos")
+                     for tx, rx in product(TX_ROLES, RX_ROLES) if tx != rx)
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,7 +76,7 @@ def substream(seed, *key) -> np.random.Generator:
     scenario-derived randomness (device phases, link tables, datasets,
     attacks) stays reproducible and order-insensitive.
     """
-    words = [int(seed) & _MASK] + [int(k) & _MASK for k in key]
+    words = [int(w) & (SEED_BOUND - 1) for w in (seed, *key)]
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
@@ -111,21 +118,6 @@ class ScenarioConfig:
         if not (0.0 < self.power < math.inf):
             raise ValueError(f"power must be finite and above zero, got {self.power}")
 
-    @property
-    def n_points(self) -> int:
-        return 4 * self.samples_per_symbol
-
-    @property
-    def feature_length(self) -> int:
-        """Real feature width of a burst received on R's (or A_R's) antennas."""
-        return 2 * self.n_points * self.n_r
-
-    @property
-    def conditioned_length(self) -> int:
-        """Width of a burst after the receiver front end: one I/Q pair per
-        (antenna, symbol), samples_per_symbol times narrower than the raw row."""
-        return self.feature_length // self.samples_per_symbol
-
     def t_device_phases(self) -> np.ndarray:
         """Fixed per-antenna hardware phase offsets of T, derived from the seed."""
         return substream(self.seed, _KEY_T_PHASES).uniform(0.0, TWO_PI, self.n_t)
@@ -138,8 +130,7 @@ class ScenarioConfig:
         return {"t": self.n_t, "at": self.n_a, "r": self.n_r, "ar": self.n_r}[role]
 
     def _position(self, role) -> Position:
-        return {"t": self.t_pos, "at": self.at_pos,
-                "r": self.r_pos, "ar": self.ar_pos}[role]
+        return getattr(self, f"{role}_pos")
 
     def link_phases(self, tx_role, rx_role) -> np.ndarray:
         """Static per-antenna-pair phase table of a link, uniform on [0, 2*pi).

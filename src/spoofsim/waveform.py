@@ -52,6 +52,12 @@ BITS_PER_BURST = 8
 _BLOCK_BURSTS = 64
 
 
+def phasor_width(n_antennas) -> int:
+    """Real width of a burst's matched-filter row: one I/Q pair per
+    (antenna, symbol), whatever samples_per_symbol is."""
+    return 2 * n_antennas * SYMBOLS_PER_BURST
+
+
 def qpsk_phases(bits) -> np.ndarray:
     """Map bit sequences to Gray-coded QPSK phases, two bits per symbol:
     00, 01, 11, 10 -> pi/4, 3pi/4, 5pi/4, 7pi/4.
@@ -170,7 +176,8 @@ def receive_waveform_phasors(mixing, symbol_phases, power, samples_per_symbol,
 
 def stream_rms(streams) -> np.ndarray:
     """Per-antenna RMS amplitude; streams shaped (..., n_antennas, n_points)."""
-    return np.sqrt(np.mean(streams.real ** 2 + streams.imag ** 2, axis=-1))
+    power = np.add.reduce(streams.real ** 2 + streams.imag ** 2, axis=-1)
+    return np.sqrt(power / streams.shape[-1])
 
 
 def relay_phasors(recorded, power, samples_per_symbol, rng) -> np.ndarray:

@@ -10,7 +10,7 @@ from spoofsim.authenticator import (FROM_T, Authenticator, build_phasor_dataset,
 from spoofsim.gan import GanConfig, init_generator, train_gan
 from spoofsim.nn import DenseNetwork, init_network
 from spoofsim.scenario import ScenarioConfig, substream
-from spoofsim.waveform import (feature_rows, qpsk_phases, receive_phasors,
+from spoofsim.waveform import (feature_rows, phasor_width, qpsk_phases, receive_phasors,
                                receive_waveform_phasors, relay_phasors)
 
 TINY_GAN = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=8,
@@ -44,13 +44,13 @@ class TestRandomAttack:
 
     def test_always_reject_classifier_scores_zero(self):
         sc = tiny_scenario(1)
-        clf = always_not_t(sc, sc.conditioned_length)
+        clf = always_not_t(sc, phasor_width(sc.n_r))
         report = run_random_attack(clf, sc, 30, substream(1, 3))
         assert report.n_success == 0
 
     def test_feature_width_mismatch_rejected(self):
         sc = tiny_scenario(2)
-        clf = always_not_t(sc, sc.conditioned_length + 2)
+        clf = always_not_t(sc, phasor_width(sc.n_r) + 2)
         with pytest.raises(ValueError):
             run_random_attack(clf, sc, 5, substream(2, 3))
 
@@ -99,7 +99,8 @@ class TestGanAttack:
         # a generator of the raw-sample width, 2 * n_points * n_a (one I/Q
         # sample per antenna and point), not one phasor per symbol
         sc, clf = tiny_classifier(6)
-        raw = init_network([TINY_GAN.noise_dim, 8, 2 * sc.n_points * sc.n_a],
+        n_points = 4 * sc.samples_per_symbol
+        raw = init_network([TINY_GAN.noise_dim, 8, 2 * n_points * sc.n_a],
                            rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="emits 40 values, scenario needs 8"):
             run_gan_attack(clf, raw, sc, 5, substream(6, 4), None)

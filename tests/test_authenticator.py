@@ -13,7 +13,7 @@ from spoofsim.frontend import condition_rows, symbol_phasors
 from spoofsim.nn import (AdamState, DenseNetwork, Workspace, adam_step, backward,
                          cross_entropy_delta, forward, init_network, predict)
 from spoofsim.scenario import ScenarioConfig, substream
-from spoofsim.waveform import feature_rows
+from spoofsim.waveform import feature_rows, phasor_width
 
 TINY = dict(samples_per_symbol=10)  # fast bursts for unit-level checks
 
@@ -44,7 +44,8 @@ class TestBuildDataset:
     def test_shapes_and_rough_balance(self):
         sc = tiny_scenario()
         ds = build_dataset(sc, 400, 0.5, substream(0, 1))
-        assert ds.features.shape == (400, sc.feature_length)
+        # 4 symbols of S = 10 points per antenna, one I/Q pair per point
+        assert ds.features.shape == (400, 2 * 4 * 10 * sc.n_r)
         assert 120 < ds.labels.sum() < 280
         assert ds.n_antennas == 1 and ds.samples_per_symbol == 10
 
@@ -119,7 +120,7 @@ class TestBuildPhasorDataset:
     def test_shape_and_geometry(self):
         sc = tiny_scenario(n_r=3)
         ds = build_phasor_dataset(sc, 50, 0.5, substream(0, 1))
-        assert ds.features.shape == (50, sc.conditioned_length)
+        assert ds.features.shape == (50, phasor_width(sc.n_r))
         assert ds.n_antennas == 3 and ds.samples_per_symbol == 10
 
     def test_same_draws_as_build_dataset_up_to_the_receiver(self):
@@ -201,9 +202,9 @@ class TestTrainClassifier:
         sc = tiny_scenario(seed=6)
         ds = build_dataset(sc, 30, 0.5, substream(6, 1))
         clf = train_classifier(ds, 5, np.random.default_rng(0))
-        assert clf.net.layer_sizes == [sc.conditioned_length, 50, 50, 50, 2]
+        assert clf.net.layer_sizes == [phasor_width(sc.n_r), 50, 50, 50, 2]
         assert clf.net.params.dtype == np.float32
-        assert sc.conditioned_length == 2 * 4 * sc.n_r
+        assert phasor_width(sc.n_r) == 2 * 4 * sc.n_r
 
     def test_geometry_required(self):
         # a dataset carries the burst geometry its classifier will read
@@ -218,7 +219,13 @@ class TestTrainClassifier:
         # 200 rows make 2 steps an epoch; the 7th step is the 1st of the 4th
         self.check_matches_raw_width_net(7, 200, 4)
 
-    def check_matches_raw_width_net(self, train_steps, n_train, seed):
+    def test_matches_raw_width_net_decisions_past_the_probability_bound(self):
+        # At 200 rows and batch 100 the probability gap outgrows the random
+        # walk bound from about 90 steps (Adam's normalised step on
+        # near-zero gradients magnifies the rounding); the decisions agree.
+        self.check_matches_raw_width_net(150, 200, 4, bound_probabilities=False)
+
+    def check_matches_raw_width_net(self, train_steps, n_train, seed, bound_probabilities=True):
         # Reference: the raw-width net that reads every conditioned phasor
         # copied into all S sample slots of its symbol, trained with plain
         # Adam from the same seed, in the trainer's dtype. Its S tied
@@ -262,7 +269,8 @@ class TestTrainClassifier:
         assert clf.net.weights[0].size * s == ref.weights[0].size
         p_ref = predict(ref, replicated(test.features))
         p_new = predict(clf.net, clf.condition(test.features))
-        assert np.max(np.abs(p_new - p_ref)) <= tol
+        if bound_probabilities:
+            assert np.max(np.abs(p_new - p_ref)) <= tol
         npt.assert_array_equal(classify(clf, test.features), np.argmax(p_ref, axis=1))
 
 

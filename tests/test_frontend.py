@@ -132,7 +132,7 @@ def test_conditioned_init_sums_the_raw_width_draw_over_sample_slots():
     # same random stream as the raw-width net on slot-replicated phasors;
     # the compact first layer holds each phasor's S raw weights summed
     s = 5
-    compact = init_conditioned_network([8, 6, 2], None, s, np.random.default_rng(3))
+    compact, state = init_conditioned_network([8, 6, 2], None, s, np.random.default_rng(3))
     raw = init_network([8 * s, 6, 2], rng=np.random.default_rng(3))
     slots = raw.weights[0].reshape(6, 4, s, 2)
     assert compact.params.dtype == np.float32
@@ -140,6 +140,8 @@ def test_conditioned_init_sums_the_raw_width_draw_over_sample_slots():
                            slots.sum(axis=2).reshape(6, 8).astype(np.float32))
     npt.assert_array_equal(compact.weights[1], raw.weights[1].astype(np.float32))
     assert compact.layer_sizes == [8, 6, 2]
+    # its Adam state steps each summed weight as far as its S raw weights move
+    assert state.first_weight_scale == s and state.layer_sizes == compact.layer_sizes
 
 
 def test_bad_geometry_rejected():

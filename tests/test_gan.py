@@ -52,7 +52,7 @@ def channel_case(sc):
     targets and power budget."""
     rng = np.random.default_rng(0)
     g = as_float64(init_generator(sc, TINY, rng))
-    d = as_float64(init_discriminator(sc, TINY, rng))
+    d = as_float64(init_discriminator(sc, TINY, rng)[0])
     z = rng.standard_normal((3, TINY.noise_dim))
     mats = complex_normal(rng, (3, sc.n_r, sc.n_a))
     noise = complex_normal(rng, (3, sc.n_r, 4))
@@ -108,7 +108,7 @@ class TestLosses:
 
     def test_losses_match_independent_expression(self):
         rng = np.random.default_rng(0)
-        d = init_discriminator(tiny_scenario(), TINY, rng)
+        d, _ = init_discriminator(tiny_scenario(), TINY, rng)
         real = rng.standard_normal((7, d.layer_sizes[0]))
         synth = rng.standard_normal((9, d.layer_sizes[0]))
         # independently coded expectation over the two batches, in float64
@@ -254,7 +254,7 @@ class TestTrainGan:
         # class's softmax output is subnormal. Before every Adam step of
         # the epoch, no gradient and no pre-activation gradient may be.
         rng = np.random.default_rng(9)
-        d = init_discriminator(tiny_scenario(seed=9), TINY, rng)
+        d, _ = init_discriminator(tiny_scenario(seed=9), TINY, rng)
         x = sure_rows(d, rng.standard_normal((2 * TINY.batch_size, d.layer_sizes[0])))
         out = predict(d, x)
         assert subnormal_count(out) == len(x)
@@ -527,18 +527,13 @@ class TestTrainGan:
         def fold(x):
             return x.reshape(len(x), -1, s, 2).sum(axis=2).reshape(len(x), -1)
 
-        class PlainAdam(AdamState):
-            @classmethod
-            def for_network(cls, net, first_weight_scale=1.0):
-                return AdamState.for_network(net)
-
         def raw_discriminator(scenario, config, rng):
             sizes = discriminator_layer_sizes(scenario, config)
-            return init_network([sizes[0] * s, *sizes[1:]],
-                                [RELU] * config.hidden_depth + [SOFTMAX], rng=rng,
-                                dtype=d.params.dtype)
+            net = init_network([sizes[0] * s, *sizes[1:]],
+                               [RELU] * config.hidden_depth + [SOFTMAX], rng=rng,
+                               dtype=d.params.dtype)
+            return net, AdamState.for_network(net)
 
-        monkeypatch.setattr("spoofsim.gan.AdamState", PlainAdam)
         monkeypatch.setattr("spoofsim.gan.init_discriminator", raw_discriminator)
         monkeypatch.setattr("spoofsim.gan.condition_phasors",
                             lambda u: replicate(condition_phasors(u)))

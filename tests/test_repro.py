@@ -81,6 +81,7 @@ class TestArguments:
         ("--seeds", ",", "--seeds must name at least one seed"),
         # the cell streams key on a seed's low 63 bits, so 2**63 would alias seed 0
         ("--seeds", f"0,{2**63}", f"--seeds must lie in [0, 2**63), got {2**63}"),
+        ("--seeds", "1,a", "seed must be an integer, got 'a'"),
         ("--trials", "0", "--trials must be >= 1"),
         ("--gan-epochs", "0", "--gan-epochs must be >= 1"),
     ])

@@ -23,12 +23,6 @@ def test_defaults_match_reference_geometry():
     assert sc.n_t == sc.n_r == sc.n_a == 1
     assert sc.power == 1000.0
     assert sc.samples_per_symbol == 100
-    assert sc.n_points == 400
-    assert sc.feature_length == 800
-
-
-def test_feature_length_scales_with_receive_antennas():
-    assert ScenarioConfig(n_r=4).feature_length == 3200
 
 
 def test_moved_adversary_keeps_its_fingerprint():
