@@ -155,18 +155,17 @@ class ExperimentSpec:
                               f"not table {self.table}")
         if len(set(self.at_positions)) != len(self.at_positions):
             raise ConfigError(f"at_positions must not repeat, got {list(self.at_positions)}")
-        for a, b in LINKED_NODES:
-            if getattr(self.base, a) == getattr(self.base, b):
-                raise ConfigError(f"scenario.{a} and scenario.{b} share a link but coincide "
-                                  f"at {getattr(self.base, a)}")
-        # Each entry stands in for A_T: a finite position linked to T, R and A_R.
-        for pos in self.at_positions:
-            if not np.isfinite(pos).all():
+        # Each at_positions entry stands in for A_T: a finite position, under
+        # the same link rule as the base scenario.
+        for pos in (None, *self.at_positions):
+            if pos is not None and not np.isfinite(pos).all():
                 raise ConfigError(f"at_positions entry {pos} is not a finite position")
-            for b in ("t_pos", "r_pos", "ar_pos"):
-                if tuple(pos) == getattr(self.base, b):
-                    raise ConfigError(f"at_positions entry {pos} stands in for A_T but "
-                                      f"coincides with scenario.{b}")
+            sc = self.base if pos is None else replace(self.base, at_pos=pos)
+            where = "" if pos is None else f"at_positions entry {pos} stands in for A_T: "
+            for a, b in LINKED_NODES:
+                if getattr(sc, a) == getattr(sc, b):
+                    raise ConfigError(f"{where}scenario.{a} and scenario.{b} share a link "
+                                      f"but coincide at {getattr(sc, a)}")
         if self.n_train < 2 or self.n_test < 2:
             raise ConfigError("dataset sizes must be >= 2")
         if self.classifier_steps < 1:

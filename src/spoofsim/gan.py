@@ -156,14 +156,11 @@ def scale_to_budget(streams, power_budget):
     """Uniformly shrink streams (..., n_antennas, n_points) whose summed
     per-antenna RMS exceeds the budget; the generator's are its phasors.
 
-    Returns (scaled streams, scale factors). Never scales up, and returns
-    the streams themselves when no row exceeds the budget.
+    Returns (scaled streams, scale factors). Never scales up.
     """
-    total = stream_rms(streams).sum(axis=-1)
-    over = total > power_budget
-    if not over.any():
-        return streams, np.ones_like(total)
-    scale = np.where(over, power_budget / np.maximum(total, LOG_EPS), 1.0)
+    rms = stream_rms(streams)
+    total = rms.sum(axis=-1)
+    scale = np.where(total > power_budget, power_budget / np.maximum(total, LOG_EPS), 1.0)
     return streams * scale[..., None, None], scale
 
 
@@ -206,21 +203,18 @@ def _generator_grads(g_net, d_net, z, mixing, rx_phasors, tx_phasors, targets,
     The bursts were received as rx_phasors (count, n_rx, n_symbols) when
     sent as tx_phasors (count, n_tx, n_symbols); the same link matrices and
     receiver noise carry the new transmit phasors, so the received ones move
-    by mixing @ (new - old). The cap's adjoint runs only when the cap
-    scaled a row of the batch.
+    by mixing @ (new - old).
     """
     out, cache = forward(g_net, z, g_ws)
     raw = rows_to_streams(out, mixing.shape[-1])
-    tx, scale = scale_to_budget(raw, power_budget)
+    tx, _ = scale_to_budget(raw, power_budget)
     rx = rx_phasors + mixing @ (tx - tx_phasors)
     d_out, d_cache = forward(d_net, condition_phasors(rx), d_ws)
     d_x = input_gradient(d_net, d_cache, cross_entropy_delta(d_out, targets))
     # The channel's adjoint carries the received-phasor gradient back to the
     # transmit phasors, and the cap's adjoint to the generator's output.
     q = np.conj(mixing).swapaxes(-1, -2) @ condition_phasors_vjp(d_x, rx)
-    if (scale < 1.0).any():
-        q = _scale_backward(q, raw, power_budget)
-    return backward(g_net, cache, feature_rows(q))
+    return backward(g_net, cache, feature_rows(_scale_backward(q, raw, power_budget)))
 
 
 def check_convergence(loss_series, window) -> bool:

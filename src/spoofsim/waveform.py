@@ -176,8 +176,7 @@ def receive_waveform_phasors(mixing, symbol_phases, power, samples_per_symbol,
 
 def stream_rms(streams) -> np.ndarray:
     """Per-antenna RMS amplitude; streams shaped (..., n_antennas, n_points)."""
-    power = np.add.reduce(streams.real ** 2 + streams.imag ** 2, axis=-1)
-    return np.sqrt(power / streams.shape[-1])
+    return np.sqrt(np.mean(streams.real ** 2 + streams.imag ** 2, axis=-1))
 
 
 def relay_phasors(recorded, power, samples_per_symbol, rng) -> np.ndarray:
