@@ -17,8 +17,10 @@ checkout's git revision.
 
 The workload cell never moves A_T after training, so it cannot show a
 change to tables 4 and 5. So each checkout also runs the tiny table-5
-sweep of MOBILITY_CONFIG (two attack positions, the workload's seed), and
-its output trees are compared the same way.
+sweep of MOBILITY_CONFIG (two attack positions, the workload's seed).
+Neither runs the random attack, so each checkout then runs the tiny
+custom sweep of RANDOM_CONFIG (`attack = random`, the workload's seed).
+Their output trees are compared the same way, in that order.
 
 The cell never builds a raw burst, so it cannot show a change to the raw
 path. So each checkout also draws the workload's raw probe set as
@@ -93,6 +95,23 @@ gan.synth_per_epoch = 8
 gan.batch_size = 4
 gan.max_epochs = 3
 gan.conv_window = 2
+"""
+
+# A tiny custom sweep of the random attack, formatted with the seed and the
+# output directory: one 1x2x2 cell, so the bursts average over A_T's two
+# antennas at R's two.
+RANDOM_CONFIG = """\
+attack = random
+seeds = {seed}
+out = {out}
+n_t = 1
+n_r = 2
+n_a = 2
+trials = 40
+scenario.samples_per_symbol = 5
+dataset.n_train = 40
+dataset.n_test = 40
+classifier.train_steps = 30
 """
 
 PROBE_BURSTS = 1000
@@ -241,24 +260,32 @@ def compare_trees(parent: Path, change: Path) -> str | None:
     return None
 
 
+def sweep_configs(workload, seed: int, out: Path) -> dict:
+    """The sweeps one checkout runs, in the order they run and are compared:
+    config text by the suffix of its output tree, `out` plus that suffix."""
+    return {"": workload.config_text(seed, str(out)),
+            "-table5": MOBILITY_CONFIG.format(seed=seed, out=f"{out}-table5"),
+            "-random": RANDOM_CONFIG.format(seed=seed, out=f"{out}-random")}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        outs, moved, hashes = {}, {}, {}
+        hashes = {}
         for side in ("parent", "change"):
             tree = getattr(args, side)
-            outs[side], moved[side] = Path(tmp) / side, Path(tmp) / f"{side}-table5"
-            text = args.workload.config_text(args.seed, str(outs[side]))
-            moved_text = MOBILITY_CONFIG.format(seed=args.seed, out=moved[side])
-            if not (run_cell(tree, text, Path(tmp) / f"{side}.cfg")
-                    and run_cell(tree, moved_text, Path(tmp) / f"{side}-table5.cfg")):
-                return 2
+            configs = sweep_configs(args.workload, args.seed, Path(tmp) / side)
+            for suffix, text in configs.items():
+                if not run_cell(tree, text, Path(tmp) / f"{side}{suffix}.cfg"):
+                    return 2
             hashes[side] = probe_hashes(tree, args.workload, args.seed)
             if hashes[side] is None:
                 return 2
-        found = (compare_trees(outs["parent"], outs["change"])
-                 or compare_trees(moved["parent"], moved["change"])
-                 or first_hash_mismatch(hashes["parent"], hashes["change"]))
+        found = None
+        for suffix in configs:
+            found = found or compare_trees(Path(tmp) / f"parent{suffix}",
+                                           Path(tmp) / f"change{suffix}")
+        found = found or first_hash_mismatch(hashes["parent"], hashes["change"])
     name = f"{args.workload.name} seed {args.seed}"
     if found:
         print(f"{name}: outputs differ; first at {found}")

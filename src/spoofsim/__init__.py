@@ -8,18 +8,17 @@ attacks whose success rates can be swept over antenna counts, topologies,
 and seeds.
 
 Every burst comes from one batched engine, in the form the receiver keeps
-it: `ScenarioConfig.draw_mixing` draws a batch of link matrices of shape
-(count, n_rx, n_tx) (fresh fading over the scenario's fixed phase
-fingerprint), and `receive_phasors` turns them plus transmit phasors
-(count, n_tx, n_symbols) into the received bursts' matched-filter phasors
-with their filtered receiver noise, (count, n_rx, n_symbols). The
-defender's datasets (`build_phasor_dataset`), the GAN's real and synthetic
-pools and all three attacks use this path, and the GAN's generator emits
-transmit phasors itself, one per (antenna, symbol), capped in that domain
-(see `gan`). Raw rows of 4 * S samples per antenna remain only where a raw
-burst enters: `build_dataset` (the same draws up to the receiver, received
-at full width through `receive_waveform`) and an `Authenticator` or
-`spoofsim bench` fed a raw row.
+it: `ScenarioConfig.draw_mixing` draws link matrices (count, n_rx, n_tx),
+fresh fading over the scenario's fixed phase fingerprint, and
+`receive_phasors` sends transmit phasors (count, n_tx, n_symbols) through
+them to the received matched-filter phasors with their filtered receiver
+noise, (count, n_rx, n_symbols). The defender's datasets
+(`build_phasor_dataset`), the GAN's pools and each attack's draw
+(`attacks.draw_{random,replay,gan}_bursts`, scored apart from the draw)
+use this path; the generator emits capped transmit phasors itself (see
+`gan`). Raw rows of 4 * S samples per antenna remain only where a raw
+burst enters: `build_dataset` (received at full width through
+`receive_waveform`) and an `Authenticator` or `spoofsim bench` fed one.
 
 The package namespace holds only the names that callers outside it read
 through the package (the benchmark and the scripts); everything else is

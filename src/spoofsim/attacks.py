@@ -1,31 +1,32 @@
 """Mounting spoofing attacks against a trained authenticator.
 
-Three attack kinds are measured as the fraction of spoofed bursts the
-defender's classifier labels as the legitimate transmitter:
+Each attack kind has one draw of its spoofed bursts as the defender's
+receiver R gets them, matched-filter phasors (count, n_r, n_symbols)
+drawn directly (see `waveform`):
 
-- random: structureless uniform-phase bursts at full power,
-- replay: amplify-and-forward copies of fresh legitimate transmissions,
-- gan: bursts from a trained generator, sent through a fresh fading draw
-  from A_T's position in the scenario the attack is given (after a move,
-  that is the moved scenario; see `experiments.Cell`).
+- random (`draw_random_bursts`): uniform-phase bursts at full power,
+- replay (`draw_replay_bursts`): amplify-and-forward copies of fresh
+  legitimate transmissions,
+- gan (`draw_gan_bursts`): bursts from a trained generator, sent through a
+  fresh fading draw from A_T's position in the scenario the attack is
+  given (after a move, that is the moved scenario; see `experiments.Cell`).
 
-`train_spoofer` trains that generator: one `train_gan` run, kept whether
-or not its losses converged.
-
-Every spoofed burst reaches the defender as its matched-filter phasors,
-drawn directly (see `waveform`); no attack builds a raw burst.
+`_report` is the one scorer, the fraction of bursts the classifier labels
+as the legitimate transmitter; each `run_*_attack` is its kind's draw and
+then the scorer, so another defender can score the same bursts by calling
+the draw on the same stream. `train_spoofer` trains the generator: one
+`train_gan` run, kept whether or not its losses converged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .authenticator import FROM_T, Authenticator, classify
-from .gan import generator_phasors, train_gan
-from .scenario import TWO_PI, ScenarioConfig
-from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows, phasor_width,
-                       qpsk_phases, receive_phasors, receive_waveform_phasors,
-                       relay_phasors)
+from .authenticator import FROM_T, classify
+from .gan import generator_phasors, resolve_budget, train_gan
+from .scenario import TWO_PI
+from .waveform import (SYMBOLS_PER_BURST, draw_legit_bursts, feature_rows, phasor_width,
+                       receive_phasors, receive_waveform_phasors, relay_phasors)
 
 
 @dataclass
@@ -45,63 +46,60 @@ class AttackReport:
 
 
 def _report(classifier, rx) -> AttackReport:
-    """Score received phasors (count, n_r, n_symbols) with the classifier."""
-    decisions = classify(classifier, feature_rows(rx))
+    """Score received phasors (count, n_r, n_symbols); a net of another width is refused."""
+    rows = feature_rows(rx)
+    width, delivered = classifier.net.layer_sizes[0], rows.shape[-1]
+    if width != delivered:
+        raise ValueError(f"classifier expects {width} conditioned features, bursts "
+                         f"deliver {delivered}")
+    decisions = classify(classifier, rows)
     return AttackReport(len(decisions), int((decisions == FROM_T).sum()))
 
 
-def _check_feature_width(classifier: Authenticator, scenario: ScenarioConfig):
-    width, delivered = classifier.net.layer_sizes[0], phasor_width(scenario.n_r)
-    if width != delivered:
-        raise ValueError(f"classifier expects {width} conditioned features, scenario "
-                         f"delivers {delivered}")
-
-
-def run_random_attack(classifier, scenario, n_trials, rng) -> AttackReport:
-    """Transmit `n_trials` structureless random-phase bursts at full power,
-    drawn from the generator `rng`."""
-    _check_feature_width(classifier, scenario)
+def draw_random_bursts(scenario, n, rng):
+    """`n` structureless random-phase bursts at full power, A_T to R."""
     sc = scenario
-    phases = rng.uniform(0.0, TWO_PI, size=(n_trials, SYMBOLS_PER_BURST))
-    mixing = sc.draw_mixing("at", "r", n_trials, rng)
-    rx = receive_waveform_phasors(mixing, phases, sc.power, sc.samples_per_symbol, rng)
-    return _report(classifier, rx)
+    phases = rng.uniform(0.0, TWO_PI, size=(n, SYMBOLS_PER_BURST))
+    mixing = sc.draw_mixing("at", "r", n, rng)
+    return receive_waveform_phasors(mixing, phases, sc.power, sc.samples_per_symbol, rng)
 
 
-def run_replay_attack(classifier, scenario, n_trials, rng) -> AttackReport:
-    """Record a fresh legitimate burst in each of `n_trials` trials, amplify,
-    and forward it, every draw from the generator `rng`."""
-    _check_feature_width(classifier, scenario)
+def draw_replay_bursts(scenario, n, rng):
+    """`n` fresh legitimate bursts recorded at A_T, amplified and forwarded to R."""
     sc = scenario
-    bits = rng.integers(0, 2, size=(n_trials, BITS_PER_BURST))
-    hop1 = sc.draw_mixing("t", "at", n_trials, rng)
-    recorded = receive_waveform_phasors(hop1, qpsk_phases(bits), sc.power,
-                                        sc.samples_per_symbol, rng)
+    recorded = draw_legit_bursts(sc, "at", n, rng)
     forwarded = relay_phasors(recorded, sc.power, sc.samples_per_symbol, rng)
     # The second hop's matrices carry A_T's carrier wander; the relay's
     # uniform per-burst phase offset already absorbs any such phase.
-    hop2 = sc.draw_mixing("at", "r", n_trials, rng)
-    rx = receive_phasors(hop2, forwarded, sc.samples_per_symbol, rng)
-    return _report(classifier, rx)
+    hop2 = sc.draw_mixing("at", "r", n, rng)
+    return receive_phasors(hop2, forwarded, sc.samples_per_symbol, rng)
 
 
-def run_gan_attack(classifier, generator, scenario, n_trials, rng,
-                   power_budget) -> AttackReport:
-    """Spoof `n_trials` times with a trained generator from the scenario's
-    A_T position, every draw from the generator `rng`, its bursts capped at
-    `power_budget` (None: the scenario's power)."""
-    _check_feature_width(classifier, scenario)
+def draw_gan_bursts(generator, scenario, n, rng, power_budget):
+    """`n` bursts of a trained generator, A_T to R, capped at `power_budget`
+    (see `gan.resolve_budget`)."""
     sc = scenario
     width, expected_out = generator.layer_sizes[-1], phasor_width(sc.n_a)
     if width != expected_out:
         raise ValueError(f"generator emits {width} values, scenario needs {expected_out} "
                          f"for {sc.n_a} transmit antennas")
-    budget = float(power_budget) if power_budget is not None else sc.power
-    z = rng.standard_normal((n_trials, generator.layer_sizes[0]))
-    tx, _ = generator_phasors(generator, z, sc.n_a, budget)
-    mixing = sc.draw_mixing("at", "r", n_trials, rng)
-    rx = receive_phasors(mixing, tx, sc.samples_per_symbol, rng)
-    return _report(classifier, rx)
+    z = rng.standard_normal((n, generator.layer_sizes[0]))
+    tx, _ = generator_phasors(generator, z, sc.n_a, resolve_budget(power_budget, sc))
+    mixing = sc.draw_mixing("at", "r", n, rng)
+    return receive_phasors(mixing, tx, sc.samples_per_symbol, rng)
+
+
+# Each draws from the generator `rng`, then scores with the classifier.
+def run_random_attack(classifier, scenario, n_trials, rng) -> AttackReport:
+    return _report(classifier, draw_random_bursts(scenario, n_trials, rng))
+
+
+def run_replay_attack(classifier, scenario, n_trials, rng) -> AttackReport:
+    return _report(classifier, draw_replay_bursts(scenario, n_trials, rng))
+
+
+def run_gan_attack(classifier, generator, scenario, n_trials, rng, power_budget) -> AttackReport:
+    return _report(classifier, draw_gan_bursts(generator, scenario, n_trials, rng, power_budget))
 
 
 def train_spoofer(scenario, gan_config, rng):

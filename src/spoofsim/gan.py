@@ -45,9 +45,8 @@ from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork, Gradie
                  Workspace, adam_step, backward, cross_entropy_delta, forward, init_network,
                  input_gradient, predict)
 from .scenario import ScenarioConfig
-from .waveform import (BITS_PER_BURST, feature_rows, phasor_width, qpsk_phases,
-                       receive_phasors, receive_waveform_phasors, rows_to_streams,
-                       stream_rms)
+from .waveform import (draw_legit_bursts, feature_rows, phasor_width, receive_phasors,
+                       rows_to_streams, stream_rms)
 
 CONV_THRESHOLD = 0.05
 
@@ -56,10 +55,9 @@ CONV_THRESHOLD = 0.05
 class GanConfig:
     """Knobs of one adversarial training run.
 
-    power_budget defaults to the scenario transmit power; it caps the
-    summed per-antenna RMS amplitude of every generated transmit burst,
-    which for the generator's constant-envelope bursts is the summed
-    per-antenna RMS of their phasors.
+    power_budget caps the summed per-antenna RMS amplitude of every
+    generated transmit burst; None stands for the scenario's power (see
+    `resolve_budget`).
 
     conv_window sets the stopping rule (see check_convergence): training
     stops once the last conv_window values of both loss series lie within
@@ -183,13 +181,15 @@ def _scale_backward(grad_scaled, raw, power_budget):
     return grad
 
 
+def resolve_budget(power_budget, scenario: ScenarioConfig) -> float:
+    """The generator's power cap: power_budget, or the scenario's power if None."""
+    return float(power_budget) if power_budget is not None else scenario.power
+
+
 def generator_phasors(g_net: DenseNetwork, z, n_adv, power_budget):
     """Transmit phasors (count, n_adv, n_symbols) the generator emits for the
-    noise rows z (count, noise_dim), capped at power_budget.
-
-    Returns (phasors, cap scale factors), as `scale_to_budget` does; the
-    training epoch's pool and the GAN attack both draw their bursts here.
-    """
+    noise rows z (count, noise_dim), capped at power_budget, and the cap's
+    scale factors; the GAN's pools and the GAN attack draw their bursts here."""
     raw = rows_to_streams(predict(g_net, z), n_adv)
     return scale_to_budget(raw, float(power_budget))
 
@@ -271,10 +271,8 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
     """Adversarial training loop under `config`, every draw from the
     generator `rng`; returns (generator, discriminator, trace).
 
-    The real pool is drawn once at the start: `real_pool` legitimate QPSK
-    bursts from T with fresh payload bits, each over its own T-to-surrogate
-    link matrix with receiver noise, drawn as one batch of matched-filter
-    phasors.
+    The real pool is drawn once at the start: `real_pool` legitimate bursts
+    from T received at the surrogate, as `draw_legit_bursts` draws them.
     Per epoch:
     (a) `_synth_pool` sends a fresh pool of synthetic bursts, each over its
         own adversary-to-surrogate link matrix with receiver noise; the
@@ -287,14 +285,13 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
     (d) the losses are recorded. They score (a)'s pool, sent before (c)
         moved the generator, with the discriminator (b) just trained on it,
         so g_loss and d_loss never show (c)'s update.
-    Both nets step with Adam at the `nn` constants (ADAM_LEARNING_RATE and
-    the rest), the discriminator's first-layer weights scaled by
-    samples_per_symbol. Training stops early once both loss series pass the
-    perturbation convergence test; otherwise the trace reports
-    converged=False.
+    Both nets step with Adam at the `nn` constants, the discriminator's
+    first-layer weights scaled by samples_per_symbol. Training stops early
+    once both loss series pass the perturbation convergence test; otherwise
+    the trace reports converged=False.
     """
     cfg, sc = config, scenario
-    budget = float(cfg.power_budget) if cfg.power_budget is not None else sc.power
+    budget = resolve_budget(cfg.power_budget, sc)
 
     g_net = init_generator(sc, cfg, rng)
     d_net, d_state = init_discriminator(sc, cfg, rng)
@@ -302,13 +299,10 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
     g_ws = Workspace(g_net, min(cfg.batch_size, cfg.synth_per_epoch))
     d_ws = Workspace(d_net, min(cfg.batch_size, cfg.real_pool + cfg.synth_per_epoch))
 
-    bits = rng.integers(0, 2, size=(cfg.real_pool, BITS_PER_BURST))
-    mixing = sc.draw_mixing("t", "ar", cfg.real_pool, rng)
     # Rows and targets are cast to the discriminator's dtype once, where they
     # enter it: `gather_rows` copies its batches out of them.
     d_dtype = d_net.params.dtype
-    real_xc = condition_phasors(receive_waveform_phasors(
-        mixing, qpsk_phases(bits), sc.power, sc.samples_per_symbol, rng)).astype(d_dtype)
+    real_xc = condition_phasors(draw_legit_bursts(sc, "ar", cfg.real_pool, rng)).astype(d_dtype)
     labels = np.repeat([FROM_T, 1 - FROM_T], [cfg.real_pool, cfg.synth_per_epoch])
     pool_targets = one_hot(labels).astype(d_dtype)
     spoof_targets = one_hot(np.full(cfg.batch_size, FROM_T)).astype(d_dtype)

@@ -18,17 +18,16 @@ phasors directly, with the distribution the filter would give:
 - `receive_waveform_phasors` does so for waveforms that every transmit
   antenna sends alike (legitimate QPSK and structureless random-phase
   bursts), whose phasors are the symbol phases' unit phasors;
+- `draw_legit_bursts` draws legitimate bursts from T through it: the
+  GAN's real pool (at A_R) and the replay attack's recording (at A_T);
 - `relay_phasors` is the replay relay, which rescales a recording by its
   full-width RMS.
 
 Raw feature rows (count, 2 * n_rx * n_points) remain where a raw burst
 enters the program: `receive_waveform` builds them for
 `authenticator.build_dataset`, whose draws before the receiver are the
-same as those of its phasor twin. The rows it returns are the only
-full-width array it builds: the receiver noise is drawn straight into
-them, and the received signal (carrier tracks and their link products)
-is formed and added one block of `_BLOCK_BURSTS` bursts at a time, so the
-temporaries stay near 1.6 MB whatever the burst count.
+same as those of its phasor twin, and builds no other full-width array
+(see its memory note).
 
 All powers are normalised to the receiver noise floor: additive noise is
 a unit-variance circularly-symmetric complex Gaussian per sample point,
@@ -172,6 +171,16 @@ def receive_waveform_phasors(mixing, symbol_phases, power, samples_per_symbol,
     weights = float(power) * np.asarray(mixing).mean(axis=-1, keepdims=True)
     tx = np.exp(1j * np.asarray(symbol_phases, dtype=np.float64))[:, None, :]
     return receive_phasors(weights, tx, samples_per_symbol, rng)
+
+
+def draw_legit_bursts(scenario, rx_role, count, rng) -> np.ndarray:
+    """Phasors (count, n_rx, n_symbols) of `count` legitimate QPSK bursts
+    from T, received at `rx_role`: fresh payload bits, then each burst's
+    link matrix, then the receiver noise, all from the generator `rng`."""
+    bits = rng.integers(0, 2, size=(count, BITS_PER_BURST))
+    mixing = scenario.draw_mixing("t", rx_role, count, rng)
+    return receive_waveform_phasors(mixing, qpsk_phases(bits), scenario.power,
+                                    scenario.samples_per_symbol, rng)
 
 
 def stream_rms(streams) -> np.ndarray:

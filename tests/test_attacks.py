@@ -4,7 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim.attacks import run_gan_attack, run_random_attack, run_replay_attack, train_spoofer
+import spoofsim.attacks
+from spoofsim.attacks import (_report, draw_gan_bursts, draw_random_bursts, draw_replay_bursts,
+                              run_gan_attack, run_random_attack, run_replay_attack,
+                              train_spoofer)
 from spoofsim.authenticator import (FROM_T, Authenticator, build_phasor_dataset, classify,
                                     train_classifier)
 from spoofsim.gan import GanConfig, init_generator, train_gan
@@ -31,6 +34,50 @@ def always_not_t(sc, width):
     """Authenticator for `sc`'s bursts whose net reads `width` conditioned features."""
     net = DenseNetwork([np.zeros((2, width))], [np.array([1.0, 0.0])], ["softmax"])
     return Authenticator(net, sc.n_r, sc.samples_per_symbol)
+
+
+# kind: (its draw, its run_*_attack), both given a generator g that only
+# the GAN attack reads
+ATTACK_KINDS = {
+    "random": (lambda g, sc, n, rng: draw_random_bursts(sc, n, rng),
+               lambda clf, g, sc, n, rng: run_random_attack(clf, sc, n, rng)),
+    "replay": (lambda g, sc, n, rng: draw_replay_bursts(sc, n, rng),
+               lambda clf, g, sc, n, rng: run_replay_attack(clf, sc, n, rng)),
+    "gan": (lambda g, sc, n, rng: draw_gan_bursts(g, sc, n, rng, None),
+            lambda clf, g, sc, n, rng: run_gan_attack(clf, g, sc, n, rng, None)),
+}
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+class TestDrawThenScore:
+    def test_draw_then_score_is_the_attack(self, kind, monkeypatch):
+        # two generators of one seed: the attack scores exactly the draw's bursts
+        draw, run = ATTACK_KINDS[kind]
+        sc = tiny_scenario(9, n_r=2, n_a=2)
+        clf = train_classifier(build_phasor_dataset(sc, 60, 0.5, substream(9, 1)), 40,
+                               np.random.default_rng(9))
+        g = init_generator(sc, TINY_GAN, np.random.default_rng(1))
+        rx = draw(g, sc, 50, substream(9, 3))
+        assert rx.shape == (50, sc.n_r, 4)
+        scored = []
+
+        def spy(classifier, rows):
+            scored.append(rows)
+            return classify(classifier, rows)
+
+        monkeypatch.setattr(spoofsim.attacks, "classify", spy)
+        report = run(clf, g, sc, 50, substream(9, 3))
+        npt.assert_array_equal(scored[0], feature_rows(rx))
+        assert report == _report(clf, rx)
+
+    def test_a_classifier_of_another_width_is_refused(self, kind):
+        draw, run = ATTACK_KINDS[kind]
+        sc = tiny_scenario(9)
+        clf = always_not_t(sc, phasor_width(sc.n_r) + 2)
+        g = init_generator(sc, TINY_GAN, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="classifier expects 10 conditioned features, "
+                                             "bursts deliver 8"):
+            run(clf, g, sc, 5, substream(9, 3))
 
 
 class TestRandomAttack:

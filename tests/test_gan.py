@@ -18,7 +18,8 @@ from spoofsim.nn import (RELU, SOFTMAX, AdamState, DenseNetwork, Workspace, adam
                          backward, cross_entropy_delta, forward, init_network, input_gradient,
                          predict)
 from spoofsim.scenario import ScenarioConfig, substream
-from spoofsim.waveform import carrier_tracks, feature_rows, rows_to_streams, stream_rms
+from spoofsim.waveform import (carrier_tracks, draw_legit_bursts, feature_rows,
+                               rows_to_streams, stream_rms)
 
 from helpers import as_float64, cross_entropy, subnormal_count, sure_rows
 
@@ -270,6 +271,24 @@ class TestTrainGan:
                                   one_hot(np.argmax(out, axis=1)), TINY.batch_size, rng,
                                   Workspace(d, TINY.batch_size))
         assert seen == [0, 0]
+
+    def test_real_pool_is_the_legit_draw_toward_the_surrogate(self, monkeypatch):
+        # the pool is drawn right after both nets, and it is the first batch
+        # of phasors train_gan conditions
+        sc = tiny_scenario(seed=6, n_r=2)
+        rng = substream(6, 2)
+        init_generator(sc, TINY, rng)
+        init_discriminator(sc, TINY, rng)
+        want = draw_legit_bursts(sc, "ar", TINY.real_pool, rng)
+        conditioned = []
+
+        def spy(rx):
+            conditioned.append(rx.copy())
+            return condition_phasors(rx)
+
+        monkeypatch.setattr("spoofsim.gan.condition_phasors", spy)
+        train_gan(sc, replace(TINY, max_epochs=1), substream(6, 2))
+        npt.assert_array_equal(conditioned[0], want)
 
     def test_single_epoch_trace(self):
         sc = tiny_scenario(seed=1)

@@ -5,11 +5,14 @@ from pathlib import Path
 import pytest
 
 import spoofsim
-from spoofsim.attacks import run_gan_attack, run_random_attack, run_replay_attack, train_spoofer
+from spoofsim.attacks import (draw_gan_bursts, draw_random_bursts, draw_replay_bursts,
+                              run_gan_attack, run_random_attack, run_replay_attack,
+                              train_spoofer)
 from spoofsim.authenticator import build_dataset, build_phasor_dataset, train_classifier
 from spoofsim.gan import GanConfig, train_gan
 from spoofsim.nn import init_network
 from spoofsim.scenario import ScenarioConfig
+from spoofsim.waveform import draw_legit_bursts
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,6 +109,10 @@ WITHOUT_RNG = {
     "run_random_attack": lambda sc: run_random_attack(None, sc, 10),
     "run_replay_attack": lambda sc: run_replay_attack(None, sc, 10),
     "run_gan_attack": lambda sc: run_gan_attack(None, None, sc, 10, power_budget=1.0),
+    "draw_random_bursts": lambda sc: draw_random_bursts(sc, 10),
+    "draw_replay_bursts": lambda sc: draw_replay_bursts(sc, 10),
+    "draw_gan_bursts": lambda sc: draw_gan_bursts(None, sc, 10, power_budget=1.0),
+    "draw_legit_bursts": lambda sc: draw_legit_bursts(sc, "ar", 10),
     "train_spoofer": lambda sc: train_spoofer(sc, GanConfig()),
     "train_gan": lambda sc: train_gan(sc, GanConfig()),
     "train_classifier": lambda sc: train_classifier(None, 1000),

@@ -165,6 +165,42 @@ class TestMobilitySweep:
         argv = ["--parent", str(REPO), "--change", str(REPO), "--workload", "gan_1x1",
                 "--seed", "11"]
         assert same_outputs.main(argv) == 1
-        assert configs == ["parent.cfg", "parent-table5.cfg", "change.cfg",
-                           "change-table5.cfg"]
+        assert configs == ["parent.cfg", "parent-table5.cfg", "parent-random.cfg",
+                           "change.cfg", "change-table5.cfg", "change-random.cfg"]
         assert "first at table5.csv: parent-table5" in capsys.readouterr().out
+
+
+class TestRandomSweep:
+    def test_config_is_a_tiny_random_attack_sweep(self, tmp_path):
+        cfg = tmp_path / "random.cfg"
+        cfg.write_text(same_outputs.RANDOM_CONFIG.format(seed=29, out=tmp_path / "out"))
+        spec = parse_config(cfg)
+        assert (spec.table, spec.attack, spec.seeds, spec.out_dir) == \
+            ("custom", "random", (29,), str(tmp_path / "out"))
+        assert (spec.n_t_grid, spec.n_r_grid, spec.n_a_grid) == ((1,), (2,), (2,))
+        assert spec.n_train <= 40 and spec.n_trials <= 40
+
+    def test_two_runs_in_one_checkout_write_the_same_tree(self, tmp_path):
+        for name in ("a", "b"):
+            text = same_outputs.RANDOM_CONFIG.format(seed=11, out=tmp_path / name)
+            assert same_outputs.run_cell(REPO, text, tmp_path / f"{name}.cfg")
+        rows = (tmp_path / "a" / "custom.csv").read_text().splitlines()
+        assert len(rows) == 3 and ",random," in rows[1]
+        assert same_outputs.compare_trees(tmp_path / "a", tmp_path / "b") is None
+
+    def test_main_compares_the_random_trees_after_the_table5_trees(self, monkeypatch, capsys):
+        compared = []
+
+        def compare_trees(parent, change):
+            # the cell and table-5 trees agree, the random trees differ
+            compared.append(parent.name)
+            return f"custom.csv: {parent.name}" if parent.name.endswith("random") else None
+
+        monkeypatch.setattr(same_outputs, "run_cell", lambda tree, text, config: True)
+        monkeypatch.setattr(same_outputs, "compare_trees", compare_trees)
+        monkeypatch.setattr(same_outputs, "probe_hashes", lambda *args: HASHES)
+        argv = ["--parent", str(REPO), "--change", str(REPO), "--workload", "auth_wide",
+                "--seed", "11"]
+        assert same_outputs.main(argv) == 1
+        assert compared == ["parent", "parent-table5", "parent-random"]
+        assert "first at custom.csv: parent-random" in capsys.readouterr().out

@@ -5,7 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from spoofsim.frontend import symbol_phasors
-from spoofsim.waveform import (_BLOCK_BURSTS, carrier_tracks, feature_rows, qpsk_phases,
+from spoofsim.scenario import ScenarioConfig
+from spoofsim.waveform import (_BLOCK_BURSTS, BITS_PER_BURST, carrier_tracks,
+                               draw_legit_bursts, feature_rows, qpsk_phases,
                                receive_phasors, receive_waveform,
                                receive_waveform_phasors, relay_phasors, rows_to_streams,
                                stream_rms)
@@ -275,6 +277,18 @@ class TestReceivePhasors:
         with pytest.raises(ValueError):
             receive_waveform_phasors(identity_mixing(), [[0.1] * 4], 0.0, 100,
                                      np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rx_role", ["ar", "at"])
+    def test_legit_draw_is_bits_then_links_then_noise(self, rx_role):
+        # the GAN's real pool and the replay recording rely on this order
+        sc = ScenarioConfig(n_t=2, n_r=3, n_a=2, seed=3, samples_per_symbol=5)
+        got = draw_legit_bursts(sc, rx_role, 7, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        bits = rng.integers(0, 2, size=(7, BITS_PER_BURST))
+        mixing = sc.draw_mixing("t", rx_role, 7, rng)
+        want = receive_waveform_phasors(mixing, qpsk_phases(bits), sc.power, 5, rng)
+        assert got.shape == (7, 3 if rx_role == "ar" else 2, 4)
+        npt.assert_array_equal(got, want)
 
 
 class TestApplyChannel:
