@@ -89,7 +89,6 @@ def draw_gan_bursts(generator, scenario, n, rng, power_budget):
     return receive_phasors(mixing, tx, sc.samples_per_symbol, rng)
 
 
-# Each draws from the generator `rng`, then scores with the classifier.
 def run_random_attack(classifier, scenario, n_trials, rng) -> AttackReport:
     return _report(classifier, draw_random_bursts(scenario, n_trials, rng))
 

@@ -285,10 +285,11 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
     (d) the losses are recorded. They score (a)'s pool, sent before (c)
         moved the generator, with the discriminator (b) just trained on it,
         so g_loss and d_loss never show (c)'s update.
-    Both nets step with Adam at the `nn` constants, the discriminator's
-    first-layer weights scaled by samples_per_symbol. Training stops early
-    once both loss series pass the perturbation convergence test; otherwise
-    the trace reports converged=False.
+    Both nets step with Adam at the `nn` constants (ADAM_LEARNING_RATE and
+    the rest), the discriminator's first-layer weights scaled by
+    samples_per_symbol. Training stops early once both loss series pass the
+    perturbation convergence test; otherwise the trace reports
+    converged=False.
     """
     cfg, sc = config, scenario
     budget = resolve_budget(cfg.power_budget, sc)
