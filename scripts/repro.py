@@ -7,11 +7,10 @@ with the sweep's own calls (`cells`, `train_job` and `score` in
 `spoofsim.experiments`), so its streams are the sweep's keyed ones, and
 its rates for a seed equal the row `spoofsim run` writes for that custom
 cell and seed. Per cell it measures the defender's classifier error rates
-and mounts the random and replay attacks. At 1x1x1
-it also trains the GAN for a fixed number of epochs and mounts the GAN
-attack: `gan.max_epochs = E` and `gan.conv_window = E + 1` (no early
-stop). A cell's random, replay and GAN attacks each draw
-from that cell's one attack stream, as their sweeps do. Counts are pooled
+and mounts the random and replay attacks. At 1x1x1 it also trains the
+GAN for a fixed number of epochs (`gan.max_epochs = E`) and mounts the
+GAN attack. A cell's random, replay and GAN attacks each draw from that
+cell's one attack stream, as their sweeps do. Counts are pooled
 over seeds and reported with Wilson 95% intervals, and every (geometry,
 metric) keeps its per-seed rates.
 
@@ -111,12 +110,9 @@ def run_cell(seed, geometry, args, with_gan):
     """Counts of one (seed, geometry) cell, trained and scored as the one
     cell of a custom sweep."""
     n_t, n_r, n_a = geometry
-    # A window longer than the run disables the early stop, so every seed
-    # trains exactly gan_epochs epochs.
     spec = ExperimentSpec(seeds=(seed,), n_trials=args.trials, n_t_grid=(n_t,),
                           n_r_grid=(n_r,), n_a_grid=(n_a,), n_train=N_TRAIN, n_test=N_TEST,
-                          gan=GanConfig(max_epochs=args.gan_epochs,
-                                        conv_window=args.gan_epochs + 1))
+                          gan=GanConfig(max_epochs=args.gan_epochs))
     (cell,) = cells(spec)
     clf, m = train(spec, "classifier", cell, seed)
     generator, trace = train(spec, "gan", cell, seed) if with_gan else (None, None)

@@ -29,9 +29,9 @@ path. So each checkout also draws the workload's raw probe set as
 and prints the SHA-256 of the labels, the raw rows and the conditioned
 rows. The cell trains one GAN config only, so each checkout also runs
 `train_gan` on the small configs of GAN_PROBES and prints one SHA-256 per
-run, over both nets' params, both loss curves, the capped counts and
-`converged`. All these hashes must agree too. The script prints the first
-difference, cell outputs first.
+run, over both nets' params, both loss curves and the capped counts. All
+these hashes must agree too. The script prints the first difference, cell
+outputs first.
 
 Exit code: 0 when the outputs are identical, 1 when they differ, 2 when
 a run failed or the arguments are bad. Standard library only.
@@ -94,7 +94,6 @@ gan.real_pool = 8
 gan.synth_per_epoch = 8
 gan.batch_size = 4
 gan.max_epochs = 3
-gan.conv_window = 2
 """
 
 # A tiny custom sweep of the random attack, formatted with the seed and the
@@ -122,13 +121,10 @@ _SMALL_GAN = {"noise_dim": 6, "hidden_width": 16, "hidden_depth": 2}
 GAN_PROBES = {
     "train_gan 2x2, uneven batches": (11, (1, 2, 2), {
         **_SMALL_GAN, "real_pool": 13, "synth_per_epoch": 10, "batch_size": 4,
-        "max_epochs": 120, "conv_window": 200}),
+        "max_epochs": 120}),
     "train_gan binding power budget": (11, (1, 1, 1), {
         **_SMALL_GAN, "real_pool": 12, "synth_per_epoch": 12, "batch_size": 6,
         "max_epochs": 40, "power_budget": 0.01}),
-    "train_gan converged": (2, (1, 1, 1), {
-        **_SMALL_GAN, "real_pool": 12, "synth_per_epoch": 12, "batch_size": 6,
-        "max_epochs": 100, "conv_window": 4}),
 }
 # Run in a checkout with argv n_t, n_r, n_a, seed, burst count and
 # GAN_PROBES as JSON; prints one JSON object of hashes, in the order they
@@ -150,8 +146,7 @@ for name, (gan_seed, (t, r, a), fields) in json.loads(sys.argv[6]).items():
     g_net, d_net, trace = train_gan(spoofsim.ScenarioConfig(n_t=t, n_r=r, n_a=a, seed=gan_seed),
                                     GanConfig(**fields), np.random.default_rng(gan_seed))
     curves = np.array([trace.g_loss, trace.d_loss, trace.capped_bursts], dtype=np.float64)
-    parts = [g_net.params.tobytes(), d_net.params.tobytes(), curves.tobytes(),
-             bytes([trace.converged])]
+    parts = [g_net.params.tobytes(), d_net.params.tobytes(), curves.tobytes()]
     hashes[name] = hashlib.sha256(b"".join(parts)).hexdigest()
 print(json.dumps(hashes))
 """

@@ -15,7 +15,7 @@ drawn directly (see `waveform`):
 as the legitimate transmitter; each `run_*_attack` is its kind's draw and
 then the scorer, so another defender can score the same bursts by calling
 the draw on the same stream. `train_spoofer` trains the generator: one
-`train_gan` run, kept whether or not its losses converged.
+`train_gan` run of `max_epochs` epochs.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ import numpy as np
 
 from .frontend import condition_rows, init_conditioned_network
 from .nn import (DenseNetwork, Workspace, adam_step, backward, cross_entropy_delta, forward,
-                 gather_rows, predict)
+                 gather_rows, mean_cross_entropy, predict)
 from .scenario import TWO_PI, ScenarioConfig
 from .waveform import (BITS_PER_BURST, SYMBOLS_PER_BURST, feature_rows,
                        qpsk_phases, receive_waveform, receive_waveform_phasors)
@@ -177,19 +177,24 @@ class Authenticator:
         return condition_rows(rows, self.n_antennas, self.samples_per_symbol)
 
 
-def _train_epoch(net, state, x, targets, batch_size, rng, ws, max_steps=None) -> int:
+def _train_epoch(net, state, x, targets, batch_size, rng, ws,
+                 max_steps=None) -> tuple[int, float]:
     """One shuffled cross-entropy pass over (x, targets) in batches of
     batch_size through workspace ws, stopped after max_steps batches when
-    given; returns the batches run. Both the classifier and the GAN's
-    discriminator train here."""
+    given; returns the batches run and the sum of their losses, each scored
+    before its step. Both the classifier and the GAN's discriminator train
+    here."""
     order = rng.permutation(x.shape[0])
     starts = range(0, x.shape[0], batch_size)[:max_steps]
+    loss = 0.0
     for start in starts:
         idx = order[start:start + batch_size]
         out, cache = forward(net, gather_rows(ws, x, idx), ws)
-        grads = backward(net, cache, cross_entropy_delta(out, targets.take(idx, axis=0)))
-        adam_step(net, grads, state)
-    return len(starts)
+        batch_targets = targets.take(idx, axis=0)
+        delta = cross_entropy_delta(out, batch_targets)
+        loss += mean_cross_entropy(out, batch_targets)
+        adam_step(net, backward(net, cache, delta), state)
+    return len(starts), loss
 
 
 def train_classifier(train_set: LabeledDataset, train_steps, rng) -> Authenticator:
@@ -222,7 +227,7 @@ def train_classifier(train_set: LabeledDataset, train_steps, rng) -> Authenticat
     steps = 0
     while steps < train_steps:
         steps += _train_epoch(net, state, x, targets, CLASSIFIER_BATCH, rng, ws,
-                              train_steps - steps)
+                              train_steps - steps)[0]
     return Authenticator(net, n_ant, sps)
 
 

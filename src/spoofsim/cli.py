@@ -91,7 +91,6 @@ _KEYS = {
     "gan.synth_per_epoch": ("gan", "synth_per_epoch", int),
     "gan.batch_size": ("gan", "batch_size", int),
     "gan.max_epochs": ("gan", "max_epochs", int),
-    "gan.conv_window": ("gan", "conv_window", int),
     "gan.power_budget": ("gan", "power_budget", float),
     "gan.retries": (None, None, _parse_retries),
 }

@@ -88,6 +88,7 @@ TABLE_GRID_DEFAULTS = {
     "5": dict(at_positions=((0.0, 10.0), (0.0, 11.0), (0.0, 15.0), (0.0, 20.0))),
 }
 
+# "gan_converged" is always blank; kept because perfbench/run.py reads it.
 CSV_COLUMNS = [
     "table", "seed", "n_t", "n_r", "n_a",
     "t_x", "t_y", "r_x", "r_y", "at_x", "at_y", "ar_x", "ar_y",
@@ -404,7 +405,7 @@ def score(spec, cell, seed, trained, version) -> tuple[dict, AttackReport | None
     if spec.attack == "gan":
         report = run_gan_attack(trained.clf, trained.generator, attacked, spec.n_trials,
                                 attack_rng, spec.gan.power_budget)
-        row.update(gan_epochs=trained.trace.epochs_run, gan_converged=trained.trace.converged)
+        row.update(gan_epochs=trained.trace.epochs_run)
     else:
         runner = {"random": run_random_attack, "replay": run_replay_attack}[spec.attack]
         report = runner(trained.clf, attacked, spec.n_trials, attack_rng)
@@ -415,7 +416,7 @@ def score(spec, cell, seed, trained, version) -> tuple[dict, AttackReport | None
 
 def _mean_row(cell_rows):
     """The cell's seed-mean row: its seed rows' rates averaged."""
-    mean = dict(cell_rows[0], seed="mean", gan_epochs="", gan_converged="")
+    mean = dict(cell_rows[0], seed="mean", gan_epochs="")
     for col in ("e_md", "e_fa", "success_prob"):
         if mean[col] != "":
             mean[col] = sum(row[col] for row in cell_rows) / len(cell_rows)

@@ -43,12 +43,10 @@ from .authenticator import FROM_T, N_CLASSES, _train_epoch, one_hot
 from .frontend import condition_phasors, condition_phasors_vjp, init_conditioned_network
 from .nn import (LINEAR, LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork, Gradients,
                  Workspace, adam_step, backward, cross_entropy_delta, forward, init_network,
-                 input_gradient, predict)
+                 input_gradient, mean_cross_entropy, predict)
 from .scenario import ScenarioConfig
 from .waveform import (draw_legit_bursts, feature_rows, phasor_width, receive_phasors,
                        rows_to_streams, stream_rms)
-
-CONV_THRESHOLD = 0.05
 
 
 @dataclass
@@ -57,12 +55,7 @@ class GanConfig:
 
     power_budget caps the summed per-antenna RMS amplitude of every
     generated transmit burst; None stands for the scenario's power (see
-    `resolve_budget`).
-
-    conv_window sets the stopping rule (see check_convergence): training
-    stops once the last conv_window values of both loss series lie within
-    CONV_THRESHOLD times the latest value of that series. A run with
-    max_epochs < conv_window never converges.
+    `resolve_budget`). A run trains for max_epochs epochs.
     """
 
     noise_dim: int = 100
@@ -72,13 +65,10 @@ class GanConfig:
     synth_per_epoch: int = 500
     batch_size: int = 100
     max_epochs: int = 2000
-    conv_window: int = 100
     power_budget: float | None = None
 
     def __post_init__(self):
         # Each message starts with the field name (`parse_config` relies on it).
-        if self.conv_window < 2:
-            raise ValueError("conv_window must be >= 2")
         for name in ("noise_dim", "hidden_width", "hidden_depth", "real_pool",
                      "synth_per_epoch", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
@@ -90,14 +80,18 @@ class GanConfig:
 
 @dataclass
 class TrainingTrace:
-    """Per-epoch record of one adversarial run: the losses g_loss and d_loss,
-    which score epoch e's synthetic pool as `train_gan`'s phase (d) says, and
-    capped_bursts[e], the bursts of that pool the power cap scaled down
-    (`save_trace_csv` writes all three); epochs_run counts the epochs."""
+    """Per-epoch record of one adversarial run (`save_trace_csv` writes it);
+    epochs_run counts the epochs. For epoch e:
+    - d_loss[e], the discriminator's cross-entropy on phase (b)'s batches
+      of the real and synthetic pool, averaged over the batches;
+    - g_loss[e], the generator's cross-entropy toward "legitimate" on phase
+      (c)'s batches of that pool, re-sent by the generator, averaged over
+      the batches;
+    - capped_bursts[e], the bursts of the pool the power cap scaled down.
+    Each batch is scored before its net's Adam step (see `train_gan`)."""
 
     g_loss: list = field(default_factory=list)
     d_loss: list = field(default_factory=list)
-    converged: bool = False
     capped_bursts: list = field(default_factory=list)
 
     @property
@@ -135,21 +129,6 @@ def init_discriminator(scenario, config, rng) -> tuple[DenseNetwork, AdamState]:
                                     scenario.samples_per_symbol, rng)
 
 
-def from_t_probability(d_net: DenseNetwork, batch) -> np.ndarray:
-    """Discriminator's probability that each row is a legitimate burst, as
-    float64 whatever the net's dtype, so the losses are summed in float64."""
-    return predict(d_net, batch)[:, FROM_T].astype(np.float64)
-
-
-def _losses(p_real, p_synth) -> tuple[float, float]:
-    """(discriminator loss, generator loss) from the discriminator's
-    probabilities p_real and p_synth that real and synthetic bursts are
-    legitimate: E_synth[log(1 - D(x))] - E_real[log D(x)], and its first
-    term alone, which does not depend on p_real."""
-    g_loss = float(np.log(np.maximum(1.0 - p_synth, LOG_EPS)).mean())
-    return g_loss - float(np.log(np.maximum(p_real, LOG_EPS)).mean()), g_loss
-
-
 def scale_to_budget(streams, power_budget):
     """Uniformly shrink streams (..., n_antennas, n_points) whose summed
     per-antenna RMS exceeds the budget; the generator's are its phasors.
@@ -162,15 +141,15 @@ def scale_to_budget(streams, power_budget):
     return streams * scale[..., None, None], scale
 
 
-def _scale_backward(grad_scaled, raw, power_budget):
-    """Adjoint of scale_to_budget for complex stream grads (batched):
-    grad_scaled itself when the cap binds on no row."""
-    rms = stream_rms(raw)
-    total = rms.sum(axis=-1)
-    active = total > power_budget
+def _scale_backward(grad_scaled, raw, scale, power_budget):
+    """Adjoint of scale_to_budget for complex stream grads (batched), given
+    the scale factors it returned for raw: a row was capped where its scale
+    is below one, and grad_scaled comes back itself when none was."""
+    active = scale < 1.0
     if not active.any():
         return grad_scaled
-    scale = np.where(active, power_budget / np.maximum(total, LOG_EPS), 1.0)
+    rms = stream_rms(raw)
+    total = rms.sum(axis=-1)
     grad = grad_scaled * scale[..., None, None]
     # d(scale)/d(raw) term, only where the cap binds.
     inner = np.sum(grad_scaled.real * raw.real + grad_scaled.imag * raw.imag, axis=(-2, -1))
@@ -195,10 +174,10 @@ def generator_phasors(g_net: DenseNetwork, z, n_adv, power_budget):
 
 
 def _generator_grads(g_net, d_net, z, mixing, rx_phasors, tx_phasors, targets,
-                     power_budget, g_ws, d_ws) -> Gradients:
+                     power_budget, g_ws, d_ws) -> tuple[Gradients, float]:
     """Generator gradients of the discriminator's cross-entropy against
     `targets` on bursts re-sent by the generator's current output for z,
-    passes written into g_ws and d_ws.
+    and that cross-entropy, passes written into g_ws and d_ws.
 
     The bursts were received as rx_phasors (count, n_rx, n_symbols) when
     sent as tx_phasors (count, n_tx, n_symbols); the same link matrices and
@@ -207,31 +186,17 @@ def _generator_grads(g_net, d_net, z, mixing, rx_phasors, tx_phasors, targets,
     """
     out, cache = forward(g_net, z, g_ws)
     raw = rows_to_streams(out, mixing.shape[-1])
-    tx, _ = scale_to_budget(raw, power_budget)
+    tx, scale = scale_to_budget(raw, power_budget)
     rx = rx_phasors + mixing @ (tx - tx_phasors)
     d_out, d_cache = forward(d_net, condition_phasors(rx), d_ws)
-    d_x = input_gradient(d_net, d_cache, cross_entropy_delta(d_out, targets))
+    delta = cross_entropy_delta(d_out, targets)
+    loss = mean_cross_entropy(d_out, targets)
+    d_x = input_gradient(d_net, d_cache, delta)
     # The channel's adjoint carries the received-phasor gradient back to the
     # transmit phasors, and the cap's adjoint to the generator's output.
     q = np.conj(mixing).swapaxes(-1, -2) @ condition_phasors_vjp(d_x, rx)
-    return backward(g_net, cache, feature_rows(_scale_backward(q, raw, power_budget)))
-
-
-def check_convergence(loss_series, window) -> bool:
-    """True when the last `window` values stay within CONV_THRESHOLD of the
-    current loss, relatively; a near-zero current loss only converges if
-    the whole window is near zero too.
-
-    A series shorter than `window` never converges; one of exactly `window`
-    values can, so `window=2` judges from two epochs alone.
-    """
-    if len(loss_series) < window:
-        return False
-    tail = np.asarray(loss_series[-window:], dtype=np.float64)
-    now = tail[-1]
-    if abs(now) < 1e-9:
-        return bool(np.all(np.abs(tail) < 1e-9))
-    return bool(np.max(np.abs(tail - now)) < CONV_THRESHOLD * abs(now))
+    grad_out = feature_rows(_scale_backward(q, raw, scale, power_budget))
+    return backward(g_net, cache, grad_out), loss
 
 
 class SynthPool(NamedTuple):
@@ -255,16 +220,23 @@ def _synth_pool(g_net, scenario, config, budget, rng) -> SynthPool:
     return SynthPool(z, tx, mixing, rx, int(np.count_nonzero(scale < 1.0)))
 
 
-def _generator_epoch(g_net, d_net, g_state, pool, spoof_targets, budget, batch_size, g_ws, d_ws):
+def _generator_epoch(g_net, d_net, g_state, pool, spoof_targets, budget, batch_size,
+                     g_ws, d_ws) -> float:
     """Phase (c): each batch re-sends its bursts of the pool with the updated
     generator over the same links and noise (see `_generator_grads`), then
-    takes one Adam step toward the discriminator's "legitimate" verdict."""
-    for start in range(0, len(pool.z), batch_size):
+    takes one Adam step toward the discriminator's "legitimate" verdict.
+    Returns the batches' losses, each scored before its step, averaged."""
+    starts = range(0, len(pool.z), batch_size)
+    loss = 0.0
+    for start in starts:
         sl = slice(start, start + batch_size)
         z = pool.z[sl]
-        grads = _generator_grads(g_net, d_net, z, pool.mixing[sl], pool.rx[sl], pool.tx[sl],
-                                 spoof_targets[: len(z)], budget, g_ws, d_ws)
+        grads, batch_loss = _generator_grads(g_net, d_net, z, pool.mixing[sl], pool.rx[sl],
+                                             pool.tx[sl], spoof_targets[: len(z)], budget,
+                                             g_ws, d_ws)
+        loss += batch_loss
         adam_step(g_net, grads, g_state)
+    return loss / len(starts)
 
 
 def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
@@ -281,15 +253,12 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
         synthetic pool;
     (c) `_generator_epoch` drives the discriminator's verdict on (a)'s
         bursts toward "legitimate", with gradients flowing through the
-        discriminator, the front end, the link matrices and the power cap;
-    (d) the losses are recorded. They score (a)'s pool, sent before (c)
-        moved the generator, with the discriminator (b) just trained on it,
-        so g_loss and d_loss never show (c)'s update.
-    Both nets step with Adam at the `nn` constants (ADAM_LEARNING_RATE and
-    the rest), the discriminator's first-layer weights scaled by
-    samples_per_symbol. Training stops early once both loss series pass the
-    perturbation convergence test; otherwise the trace reports
-    converged=False.
+        discriminator, the front end, the link matrices and the power cap.
+    The trace's losses are the cross-entropies (b) and (c) compute on each
+    batch before its step (see `TrainingTrace`). Both nets step with Adam
+    at the `nn` constants (ADAM_LEARNING_RATE and the rest), the
+    discriminator's first-layer weights scaled by samples_per_symbol.
+    Training runs max_epochs epochs.
     """
     cfg, sc = config, scenario
     budget = resolve_budget(cfg.power_budget, sc)
@@ -313,18 +282,11 @@ def train_gan(scenario: ScenarioConfig, config: GanConfig, rng):
         pool = _synth_pool(g_net, sc, cfg, budget, rng)
         trace.capped_bursts.append(pool.capped)
         pool_x = np.concatenate([real_xc, condition_phasors(pool.rx)], dtype=d_dtype)
-        _train_epoch(d_net, d_state, pool_x, pool_targets, cfg.batch_size, rng, d_ws)
-        _generator_epoch(g_net, d_net, g_state, pool, spoof_targets, budget, cfg.batch_size,
-                         g_ws, d_ws)
-        # (d) losses on (a)'s pool, then the stopping rule
-        d_loss, g_loss = _losses(from_t_probability(d_net, real_xc),
-                                 from_t_probability(d_net, pool_x[cfg.real_pool:]))
-        trace.d_loss.append(d_loss)
-        trace.g_loss.append(g_loss)
-        if check_convergence(trace.g_loss, cfg.conv_window) and \
-           check_convergence(trace.d_loss, cfg.conv_window):
-            trace.converged = True
-            break
+        steps, d_loss = _train_epoch(d_net, d_state, pool_x, pool_targets, cfg.batch_size, rng,
+                                     d_ws)
+        trace.d_loss.append(d_loss / steps)
+        trace.g_loss.append(_generator_epoch(g_net, d_net, g_state, pool, spoof_targets, budget,
+                                             cfg.batch_size, g_ws, d_ws))
     return g_net, d_net, trace
 
 

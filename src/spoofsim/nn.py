@@ -357,6 +357,18 @@ def cross_entropy_delta(pred, targets) -> np.ndarray:
     return delta
 
 
+def mean_cross_entropy(pred, targets) -> float:
+    """The loss `cross_entropy_delta` differentiates, for the same `pred`
+    and `targets`: the batch mean of -sum(targets * log(pred)), log clamped
+    at LOG_EPS, summed in pred's dtype."""
+    logs = np.maximum(pred, LOG_EPS)
+    if logs.ndim != 2 or np.shape(targets) != logs.shape:
+        raise ValueError(f"predictions of shape {logs.shape} and targets of shape "
+                         f"{np.shape(targets)} are not the same (rows, classes)")
+    np.log(logs, out=logs)
+    return -float(np.vdot(targets, logs)) / len(logs)
+
+
 @dataclass
 class AdamState:
     """Adam's state for one network: its first/second moment accumulators,

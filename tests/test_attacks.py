@@ -17,7 +17,7 @@ from spoofsim.waveform import (feature_rows, phasor_width, qpsk_phases, receive_
                                receive_waveform_phasors, relay_phasors)
 
 TINY_GAN = GanConfig(noise_dim=6, hidden_width=8, hidden_depth=2, real_pool=8,
-                     synth_per_epoch=8, batch_size=4, max_epochs=2, conv_window=2)
+                     synth_per_epoch=8, batch_size=4, max_epochs=2)
 
 
 def tiny_scenario(seed=0, **kw):
@@ -95,12 +95,6 @@ class TestRandomAttack:
         report = run_random_attack(clf, sc, 30, substream(1, 3))
         assert report.n_success == 0
 
-    def test_feature_width_mismatch_rejected(self):
-        sc = tiny_scenario(2)
-        clf = always_not_t(sc, phasor_width(sc.n_r) + 2)
-        with pytest.raises(ValueError):
-            run_random_attack(clf, sc, 5, substream(2, 3))
-
 
 class TestReplayAttack:
     def test_runs_and_reports(self):
@@ -171,10 +165,7 @@ class TestGanAttack:
 
 
 class TestTrainSpoofer:
-    def test_trains_one_gan_and_keeps_it_unconverged(self, monkeypatch):
-        # Fewer epochs than the convergence window: the run cannot converge,
-        # by check_convergence's contract, and it is kept all the same.
-        cfg = replace(TINY_GAN, conv_window=3)
+    def test_trains_one_gan_for_max_epochs(self, monkeypatch):
         sc = tiny_scenario(8)
         calls = []
 
@@ -183,12 +174,11 @@ class TestTrainSpoofer:
             return train_gan(*args, **kwargs)
 
         monkeypatch.setattr("spoofsim.attacks.train_gan", spy)
-        g, trace = train_spoofer(sc, cfg, substream(8, 2))
+        g, trace = train_spoofer(sc, TINY_GAN, substream(8, 2))
         assert len(calls) == 1
-        assert not trace.converged
-        assert trace.epochs_run == cfg.max_epochs
+        assert trace.epochs_run == TINY_GAN.max_epochs
 
         # Bit-identical to one train_gan run on the same stream.
-        ref_g, _, ref_trace = train_gan(sc, cfg, substream(8, 2))
+        ref_g, _, ref_trace = train_gan(sc, TINY_GAN, substream(8, 2))
         npt.assert_array_equal(g.params, ref_g.params)
         assert trace == ref_trace

@@ -119,7 +119,7 @@ scenario.power = 500
         ("gan.power_budget", "-1"), ("gan.power_budget", "0"), ("gan.power_budget", "nan"),
         ("gan.power_budget", "inf"), ("scenario.t_pos", "inf,0"),
         ("scenario.samples_per_symbol", "0"),
-        ("classifier.train_steps", "0"), ("gan.conv_window", "1"),
+        ("classifier.train_steps", "0"),
         ("seeds", "0,0"), ("seeds", "3,1,3"), ("n_t", "1,1"), ("n_a", "2,1,2"),
         # nodes that share a link may not coincide: T-R, T-A_R, T-A_T, A_T-R, A_T-A_R
         ("scenario.r_pos", "0,0"), ("scenario.ar_pos", "0,0"), ("scenario.t_pos", "0,10"),
@@ -208,7 +208,7 @@ scenario.power = 500
 FAST_GAN = {
     "gan.noise_dim": "6", "gan.hidden_width": "8", "gan.hidden_depth": "2",
     "gan.real_pool": "8", "gan.synth_per_epoch": "8", "gan.batch_size": "4",
-    "gan.max_epochs": "2", "gan.conv_window": "2",
+    "gan.max_epochs": "2",
 }
 
 
@@ -586,6 +586,14 @@ classifier.train_steps = 20
         cfg.write_text("not_a_key = 1\n")
         assert main(["run", "--config", str(cfg)]) == 1
         assert "not_a_key" in capsys.readouterr().err
+
+    def test_deleted_stopping_rule_key_exit_one_naming_it(self, tmp_path, capsys):
+        # a GAN trains max_epochs epochs, so no window is read
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("attack = gan\ngan.max_epochs = 3\ngan.conv_window = 4\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 1
+        assert "unknown config key: gan.conv_window" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_bench_subcommand(self, tmp_path, capsys):
         net = init_network([40, 8, 2], rng=np.random.default_rng(1))

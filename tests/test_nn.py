@@ -9,10 +9,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spoofsim.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, ADAM_LEARNING_RATE, LINEAR, RELU,
-                         SOFTMAX, AdamState, DenseNetwork, Gradients, Workspace, adam_step,
-                         backward, cross_entropy_delta, forward, gather_rows, init_network,
-                         input_gradient, load_model, predict, save_model)
+from spoofsim.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, ADAM_LEARNING_RATE, LINEAR,
+                         LOG_EPS, RELU, SOFTMAX, AdamState, DenseNetwork, Gradients, Workspace,
+                         adam_step, backward, cross_entropy_delta, forward, gather_rows,
+                         init_network, input_gradient, load_model, mean_cross_entropy, predict,
+                         save_model)
 
 from helpers import as_float64, cross_entropy, finite_diff_check, subnormal_count, sure_rows
 
@@ -148,7 +149,7 @@ class TestForward:
 
 class TestBatchOnly:
     @pytest.mark.parametrize("fn", [forward, predict, backward, input_gradient,
-                                    cross_entropy_delta, cross_entropy],
+                                    cross_entropy_delta, mean_cross_entropy, cross_entropy],
                              ids=lambda fn: fn.__name__)
     def test_one_dimensional_input_is_refused_by_its_shape(self, fn):
         # A single sample is one row; its 1-D array is refused.
@@ -158,7 +159,8 @@ class TestBatchOnly:
         p, y = np.full(3, 1 / 3), np.eye(3)[0]
         args = {forward: (net, np.ones(7), ws), predict: (net, np.ones(7)),
                 backward: (net, cache, np.zeros(3)), input_gradient: (net, cache, np.zeros(3)),
-                cross_entropy_delta: (p, y), cross_entropy: (p, y)}[fn]
+                cross_entropy_delta: (p, y), mean_cross_entropy: (p, y),
+                cross_entropy: (p, y)}[fn]
         refused = args[1] if fn is forward else args[-1]  # forward's last is its workspace
         with pytest.raises(ValueError, match=re.escape(str(refused.shape))):
             fn(*args)
@@ -300,6 +302,27 @@ class TestCrossEntropy:
         p = np.array([[0.5, 0.5], [1.0, 0.0]])
         y = np.array([[1.0, 0.0], [1.0, 0.0]])
         npt.assert_allclose(cross_entropy(p, y), math.log(2) / 2, rtol=1e-12)
+
+
+class TestMeanCrossEntropy:
+    def test_is_the_batch_mean_cross_entropy(self):
+        rng = np.random.default_rng(3)
+        p = softmax_rows(rng.standard_normal((9, 3)))
+        y = np.eye(3)[rng.integers(3, size=9)]
+        npt.assert_allclose(mean_cross_entropy(p, y), cross_entropy(p, y), rtol=1e-12)
+
+    def test_log_clamped_where_the_delta_is_flat(self):
+        # a zero target probability costs -log(LOG_EPS), as in `cross_entropy`
+        p, y = np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        npt.assert_allclose(mean_cross_entropy(p, y), (-math.log(LOG_EPS) + math.log(2)) / 2,
+                            rtol=1e-12)
+
+    def test_float32_rows_are_summed_in_float32(self):
+        rng = np.random.default_rng(4)
+        p = softmax_rows(rng.standard_normal((100, 2)))
+        y = np.eye(2)[rng.integers(2, size=100)]
+        got = mean_cross_entropy(p.astype(np.float32), y.astype(np.float32))
+        npt.assert_allclose(got, cross_entropy(p, y), rtol=1e-6)
 
 
 def softmax_rows(z):

@@ -57,7 +57,7 @@ class TestSweepCells:
         counts = {seed: repro.run_cell(seed, geometry, args, with_gan) for seed in seeds}
         config = {"seeds": "1,2", "trials": "30", "dataset.n_train": "60",
                   "dataset.n_test": "40", **dict(zip(("n_t", "n_r", "n_a"), map(str, geometry)))}
-        gan_config = {"gan.max_epochs": "3", "gan.conv_window": "4"}
+        gan_config = {"gan.max_epochs": "3"}
         attacks = ("random", "replay", "gan") if with_gan else ("random", "replay")
         for attack in attacks:
             overrides = dict(config, attack=attack, out=str(tmp_path / attack),

@@ -93,18 +93,16 @@ class TestProbeHashes:
             g_net, d_net, trace = gan_probe_run(name)
             curves = np.array([trace.g_loss, trace.d_loss, trace.capped_bursts])
             want[name] = hashlib.sha256(g_net.params.tobytes() + d_net.params.tobytes()
-                                        + curves.tobytes() + bytes([trace.converged])).hexdigest()
+                                        + curves.tobytes()).hexdigest()
         assert list(got) == list(want) and got == want
 
-    def test_gan_runs_cover_uneven_batches_a_binding_budget_and_convergence(self):
+    def test_gan_runs_cover_uneven_batches_and_a_binding_budget(self):
         fields = same_outputs.GAN_PROBES["train_gan 2x2, uneven batches"][2]
         assert fields["synth_per_epoch"] % fields["batch_size"] != 0
         assert (fields["real_pool"] + fields["synth_per_epoch"]) % fields["batch_size"] != 0
         assert gan_probe_run("train_gan 2x2, uneven batches")[2].epochs_run == 120
         trace = gan_probe_run("train_gan binding power budget")[2]
         assert set(trace.capped_bursts) == {12}
-        trace = gan_probe_run("train_gan converged")[2]
-        assert trace.converged and trace.epochs_run > 4
 
     def test_first_mismatch_is_reported_in_order(self):
         assert same_outputs.first_hash_mismatch(HASHES, dict(HASHES)) is None
