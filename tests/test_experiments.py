@@ -581,18 +581,16 @@ classifier.train_steps = 20
         assert code == 0
         assert (tmp_path / "res" / "custom.csv").exists()
 
-    def test_config_error_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, text", [
+        ("not_a_key", "not_a_key = 1\n"),
+        # deleted with the loss-plateau rule: a GAN trains max_epochs epochs
+        ("gan.conv_window", "attack = gan\ngan.max_epochs = 3\ngan.conv_window = 4\n"),
+    ], ids=["not_a_key", "gan.conv_window"])
+    def test_config_error_exit_one(self, tmp_path, capsys, key, text):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("not_a_key = 1\n")
-        assert main(["run", "--config", str(cfg)]) == 1
-        assert "not_a_key" in capsys.readouterr().err
-
-    def test_deleted_stopping_rule_key_exit_one_naming_it(self, tmp_path, capsys):
-        # a GAN trains max_epochs epochs, so no window is read
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("attack = gan\ngan.max_epochs = 3\ngan.conv_window = 4\n")
+        cfg.write_text(text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 1
-        assert "unknown config key: gan.conv_window" in capsys.readouterr().err
+        assert f"unknown config key: {key}" in capsys.readouterr().err
         assert not (tmp_path / "res").exists()
 
     def test_bench_subcommand(self, tmp_path, capsys):

@@ -349,16 +349,11 @@ class TestTrainGan:
         assert trace.epochs_run == 3
         assert calls == ["_synth_pool", "_train_epoch", "_generator_epoch"] * 3
 
-    @pytest.mark.parametrize("seed, sizes, max_epochs", [
-        (9, {}, 3),
-        # stopped at epoch 86 by the loss-plateau rule that ran until this
-        # rule was deleted (window 4)
-        (2, {"hidden_width": 16, "real_pool": 12, "synth_per_epoch": 12, "batch_size": 6}, 90),
-    ])
-    def test_a_run_trains_max_epochs_epochs(self, seed, sizes, max_epochs):
-        cfg = replace(TINY, **sizes, max_epochs=max_epochs)
-        _, _, trace = train_gan(ScenarioConfig(seed=seed), cfg, np.random.default_rng(seed))
-        assert trace.epochs_run == len(trace.d_loss) == len(trace.capped_bursts) == max_epochs
+    def test_a_run_trains_max_epochs_epochs(self):
+        # the deleted loss-plateau rule (window 4) stopped this run at epoch 86
+        cfg = replace(TINY, hidden_width=16, max_epochs=90)
+        _, _, trace = train_gan(ScenarioConfig(seed=2), cfg, np.random.default_rng(2))
+        assert trace.epochs_run == len(trace.d_loss) == len(trace.capped_bursts) == 90
 
     @pytest.mark.parametrize("real_pool, synth_per_epoch, batch_size, g_rows, d_rows", [
         (12, 10, 4, [4, 4, 2], [4, 4, 4, 4, 4, 2]),
