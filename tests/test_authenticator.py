@@ -7,10 +7,10 @@ import pytest
 from spoofsim.authenticator import (CLASSIFIER_BATCH, CLASSIFIER_HIDDEN, FROM_T, NOT_T,
                                     Authenticator,
                                     ClassifierMetrics, LabeledDataset, build_dataset,
-                                    build_phasor_dataset, classify, evaluate, one_hot,
-                                    train_classifier)
+                                    _train_epoch, build_phasor_dataset, classify, evaluate,
+                                    one_hot, train_classifier)
 from spoofsim.frontend import condition_rows, symbol_phasors
-from spoofsim.nn import (AdamState, DenseNetwork, Workspace, adam_step, backward,
+from spoofsim.nn import (LOG_EPS, AdamState, DenseNetwork, Workspace, adam_step, backward,
                          cross_entropy_delta, forward, init_network, predict)
 from spoofsim.scenario import ScenarioConfig, substream
 from spoofsim.waveform import feature_rows, phasor_width
@@ -272,6 +272,33 @@ class TestTrainClassifier:
         if bound_probabilities:
             assert np.max(np.abs(p_new - p_ref)) <= tol
         npt.assert_array_equal(classify(clf, test.features), np.argmax(p_ref, axis=1))
+
+
+class TestTrainEpoch:
+    @pytest.mark.parametrize("max_steps, steps", [(None, 4), (2, 2)], ids=["whole", "capped"])
+    def test_returns_the_batches_run_and_their_summed_loss(self, max_steps, steps):
+        # 22 rows in batches of 6 make 4 steps, the last of 4 rows. A replica
+        # scores each batch's cross-entropy, in float64, before its step.
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((22, 5)).astype(np.float32)
+        targets = one_hot(rng.integers(2, size=22)).astype(np.float32)
+        net = init_network([5, 7, 2], rng=np.random.default_rng(3), dtype=np.float32)
+        ref = init_network([5, 7, 2], rng=np.random.default_rng(3), dtype=np.float32)
+        state, ref_state = AdamState.for_network(net), AdamState.for_network(ref)
+
+        got = _train_epoch(net, state, x, targets, 6, np.random.default_rng(8), Workspace(net, 6),
+                           max_steps)
+
+        order, losses = np.random.default_rng(8).permutation(22), []
+        for start in range(0, 22, 6)[:max_steps]:
+            idx = order[start:start + 6]
+            out, cache = forward(ref, x[idx], Workspace(ref, len(idx)))
+            p = np.maximum(out[targets[idx] == 1].astype(np.float64), LOG_EPS)
+            losses.append(-np.mean(np.log(p)))
+            adam_step(ref, backward(ref, cache, cross_entropy_delta(out, targets[idx])), ref_state)
+        assert got[0] == len(losses) == steps
+        npt.assert_allclose(got[1], sum(losses), rtol=1e-6)
+        npt.assert_array_equal(net.params, ref.params)
 
 
 class TestClassify:

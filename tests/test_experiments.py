@@ -2,7 +2,7 @@ import csv
 import json
 import multiprocessing
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 from spoofsim.authenticator import Authenticator
 from spoofsim.cli import benchmark_latency, main, parse_config
 from spoofsim.attacks import run_gan_attack
+from spoofsim.gan import GanConfig
 from spoofsim.experiments import (CSV_COLUMNS, TABLE_ATTACKS, TABLE_GRID_DEFAULTS, TABLES,
                                   ConfigError, _cell_rngs, build_version, cells,
                                   run_experiment, run_jobs, sweep_processes, train_job)
@@ -53,6 +54,18 @@ class TestParseConfig:
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="gan.widht"):
             parse_config(overrides={"gan.widht": "3"})
+
+    def test_each_gan_config_field_is_set_by_its_key(self):
+        # the eight GanConfig fields are the eight gan.* keys that set one;
+        # the deleted loss-plateau window is no key
+        values = {"noise_dim": 3, "hidden_width": 4, "hidden_depth": 1, "real_pool": 5,
+                  "synth_per_epoch": 6, "batch_size": 2, "max_epochs": 7, "power_budget": 0.5}
+        assert list(values) == [f.name for f in fields(GanConfig)]
+        spec = parse_config(overrides={"attack": "gan",
+                                       **{f"gan.{k}": str(v) for k, v in values.items()}})
+        assert spec.gan == GanConfig(**values)
+        with pytest.raises(ConfigError, match=r"unknown config key: gan\.conv_window"):
+            parse_config(overrides={"attack": "gan", "gan.conv_window": "4"})
 
     def test_file_and_flag_merge(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -414,6 +427,18 @@ class TestRunExperiment:
         assert not result.failures
         assert len(calls) == 2
         assert len([r for r in result.rows if r["seed"] != "mean"]) == 6
+
+    def test_gan_converged_is_blank_in_every_row(self, tmp_path):
+        # no GAN run stops early, so the column is written empty: seed rows
+        # of a GAN sweep, and its mean rows, as every other row
+        spec = fast_spec(tmp_path, **{"attack": "gan", "seeds": "0,1"})
+        result = run_experiment(spec)
+        assert not result.failures
+        with open(result.csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["seed"] for row in rows] == ["0", "1", "mean"]
+        assert all(row["gan_epochs"] == "2" for row in rows[:2])
+        assert [row["gan_converged"] for row in rows] == ["", "", ""]
 
     def test_mobility_table_writes_its_gan_trace(self, tmp_path):
         spec = fast_spec(tmp_path, **{"table": "5", "at_positions": "0,10;0,20"})

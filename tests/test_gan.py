@@ -1,6 +1,6 @@
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +10,7 @@ import spoofsim.authenticator
 import spoofsim.gan
 from spoofsim.authenticator import FROM_T, one_hot
 from spoofsim.frontend import condition_phasors, condition_phasors_vjp, symbol_phasors
-from spoofsim.gan import (GanConfig, _generator_grads, _scale_backward,
+from spoofsim.gan import (GanConfig, TrainingTrace, _generator_grads, _scale_backward,
                           discriminator_layer_sizes, generator_layer_sizes, generator_phasors,
                           init_discriminator, init_generator, save_trace_csv, scale_to_budget,
                           train_gan)
@@ -158,6 +158,26 @@ class TestScaleBackward:
                 got = analytic[idx].real if part == 1.0 else analytic[idx].imag
                 assert abs(got - numeric) < 1e-5 * max(1.0, abs(numeric))
 
+    def test_an_uncapped_batch_gets_its_gradient_back_itself(self):
+        rng = np.random.default_rng(6)
+        raw = rng.standard_normal((3, 2, 6)) + 1j * rng.standard_normal((3, 2, 6))
+        g_out = rng.standard_normal(raw.shape) + 1j * rng.standard_normal(raw.shape)
+        _, scale = scale_to_budget(raw, 1e9)
+        assert np.all(scale == 1.0)
+        assert _scale_backward(g_out, raw, scale, 1e9) is g_out
+
+    def test_the_uncapped_rows_of_a_capped_batch_pass_through(self):
+        # row 0 is scaled down to the budget, row 1 is far below it
+        rng = np.random.default_rng(7)
+        raw = rng.standard_normal((2, 2, 6)) + 1j * rng.standard_normal((2, 2, 6))
+        raw[1] *= 1e-3
+        g_out = rng.standard_normal(raw.shape) + 1j * rng.standard_normal(raw.shape)
+        _, scale = scale_to_budget(raw, 0.5)
+        assert scale[0] < 1.0 and scale[1] == 1.0
+        grad = _scale_backward(g_out, raw, scale, 0.5)
+        npt.assert_array_equal(grad[1], g_out[1])
+        assert not np.allclose(grad[0], g_out[0])
+
 
 class TestArchitectures:
     def test_contract_widths(self):
@@ -170,6 +190,13 @@ class TestArchitectures:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GanConfig(real_pool=0)
+
+    def test_no_field_is_left_of_the_loss_plateau_rule(self):
+        # a run trains max_epochs epochs: no window, no convergence flag
+        assert [f.name for f in fields(GanConfig)] == [
+            "noise_dim", "hidden_width", "hidden_depth", "real_pool", "synth_per_epoch",
+            "batch_size", "max_epochs", "power_budget"]
+        assert [f.name for f in fields(TrainingTrace)] == ["g_loss", "d_loss", "capped_bursts"]
 
 
 class TestTrainGan:
@@ -348,6 +375,15 @@ class TestTrainGan:
         _, _, trace = train_gan(tiny_scenario(seed=9), cfg, substream(9, 2))
         assert trace.epochs_run == 3
         assert calls == ["_synth_pool", "_train_epoch", "_generator_epoch"] * 3
+
+    def test_trace_losses_are_finite_cross_entropies(self):
+        # both curves are cross-entropies of a softmax net's probabilities:
+        # at least zero, at most -log(LOG_EPS), on every epoch
+        _, _, trace = train_gan(tiny_scenario(seed=6), replace(TINY, max_epochs=5),
+                                substream(6, 2))
+        for curve in (trace.d_loss, trace.g_loss):
+            assert len(curve) == 5
+            assert all(0.0 <= loss <= -math.log(LOG_EPS) for loss in curve)
 
     def test_a_run_trains_max_epochs_epochs(self):
         # the deleted loss-plateau rule (window 4) stopped this run at epoch 86
